@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -399,9 +399,8 @@ def _round_record(cell: dict, replicate: int, result: RoundResult) -> dict:
     }
 
 
-def run_cell(config_dict: dict, cell: dict, out_dir: str) -> str:
+def run_cell(config: ExperimentConfig, cell: dict, out_dir: str) -> str:
     """Execute one (setting, AL flag) cell for all replicates and write files."""
-    config = _config_from_dict(config_dict)
     data = load_data(config)
     setting = Setting(
         _FAMILY_NAMES[cell["kind"]],
@@ -453,41 +452,6 @@ def run_cell(config_dict: dict, cell: dict, out_dir: str) -> str:
             )
     _atomic_write(out / "results" / f"{cell['key']}.jsonl", "\n".join(lines) + "\n")
     return cell["key"]
-
-
-def _config_from_dict(config_dict: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        task=_TASK_NAMES[config_dict["task"]],
-        languages=tuple(config_dict["languages"]),
-        data=config_dict["data"],
-        settings=tuple(
-            Setting(
-                _FAMILY_NAMES[s["kind"]], _STRATEGY_NAMES[s["strategy"]], True, s.get("source")
-            )
-            for s in config_dict["settings"]
-        ),
-        budget=BudgetSpec(
-            config_dict["budget"]["seed"],
-            config_dict["budget"]["acquisition"],
-            config_dict["budget"]["validation"],
-            config_dict["budget"]["rounds"],
-            _TASK_NAMES[config_dict["task"]].budget_unit,
-        ),
-        training=TrainingConfig(
-            learning_rates=tuple(config_dict["training"]["learning_rates"]),
-            batch_size=config_dict["training"]["batch_size"],
-            max_epochs=config_dict["training"]["max_epochs"],
-            patience=config_dict["training"]["patience"],
-            l2=config_dict["training"]["l2"],
-            rng_seed=0,
-        ),
-        feature_space=FeatureSpace(**config_dict["feature_space"]),
-        replicates=config_dict["replicates"],
-        seed=config_dict["seed"],
-        output_dir=config_dict["output_dir"],
-        max_length=config_dict["max_length"],
-        full_data_baselines=config_dict["full_data_baselines"],
-    )
 
 
 def _load_manifest(out: Path) -> dict:
@@ -696,35 +660,44 @@ def cmd_run(args) -> int:
             print(f"skip {cell['key']} (complete per manifest)")
         else:
             pending.append(cell)
-    config_dict = config.to_json_dict()
     failures: list[str] = []
+
+    def finished(cell, error=None):
+        # the manifest is rewritten after every cell so that an interrupted
+        # run resumes from the last finished one
+        if error is None:
+            manifest["cells"][cell["key"]] = {"status": "complete"}
+            print(f"done {cell['key']}")
+        else:
+            failures.append(f"{cell['key']}: {error}")
+            manifest["cells"][cell["key"]] = {"status": "incomplete"}
+        _write_manifest(out, manifest)
+
     if args.jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = {
-                pool.submit(run_cell, config_dict, cell, str(out)): cell for cell in pending
+                pool.submit(run_cell, config, cell, str(out)): cell for cell in pending
             }
-            for future, cell in futures.items():
+            for future in as_completed(futures):
                 try:
                     future.result()
-                    manifest["cells"][cell["key"]] = {"status": "complete"}
-                    print(f"done {cell['key']}")
                 except Exception as exc:  # noqa: BLE001 - cell failures must not kill siblings
-                    failures.append(f"{cell['key']}: {exc}")
-                    manifest["cells"][cell["key"]] = {"status": "incomplete"}
+                    finished(futures[future], exc)
+                else:
+                    finished(futures[future])
     else:
         for cell in pending:
             try:
-                run_cell(config_dict, cell, str(out))
-                manifest["cells"][cell["key"]] = {"status": "complete"}
-                print(f"done {cell['key']}")
+                run_cell(config, cell, str(out))
             except Exception as exc:  # noqa: BLE001
-                failures.append(f"{cell['key']}: {exc}")
-                manifest["cells"][cell["key"]] = {"status": "incomplete"}
+                finished(cell, exc)
+            else:
+                finished(cell)
     if not failures:
         write_summary(out, config.task)
     _write_manifest(out, manifest)
     if failures:
-        for failure in failures:
+        for failure in sorted(failures):
             print(f"error: {failure}", file=sys.stderr)
         return 2
     print(f"results written to {out}")

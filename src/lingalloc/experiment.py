@@ -32,7 +32,7 @@ from .acquisition import (
 )
 from .corpus import Instance, Pool, SplitSpec, sample_splits
 from .errors import ConfigError, ScoringError
-from .graph import Arborescence
+from .graph import ArcScores, chu_liu_edmonds
 from .models import FeatureSpace, TrainingConfig, build_model
 from .tasks import BudgetUnit, MetricReport, TaskKind, attachment_scores, span_f1
 
@@ -96,7 +96,6 @@ class Setting:
 class ModelPlan:
     index: int
     languages: tuple[str, ...]  # languages this model trains and acquires on
-    pooled: bool  # seed/validation drawn jointly rather than per language
     seed_budget: int
     acq_budget: int
     val_budget: int
@@ -124,20 +123,20 @@ def allocate(setting: Setting, spec: BudgetSpec, languages: Sequence[str]) -> Al
         if setting.source not in langs:
             raise ConfigError(f"monoa source {setting.source!r} not in language set")
         models = (
-            ModelPlan(0, (setting.source,), True, spec.seed_budget, spec.acq_budget,
+            ModelPlan(0, (setting.source,), spec.seed_budget, spec.acq_budget,
                       spec.val_budget, langs),
         )
     elif setting.family is SettingFamily.MMA:
         if min(spec.seed_budget, spec.acq_budget, spec.val_budget) < n:
             raise ConfigError(f"mma needs every budget >= {n} (one share per language)")
         models = tuple(
-            ModelPlan(i, (lang,), True, spec.seed_budget // n, spec.acq_budget // n,
+            ModelPlan(i, (lang,), spec.seed_budget // n, spec.acq_budget // n,
                       spec.val_budget // n, (lang,))
             for i, lang in enumerate(langs)
         )
     else:
         models = (
-            ModelPlan(0, langs, True, spec.seed_budget, spec.acq_budget,
+            ModelPlan(0, langs, spec.seed_budget, spec.acq_budget,
                       spec.val_budget, langs),
         )
     return AllocationPlan(setting, spec, models)
@@ -192,20 +191,19 @@ def _score_pool(model, task, instances, strategy, round_rng):
     if strategy is StrategyKind.RANDOM:
         draws = random_scores([i.id for i in ordered], round_rng)
         return [AcquisitionScore(i.id, draws[i.id], i.language, i.cost) for i in ordered]
-    out = []
-    for inst in ordered:
-        if strategy is StrategyKind.LC:
-            value = lc_score(model.predict_proba(inst))
-        elif strategy is StrategyKind.MNLP:
-            value = mnlp_score(model.predict_tag_probas(inst))
-        else:
-            head_probs, _ = model.predict_arc_probas(inst)
-            decoded = model.decode_tree(inst)
-            value = nlpdt_score(
-                head_probs, Arborescence(decoded.heads), len(inst.payload.tokens), strategy
-            )
-        out.append(AcquisitionScore(inst.id, value, inst.language, inst.cost))
-    return out
+    if strategy is StrategyKind.LC:
+        values = [lc_score(p) for p in model.predict_proba_batch(ordered)]
+    elif strategy is StrategyKind.MNLP:
+        values = [mnlp_score(p) for p in model.predict_tag_probas_batch(ordered)]
+    else:
+        values = []
+        for log_probs in model.head_log_probs_batch(ordered):
+            tree = chu_liu_edmonds(ArcScores(log_probs))
+            values.append(nlpdt_score(np.exp(log_probs), tree, tree.n, strategy))
+    return [
+        AcquisitionScore(inst.id, value, inst.language, inst.cost)
+        for inst, value in zip(ordered, values)
+    ]
 
 
 def _predict_metrics(model, task, test_by_language, languages) -> MetricReport:
@@ -213,16 +211,16 @@ def _predict_metrics(model, task, test_by_language, languages) -> MetricReport:
     for lang in languages:
         instances = test_by_language[lang]
         if task is TaskKind.CLASSIFICATION:
-            preds = [model.predict(i) for i in instances]
+            preds = model.predict_batch(instances)
             gold = [i.payload.label for i in instances]
             correct = sum(1 for p, g in zip(preds, gold) if p == g)
             report.add_classification(lang, correct, len(gold))
         elif task is TaskKind.SEQUENCE_TAGGING:
-            preds = [model.predict_tags(i) for i in instances]
+            preds = model.predict_tags_batch(instances)
             gold = [list(i.payload.tags) for i in instances]
             report.add_tagging(lang, span_f1(preds, gold))
         else:
-            preds = [model.decode_tree(i) for i in instances]
+            preds = model.decode_tree_batch(instances)
             gold = [i.payload for i in instances]
             report.add_parsing(lang, attachment_scores(preds, gold))
     return report

@@ -6,6 +6,15 @@ lets a single pooled model transfer across languages. All three models are
 multinomial logistic layers over sparse hashed features, trained by
 mini-batch gradient ascent with a learning-rate search and patience-based
 early stopping on the task metric.
+
+Features are computed once per process: the first time a model needs a
+text, a sentence's token windows or a sentence's arc candidates, they are
+hashed and packed as CSR rows (`Rows`); every later fit, validation pass,
+pool scoring and prediction over the same content slices those arrays. All
+three models run through one batched softmax layer over such rows. Its
+logits and gradients are scattered with `np.bincount`, which adds terms in
+row order, so a batch's gradient is bit for bit the sum of its examples'
+gradients taken one after another.
 """
 
 from __future__ import annotations
@@ -140,68 +149,234 @@ def featurize_arc(tokens, upos, head: int, dep: int, space: FeatureSpace):
     return hash_features(arc_feature_keys(tokens, upos, head, dep), space.hash_dimension)
 
 
+# ---------------------------------------------------------------------------
+# Packed feature rows and the process-wide feature cache.
+# ---------------------------------------------------------------------------
+
+
+def _ranges(starts, lengths) -> np.ndarray:
+    """Concatenation of arange(s, s + n) over the pairs (s, n)."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _split(values, counts) -> list:
+    """`values` cut into consecutive pieces of `counts` entries."""
+    ends = np.cumsum(counts).tolist()
+    return [values[a:b] for a, b in zip([0] + ends, ends)]
+
+
+class Rows:
+    """Sparse feature rows in CSR form.
+
+    Row r holds `indices[indptr[r]:indptr[r+1]]` with the values at the same
+    positions of `data`; `row_ids` gives the row of every stored entry.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "_row_ids")
+
+    def __init__(self, indptr, indices, data):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self._row_ids = None
+
+    @classmethod
+    def stack(cls, lengths, indices, data) -> "Rows":
+        """Rows from per-row lengths and the concatenated (indices, values)."""
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        return cls(indptr, np.asarray(indices, dtype=np.int64), np.asarray(data))
+
+    @classmethod
+    def from_vectors(cls, vectors) -> "Rows":
+        """Rows from (indices, values) pairs, one per row."""
+        if not vectors:
+            return cls.stack([], [], [])
+        indices, values = zip(*vectors)
+        return cls.stack([len(i) for i in indices], np.concatenate(indices), np.concatenate(values))
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        if self._row_ids is None:
+            self._row_ids = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return self._row_ids
+
+    def take(self, rows) -> "Rows":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        pos = _ranges(starts, lengths)
+        return Rows.stack(lengths, self.indices[pos], self.data[pos])
+
+
+def _arc_vectors(sentence, space: FeatureSpace):
+    """Every candidate arc of a (tokens, upos) sentence: dependent-major, heads ascending."""
+    tokens, upos = sentence
+    n = len(tokens)
+    return [
+        featurize_arc(tokens, upos, h, d, space)
+        for d in range(1, n + 1)
+        for h in range(n + 1)
+        if h != d
+    ]
+
+
+# kind -> (the cache key of a payload, the feature vectors of that key). The
+# featurize_* functions are looked up when called, so that a profiler that
+# rebinds them in this module sees every call.
+_FEATURIZERS = {
+    "text": (lambda p: p.text, lambda text, space: [featurize_text(text, space)]),
+    "tokens": (lambda p: p.tokens, lambda tokens, space: featurize_tokens(tokens, space)),
+    "arcs": (lambda p: (p.tokens, p.upos), _arc_vectors),
+}
+
+
+class FeatureCache:
+    """Featurized content for the life of the process, per kind and feature space.
+
+    Content is the lookup key (a text, a token tuple, or a sentence's
+    (tokens, upos)), because a corpus ingested again yields new instances
+    with new ids but the same content. A cached block is what featurizing
+    the key again would give, so sharing the cache never changes a result;
+    it grows with the distinct content a process sees. Each key keeps (row
+    lengths, indices, values) in compact dtypes: hashed indices fit int32
+    and counts are small integers, exact in float32.
+    """
+
+    def __init__(self):
+        self._blocks: dict[tuple[str, FeatureSpace], dict] = {}
+
+    def clear(self) -> None:
+        self._blocks.clear()
+
+    def rows(self, kind: str, payloads: Sequence, space: FeatureSpace) -> tuple[Rows, list[int]]:
+        """The rows of every payload in order, and how many rows each has."""
+        key_of, featurize = _FEATURIZERS[kind]
+        table = self._blocks.setdefault((kind, space), {})
+        blocks = []
+        for payload in payloads:
+            key = key_of(payload)
+            block = table.get(key)
+            if block is None:
+                rows = Rows.from_vectors(featurize(key, space))
+                lengths = np.diff(rows.indptr)
+                block = (lengths, rows.indices.astype(np.int32), rows.data.astype(np.float32))
+                table[key] = block
+            blocks.append(block)
+        if not blocks:
+            return Rows.stack([], [], []), []
+        lengths, indices, data = (np.concatenate(parts) for parts in zip(*blocks))
+        return Rows.stack(lengths, indices, data), [len(b[0]) for b in blocks]
+
+
+FEATURES = FeatureCache()
+
+
+# ---------------------------------------------------------------------------
+# The softmax layer. Weights are (classes, dim); the parser's arc weights are
+# one row of it. Each objective returns (log-likelihood - l2 penalty,
+# gradient) so that the analytic gradients can be checked against finite
+# differences.
+# ---------------------------------------------------------------------------
+
+
+def logits(weights: np.ndarray, rows: Rows) -> np.ndarray:
+    """(rows, classes) scores; each row's terms are summed in feature order."""
+    return np.stack(
+        [np.bincount(rows.row_ids, w[rows.indices] * rows.data, rows.n) for w in weights], axis=1
+    )
+
+
+def scatter(coef: np.ndarray, rows: Rows, dim: int) -> np.ndarray:
+    """sum_r outer(coef[r], x_r) as (classes, dim), the rows added in order."""
+    return np.stack([np.bincount(rows.indices, c[rows.row_ids] * rows.data, dim) for c in coef.T])
+
+
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    m = z.max()
-    return z - (m + np.log(np.exp(z - m).sum()))
+    """Log-softmax along the last axis."""
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(z))
 
 
-# ---------------------------------------------------------------------------
-# Training objectives. Each returns (log-likelihood - l2 penalty, gradient)
-# so that the analytic gradients can be checked against finite differences.
-# ---------------------------------------------------------------------------
+def _group_log_softmax(z: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Log-softmax within each run of `sizes` consecutive entries of z.
+
+    Runs of one length are stacked and normalized together, so each run is
+    reduced exactly as `_log_softmax` would reduce it alone.
+    """
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty_like(z)
+    for size in np.unique(sizes):
+        pos = starts[sizes == size][:, None] + np.arange(size)
+        out[pos] = _log_softmax(z[pos])
+    return out
 
 
-def class_objective(weights: np.ndarray, examples, l2: float):
-    """Multinomial logistic log-likelihood over ((indices, values), y) pairs."""
-    value = 0.0
-    grad = np.zeros_like(weights)
-    for (idx, vals), y in examples:
-        z = weights[:, idx] @ vals
-        logp = _log_softmax(z)
-        value += logp[y]
-        coef = -np.exp(logp)
-        coef[y] += 1.0
-        grad[:, idx] += np.outer(coef, vals)
+def softmax_objective(weights: np.ndarray, rows: Rows, gold: np.ndarray, l2: float):
+    """Multinomial logistic log-likelihood of gold classes over rows."""
+    logp = _log_softmax(logits(weights, rows))
+    at = (np.arange(rows.n), gold)
+    coef = -np.exp(logp)
+    coef[at] += 1.0
+    value = float(logp[at].sum())
+    grad = scatter(coef, rows, weights.shape[1])
     if l2:
         value -= 0.5 * l2 * float((weights * weights).sum())
         grad -= l2 * weights
     return value, grad
 
 
-def parser_objective(arc_w: np.ndarray, label_w: np.ndarray, sentences, l2: float):
+def arc_objective(arc_w, label_w, arcs: Rows, sizes, gold, labels, l2: float):
     """Gold-tree log-likelihood: head softmax terms plus arc-label terms.
 
-    `sentences` holds (arc_groups, label_examples) pairs where each arc group
-    is (candidate feature vectors, gold candidate index).
+    `arcs` holds each dependent's candidate arcs as a run of `sizes` rows,
+    `gold` the gold candidate's position within its run and `labels` the
+    gold arc's label.
     """
-    value = 0.0
-    grad_arc = np.zeros_like(arc_w)
-    grad_label = np.zeros_like(label_w)
-    for arc_groups, label_examples in sentences:
-        for cand_vecs, gold in arc_groups:
-            z = np.array([arc_w[idx] @ vals for idx, vals in cand_vecs])
-            logp = _log_softmax(z)
-            value += logp[gold]
-            p = np.exp(logp)
-            for k, (idx, vals) in enumerate(cand_vecs):
-                coef = (1.0 if k == gold else 0.0) - p[k]
-                grad_arc[idx] += coef * vals
-        for (idx, vals), y in label_examples:
-            z = label_w[:, idx] @ vals
-            logp = _log_softmax(z)
-            value += logp[y]
-            coef = -np.exp(logp)
-            coef[y] += 1.0
-            grad_label[:, idx] += np.outer(coef, vals)
+    logp = _group_log_softmax(logits(arc_w[None], arcs)[:, 0], sizes)
+    gold_rows = np.cumsum(sizes) - sizes + gold
+    target = np.zeros(arcs.n)
+    target[gold_rows] = 1.0
+    grad_arc = scatter((target - np.exp(logp))[:, None], arcs, arc_w.shape[0])[0]
+    label_value, grad_label = softmax_objective(label_w, arcs.take(gold_rows), labels, 0.0)
+    value = float(logp[gold_rows].sum()) + label_value
     if l2:
         value -= 0.5 * l2 * (float((arc_w * arc_w).sum()) + float((label_w * label_w).sum()))
         grad_arc -= l2 * arc_w
         grad_label -= l2 * label_w
     return value, grad_arc, grad_label
+
+
+def class_objective(weights: np.ndarray, examples, l2: float):
+    """`softmax_objective` over ((indices, values), y) pairs."""
+    rows = Rows.from_vectors([vec for vec, _ in examples])
+    return softmax_objective(weights, rows, np.array([y for _, y in examples], dtype=np.int64), l2)
+
+
+def parser_objective(arc_w: np.ndarray, label_w: np.ndarray, sentences, l2: float):
+    """`arc_objective` over (arc_groups, label_examples) pairs, one per sentence.
+
+    Each arc group is (candidate feature vectors, gold candidate index); each
+    label example is (gold arc feature vector, label index).
+    """
+    groups = [group for arc_groups, _ in sentences for group in arc_groups]
+    arcs = Rows.from_vectors([vec for vecs, _ in groups for vec in vecs])
+    sizes = np.array([len(vecs) for vecs, _ in groups], dtype=np.int64)
+    gold = np.array([g for _, g in groups], dtype=np.int64)
+    labels = np.array([y for _, examples in sentences for _, y in examples], dtype=np.int64)
+    return arc_objective(arc_w, label_w, arcs, sizes, gold, labels, l2)
 
 
 def run_epochs(
@@ -237,170 +412,222 @@ def run_epochs(
     return best_state, best_score, epochs_run
 
 
-def _search_learning_rates(config: TrainingConfig, train_one):
-    """Train once per learning rate (ascending); keep the best validation score."""
+@dataclass(frozen=True)
+class FitInfo:
+    """What a `fit` found: the winning learning rate and, per learning rate,
+    the best validation score and the number of epochs run."""
+
+    learning_rate: float
+    validation: dict[float, float]
+    epochs_run: dict[float, int]
+
+    @property
+    def score(self) -> float:
+        return self.validation[self.learning_rate]
+
+
+def _train(init, step, eval_fn, n_examples: int, config: TrainingConfig, copy_fn=np.copy):
+    """Train once per learning rate (ascending) and keep the best validation score.
+
+    Every epoch visits the examples in a fresh permutation, in mini-batches;
+    `step(state, batch_positions, scale)` applies one batch's update, where
+    `scale` is the learning rate over the batch size. Returns the best state
+    and a `FitInfo`.
+    """
     best = None
+    validation: dict[float, float] = {}
+    epochs: dict[float, int] = {}
     for lr in sorted(config.learning_rates):
-        state, score = train_one(lr)
+        rng = np.random.default_rng(config.rng_seed)
+
+        def epoch_fn(state, _epoch):
+            order = rng.permutation(n_examples)
+            for start in range(0, n_examples, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                step(state, batch, lr / len(batch))
+            return state
+
+        state, score, epochs[lr] = run_epochs(
+            init(), epoch_fn, eval_fn, config.max_epochs, config.patience, copy_fn
+        )
+        validation[lr] = score
         if best is None or score > best[1]:
             best = (state, score, lr)
-    return best
+    return best[0], FitInfo(best[2], validation, epochs)
 
 
 class _ModelBase:
     task: TaskKind
+    kind: str  # the feature kind of the cache
+    chunk: int  # instances per prediction pass, which bounds its transient arrays
 
     def __init__(self, space: FeatureSpace):
         self.space = space
+        self.fit_info: FitInfo | None = None
 
     def _require_trained(self):
         if getattr(self, "weights", None) is None:
             raise ModelStateError("model has no weights; train it or set them explicitly")
 
+    def _features(self, payloads) -> tuple[Rows, list[int]]:
+        return FEATURES.rows(self.kind, payloads, self.space)
 
-class TextClassifier(_ModelBase):
-    task = TaskKind.CLASSIFICATION
-
-    def __init__(self, space: FeatureSpace, classes: Sequence[str] | None = None):
-        super().__init__(space)
-        self.classes = tuple(classes) if classes is not None else None
-        self.weights: np.ndarray | None = None
-
-    @classmethod
-    def with_zero_weights(cls, space: FeatureSpace, classes: Sequence[str]):
-        model = cls(space, classes)
-        model.weights = np.zeros((len(model.classes), space.hash_dimension))
-        return model
-
-    def _examples(self, instances: Sequence[Instance], class_index):
-        examples = []
-        for inst in instances:
-            vec = featurize_text(inst.payload.text, self.space)
-            examples.append((vec, class_index[inst.payload.label]))
-        return examples
-
-    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
-        if not labeled or not validation:
-            raise ConfigError("need non-empty labeled and validation sets")
-        classes = tuple(sorted({i.payload.label for i in labeled if i.payload.label is not None}))
-        if not classes:
-            raise ConfigError("empty label vocabulary")
-        class_index = {c: k for k, c in enumerate(classes)}
-        examples = self._examples([i for i in labeled if i.payload.label is not None], class_index)
-        val_texts = [featurize_text(i.payload.text, self.space) for i in validation]
-        val_gold = [i.payload.label for i in validation]
-
-        def train_one(lr):
-            rng = np.random.default_rng(config.rng_seed)
-            init = np.zeros((len(classes), self.space.hash_dimension))
-
-            def epoch_fn(weights, _epoch):
-                order = rng.permutation(len(examples))
-                for start in range(0, len(order), config.batch_size):
-                    batch = [examples[int(i)] for i in order[start : start + config.batch_size]]
-                    _, grad = class_objective(weights, batch, config.l2)
-                    weights += (lr / len(batch)) * grad
-                return weights
-
-            def eval_fn(weights):
-                preds = [classes[int(np.argmax(weights[:, idx] @ vals))] for idx, vals in val_texts]
-                return accuracy(preds, val_gold)
-
-            state, score, _ = run_epochs(
-                init, epoch_fn, eval_fn, config.max_epochs, config.patience, np.copy
-            )
-            return state, score
-
-        weights, score, _lr = _search_learning_rates(config, train_one)
-        self.classes = classes
-        self.weights = weights
-        return score
-
-    def predict_proba(self, instance: Instance) -> np.ndarray:
+    def _in_chunks(self, fn, instances: Sequence[Instance]) -> list:
+        """fn(payloads, rows, rows per payload) over consecutive chunks; one result per instance."""
         self._require_trained()
-        idx, vals = featurize_text(instance.payload.text, self.space)
-        return softmax(self.weights[:, idx] @ vals)
-
-    def predict(self, instance: Instance) -> str:
-        return self.classes[int(np.argmax(self.predict_proba(instance)))]
-
-
-class SequenceTagger(_ModelBase):
-    task = TaskKind.SEQUENCE_TAGGING
-
-    def __init__(self, space: FeatureSpace, tags: Sequence[str] | None = None):
-        super().__init__(space)
-        self.tags = tuple(tags) if tags is not None else None
-        self.weights: np.ndarray | None = None
-
-    @classmethod
-    def with_zero_weights(cls, space: FeatureSpace, tags: Sequence[str]):
-        model = cls(space, tags)
-        model.weights = np.zeros((len(model.tags), space.hash_dimension))
-        return model
-
-    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
-        if not labeled or not validation:
-            raise ConfigError("need non-empty labeled and validation sets")
-        tags = tuple(sorted({t for i in labeled if i.payload.tags for t in i.payload.tags}))
-        if not tags:
-            raise ConfigError("empty tag vocabulary")
-        tag_index = {t: k for k, t in enumerate(tags)}
-        examples = []
-        for inst in labeled:
-            if inst.payload.tags is None:
-                continue
-            vecs = featurize_tokens(inst.payload.tokens, self.space)
-            examples.extend((vec, tag_index[t]) for vec, t in zip(vecs, inst.payload.tags))
-        val_vecs = [featurize_tokens(i.payload.tokens, self.space) for i in validation]
-        val_gold = [list(i.payload.tags) for i in validation]
-
-        def train_one(lr):
-            rng = np.random.default_rng(config.rng_seed)
-            init = np.zeros((len(tags), self.space.hash_dimension))
-
-            def epoch_fn(weights, _epoch):
-                order = rng.permutation(len(examples))
-                for start in range(0, len(order), config.batch_size):
-                    batch = [examples[int(i)] for i in order[start : start + config.batch_size]]
-                    _, grad = class_objective(weights, batch, config.l2)
-                    weights += (lr / len(batch)) * grad
-                return weights
-
-            def eval_fn(weights):
-                preds = [
-                    [tags[int(np.argmax(weights[:, idx] @ vals))] for idx, vals in vecs]
-                    for vecs in val_vecs
-                ]
-                return span_f1(preds, val_gold).f1
-
-            state, score, _ = run_epochs(
-                init, epoch_fn, eval_fn, config.max_epochs, config.patience, np.copy
-            )
-            return state, score
-
-        weights, score, _lr = _search_learning_rates(config, train_one)
-        self.tags = tags
-        self.weights = weights
-        return score
-
-    def predict_tag_probas(self, instance: Instance) -> np.ndarray:
-        self._require_trained()
-        vecs = featurize_tokens(instance.payload.tokens, self.space)
-        out = np.empty((len(vecs), len(self.tags)))
-        for i, (idx, vals) in enumerate(vecs):
-            out[i] = softmax(self.weights[:, idx] @ vals)
+        out = []
+        for start in range(0, len(instances), self.chunk):
+            payloads = [i.payload for i in instances[start : start + self.chunk]]
+            out += fn(payloads, *self._features(payloads))
         return out
 
+
+class _SoftmaxModel(_ModelBase):
+    """A softmax over feature rows: one row per text (classifier) or per token (tagger).
+
+    Subclasses name the feature kind, the gold label of each row and the
+    validation metric; `_fit` is their shared training body. Each subclass
+    still defines `fit` and the per-instance predictors itself, because
+    `perfbench/tracer.py` wraps them in each class's own namespace.
+    """
+
+    def __init__(self, space: FeatureSpace, vocab: Sequence[str] | None = None):
+        super().__init__(space)
+        self.vocab = tuple(vocab) if vocab is not None else None
+        self.weights: np.ndarray | None = None
+
+    @classmethod
+    def with_zero_weights(cls, space: FeatureSpace, vocab: Sequence[str]):
+        model = cls(space, vocab)
+        model.weights = np.zeros((len(model.vocab), space.hash_dimension))
+        return model
+
+    def _fit(self, labeled, validation, config: TrainingConfig) -> float:
+        if not labeled or not validation:
+            raise ConfigError("need non-empty labeled and validation sets")
+        labeled = [i.payload for i in labeled if self._gold(i.payload) is not None]
+        vocab = tuple(sorted({y for p in labeled for y in self._gold(p)}))
+        if not vocab:
+            raise ConfigError("empty label vocabulary")
+        index = {y: k for k, y in enumerate(vocab)}
+        rows, _ = self._features(labeled)
+        gold = np.array([index[y] for p in labeled for y in self._gold(p)], dtype=np.int64)
+        val_gold = [i.payload for i in validation]
+        val_rows, val_counts = self._features(val_gold)
+
+        def step(weights, batch, scale):
+            _, grad = softmax_objective(weights, rows.take(batch), gold[batch], config.l2)
+            weights += scale * grad
+
+        def eval_fn(weights):
+            best = [vocab[k] for k in logits(weights, val_rows).argmax(axis=1).tolist()]
+            return self._metric(_split(best, val_counts), val_gold)
+
+        weights, self.fit_info = _train(
+            lambda: np.zeros((len(vocab), self.space.hash_dimension)), step, eval_fn, rows.n, config
+        )
+        self.vocab = vocab
+        self.weights = weights
+        return self.fit_info.score
+
+    def _probas(self, instances: Sequence[Instance]) -> list[np.ndarray]:
+        """Per instance, a (rows, vocab) array of distributions."""
+        return self._in_chunks(
+            lambda _, rows, counts: _split(softmax(logits(self.weights, rows)), counts), instances
+        )
+
+
+class TextClassifier(_SoftmaxModel):
+    task = TaskKind.CLASSIFICATION
+    kind = "text"
+    chunk = 256
+
+    @property
+    def classes(self):
+        return self.vocab
+
+    @staticmethod
+    def _gold(payload):
+        return None if payload.label is None else (payload.label,)
+
+    @staticmethod
+    def _metric(preds, payloads) -> float:
+        return accuracy([p[0] for p in preds], [p.label for p in payloads])
+
+    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
+        return self._fit(labeled, validation, config)
+
+    def predict_proba_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
+        return [probas[0] for probas in self._probas(instances)]
+
+    def predict_proba(self, instance: Instance) -> np.ndarray:
+        return self.predict_proba_batch([instance])[0]
+
+    def predict_batch(self, instances: Sequence[Instance]) -> list[str]:
+        return [self.classes[int(np.argmax(p))] for p in self.predict_proba_batch(instances)]
+
+    def predict(self, instance: Instance) -> str:
+        return self.predict_batch([instance])[0]
+
+
+class SequenceTagger(_SoftmaxModel):
+    task = TaskKind.SEQUENCE_TAGGING
+    kind = "tokens"
+    chunk = 64
+
+    @property
+    def tags(self):
+        return self.vocab
+
+    @staticmethod
+    def _gold(payload):
+        return payload.tags
+
+    @staticmethod
+    def _metric(preds, payloads) -> float:
+        return span_f1(preds, [list(p.tags) for p in payloads]).f1
+
+    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
+        return self._fit(labeled, validation, config)
+
+    def predict_tag_probas_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
+        return self._probas(instances)
+
+    def predict_tag_probas(self, instance: Instance) -> np.ndarray:
+        return self.predict_tag_probas_batch([instance])[0]
+
+    def predict_tags_batch(self, instances: Sequence[Instance]) -> list[list[str]]:
+        return [
+            [self.tags[int(k)] for k in probas.argmax(axis=1)]
+            for probas in self.predict_tag_probas_batch(instances)
+        ]
+
     def predict_tags(self, instance: Instance) -> list[str]:
-        probas = self.predict_tag_probas(instance)
-        return [self.tags[int(k)] for k in probas.argmax(axis=1)]
+        return self.predict_tags_batch([instance])[0]
+
+
+def _candidate_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(head, dependent column) of each candidate arc, shaped (dependents, candidates)."""
+    k = np.arange(n)[None, :]
+    deps = np.arange(1, n + 1)[:, None]
+    return k + (k >= deps), np.broadcast_to(deps - 1, (n, n))
+
+
+def _candidate(head: int, dep: int) -> int:
+    """Position of the arc head -> dep among dep's candidates (every head but dep)."""
+    return head if head < dep else head - 1
 
 
 class DependencyParser(_ModelBase):
-    """Arc-factored parser: a head softmax per dependent plus a label classifier."""
+    """Arc-factored parser: a head softmax per dependent plus a label classifier.
+
+    A sentence of n tokens has n candidate arcs per dependent (every head
+    but itself), stored as n*n rows: dependent-major, heads ascending.
+    """
 
     task = TaskKind.DEPENDENCY_PARSING
+    kind = "arcs"
+    chunk = 16
 
     def __init__(self, space: FeatureSpace, labels: Sequence[str] | None = None):
         super().__init__(space)
@@ -419,26 +646,17 @@ class DependencyParser(_ModelBase):
         model.label_weights = np.zeros((len(model.labels), space.hash_dimension))
         return model
 
-    def _arc_candidates(self, payload: DepTree):
-        n = len(payload.tokens)
-        per_dep = []
-        for d in range(1, n + 1):
-            cands = [h for h in range(n + 1) if h != d]
-            vecs = [
-                featurize_arc(payload.tokens, payload.upos, h, d, self.space) for h in cands
-            ]
-            per_dep.append((cands, vecs))
-        return per_dep
-
     def _sentence_examples(self, payload: DepTree, label_index):
+        """One sentence as (arc groups, label examples) for `parser_objective`."""
+        n = len(payload.tokens)
+        arcs, _ = self._features([payload])
+        vecs = [(arcs.indices[a:b], arcs.data[a:b]) for a, b in zip(arcs.indptr, arcs.indptr[1:])]
         arc_groups = []
         label_examples = []
-        for (cands, vecs), gold_head, gold_label in zip(
-            self._arc_candidates(payload), payload.heads, payload.labels
-        ):
-            gold_pos = cands.index(gold_head)
-            arc_groups.append((vecs, gold_pos))
-            label_examples.append((vecs[gold_pos], label_index[gold_label]))
+        for d, (head, label) in enumerate(zip(payload.heads, payload.labels), start=1):
+            cands = vecs[(d - 1) * n : d * n]
+            arc_groups.append((cands, _candidate(head, d)))
+            label_examples.append((cands[_candidate(head, d)], label_index[label]))
         return arc_groups, label_examples
 
     def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
@@ -450,56 +668,75 @@ class DependencyParser(_ModelBase):
         if not labels:
             raise ConfigError("empty dependency label vocabulary")
         label_index = {l: k for k, l in enumerate(labels)}
-        sentences = [
-            self._sentence_examples(i.payload, label_index)
-            for i in labeled
-            if i.payload.heads is not None
-        ]
+        trees = [i.payload for i in labeled if i.payload.heads is not None]
+        arcs, arc_counts = self._features(trees)
+        lengths = np.array([len(t.tokens) for t in trees], dtype=np.int64)
+        first_dep = np.cumsum(lengths) - lengths
+        first_arc = np.cumsum(arc_counts) - arc_counts
+        gold = np.array(
+            [_candidate(h, d) for t in trees for d, h in enumerate(t.heads, start=1)], dtype=np.int64
+        )
+        gold_labels = np.array([label_index[l] for t in trees for l in t.labels], dtype=np.int64)
         val_gold = [i.payload for i in validation]
+        val_arcs, _ = self._features(val_gold)
 
-        def train_one(lr):
-            rng = np.random.default_rng(config.rng_seed)
-            dim = self.space.hash_dimension
-            init = (np.zeros(dim), np.zeros((len(labels), dim)))
-
-            def epoch_fn(state, _epoch):
-                arc_w, label_w = state
-                order = rng.permutation(len(sentences))
-                for start in range(0, len(order), config.batch_size):
-                    batch = [sentences[int(i)] for i in order[start : start + config.batch_size]]
-                    _, g_arc, g_label = parser_objective(arc_w, label_w, batch, config.l2)
-                    arc_w += (lr / len(batch)) * g_arc
-                    label_w += (lr / len(batch)) * g_label
-                return arc_w, label_w
-
-            def eval_fn(state):
-                arc_w, label_w = state
-                preds = [
-                    self._decode_with(arc_w, label_w, labels, payload) for payload in val_gold
-                ]
-                return attachment_scores(preds, val_gold).las
-
-            def copy_fn(state):
-                return (state[0].copy(), state[1].copy())
-
-            state, score, _ = run_epochs(
-                init, epoch_fn, eval_fn, config.max_epochs, config.patience, copy_fn
+        def step(state, batch, scale):
+            arc_w, label_w = state
+            n = lengths[batch]
+            deps = _ranges(first_dep[batch], n)
+            _, g_arc, g_label = arc_objective(
+                arc_w, label_w, arcs.take(_ranges(first_arc[batch], n * n)),
+                np.repeat(n, n), gold[deps], gold_labels[deps], config.l2,
             )
-            return state, score
+            arc_w += scale * g_arc
+            label_w += scale * g_label
 
-        (arc_w, label_w), score, _lr = _search_learning_rates(config, train_one)
+        def eval_fn(state):
+            return attachment_scores(self._decode(*state, labels, val_gold, val_arcs), val_gold).las
+
+        dim = self.space.hash_dimension
+        (arc_w, label_w), self.fit_info = _train(
+            lambda: (np.zeros(dim), np.zeros((len(labels), dim))),
+            step, eval_fn, len(trees), config,
+            copy_fn=lambda state: (state[0].copy(), state[1].copy()),
+        )
         self.labels = labels
         self.arc_weights = arc_w
         self.label_weights = label_w
-        return score
+        return self.fit_info.score
 
-    def _head_scores(self, arc_w: np.ndarray, payload: DepTree) -> np.ndarray:
-        n = len(payload.tokens)
-        scores = np.full((n + 1, n), -np.inf)
-        for d, (cands, vecs) in enumerate(self._arc_candidates(payload), start=1):
-            for h, (idx, vals) in zip(cands, vecs):
-                scores[h, d - 1] = arc_w[idx] @ vals
-        return scores
+    def _head_log_probs(self, arc_w, payloads, arcs: Rows) -> list[np.ndarray]:
+        """Per sentence, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
+        lengths = [len(p.tokens) for p in payloads]
+        logp = _group_log_softmax(logits(arc_w[None], arcs)[:, 0], np.repeat(lengths, lengths))
+        out = []
+        for n, block in zip(lengths, _split(logp, [n * n for n in lengths])):
+            matrix = np.full((n + 1, n), -np.inf)
+            matrix[_candidate_grid(n)] = block.reshape(n, n)
+            out.append(matrix)
+        return out
+
+    def _decode(self, arc_w, label_w, labels, payloads, arcs: Rows) -> list[DepTree]:
+        heads = [
+            chu_liu_edmonds(ArcScores(m)).heads
+            for m in self._head_log_probs(arc_w, payloads, arcs)
+        ]
+        rows = []
+        for tree_heads, first in zip(heads, np.cumsum([0] + [len(h) ** 2 for h in heads]).tolist()):
+            n = len(tree_heads)
+            rows += [first + (d - 1) * n + _candidate(h, d) for d, h in enumerate(tree_heads, 1)]
+        best = [labels[k] for k in logits(label_w, arcs.take(rows)).argmax(axis=1).tolist()]
+        return [
+            DepTree(p.tokens, p.upos, tree_heads, tuple(pred))
+            for p, tree_heads, pred in zip(payloads, heads, _split(best, [len(h) for h in heads]))
+        ]
+
+    def head_log_probs_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
+        """Per instance, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
+        return self._in_chunks(
+            lambda payloads, arcs, _: self._head_log_probs(self.arc_weights, payloads, arcs),
+            instances,
+        )
 
     def predict_arc_probas(self, instance: Instance):
         """Head distribution per dependent plus a label distribution per arc.
@@ -510,33 +747,23 @@ class DependencyParser(_ModelBase):
         self._require_trained()
         payload = instance.payload
         n = len(payload.tokens)
-        head_probs = np.zeros((n + 1, n))
+        arcs, _ = self._features([payload])
+        head_probs = np.exp(self._head_log_probs(self.arc_weights, [payload], arcs)[0])
         label_probs = np.zeros((n + 1, n, len(self.labels)))
-        for d, (cands, vecs) in enumerate(self._arc_candidates(payload), start=1):
-            z = np.array([self.arc_weights[idx] @ vals for idx, vals in vecs])
-            head_probs[cands, d - 1] = softmax(z)
-            for h, (idx, vals) in zip(cands, vecs):
-                label_probs[h, d - 1] = softmax(self.label_weights[:, idx] @ vals)
+        label_probs[_candidate_grid(n)] = softmax(logits(self.label_weights, arcs)).reshape(n, n, -1)
         return head_probs, label_probs
 
-    def _decode_with(self, arc_w, label_w, labels, payload: DepTree) -> DepTree:
-        raw = self._head_scores(arc_w, payload)
-        n = raw.shape[1]
-        log_probs = np.full_like(raw, -np.inf)
-        for j in range(n):
-            finite = np.isfinite(raw[:, j])
-            log_probs[finite, j] = _log_softmax(raw[finite, j])
-        tree = chu_liu_edmonds(ArcScores(log_probs))
-        pred_labels = []
-        for d, h in enumerate(tree.heads, start=1):
-            idx, vals = featurize_arc(payload.tokens, payload.upos, h, d, self.space)
-            pred_labels.append(labels[int(np.argmax(label_w[:, idx] @ vals))])
-        return DepTree(payload.tokens, payload.upos, tree.heads, tuple(pred_labels))
+    def decode_tree_batch(self, instances: Sequence[Instance]) -> list[DepTree]:
+        """Best single-root tree per instance under the head softmax, with argmax arc labels."""
+        return self._in_chunks(
+            lambda payloads, arcs, _: self._decode(
+                self.arc_weights, self.label_weights, self.labels, payloads, arcs
+            ),
+            instances,
+        )
 
     def decode_tree(self, instance: Instance) -> DepTree:
-        """Best single-root tree under the head softmax, with argmax arc labels."""
-        self._require_trained()
-        return self._decode_with(self.arc_weights, self.label_weights, self.labels, instance.payload)
+        return self.decode_tree_batch([instance])[0]
 
 
 def build_model(task: TaskKind, space: FeatureSpace):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .corpus import ClassificationText, DepTree, TaggedSentence
+from .corpus import DepTree
 from .errors import EvaluationError
 
 
@@ -25,22 +25,6 @@ class TaskKind(Enum):
         if self is TaskKind.CLASSIFICATION:
             return BudgetUnit.INSTANCE
         return BudgetUnit.TOKEN
-
-    @property
-    def payload_type(self):
-        return {
-            TaskKind.CLASSIFICATION: ClassificationText,
-            TaskKind.SEQUENCE_TAGGING: TaggedSentence,
-            TaskKind.DEPENDENCY_PARSING: DepTree,
-        }[self]
-
-    @property
-    def primary_metric(self) -> str:
-        return {
-            TaskKind.CLASSIFICATION: "accuracy",
-            TaskKind.SEQUENCE_TAGGING: "f1",
-            TaskKind.DEPENDENCY_PARSING: "las",
-        }[self]
 
 
 def accuracy(pred: Sequence[str], gold: Sequence[str]) -> float:

@@ -275,6 +275,28 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path), "--out", str(fresh)]) == 0
         assert _tree_bytes(out) == _tree_bytes(fresh)
 
+    def test_interrupted_run_resumes_after_finished_cells(self, tmp_path, monkeypatch, capsys):
+        config_path = _small_config(tmp_path / "corpus")
+        out = tmp_path / "out"
+        finished = []
+
+        def interrupted(config, cell, out_dir):
+            if len(finished) == 2:
+                raise KeyboardInterrupt
+            key = run_cell(config, cell, out_dir)
+            finished.append(key)
+            return key
+
+        monkeypatch.setattr(cli, "run_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(config_path), "--out", str(out)])
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        skipped = [line.split()[1] for line in lines if line.startswith("skip ")]
+        assert len(finished) == 2 and skipped == finished
+
     def test_invalid_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

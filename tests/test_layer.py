@@ -1,0 +1,186 @@
+"""The batched softmax layer and the feature cache behind all three models."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import lingalloc.models as models
+from lingalloc.acquisition import StrategyKind
+from lingalloc.corpus import ClassificationText, DepTree, Instance
+from lingalloc.experiment import BudgetSpec, Setting, SettingFamily, allocate, run_rounds
+from lingalloc.models import (
+    DependencyParser,
+    FeatureSpace,
+    SequenceTagger,
+    TextClassifier,
+    TrainingConfig,
+    class_objective,
+    parser_objective,
+)
+from lingalloc.synth import synth_classification, synth_parsing, synth_tagging
+from lingalloc.tasks import BudgetUnit
+
+from oracles import example_loop_class_objective, example_loop_parser_objective
+
+SPACE = FeatureSpace(hash_dimension=1024, ngram_min=2, ngram_max=4)
+FAST = TrainingConfig(learning_rates=(0.5,), batch_size=8, max_epochs=4, patience=4, rng_seed=0)
+
+
+def _sparse_vector(rng, dim):
+    """Sorted distinct indices with small integer counts, as hashing produces."""
+    k = int(rng.integers(0, 40))
+    idx = np.sort(rng.choice(dim, size=k, replace=False)).astype(np.int64)
+    return idx, rng.integers(1, 4, size=k).astype(np.float64)
+
+
+class TestBatchedGradients:
+    """The batched layer against the one-example-at-a-time loop of `oracles`."""
+
+    DIM = 64  # small, so that examples of a batch share features
+
+    def test_class_objective_matches_example_loop(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            classes = int(rng.integers(1, 12))
+            examples = [
+                (_sparse_vector(rng, self.DIM), int(rng.integers(0, classes)))
+                for _ in range(int(rng.integers(1, 40)))
+            ]
+            weights = rng.normal(0, 1.0, size=(classes, self.DIM))
+            value, grad = class_objective(weights, examples, l2=0.0)
+            expected_value, expected_grad = example_loop_class_objective(weights, examples)
+            assert np.array_equal(grad, expected_grad)
+            assert abs(value - expected_value) <= 1e-12 * max(1.0, abs(expected_value))
+
+    def test_parser_objective_matches_example_loop(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            labels = int(rng.integers(1, 6))
+            sentences = []
+            for _ in range(int(rng.integers(1, 5))):
+                arc_groups, label_examples = [], []
+                for _ in range(int(rng.integers(1, 6))):
+                    cands = [_sparse_vector(rng, self.DIM) for _ in range(int(rng.integers(1, 12)))]
+                    gold = int(rng.integers(0, len(cands)))
+                    arc_groups.append((cands, gold))
+                    label_examples.append((cands[gold], int(rng.integers(0, labels))))
+                sentences.append((arc_groups, label_examples))
+            arc_w = rng.normal(0, 1.0, size=self.DIM)
+            label_w = rng.normal(0, 1.0, size=(labels, self.DIM))
+            value, g_arc, g_label = parser_objective(arc_w, label_w, sentences, l2=0.0)
+            expected = example_loop_parser_objective(arc_w, label_w, sentences)
+            assert np.array_equal(g_arc, expected[1])
+            assert np.array_equal(g_label, expected[2])
+            assert abs(value - expected[0]) <= 1e-12 * max(1.0, abs(expected[0]))
+
+
+def _classification_run():
+    data = synth_classification(["aa", "bb"], 60, 15, 0.5, seed=2)
+    spec = BudgetSpec(20, 12, 10, rounds=3, unit=BudgetUnit.INSTANCE)
+    return data, Setting(SettingFamily.SMA, StrategyKind.LC), spec
+
+
+def _tagging_run():
+    data = synth_tagging(["aa", "bb"], 30, 8, 0.5, seed=3)
+    spec = BudgetSpec(60, 40, 40, rounds=3, unit=BudgetUnit.TOKEN)
+    return data, Setting(SettingFamily.MMA, StrategyKind.MNLP), spec
+
+
+def _parsing_run():
+    data = synth_parsing(["aa", "bb"], 20, 6, 0.5, seed=3)
+    spec = BudgetSpec(40, 30, 30, rounds=3, unit=BudgetUnit.TOKEN)
+    return data, Setting(SettingFamily.SMA, StrategyKind.NLPDT_GLOBAL), spec
+
+
+def _content_rows(payload):
+    """(content, feature rows): a text has one row, a tagged sentence one per
+    token, a parse tree one per candidate arc."""
+    if isinstance(payload, ClassificationText):
+        return payload.text, 1
+    n = len(payload.tokens)
+    if isinstance(payload, DepTree):
+        return (payload.tokens, payload.upos), n * n
+    return payload.tokens, n
+
+
+@pytest.mark.parametrize("make_run", [_classification_run, _tagging_run, _parsing_run])
+def test_run_rounds_featurizes_each_instance_once(monkeypatch, make_run):
+    data, setting, spec = make_run()
+    calls = Counter()
+    original = models.hash_features
+
+    def counting(keys, dim):
+        calls[tuple(keys)] += 1
+        return original(keys, dim)
+
+    monkeypatch.setattr(models, "hash_features", counting)
+    models.FEATURES.clear()
+    plan = allocate(setting, spec, data.languages)
+    run_rounds(plan, data, FAST, SPACE, rng_seed=4)
+    distinct = dict(
+        _content_rows(i.payload)
+        for part in (data.train, data.test)
+        for lang in data.languages
+        for i in part[lang]
+    )
+    # one hash per row (text, token window or candidate arc) of each distinct instance
+    assert 0 < sum(calls.values()) <= sum(distinct.values())
+    if setting.strategy is StrategyKind.LC:
+        assert max(calls.values()) == 1
+    calls.clear()
+    run_rounds(plan, data, FAST, SPACE, rng_seed=5)  # other seed, same content
+    assert sum(calls.values()) == 0
+
+
+class TestBatchedPrediction:
+    """Batch methods equal their per-instance counterparts, across chunk borders."""
+
+    def test_classifier(self):
+        data = synth_classification(["aa", "bb"], 160, 10, 0.5, seed=1)
+        insts = [i for lang in data.languages for i in data.train[lang]]
+        assert len(insts) > TextClassifier.chunk
+        model = TextClassifier(SPACE)
+        model.fit(insts[:60], insts[60:90], FAST)
+        batch = model.predict_proba_batch(insts)
+        for inst, probas in zip(insts, batch):
+            assert np.array_equal(probas, model.predict_proba(inst))
+        assert model.predict_batch(insts) == [model.predict(i) for i in insts]
+
+    def test_tagger(self):
+        data = synth_tagging(["aa", "bb"], 50, 10, 0.5, seed=1)
+        insts = [i for lang in data.languages for i in data.train[lang]]
+        assert len(insts) > SequenceTagger.chunk
+        model = SequenceTagger(SPACE)
+        model.fit(insts[:30], insts[30:45], FAST)
+        batch = model.predict_tag_probas_batch(insts)
+        for inst, probas in zip(insts, batch):
+            assert np.array_equal(probas, model.predict_tag_probas(inst))
+        assert model.predict_tags_batch(insts) == [model.predict_tags(i) for i in insts]
+
+    def test_parser(self):
+        data = synth_parsing(["aa", "bb"], 15, 5, 0.5, seed=1)
+        insts = [i for lang in data.languages for i in data.train[lang]]
+        assert len(insts) > DependencyParser.chunk
+        model = DependencyParser(SPACE)
+        model.fit(insts[:12], insts[12:18], FAST)
+        assert model.decode_tree_batch(insts) == [model.decode_tree(i) for i in insts]
+        for inst, log_probs in zip(insts, model.head_log_probs_batch(insts)):
+            head_probs, _ = model.predict_arc_probas(inst)
+            assert np.array_equal(np.exp(log_probs), head_probs)
+
+
+def test_fit_info_records_the_learning_rate_search():
+    insts = [
+        Instance(i, "aa", ClassificationText(f"{word} {i}", label), 1)
+        for i, (word, label) in enumerate([("good fine", "pos"), ("bad awful", "neg")] * 10)
+    ]
+    config = TrainingConfig(learning_rates=(0.5, 0.001), batch_size=4, max_epochs=12, patience=3)
+    model = TextClassifier(SPACE)
+    assert model.fit_info is None
+    score = model.fit(insts, insts, config)
+    info = model.fit_info
+    assert sorted(info.validation) == [0.001, 0.5] == sorted(info.epochs_run)
+    assert info.learning_rate in info.validation
+    assert score == info.validation[info.learning_rate] == max(info.validation.values())
+    assert all(config.patience <= e <= config.max_epochs for e in info.epochs_run.values())
