@@ -32,7 +32,6 @@ from .experiment import (
     allocate,
     curriculum,
     initial_composition,
-    run_full_data_baselines,
     run_rounds,
 )
 from .graph import Arborescence, ArcScores, chu_liu_edmonds, log_partition, tree_log_prob

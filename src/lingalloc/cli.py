@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
+import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -24,6 +26,7 @@ from pathlib import Path
 
 from .acquisition import StrategyKind, strategy_compatible
 from .corpus import (
+    check_language,
     dedup,
     ingest_conll_ner,
     ingest_conllu,
@@ -33,7 +36,7 @@ from .corpus import (
     write_conllu,
     write_tsv_classification,
 )
-from .errors import ConfigError, LingallocError
+from .errors import ConfigError, DataError, LingallocError
 from .experiment import (
     BudgetSpec,
     CurriculumReport,
@@ -57,15 +60,26 @@ _TASK_NAMES = {t.value: t for t in TaskKind}
 _STRATEGY_NAMES = {s.value: s for s in StrategyKind}
 _FAMILY_NAMES = {f.value: f for f in SettingFamily}
 
-_TOP_KEYS = {
-    "task", "languages", "data", "settings", "budget", "training", "feature_space",
-    "replicates", "seed", "output_dir", "max_length", "full_data_baselines",
-}
-_BUDGET_KEYS = {"seed", "acquisition", "validation", "rounds"}
-_TRAINING_KEYS = {"learning_rates", "batch_size", "max_epochs", "patience", "l2"}
-_SPACE_KEYS = {"hash_dimension", "ngram_min", "ngram_max"}
 _SETTING_KEYS = {"kind", "strategy", "source"}
 _DATA_KEYS = {"train", "test"}
+
+# One mapping per dataclass-backed section, JSON key -> dataclass field. The
+# keys a section accepts, its echo and (through the dataclass) its defaults,
+# field types and cross-field checks all come from here.
+_SECTIONS = {
+    "budget": (BudgetSpec, {
+        "seed": "seed_budget", "acquisition": "acq_budget",
+        "validation": "val_budget", "rounds": "rounds",
+    }),
+    "training": (TrainingConfig, {
+        key: key for key in ("learning_rates", "batch_size", "max_epochs", "patience", "l2")
+    }),
+    "feature_space": (FeatureSpace, {
+        key: key for key in ("hash_dimension", "ngram_min", "ngram_max")
+    }),
+}
+# smallest value of each top-level integer
+_TOP_MINIMUM = {"replicates": 1, "seed": 0, "max_length": 1}
 
 
 @dataclass(frozen=True)
@@ -81,9 +95,12 @@ class ExperimentConfig:
     seed: int
     output_dir: str
     max_length: int
-    full_data_baselines: bool
 
     def to_json_dict(self) -> dict:
+        sections = {
+            name: {key: getattr(getattr(self, name), field) for key, field in keys.items()}
+            for name, (_, keys) in _SECTIONS.items()
+        }
         return {
             "task": self.task.value,
             "languages": list(self.languages),
@@ -96,35 +113,65 @@ class ExperimentConfig:
                 }
                 for s in self.settings
             ],
-            "budget": {
-                "seed": self.budget.seed_budget,
-                "acquisition": self.budget.acq_budget,
-                "validation": self.budget.val_budget,
-                "rounds": self.budget.rounds,
-            },
-            "training": {
-                "learning_rates": list(self.training.learning_rates),
-                "batch_size": self.training.batch_size,
-                "max_epochs": self.training.max_epochs,
-                "patience": self.training.patience,
-                "l2": self.training.l2,
-            },
-            "feature_space": {
-                "hash_dimension": self.feature_space.hash_dimension,
-                "ngram_min": self.feature_space.ngram_min,
-                "ngram_max": self.feature_space.ngram_max,
-            },
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "max_length": self.max_length,
-            "full_data_baselines": self.full_data_baselines,
+            **sections,
+            **{key: getattr(self, key) for key in (*_TOP_MINIMUM, "output_dir")},
         }
 
 
-def _check_unknown(obj: dict, allowed: set, where: str, errors: list[str]):
-    for key in sorted(set(obj) - allowed):
+def _check_unknown(obj: dict, allowed, where: str, errors: list[str]):
+    for key in sorted(set(obj) - set(allowed)):
         errors.append(f"{where}: unknown key {key!r}")
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
+# field type -> (its name, the JSON values it takes): a bool is not an
+# integer, a JSON int is a number, nothing is coerced
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", _is_number),
+    tuple[float, ...]: ("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v))),
+}
+
+
+def _section(name: str, raw, errors: list[str], **fixed):
+    """Build one section's dataclass from its JSON object, collecting errors.
+
+    `fixed` holds field values not read from JSON; keys present in `raw`
+    override them, and fields in neither take the dataclass default.
+    """
+    if not isinstance(raw, dict):
+        errors.append(f"{name}: must be an object")
+        return None
+    cls, keys = _SECTIONS[name]
+    _check_unknown(raw, keys, name, errors)
+    hints = typing.get_type_hints(cls)
+    kwargs, typed = dict(fixed), True
+    for key in keys.keys() & raw.keys():
+        value = raw[key]
+        what, accepts = _JSON_TYPES[hints[keys[key]]]
+        if not accepts(value):
+            errors.append(f"{name}.{key}: expected {what}, got {value!r}")
+            typed = False
+        kwargs[keys[key]] = tuple(value) if type(value) is list else value
+    try:
+        return cls(**kwargs) if typed else None
+    except ConfigError as exc:
+        errors.append(f"{name}: {exc}")
+        return None
+
+
+def _top_integer(key: str, value) -> int:
+    minimum = _TOP_MINIMUM[key]
+    if type(value) is not int or value < minimum:
+        raise ConfigError(f"{key}: must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _name(names: dict, value):
+    return names.get(value) if isinstance(value, str) else None
 
 
 def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
@@ -137,23 +184,25 @@ def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
     if not isinstance(raw, dict):
         return None, ["config root must be a JSON object"]
     errors: list[str] = []
-    _check_unknown(raw, _TOP_KEYS, "config", errors)
+    _check_unknown(raw, [f.name for f in dataclasses.fields(ExperimentConfig)], "config", errors)
 
-    task = None
-    task_name = raw.get("task")
-    if task_name not in _TASK_NAMES:
-        errors.append(f"task: expected one of {sorted(_TASK_NAMES)}, got {task_name!r}")
-    else:
-        task = _TASK_NAMES[task_name]
+    task = _name(_TASK_NAMES, raw.get("task"))
+    if task is None:
+        errors.append(f"task: expected one of {sorted(_TASK_NAMES)}, got {raw.get('task')!r}")
 
     languages: tuple[str, ...] = ()
-    if not isinstance(raw.get("languages"), list) or not raw.get("languages"):
+    codes = raw.get("languages")
+    if not isinstance(codes, list) or not codes:
         errors.append("languages: need a non-empty list of language codes")
     else:
-        codes = raw["languages"]
-        if len(set(codes)) != len(codes):
+        for code in codes:
+            try:
+                check_language(code)
+            except DataError as exc:
+                errors.append(f"languages: {exc}")
+        languages = tuple(sorted(c for c in codes if isinstance(c, str)))
+        if len(set(languages)) != len(languages):
             errors.append("languages: duplicate codes")
-        languages = tuple(sorted(str(c) for c in codes))
 
     data: dict[str, dict[str, str]] = {}
     raw_data = raw.get("data")
@@ -188,53 +237,16 @@ def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
     if not isinstance(raw_budget, dict) or "seed" not in raw_budget:
         errors.append("budget: need an object with at least a seed budget")
     else:
-        _check_unknown(raw_budget, _BUDGET_KEYS, "budget", errors)
-        try:
-            seed_b = int(raw_budget["seed"])
-            budget = BudgetSpec(
-                seed_b,
-                int(raw_budget.get("acquisition", seed_b)),
-                int(raw_budget.get("validation", seed_b)),
-                int(raw_budget.get("rounds", 4)),
-                task.budget_unit if task else None,
-            )
-        except (ConfigError, TypeError, ValueError) as exc:
-            errors.append(f"budget: {exc}")
+        # acquisition and validation default to the seed budget
+        seed_b = raw_budget["seed"]
+        budget = _section(
+            "budget", raw_budget, errors, acq_budget=seed_b, val_budget=seed_b,
+            unit=task.budget_unit if task else None,
+        )
+    training = _section("training", raw.get("training", {}), errors)
+    feature_space = _section("feature_space", raw.get("feature_space", {}), errors)
 
-    raw_training = raw.get("training", {})
-    training = None
-    if not isinstance(raw_training, dict):
-        errors.append("training: must be an object")
-    else:
-        _check_unknown(raw_training, _TRAINING_KEYS, "training", errors)
-        try:
-            training = TrainingConfig(
-                learning_rates=tuple(raw_training.get("learning_rates", (0.1, 0.5))),
-                batch_size=int(raw_training.get("batch_size", 32)),
-                max_epochs=int(raw_training.get("max_epochs", 75)),
-                patience=int(raw_training.get("patience", 25)),
-                l2=float(raw_training.get("l2", 0.0)),
-                rng_seed=0,
-            )
-        except (ConfigError, TypeError, ValueError) as exc:
-            errors.append(f"training: {exc}")
-
-    raw_space = raw.get("feature_space", {})
-    feature_space = None
-    if not isinstance(raw_space, dict):
-        errors.append("feature_space: must be an object")
-    else:
-        _check_unknown(raw_space, _SPACE_KEYS, "feature_space", errors)
-        try:
-            feature_space = FeatureSpace(
-                hash_dimension=int(raw_space.get("hash_dimension", 4096)),
-                ngram_min=int(raw_space.get("ngram_min", 2)),
-                ngram_max=int(raw_space.get("ngram_max", 4)),
-            )
-        except (ConfigError, TypeError, ValueError) as exc:
-            errors.append(f"feature_space: {exc}")
-
-    settings: list[Setting] = []
+    settings: dict[Setting, int] = {}
     raw_settings = raw.get("settings")
     if not isinstance(raw_settings, list) or not raw_settings:
         errors.append("settings: need a non-empty list")
@@ -244,17 +256,13 @@ def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
                 errors.append(f"settings[{i}]: must be an object")
                 continue
             _check_unknown(entry, _SETTING_KEYS, f"settings[{i}]", errors)
-            family = _FAMILY_NAMES.get(entry.get("kind"))
-            strategy = _STRATEGY_NAMES.get(entry.get("strategy"))
+            family = _name(_FAMILY_NAMES, entry.get("kind"))
+            strategy = _name(_STRATEGY_NAMES, entry.get("strategy"))
             if family is None:
-                errors.append(
-                    f"settings[{i}].kind: expected one of {sorted(_FAMILY_NAMES)}"
-                )
+                errors.append(f"settings[{i}].kind: expected one of {sorted(_FAMILY_NAMES)}")
                 continue
             if strategy is None:
-                errors.append(
-                    f"settings[{i}].strategy: expected one of {sorted(_STRATEGY_NAMES)}"
-                )
+                errors.append(f"settings[{i}].strategy: expected one of {sorted(_STRATEGY_NAMES)}")
                 continue
             if task and not strategy_compatible(strategy, task):
                 errors.append(
@@ -263,31 +271,32 @@ def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
             source = entry.get("source")
             if source is not None and source not in languages:
                 errors.append(f"settings[{i}].source: {source!r} not in language set")
+                continue
             try:
                 setting = Setting(family, strategy, True, source)
                 if budget is not None:
                     allocate(setting, budget, languages or ("placeholder",))
-                settings.append(setting)
             except ConfigError as exc:
                 errors.append(f"settings[{i}]: {exc}")
+                continue
+            if setting in settings:
+                errors.append(f"settings[{i}]: duplicate of settings[{settings[setting]}]")
+            settings.setdefault(setting, i)
 
-    replicates = raw.get("replicates", 1)
-    if not isinstance(replicates, int) or replicates < 1:
-        errors.append("replicates: must be an integer >= 1")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("seed: must be an integer")
+    # truncation limit for classification, hard drop limit for token tasks
+    top = {
+        "replicates": raw.get("replicates", 1),
+        "seed": raw.get("seed", 0),
+        "max_length": raw.get("max_length", 256 if task is TaskKind.CLASSIFICATION else 175),
+    }
+    for key, value in top.items():
+        try:
+            _top_integer(key, value)
+        except ConfigError as exc:
+            errors.append(str(exc))
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
         errors.append("output_dir: required")
-    # truncation limit for classification, hard drop limit for token tasks
-    default_max = 256 if task is TaskKind.CLASSIFICATION else 175
-    max_length = raw.get("max_length", default_max)
-    if not isinstance(max_length, int) or max_length < 1:
-        errors.append("max_length: must be a positive integer")
-    full_data = raw.get("full_data_baselines", False)
-    if not isinstance(full_data, bool):
-        errors.append("full_data_baselines: must be a boolean")
 
     if errors:
         return None, sorted(set(errors))
@@ -302,11 +311,8 @@ def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
         budget=budget,
         training=training,
         feature_space=feature_space,
-        replicates=replicates,
-        seed=seed,
         output_dir=str(out_path),
-        max_length=max_length,
-        full_data_baselines=full_data,
+        **top,
     )
     return config, []
 
@@ -643,7 +649,7 @@ def cmd_run(args) -> int:
     if args.out is not None:
         overrides["output_dir"] = str(Path(args.out).resolve())
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        overrides["seed"] = _top_integer("seed", args.seed)
     if overrides:
         config = dataclasses.replace(config, **overrides)
     out = Path(config.output_dir)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ TSV_HEADER = "label\tlanguage\ttext"
 
 
 def check_language(code: str) -> str:
-    if not _LANGUAGE_RE.match(code):
+    if not isinstance(code, str) or not _LANGUAGE_RE.match(code):
         raise DataError(f"invalid language code {code!r} (lowercase ASCII required)")
     return code
 
@@ -330,42 +330,26 @@ def length_filter(instances: Sequence[Instance], max_tokens: int) -> list[Instan
 
 
 class Pool:
-    """Instances partitioned into labeled / unlabeled / validation / test.
+    """Instances partitioned into labeled / unlabeled / validation.
 
     Partitions are pairwise disjoint by instance id; the only mutation is
     moving instances from unlabeled to labeled via `move_to_labeled`.
     """
 
-    def __init__(self, labeled=(), unlabeled=(), validation=(), test=()):
+    def __init__(self, labeled=(), unlabeled=(), validation=()):
         self.labeled = {i.id: i for i in labeled}
         self.unlabeled = {i.id: i for i in unlabeled}
         self.validation = {i.id: i for i in validation}
-        self.test = {i.id: i for i in test}
         self._check_disjoint()
 
     def _check_disjoint(self):
-        parts = [self.labeled, self.unlabeled, self.validation, self.test]
+        parts = [self.labeled, self.unlabeled, self.validation]
         total = sum(len(p) for p in parts)
         union = set()
         for p in parts:
             union.update(p.keys())
         if len(union) != total:
             raise DataError("pool partitions share instance ids")
-
-    def partitions(self) -> dict[str, dict[int, Instance]]:
-        return {
-            "labeled": self.labeled,
-            "unlabeled": self.unlabeled,
-            "validation": self.validation,
-            "test": self.test,
-        }
-
-    def language_index(self, partition: str) -> dict[str, list[int]]:
-        """Sorted instance ids per language for one partition."""
-        index: dict[str, list[int]] = {}
-        for inst in self.partitions()[partition].values():
-            index.setdefault(inst.language, []).append(inst.id)
-        return {lang: sorted(ids) for lang, ids in sorted(index.items())}
 
     def move_to_labeled(self, ids: Iterable[int]) -> list[Instance]:
         moved = []
@@ -391,53 +375,25 @@ def _first_fit(order: Sequence[Instance], budget: int) -> tuple[list[Instance], 
     return taken, passed
 
 
-def sample_splits(
-    instances: Sequence[Instance],
-    spec: SplitSpec,
-    allocation: Mapping[str, tuple[int, int]] | None = None,
-    test: Sequence[Instance] = (),
-) -> Pool:
+def sample_splits(instances: Sequence[Instance], spec: SplitSpec) -> Pool:
     """Draw seed and validation sets without replacement; the rest is unlabeled.
 
-    With `allocation`, each listed language is sampled independently with its
-    own (seed, validation) budgets; without it, one pooled draw over all
-    instances uses the budgets in `spec`. Instances are shuffled with the
-    seeded PRNG and taken first-fit until the budget would be exceeded, so the
-    draw is a pure function of (instances ordered by id, spec, allocation).
+    One pooled draw over all instances uses the budgets in `spec`. Instances
+    are shuffled with the seeded PRNG and taken first-fit until the budget
+    would be exceeded, so the draw is a pure function of (instances ordered
+    by id, spec).
     """
     ordered = sorted(instances, key=lambda i: i.id)
     if len({i.id for i in ordered}) != len(ordered):
         raise DataError("duplicate instance ids in sampling input")
-    rng = np.random.default_rng(spec.rng_seed)
-    if allocation is None:
-        groups = [("pool", ordered, spec.seed_budget, spec.val_budget)]
-    else:
-        present = {i.language for i in ordered}
-        unknown = sorted(set(allocation) - present)
-        if unknown:
-            raise ConfigError(f"allocation names absent language(s): {', '.join(unknown)}")
-        groups = [
-            (lang, [i for i in ordered if i.language == lang], seed_b, val_b)
-            for lang, (seed_b, val_b) in sorted(allocation.items())
-        ]
-    labeled: list[Instance] = []
-    validation: list[Instance] = []
-    unlabeled: list[Instance] = []
-    allocated_languages = {g[0] for g in groups} if allocation is not None else None
-    for name, candidates, seed_b, val_b in groups:
-        available = sum(i.cost for i in candidates)
-        if available < seed_b + val_b:
-            raise ConfigError(
-                f"{name}: available cost {available} cannot cover seed+validation "
-                f"budget {seed_b + val_b}"
-            )
-        perm = rng.permutation(len(candidates))
-        shuffled = [candidates[int(k)] for k in perm]
-        seed, rest = _first_fit(shuffled, seed_b)
-        val, rest = _first_fit(rest, val_b)
-        labeled.extend(seed)
-        validation.extend(val)
-        unlabeled.extend(rest)
-    if allocated_languages is not None:
-        unlabeled.extend(i for i in ordered if i.language not in allocated_languages)
-    return Pool(labeled=labeled, unlabeled=unlabeled, validation=validation, test=test)
+    available = sum(i.cost for i in ordered)
+    if available < spec.seed_budget + spec.val_budget:
+        raise ConfigError(
+            f"available cost {available} cannot cover seed+validation "
+            f"budget {spec.seed_budget + spec.val_budget}"
+        )
+    perm = np.random.default_rng(spec.rng_seed).permutation(len(ordered))
+    shuffled = [ordered[int(k)] for k in perm]
+    labeled, rest = _first_fit(shuffled, spec.seed_budget)
+    validation, unlabeled = _first_fit(rest, spec.val_budget)
+    return Pool(labeled=labeled, unlabeled=unlabeled, validation=validation)

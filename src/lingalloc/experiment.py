@@ -57,13 +57,6 @@ class BudgetSpec:
     def acquisition_rounds(self) -> int:
         return self.rounds - 1
 
-    @property
-    def per_round_budget(self) -> int:
-        """Equal split of the acquisition budget; any remainder stays unspent."""
-        if self.acquisition_rounds == 0:
-            return 0
-        return self.acq_budget // self.acquisition_rounds
-
 
 class SettingFamily(Enum):
     MONOA = "monoa"
@@ -153,11 +146,6 @@ class MultilingualData:
     @property
     def languages(self) -> tuple[str, ...]:
         return tuple(sorted(self.train))
-
-    def composition(self, languages: Sequence[str] | None = None) -> dict[str, int]:
-        """Total annotatable cost per language (seed candidates + unlabeled)."""
-        langs = self.languages if languages is None else tuple(sorted(languages))
-        return {lang: sum(i.cost for i in self.train[lang]) for lang in langs}
 
 
 @dataclass(frozen=True)
@@ -429,51 +417,3 @@ def aggregate(replicates: Sequence[Sequence[RoundResult]]) -> AggregateReport:
     }
     return AggregateReport(per_replicate, mean, stddev)
 
-
-def run_full_data_baselines(
-    data: MultilingualData,
-    training_config: TrainingConfig,
-    feature_space: FeatureSpace,
-    rng_seed: int,
-    val_budget: int,
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Upper-bound models trained on the full annotatable pool.
-
-    ``sm_full`` is one model pooled over every language; ``mm_full`` trains one
-    model per language, each evaluated on its own language. A validation split
-    of `val_budget` is carved out for early stopping; everything else trains.
-    """
-    langs = data.languages
-    sm_pool = sample_splits(
-        [i for lang in langs for i in data.train[lang]],
-        SplitSpec(
-            max(1, sum(data.composition().values()) - val_budget),
-            val_budget,
-            _derive_seed(rng_seed, 0, 3),
-        ),
-    )
-    sm_model = build_model(data.task, feature_space)
-    sm_model.fit(
-        sorted(sm_pool.labeled.values(), key=lambda x: x.id),
-        sorted(sm_pool.validation.values(), key=lambda x: x.id),
-        replace(training_config, rng_seed=_derive_seed(rng_seed, 0, 4)),
-    )
-    sm_report = _predict_metrics(sm_model, data.task, data.test, langs)
-    mm_report = MetricReport(data.task)
-    for i, lang in enumerate(langs):
-        available = sum(inst.cost for inst in data.train[lang])
-        # same seed streams as the pooled model so n=1 degenerates identically
-        pool = sample_splits(
-            data.train[lang],
-            SplitSpec(max(1, available - val_budget), val_budget, _derive_seed(rng_seed, i, 3)),
-        )
-        model = build_model(data.task, feature_space)
-        model.fit(
-            sorted(pool.labeled.values(), key=lambda x: x.id),
-            sorted(pool.validation.values(), key=lambda x: x.id),
-            replace(training_config, rng_seed=_derive_seed(rng_seed, i, 4)),
-        )
-        partial = _predict_metrics(model, data.task, data.test, (lang,))
-        mm_report.per_language.update(partial.per_language)
-        mm_report.counts.update(partial.counts)
-    return {"sm_full": sm_report.per_language, "mm_full": mm_report.per_language}

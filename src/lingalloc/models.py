@@ -65,6 +65,8 @@ class TrainingConfig:
     def __post_init__(self):
         if not self.learning_rates:
             raise ConfigError("need at least one learning rate")
+        if not all(lr > 0 for lr in self.learning_rates):
+            raise ConfigError("learning rates must be positive")
         if self.patience > self.max_epochs:
             raise ConfigError("patience cannot exceed max_epochs")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:

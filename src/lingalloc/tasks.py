@@ -35,12 +35,11 @@ def accuracy(pred: Sequence[str], gold: Sequence[str]) -> float:
     return sum(1 for p, g in zip(pred, gold) if p == g) / len(gold)
 
 
-def bio_spans(tags: Sequence[str], repair: bool = True) -> list[tuple[str, int, int]]:
+def bio_spans(tags: Sequence[str]) -> list[tuple[str, int, int]]:
     """Extract maximal (type, start, end) spans from a BIO sequence.
 
-    `end` is exclusive. With `repair`, an I-X that follows O, the sentence
-    start, or a span of a different type opens a new span (the conlleval
-    convention); without it such tokens are treated as O.
+    `end` is exclusive. An I-X that follows O, the sentence start, or a span
+    of a different type opens a new span (the conlleval convention).
     """
     spans = []
     current: tuple[str, int] | None = None
@@ -52,11 +51,6 @@ def bio_spans(tags: Sequence[str], repair: bool = True) -> list[tuple[str, int, 
             continue
         prefix, _, etype = tag.partition("-")
         if prefix == "B" or current is None or current[0] != etype:
-            if prefix == "I" and not repair and (current is None or current[0] != etype):
-                if current is not None:
-                    spans.append((current[0], current[1], i))
-                    current = None
-                continue
             if current is not None:
                 spans.append((current[0], current[1], i))
             current = (etype, i)

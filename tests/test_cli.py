@@ -133,15 +133,86 @@ class TestValidateConfig:
         assert config is None
         assert any("incompatible" in e for e in errors)
 
-    def test_round_trip(self, tmp_path):
-        config_path = _small_config(tmp_path / "corpus")
-        config, errors = validate_config(config_path)
+    @pytest.mark.parametrize("task", ["classification", "tagging", "parsing"])
+    def test_round_trip(self, tmp_path, task):
+        out = tmp_path / "corpus"
+        rc = main(
+            [
+                "synth", "--task", task, "--languages", "aa,bb",
+                "--train-size", "30", "--test-size", "8",
+                "--overlap", "0.5", "--seed", "1", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        cfg = json.loads((out / "config.json").read_text())
+        # every section off its default, so a key dropped from the echo shows
+        cfg.update(
+            budget={"seed": 40, "acquisition": 30, "validation": 20, "rounds": 3},
+            training={"learning_rates": [0.25, 1], "batch_size": 8, "max_epochs": 5,
+                      "patience": 2, "l2": 0.001},
+            feature_space={"hash_dimension": 2048, "ngram_min": 1, "ngram_max": 3},
+            replicates=2, seed=5, max_length=50, output_dir="elsewhere",
+        )
+        first_path = out / "config.json"
+        first_path.write_text(json.dumps(cfg))
+        config, errors = validate_config(first_path)
         assert errors == []
+        echo = json.loads(json.dumps(config.to_json_dict()))
+        for key in ("budget", "training", "feature_space", "replicates", "seed", "max_length",
+                    "settings", "languages"):
+            assert echo[key] == cfg[key]
         second_path = tmp_path / "echo.json"
-        second_path.write_text(json.dumps(config.to_json_dict()))
+        second_path.write_text(json.dumps(echo))
         second, errors = validate_config(second_path)
         assert errors == []
         assert second == config
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "seed", -1),
+            (None, "replicates", True),
+            (None, "max_length", True),
+            ("training", "learning_rates", "0.5"),
+            ("training", "learning_rates", [-0.5]),
+            ("training", "batch_size", 2.7),
+            ("training", "l2", float("nan")),
+            ("budget", "seed", "12"),
+            ("feature_space", "hash_dimension", 4096.0),
+        ],
+    )
+    def test_values_that_would_break_run_rejected(self, tmp_path, capsys, section, key, value):
+        config_path = _small_config(tmp_path / "corpus")
+        cfg = json.loads(config_path.read_text())
+        (cfg if section is None else cfg[section])[key] = value
+        config_path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(config_path)]) == 1
+        assert (section or key) in capsys.readouterr().err
+
+    def test_negative_seed_override_rejected(self, tmp_path):
+        config_path = _small_config(tmp_path / "corpus")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out), "--seed", "-1"]) == 1
+        assert not (out / "results").exists()
+
+    def test_duplicate_settings_rejected(self, tmp_path):
+        config_path = _small_config(tmp_path / "corpus")
+        cfg = json.loads(config_path.read_text())
+        cfg["settings"].append({"kind": "sma", "strategy": "lc"})
+        config_path.write_text(json.dumps(cfg))
+        config, errors = validate_config(config_path)
+        assert config is None
+        assert errors == ["settings[2]: duplicate of settings[0]"]
+
+    def test_invalid_language_code_rejected(self, tmp_path):
+        config_path = _small_config(tmp_path / "corpus")
+        cfg = json.loads(config_path.read_text())
+        cfg["languages"] = ["AA", "bb"]
+        cfg["data"]["AA"] = cfg["data"].pop("aa")
+        config_path.write_text(json.dumps(cfg))
+        config, errors = validate_config(config_path)
+        assert config is None
+        assert any("invalid language code 'AA'" in e for e in errors)
 
     def test_validate_command_exit_codes(self, tmp_path, capsys):
         good = _small_config(tmp_path / "corpus")

@@ -301,11 +301,6 @@ class TestPool:
         with pytest.raises(DataError):
             pool.move_to_labeled([9])
 
-    def test_language_index(self):
-        pool = Pool(unlabeled=_unit_instances(2, "en") + _unit_instances(2, "de", start=10))
-        idx = pool.language_index("unlabeled")
-        assert idx == {"de": [10, 11], "en": [0, 1]}
-
 
 class TestSampleSplits:
     def test_unit_cost_budget(self):
@@ -334,30 +329,14 @@ class TestSampleSplits:
     def test_insufficient_data(self):
         insts = _unit_instances(4)
         with pytest.raises(ConfigError) as err:
-            sample_splits(insts, SplitSpec(10, 5, rng_seed=0), allocation={"en": (10, 5)})
-        assert "en" in str(err.value)
-
-    def test_per_language_allocation(self):
-        insts = _unit_instances(20, "en") + _unit_instances(20, "de", start=100)
-        pool = sample_splits(
-            insts, SplitSpec(4, 2, rng_seed=9), allocation={"en": (4, 2), "de": (4, 2)}
-        )
-        labeled_langs = [i.language for i in pool.labeled.values()]
-        assert labeled_langs.count("en") == 4
-        assert labeled_langs.count("de") == 4
-
-    def test_unallocated_language_goes_to_unlabeled(self):
-        insts = _unit_instances(10, "en") + _unit_instances(10, "de", start=100)
-        pool = sample_splits(insts, SplitSpec(3, 2, rng_seed=0), allocation={"en": (3, 2)})
-        assert all(i.language == "en" for i in pool.labeled.values())
-        assert sum(1 for i in pool.unlabeled.values() if i.language == "de") == 10
+            sample_splits(insts, SplitSpec(10, 5, rng_seed=0))
+        assert "cannot cover" in str(err.value)
 
     def test_partitions_disjoint_and_exhaustive(self):
         insts = _unit_instances(30)
-        test = _unit_instances(5, start=500)
-        pool = sample_splits(insts, SplitSpec(6, 4, rng_seed=2), test=test)
+        pool = sample_splits(insts, SplitSpec(6, 4, rng_seed=2))
         ids = set()
-        for part in pool.partitions().values():
+        for part in (pool.labeled, pool.unlabeled, pool.validation):
             assert not (ids & part.keys())
             ids.update(part.keys())
-        assert ids == {i.id for i in insts} | {i.id for i in test}
+        assert ids == {i.id for i in insts}

@@ -13,7 +13,6 @@ from lingalloc.experiment import (
     allocate,
     curriculum,
     initial_composition,
-    run_full_data_baselines,
     run_rounds,
 )
 from lingalloc.models import FeatureSpace, TrainingConfig
@@ -40,9 +39,6 @@ def sma(with_al=True):
 
 
 class TestBudgetSpec:
-    def test_per_round_budget(self):
-        assert BudgetSpec(300, 300, 300, rounds=4).per_round_budget == 100
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             BudgetSpec(0, 1, 1)
@@ -292,28 +288,3 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             aggregate([])
-
-
-class TestFullDataBaselines:
-    def test_reports_both_model_families(self, small_data):
-        out = run_full_data_baselines(small_data, FAST, SPACE, rng_seed=0, val_budget=20)
-        assert sorted(out) == ["mm_full", "sm_full"]
-        for key in out:
-            assert sorted(out[key]) == list(small_data.languages)
-
-    def test_single_language_families_coincide(self, mono_data):
-        out = run_full_data_baselines(mono_data, FAST, SPACE, rng_seed=0, val_budget=20)
-        assert out["sm_full"] == out["mm_full"]
-
-    def test_pooled_close_to_per_language_at_saturation(self):
-        # with plenty of shared-structure data both model families converge,
-        # so one pooled model costs at most a couple of points
-        data = synth_classification(["aa", "bb", "cc"], 900, 150, 0.8, seed=1)
-        space = FeatureSpace(hash_dimension=4096, ngram_min=2, ngram_max=4)
-        config = TrainingConfig(
-            learning_rates=(0.5,), batch_size=32, max_epochs=30, patience=8, rng_seed=0
-        )
-        out = run_full_data_baselines(data, config, space, rng_seed=0, val_budget=90)
-        sm = float(np.mean([v["accuracy"] for v in out["sm_full"].values()]))
-        mm = float(np.mean([v["accuracy"] for v in out["mm_full"].values()]))
-        assert abs(sm - mm) <= 0.02
