@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ParseError
+from .graph import Arborescence
 
 _LANGUAGE_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
 _BIO_RE = re.compile(r"^(O|[BI]-\S+)$")
@@ -94,20 +95,6 @@ class SplitSpec:
     def __post_init__(self):
         if self.seed_budget < 1 or self.val_budget < 1:
             raise ConfigError("split budgets must be positive")
-
-
-def _validate_tree_heads(heads: Sequence[int], n: int) -> None:
-    roots = [d for d, h in enumerate(heads, start=1) if h == 0]
-    if len(roots) != 1:
-        raise DataError(f"expected exactly one root token, found {len(roots)}")
-    for start in range(1, n + 1):
-        seen = set()
-        v = start
-        while v != 0:
-            if v in seen:
-                raise DataError(f"head cycle through token {start}")
-            seen.add(v)
-            v = heads[v - 1]
 
 
 def ingest_conll_ner(path, language: str, start_id: int = 0) -> list[Instance]:
@@ -188,10 +175,9 @@ def ingest_conllu(path, language: str, start_id: int = 0) -> list[Instance]:
                     )
                 heads.append(h)
             try:
-                _validate_tree_heads(heads, n)
+                heads = Arborescence(tuple(heads)).heads
             except DataError as exc:
                 raise DataError(f"{path}: sentence starting at line {sent_start}: {exc}")
-            heads = tuple(heads)
             labels = tuple(r[4] for r in rows)
         payload = DepTree(forms, upos, heads, labels)
         instances.append(Instance(next_id, language, payload, n))

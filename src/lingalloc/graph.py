@@ -39,15 +39,9 @@ class Arborescence:
         for d, h in enumerate(self.heads, start=1):
             if not 0 <= h <= n or h == d:
                 raise DataError(f"head {h} out of range for dependent {d} (n={n})")
-        # acyclicity: walking head pointers from any token must reach ROOT
-        for start in range(1, n + 1):
-            seen = set()
-            v = start
-            while v != 0:
-                if v in seen:
-                    raise DataError(f"cycle through token {start}")
-                seen.add(v)
-                v = self.heads[v - 1]
+        cycle = _find_cycle([0, *self.heads])
+        if cycle is not None:
+            raise DataError(f"cycle through token {cycle[0]}")
 
     @property
     def n(self) -> int:
@@ -76,125 +70,104 @@ class ArcScores:
         return float(self.scores[head, dep - 1])
 
     def square(self) -> np.ndarray:
-        """(n+1) x (n+1) copy with a forbidden column 0 and forbidden diagonal."""
+        """(n+1) x (n+1) copy whose column 0 and diagonal are -inf (no arc)."""
         n = self.n
-        sq = np.full((n + 1, n + 1), FORBIDDEN)
+        sq = np.full((n + 1, n + 1), -np.inf)
         sq[:, 1:] = self.scores
-        for d in range(1, n + 1):
-            sq[d, d] = FORBIDDEN
+        sq[np.arange(1, n + 1), np.arange(1, n + 1)] = -np.inf
         return sq
 
 
-def _greedy_heads(sq: np.ndarray) -> np.ndarray:
-    """Best head per dependent, ties broken toward the smallest head index."""
-    m = sq.shape[0]
-    heads = np.zeros(m, dtype=np.int64)
-    for d in range(1, m):
-        col = sq[:, d].copy()
-        col[d] = -np.inf
-        heads[d] = int(np.argmax(col))
-    return heads
+def _find_cycle(heads: list[int]) -> list[int] | None:
+    """Ascending nodes of one cycle of the head pointers, or None.
 
-
-def _find_cycle(heads: np.ndarray) -> list[int] | None:
-    m = len(heads)
-    color = [0] * m  # 0 = unvisited, 1 = on current path, 2 = finished
-    color[0] = 2
-    for start in range(1, m):
-        if color[start]:
-            continue
+    heads[v] is the head of node v for v >= 1; node 0 is ROOT and ends every
+    walk. Each node is walked over once, so this is O(len(heads)).
+    """
+    state = [0] * len(heads)  # 0 = unvisited, 1 = on the current walk, 2 = done
+    state[0] = 2
+    for start in range(1, len(heads)):
         path = []
         v = start
-        while color[v] == 0:
-            color[v] = 1
+        while state[v] == 0:
+            state[v] = 1
             path.append(v)
-            v = int(heads[v])
-        if color[v] == 1:
+            v = heads[v]
+        if state[v] == 1:
             return sorted(path[path.index(v):])
         for u in path:
-            color[u] = 2
+            state[u] = 2
     return None
 
 
-def _cle(sq: np.ndarray) -> np.ndarray:
-    """Unconstrained maximum arborescence on a square score matrix.
+def _contract(sq: np.ndarray) -> np.ndarray:
+    """Single-root maximum arborescence by contracting the tokens to one node.
 
-    Greedy head selection followed by cycle contraction; the recursion depth
-    is bounded by the node count. Returns the full head array (index 0 unused).
+    Each node takes its best non-ROOT head; those choices close a cycle,
+    which becomes one node whose incoming arcs are scored relative to the
+    cycle arc they would replace. Once one node is left it takes the ROOT
+    arc, so the tree has exactly one. Some optimal single-root tree keeps
+    all but one arc of each cycle, the one ROOT entry into the cycle
+    included (Zmigrod, Vieira & Cotterell, EMNLP 2020), so expanding the
+    contractions in reverse gives an optimum. A ROOT arc into a node with
+    no permitted non-ROOT head becomes hugely positive, as that node must
+    take it. Returns the full head array (index 0 unused).
     """
-    heads = _greedy_heads(sq)
-    cycle = _find_cycle(heads)
-    if cycle is None:
-        return heads
-    in_cycle = set(cycle)
-    cycle_score = {v: sq[heads[v], v] for v in cycle}
-    rest = [0] + [v for v in range(1, sq.shape[0]) if v not in in_cycle]
-    k = len(rest)  # contracted node gets index k
-    sub = np.full((k + 1, k + 1), FORBIDDEN)
-    for xi, x in enumerate(rest):
-        for yi, y in enumerate(rest):
-            if xi != yi and yi != 0:
-                sub[xi, yi] = sq[x, y]
-    exit_choice = {}
-    for yi, y in enumerate(rest):
-        if yi == 0:
-            continue
-        vals = [sq[v, y] for v in cycle]
-        best = int(np.argmax(vals))
-        sub[k, yi] = vals[best]
-        exit_choice[yi] = cycle[best]
-    enter_choice = {}
-    for xi, x in enumerate(rest):
-        vals = [sq[x, v] - cycle_score[v] for v in cycle]
-        best = int(np.argmax(vals))
-        sub[xi, k] = vals[best]
-        enter_choice[xi] = cycle[best]
-    sub_heads = _cle(sub)
-    out = heads.copy()  # cycle-internal arcs kept unless broken below
-    for yi in range(1, k):
-        h = int(sub_heads[yi])
-        out[rest[yi]] = exit_choice[yi] if h == k else rest[h]
-    entry = int(sub_heads[k])
-    broken = enter_choice[entry]
-    out[broken] = rest[entry]
-    return out
-
-
-def _total(sq: np.ndarray, heads: np.ndarray) -> float:
-    return float(sum(sq[int(heads[d]), d] for d in range(1, sq.shape[0])))
+    w = sq
+    levels = []
+    while w.shape[0] > 2:
+        best = np.argmax(w[1:], axis=0) + 1
+        best[0] = 0
+        cycle = np.array(_find_cycle(best.tolist()))
+        outside = np.ones(w.shape[0], dtype=bool)
+        outside[cycle] = False
+        rest = np.flatnonzero(outside)  # ROOT first
+        k = len(rest)
+        leave = w[cycle[:, None], rest]
+        with np.errstate(over="ignore"):  # a must-take ROOT arc may reach +inf
+            enter = w[rest[:, None], cycle] - w[best[cycle], cycle]
+        leave_from = leave.argmax(axis=0)
+        enter_at = enter.argmax(axis=1)
+        sub = np.empty((k + 1, k + 1))
+        sub[:k, :k] = w[rest[:, None], rest]
+        sub[k, :k] = leave.max(axis=0)
+        sub[:k, k] = enter.max(axis=1)
+        sub[k, k] = -np.inf
+        levels.append((rest, cycle, best[cycle], cycle[leave_from], cycle[enter_at]))
+        w = sub
+    heads = np.zeros(2, dtype=np.int64)  # the last node hangs off ROOT
+    for rest, cycle, cycle_heads, leave_from, enter_at in reversed(levels):
+        k = len(rest)  # the cycle is node k of the contracted graph
+        inner = heads
+        heads = np.zeros(k + len(cycle), dtype=np.int64)
+        heads[cycle] = cycle_heads
+        h = inner[1:k]
+        heads[rest[1:]] = np.where(h == k, leave_from[1:], rest[np.minimum(h, k - 1)])
+        heads[enter_at[inner[k]]] = rest[inner[k]]
+    return heads
 
 
 def chu_liu_edmonds(scores: ArcScores) -> Arborescence:
     """Maximum-score arborescence with exactly one ROOT attachment.
 
-    If the unconstrained optimum attaches several tokens to ROOT, the
-    constrained optimum is recovered by re-solving once per candidate root
-    arc with all other ROOT arcs forbidden, keeping the best total. Ties are
-    broken toward the lexicographically smallest heads sequence among the
-    candidates considered.
+    If every token's best head, ROOT included, already forms a tree with one
+    ROOT arc, that tree is returned, also when another tree ties with it.
+    Otherwise the tokens are contracted down to one node that takes the ROOT
+    arc (`_contract`). Ties go to the smallest head at each choice, a
+    contracted cycle being numbered after the nodes left outside it. Raises
+    InfeasibleTreeError when no single-root tree of permitted arcs exists.
     """
     sq = scores.square()
-    n = scores.n
-    root_row = sq[0, 1:]
-    if not (root_row > FORBIDDEN_THRESHOLD).any():
-        raise InfeasibleTreeError("every ROOT arc is forbidden")
-    heads = _cle(sq)
-    root_children = [d for d in range(1, n + 1) if heads[d] == 0]
-    if len(root_children) == 1:
-        return Arborescence(tuple(int(h) for h in heads[1:]))
-    best: tuple[float, tuple[int, ...]] | None = None
-    for d in range(1, n + 1):
-        if sq[0, d] <= FORBIDDEN_THRESHOLD:
-            continue
-        forced = sq.copy()
-        forced[0, 1:] = FORBIDDEN
-        forced[0, d] = sq[0, d]
-        cand = _cle(forced)
-        key = (_total(sq, cand), tuple(int(h) for h in cand[1:]))
-        if best is None or key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
-            best = key
-    assert best is not None
-    return Arborescence(best[1])
+    heads = np.argmax(sq, axis=0)
+    heads[0] = 0
+    if np.count_nonzero(heads[1:] == 0) != 1 or _find_cycle(heads.tolist()) is not None:
+        heads = _contract(sq)
+    deps = np.arange(1, scores.n + 1)
+    forbidden = sq[heads[deps], deps] <= FORBIDDEN_THRESHOLD
+    if forbidden.any():
+        d = int(deps[forbidden][0])
+        raise InfeasibleTreeError(f"no single-root tree of permitted arcs (dependent {d})")
+    return Arborescence(tuple(int(h) for h in heads[1:]))
 
 
 def tree_log_prob(arc_probas: np.ndarray, tree: Arborescence) -> float:
@@ -227,11 +200,7 @@ def log_partition(scores: ArcScores) -> float:
     """
     n = scores.n
     sq = scores.square()
-    col_max = np.empty(n)
-    for d in range(1, n + 1):
-        col = sq[:, d].copy()
-        col[d] = -np.inf
-        col_max[d - 1] = col.max()
+    col_max = sq[:, 1:].max(axis=0)
     if (col_max <= FORBIDDEN_THRESHOLD).any():
         bad = int(np.argmax(col_max <= FORBIDDEN_THRESHOLD)) + 1
         raise InfeasibleTreeError(f"dependent {bad} has no permitted head arc")

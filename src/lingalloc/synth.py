@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import ClassificationText, DepTree, Instance, TaggedSentence
-from .errors import ConfigError
+from .corpus import ClassificationText, DepTree, Instance, TaggedSentence, check_language
+from .errors import ConfigError, DataError
 from .experiment import MultilingualData
 from .tasks import TaskKind
 
@@ -30,6 +30,11 @@ def _check_params(languages, train_size, test_size, overlap):
         raise ConfigError("need at least one language")
     if len(set(languages)) != len(languages):
         raise ConfigError("duplicate language codes")
+    for code in languages:
+        try:
+            check_language(code)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
     if not 0.0 <= overlap <= 1.0:
         raise ConfigError(f"overlap must lie in [0, 1], got {overlap}")
     if train_size < 1 or test_size < 1:

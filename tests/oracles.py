@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here enumerates exhaustively or loops one example at a time and
-stays deliberately naive; none of it shares code with the implementations
-under test.
+Everything here enumerates exhaustively, loops one example at a time or,
+for `per_root_decoder`, re-solves once per candidate ROOT arc, and stays
+deliberately naive; none of it shares code with the implementations under
+test.
 """
 
 import itertools
@@ -100,3 +101,110 @@ def example_loop_parser_objective(arc_w, label_w, sentences):
     label_examples = [example for _, examples in sentences for example in examples]
     label_value, grad_label = example_loop_class_objective(label_w, label_examples)
     return value + label_value, grad_arc, grad_label
+
+
+_FORBIDDEN = -np.finfo(np.float64).max / 4.0
+
+
+def _greedy_heads(sq):
+    """Best head per dependent, ties broken toward the smallest head index."""
+    m = sq.shape[0]
+    heads = np.zeros(m, dtype=np.int64)
+    for d in range(1, m):
+        col = sq[:, d].copy()
+        col[d] = -np.inf
+        heads[d] = int(np.argmax(col))
+    return heads
+
+
+def _head_cycle(heads):
+    m = len(heads)
+    color = [0] * m  # 0 = unvisited, 1 = on current path, 2 = finished
+    color[0] = 2
+    for start in range(1, m):
+        if color[start]:
+            continue
+        path = []
+        v = start
+        while color[v] == 0:
+            color[v] = 1
+            path.append(v)
+            v = int(heads[v])
+        if color[v] == 1:
+            return sorted(path[path.index(v):])
+        for u in path:
+            color[u] = 2
+    return None
+
+
+def _unconstrained_mst(sq):
+    """Maximum arborescence of a square score matrix, any number of ROOT arcs.
+
+    Greedy heads, then one contraction per cycle, built entry by entry.
+    """
+    heads = _greedy_heads(sq)
+    cycle = _head_cycle(heads)
+    if cycle is None:
+        return heads
+    in_cycle = set(cycle)
+    cycle_score = {v: sq[heads[v], v] for v in cycle}
+    rest = [0] + [v for v in range(1, sq.shape[0]) if v not in in_cycle]
+    k = len(rest)  # contracted node gets index k
+    sub = np.full((k + 1, k + 1), _FORBIDDEN)
+    for xi, x in enumerate(rest):
+        for yi, y in enumerate(rest):
+            if xi != yi and yi != 0:
+                sub[xi, yi] = sq[x, y]
+    exit_choice = {}
+    for yi, y in enumerate(rest):
+        if yi == 0:
+            continue
+        vals = [sq[v, y] for v in cycle]
+        best = int(np.argmax(vals))
+        sub[k, yi] = vals[best]
+        exit_choice[yi] = cycle[best]
+    enter_choice = {}
+    for xi, x in enumerate(rest):
+        vals = [sq[x, v] - cycle_score[v] for v in cycle]
+        best = int(np.argmax(vals))
+        sub[xi, k] = vals[best]
+        enter_choice[xi] = cycle[best]
+    sub_heads = _unconstrained_mst(sub)
+    out = heads.copy()  # cycle-internal arcs kept unless broken below
+    for yi in range(1, k):
+        h = int(sub_heads[yi])
+        out[rest[yi]] = exit_choice[yi] if h == k else rest[h]
+    entry = int(sub_heads[k])
+    out[enter_choice[entry]] = rest[entry]
+    return out
+
+
+def per_root_decoder(score_matrix):
+    """Best single-root heads tuple, re-solving once per candidate ROOT arc.
+
+    Solves without the root constraint first; if that optimum has several
+    ROOT arcs, solves again with all ROOT arcs but one forbidden, for each
+    permitted ROOT arc, and keeps the best total (ties: smallest heads).
+    Slow on long sentences, but independent of the contraction under test.
+    """
+    m = np.array(score_matrix, dtype=np.float64)
+    m[np.isneginf(m)] = _FORBIDDEN
+    n = m.shape[1]
+    sq = np.full((n + 1, n + 1), _FORBIDDEN)
+    sq[:, 1:] = m
+    sq[np.arange(1, n + 1), np.arange(1, n + 1)] = _FORBIDDEN
+    heads = _unconstrained_mst(sq)
+    if sum(1 for d in range(1, n + 1) if heads[d] == 0) == 1:
+        return tuple(int(h) for h in heads[1:])
+    best = None
+    for d in range(1, n + 1):
+        if sq[0, d] <= _FORBIDDEN / 2:
+            continue
+        forced = sq.copy()
+        forced[0, 1:] = _FORBIDDEN
+        forced[0, d] = sq[0, d]
+        cand = tuple(int(h) for h in _unconstrained_mst(forced)[1:])
+        key = (tree_total(m, cand), cand)
+        if best is None or key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
+            best = key
+    return best[1]

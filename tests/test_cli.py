@@ -476,6 +476,18 @@ class TestSynthCommand:
         with pytest.raises(ConfigError):
             synth_dataset(TaskKind.CLASSIFICATION, ["aa"], 10, 5, 1.5, 0)
 
+    def test_invalid_language_code_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        rc = main(
+            [
+                "synth", "--task", "classification", "--languages", "AA,bb",
+                "--train-size", "20", "--test-size", "5", "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "invalid language code 'AA'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tagging_and_parsing_files_reparse(self, tmp_path):
         for task, ext, reader in (
             ("tagging", "conll", lambda p: ingest_conll_ner(p, "aa")),

@@ -133,6 +133,18 @@ class TestIngestConllu:
             ingest_conllu(path, "en")
         assert "line 1" in str(err.value)
 
+    def test_head_cycle_rejected(self, tmp_path):
+        path = tmp_path / "bad.conllu"
+        path.write_text(
+            "# sent_id = 1\n"
+            "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n"
+            "2\tb\t_\tX\t_\t_\t3\tdep\t_\t_\n"
+            "3\tc\t_\tX\t_\t_\t2\tdep\t_\t_\n\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match=r"bad\.conllu: sentence starting at line 2: cycle"):
+            ingest_conllu(path, "en")
+
     def test_unlabeled_file(self, tmp_path):
         path = tmp_path / "u.conllu"
         path.write_text(

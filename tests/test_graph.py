@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,11 +14,33 @@ from lingalloc.graph import (
     tree_log_prob,
 )
 
-from oracles import all_single_root_trees, best_tree, logsumexp_over_trees, tree_total
+from oracles import (
+    all_single_root_trees,
+    best_tree,
+    logsumexp_over_trees,
+    per_root_decoder,
+    tree_total,
+)
 
 
 def random_scores(rng, n, low=-5.0, high=5.0):
     return ArcScores(rng.uniform(low, high, size=(n + 1, n)))
+
+
+def root_preferring(rng, n, k, boost=8.0):
+    """Log-probabilities of random heads where k tokens prefer ROOT."""
+    logits = rng.normal(size=(n + 1, n))
+    logits[np.arange(1, n + 1), np.arange(n)] = -np.inf
+    logits[0, rng.choice(n, size=k, replace=False)] += boost
+    return logits - np.log(np.exp(logits).sum(axis=0))
+
+
+def greedy_roots(m):
+    """Tokens whose best head, ignoring self-loops, is ROOT."""
+    m = np.array(m, dtype=np.float64)
+    n = m.shape[1]
+    m[np.arange(1, n + 1), np.arange(n)] = -np.inf
+    return int((m.argmax(axis=0) == 0).sum())
 
 
 class TestArborescence:
@@ -36,6 +59,13 @@ class TestArborescence:
     def test_rejects_self_head(self):
         with pytest.raises(DataError):
             Arborescence((0, 2))
+
+    def test_long_chain_and_long_cycle(self):
+        n = 175
+        assert Arborescence(tuple(range(n))).n == n
+        # token 1 is the root; tokens 2..n form one cycle of length n-1
+        with pytest.raises(DataError, match="cycle"):
+            Arborescence((0, n) + tuple(range(2, n)))
 
 
 class TestArcScores:
@@ -83,6 +113,45 @@ class TestChuLiuEdmonds:
         with pytest.raises(InfeasibleTreeError):
             chu_liu_edmonds(ArcScores(m))
 
+    def test_dependent_without_permitted_head(self):
+        # token 2 has no permitted head, so no tree exists; the best heads
+        # would otherwise give (2, 0) through the forbidden arc 0 -> 2
+        m = [[0.0, -np.inf], [-np.inf, -np.inf], [1.0, -np.inf]]
+        with pytest.raises(InfeasibleTreeError):
+            chu_liu_edmonds(ArcScores(m))
+
+    def test_two_tokens_only_root_may_head(self):
+        m = [[0.0, 0.0], [-np.inf, -np.inf], [-np.inf, -np.inf]]
+        with pytest.raises(InfeasibleTreeError):
+            chu_liu_edmonds(ArcScores(m))
+
+    def test_forbidden_arcs_match_enumeration_of_permitted_trees(self):
+        # with random forbidden arcs, the decoder returns the best tree of
+        # permitted arcs, or raises exactly when there is none
+        rng = np.random.default_rng(13)
+        outcomes = set()
+        for _ in range(400):
+            n = int(rng.integers(1, 6))
+            m = rng.uniform(-5, 5, size=(n + 1, n))
+            if rng.random() < 0.5:
+                m[0] += rng.uniform(0, 6)
+            m[rng.random(size=m.shape) < rng.uniform(0, 0.8)] = -np.inf
+            permitted = [
+                heads
+                for heads in all_single_root_trees(n)
+                if all(np.isfinite(m[h, d]) for d, h in enumerate(heads))
+            ]
+            if not permitted:
+                with pytest.raises(InfeasibleTreeError):
+                    chu_liu_edmonds(ArcScores(m))
+                outcomes.add("infeasible")
+                continue
+            tree = chu_liu_edmonds(ArcScores(m))
+            best = max(tree_total(m, heads) for heads in permitted)
+            assert tree_total(m, tree.heads) == pytest.approx(best, abs=1e-9)
+            outcomes.add("feasible")
+        assert outcomes == {"feasible", "infeasible"}
+
     def test_single_root_enforced(self):
         # unconstrained optimum would attach both tokens to ROOT
         m = np.array([[5.0, 5.0], [FORBIDDEN, 1.0], [1.0, FORBIDDEN]])
@@ -122,6 +191,61 @@ class TestChuLiuEdmonds:
         first = chu_liu_edmonds(ArcScores(m))
         second = chu_liu_edmonds(ArcScores(m))
         assert first.heads == second.heads
+
+    def test_tie_rule(self):
+        # all-zero scores: every token's best head is ROOT, so the tokens are
+        # contracted: the best non-ROOT heads close the cycle {1, 2}, which
+        # closes the next cycle with token 3; each tie goes to the lowest
+        # node, so token 3 takes ROOT and enters the first cycle at token 1
+        assert chu_liu_edmonds(ArcScores(np.zeros((4, 3)))).heads == (3, 1, 0)
+        # a greedy tree with one ROOT arc is kept; token 2's tie goes to head 1
+        m = np.array(
+            [
+                [5.0, -9.0, -9.0],
+                [-np.inf, 1.0, 1.0],
+                [0.0, -np.inf, 0.0],
+                [0.0, 1.0, -np.inf],
+            ]
+        )
+        assert chu_liu_edmonds(ArcScores(m)).heads == (0, 1, 1)
+
+    def test_matches_per_root_decoder(self):
+        # the contraction agrees with re-solving once per candidate ROOT arc
+        rng = np.random.default_rng(17)
+        multi_root = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 31))
+            m = rng.uniform(-5, 5, size=(n + 1, n))
+            m[0] += rng.uniform(0, 8)
+            multi_root += greedy_roots(m) > 1
+            tree = chu_liu_edmonds(ArcScores(m))
+            expected = per_root_decoder(m)
+            assert tree.heads == expected
+            assert tree_total(m, tree.heads) == pytest.approx(
+                tree_total(m, expected), abs=1e-9
+            )
+        assert multi_root > 30
+
+    def test_matches_enumeration_when_most_tokens_prefer_root(self):
+        rng = np.random.default_rng(19)
+        for n, count in ((6, 30), (7, 6)):
+            trees = np.array(all_single_root_trees(n))
+            deps = np.arange(n)
+            for _ in range(count):
+                k = int(rng.integers(n // 2 + 1, n + 1))
+                m = root_preferring(rng, n, k)
+                assert greedy_roots(m) > n // 2
+                totals = m[trees, deps].sum(axis=1)
+                tree = chu_liu_edmonds(ArcScores(m))
+                assert tree_total(m, tree.heads) == pytest.approx(totals.max(), abs=1e-9)
+
+    def test_many_root_preferring_tokens_decode_quickly(self):
+        m = root_preferring(np.random.default_rng(23), 150, 8)
+        assert greedy_roots(m) >= 8
+        start = time.perf_counter()
+        tree = chu_liu_edmonds(ArcScores(m))
+        assert time.perf_counter() - start < 1.0
+        assert tree.heads.count(0) == 1
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(11)
