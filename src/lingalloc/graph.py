@@ -197,6 +197,9 @@ def log_partition(scores: ArcScores) -> float:
     weights, replace its first row with the ROOT arc weights, and take the
     log-determinant. Each dependent's column is shifted by its maximum
     log-score before exponentiation; the shifts are added back at the end.
+    Raises InfeasibleTreeError when no single-root tree of permitted arcs
+    exists, and NumericalError when one exists but the determinant is not
+    positive (the permitted trees' weights underflow).
     """
     n = scores.n
     sq = scores.square()
@@ -214,6 +217,7 @@ def log_partition(scores: ArcScores) -> float:
     lap_hat[0, :] = root_w
     sign, logdet = np.linalg.slogdet(lap_hat)
     if sign <= 0 or not np.isfinite(logdet):
+        chu_liu_edmonds(ArcScores(np.where(scores.scores > FORBIDDEN_THRESHOLD, 0.0, -np.inf)))
         cond = float(np.linalg.cond(lap_hat)) if n > 0 else float("nan")
         raise NumericalError(
             f"laplacian determinant not positive (sign={sign}, cond={cond:.3e})"

@@ -10,11 +10,18 @@ early stopping on the task metric.
 Features are computed once per process: the first time a model needs a
 text, a sentence's token windows or a sentence's arc candidates, they are
 hashed and packed as CSR rows (`Rows`); every later fit, validation pass,
-pool scoring and prediction over the same content slices those arrays. All
-three models run through one batched softmax layer over such rows. Its
-logits and gradients are scattered with `np.bincount`, which adds terms in
-row order, so a batch's gradient is bit for bit the sum of its examples'
-gradients taken one after another.
+pool scoring and prediction over the same content slices those arrays.
+Content not seen before is hashed in one batched pass per kind: the batch
+is encoded to UTF-8 once, every feature key is a byte span of it (an n-gram
+is found by its character offsets, with no string built for it; arc keys
+are joined into such a buffer), one table-driven CRC-32 runs over all
+spans at once, starting from the register of a key prefix such as "t:"
+where there is one, and one `np.unique` counts each row's indices. The
+indices are those of `zlib.crc32` per key, bit for bit. All three models
+run through one batched softmax layer over such rows. Its logits and
+gradients are scattered with `np.bincount`, which adds terms in row order,
+so a batch's gradient is bit for bit the sum of its examples' gradients
+taken one after another.
 """
 
 from __future__ import annotations
@@ -75,44 +82,147 @@ class TrainingConfig:
             raise ConfigError("l2 must be non-negative")
 
 
-def _stable_hash(key: str) -> int:
-    return zlib.crc32(key.encode("utf-8"))
+# ---------------------------------------------------------------------------
+# Feature hashing: a key's index is the CRC-32 of its UTF-8 bytes modulo the
+# dimension (Weinberger et al., ICML 2009). N-gram keys are never built as
+# strings: they are byte spans of the encoded content, hashed together by
+# `_crc32` from a register that already holds their "t:"/"p:"/"n:" prefix.
+# Arc keys are conjunctions, built as strings and hashed by the same pass.
+# ---------------------------------------------------------------------------
+
+
+def _crc_table() -> np.ndarray:
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC_TABLE = _crc_table()
+
+
+def _crc32(buf: np.ndarray, starts, lengths, init=0) -> np.ndarray:
+    """`zlib.crc32(buf[s:s+n], init)` of every span (s, n), as uint32.
+
+    `init` is one register or one per span. Spans are visited longest first,
+    so the j-th byte of every span still running is folded in by one
+    table lookup over a prefix of them.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    pos = np.asarray(starts, dtype=np.int64)[order]
+    reg = np.broadcast_to(np.asarray(init, dtype=np.uint32), lengths.shape)[order] ^ np.uint32(0xFFFFFFFF)
+    running = len(lengths) - np.cumsum(np.bincount(lengths))  # spans longer than j
+    for j, k in enumerate(running[:-1].tolist()):
+        r = reg[:k]
+        reg[:k] = _CRC_TABLE[(r ^ buf[pos[:k] + j]) & 0xFF] ^ (r >> 8)
+    out = np.empty_like(reg)
+    out[order] = reg ^ np.uint32(0xFFFFFFFF)
+    return out
+
+
+def _encode(words: Sequence[str]):
+    """The UTF-8 bytes of the words back to back, the byte offset of each
+    character boundary, and each word's first character and length."""
+    buf = np.frombuffer("".join(words).encode("utf-8"), dtype=np.uint8)
+    offsets = np.append(np.flatnonzero((buf & 0xC0) != 0x80), len(buf))
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    return buf, offsets, np.cumsum(lengths) - lengths, lengths
+
+
+def _key_spans(keys: Sequence[str]):
+    """The UTF-8 keys back to back, and each key's byte (start, length)."""
+    buf, offsets, starts, lengths = _encode(keys)
+    return buf, offsets[starts], offsets[starts + lengths] - offsets[starts]
+
+
+def _ngram_spans(words: Sequence[str], lo: int, hi: int):
+    """The UTF-8 words back to back, and the (word, byte start, byte length)
+    of each of their character n-grams, lo <= n <= hi."""
+    buf, offsets, starts, lengths = _encode(words)
+    owner, begin, size = [], [], []
+    for k in range(lo, hi + 1):
+        count = np.maximum(lengths - k + 1, 0)
+        first = _ranges(starts, count)
+        owner.append(np.repeat(np.arange(len(words)), count))
+        begin.append(offsets[first])
+        size.append(offsets[first + k] - offsets[first])
+    return buf, np.concatenate(owner), np.concatenate(begin), np.concatenate(size)
+
+
+def _counted(rows: np.ndarray, codes: np.ndarray, n_rows: int, dim: int):
+    """(row lengths, indices, counts) of hashed keys `codes` owned by `rows`; each row's indices ascend."""
+    pairs, counts = np.unique(rows * dim + (codes & (dim - 1)), return_counts=True)
+    return (
+        np.bincount(pairs // dim, minlength=n_rows),
+        (pairs % dim).astype(np.int32),
+        counts.astype(np.float32),
+    )
+
+
+def _blocks(counted, rows_per_item) -> list[tuple]:
+    """`_counted` output cut into one (row lengths, indices, counts) block per item."""
+    lengths, indices, data = counted
+    entry_ends = np.concatenate(([0], np.cumsum(lengths)))[np.cumsum(rows_per_item, dtype=np.int64)]
+    entries = np.diff(entry_ends, prepend=0)
+    return list(zip(_split(lengths, rows_per_item), _split(indices, entries), _split(data, entries)))
 
 
 def hash_features(keys: Sequence[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Hash string features into (sorted indices, counts)."""
-    counts: dict[int, float] = {}
-    mask = dim - 1
-    for key in keys:
-        idx = _stable_hash(key) & mask
-        counts[idx] = counts.get(idx, 0.0) + 1.0
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
-    return indices, values
+    codes = _crc32(*_key_spans(keys))
+    _, indices, counts = _counted(np.zeros(len(keys), dtype=np.int64), codes, 1, dim)
+    return indices.astype(np.int64), counts.astype(np.float64)
 
 
-def char_ngrams(text: str, lo: int, hi: int) -> list[str]:
-    grams = []
-    for k in range(lo, hi + 1):
-        grams.extend(text[i : i + k] for i in range(len(text) - k + 1))
-    return grams
+def _text_blocks(texts: Sequence[str], space: FeatureSpace) -> list[tuple]:
+    """One row per text: its character n-grams."""
+    buf, rows, starts, sizes = _ngram_spans(texts, space.ngram_min, space.ngram_max)
+    counted = _counted(rows, _crc32(buf, starts, sizes), len(texts), space.hash_dimension)
+    return _blocks(counted, np.ones(len(texts), dtype=np.int64))
+
+
+# (the register after a window prefix, the offset from a word to the token
+# whose row takes its n-grams under that prefix)
+_WINDOW = ((zlib.crc32(b"t:"), 0), (zlib.crc32(b"p:"), 1), (zlib.crc32(b"n:"), -1))
+
+
+def _token_blocks(sentences: Sequence[tuple], space: FeatureSpace) -> list[tuple]:
+    """One row per token: n-grams of the token ("t:"), of the token before it
+    or "<s>" ("p:") and of the token after it or "</s>" ("n:")."""
+    words = [w for tokens in sentences for w in ("<s>", *tokens, "</s>")]
+    buf, owner, starts, sizes = _ngram_spans(words, space.ngram_min, space.ngram_max)
+    n_tokens = np.array([len(tokens) for tokens in sentences], dtype=np.int64)
+    n_rows = int(n_tokens.sum())
+    # token r of sentence s is word r + 2s + 1; row_of[w + 1] is the row of
+    # word w, -1 for "<s>", "</s>" and past either end
+    row_of = np.full(len(words) + 2, -1, dtype=np.int64)
+    row_of[np.arange(n_rows) + 2 * np.repeat(np.arange(len(sentences)), n_tokens) + 2] = np.arange(n_rows)
+    rows, grams, inits = [], [], []
+    for init, shift in _WINDOW:
+        row = row_of[owner + 1 + shift]
+        keep = np.flatnonzero(row >= 0)
+        rows.append(row[keep])
+        grams.append(keep)
+        inits.append(np.full(len(keep), init, dtype=np.uint32))
+    grams = np.concatenate(grams)
+    codes = _crc32(buf, starts[grams], sizes[grams], np.concatenate(inits))
+    counted = _counted(np.concatenate(rows), codes, n_rows, space.hash_dimension)
+    return _blocks(counted, n_tokens)
 
 
 def featurize_text(text: str, space: FeatureSpace):
-    return hash_features(char_ngrams(text, space.ngram_min, space.ngram_max), space.hash_dimension)
+    (_, indices, data), = _text_blocks([text], space)
+    return indices.astype(np.int64), data.astype(np.float64)
 
 
 def featurize_tokens(tokens: Sequence[str], space: FeatureSpace):
     """One vector per token: n-grams of the token and its window-1 neighbors."""
-    vecs = []
-    for i, token in enumerate(tokens):
-        keys = [f"t:{g}" for g in char_ngrams(token, space.ngram_min, space.ngram_max)]
-        prev_tok = tokens[i - 1] if i > 0 else "<s>"
-        next_tok = tokens[i + 1] if i + 1 < len(tokens) else "</s>"
-        keys.extend(f"p:{g}" for g in char_ngrams(prev_tok, space.ngram_min, space.ngram_max))
-        keys.extend(f"n:{g}" for g in char_ngrams(next_tok, space.ngram_min, space.ngram_max))
-        vecs.append(hash_features(keys, space.hash_dimension))
-    return vecs
+    (lengths, indices, data), = _token_blocks([tokens], space)
+    return [
+        (i.astype(np.int64), v.astype(np.float64))
+        for i, v in zip(_split(indices, lengths), _split(data, lengths))
+    ]
 
 
 def _distance_bucket(dist: int) -> str:
@@ -219,26 +329,32 @@ class Rows:
         return Rows.stack(lengths, self.indices[pos], self.data[pos])
 
 
-def _arc_vectors(sentence, space: FeatureSpace):
-    """Every candidate arc of a (tokens, upos) sentence: dependent-major, heads ascending."""
-    tokens, upos = sentence
-    n = len(tokens)
-    return [
-        featurize_arc(tokens, upos, h, d, space)
-        for d in range(1, n + 1)
-        for h in range(n + 1)
+def _arc_blocks(sentences: Sequence[tuple], space: FeatureSpace) -> list[tuple]:
+    """n*n rows per (tokens, upos) sentence, one per candidate arc: dependent-major, heads ascending."""
+    arcs = [
+        arc_feature_keys(tokens, upos, h, d)
+        for tokens, upos in sentences
+        for d in range(1, len(tokens) + 1)
+        for h in range(len(tokens) + 1)
         if h != d
     ]
+    keys = [key for arc in arcs for key in arc]
+    rows = np.repeat(np.arange(len(arcs)), [len(arc) for arc in arcs])
+    counted = _counted(rows, _crc32(*_key_spans(keys)), len(arcs), space.hash_dimension)
+    return _blocks(counted, [len(tokens) ** 2 for tokens, _ in sentences])
 
 
-# kind -> (the cache key of a payload, the feature vectors of that key). The
-# featurize_* functions are looked up when called, so that a profiler that
-# rebinds them in this module sees every call.
+# kind -> (the cache key of a payload, the batch featurizer of such keys)
 _FEATURIZERS = {
-    "text": (lambda p: p.text, lambda text, space: [featurize_text(text, space)]),
-    "tokens": (lambda p: p.tokens, lambda tokens, space: featurize_tokens(tokens, space)),
-    "arcs": (lambda p: (p.tokens, p.upos), _arc_vectors),
+    "text": (lambda p: p.text, _text_blocks),
+    "tokens": (lambda p: p.tokens, _token_blocks),
+    "arcs": (lambda p: (p.tokens, p.upos), _arc_blocks),
 }
+
+
+def featurize_batch(kind: str, contents: Sequence, space: FeatureSpace) -> list[tuple]:
+    """The (row lengths, indices, counts) block of every content of a kind, in one pass."""
+    return _FEATURIZERS[kind][1](contents, space)
 
 
 class FeatureCache:
@@ -259,22 +375,22 @@ class FeatureCache:
     def clear(self) -> None:
         self._blocks.clear()
 
-    def rows(self, kind: str, payloads: Sequence, space: FeatureSpace) -> tuple[Rows, list[int]]:
-        """The rows of every payload in order, and how many rows each has."""
-        key_of, featurize = _FEATURIZERS[kind]
+    def rows(self, kind: str, payloads: Sequence, space: FeatureSpace, chunk: int) -> tuple[Rows, list[int]]:
+        """The rows of every payload in order, and how many rows each has.
+
+        Content not cached yet is featurized once per distinct key, in
+        `featurize_batch` passes of at most `chunk` keys.
+        """
+        key_of = _FEATURIZERS[kind][0]
         table = self._blocks.setdefault((kind, space), {})
-        blocks = []
-        for payload in payloads:
-            key = key_of(payload)
-            block = table.get(key)
-            if block is None:
-                rows = Rows.from_vectors(featurize(key, space))
-                lengths = np.diff(rows.indptr)
-                block = (lengths, rows.indices.astype(np.int32), rows.data.astype(np.float32))
-                table[key] = block
-            blocks.append(block)
-        if not blocks:
+        keys = [key_of(p) for p in payloads]
+        missing = list(dict.fromkeys(k for k in keys if k not in table))
+        for start in range(0, len(missing), chunk):
+            piece = missing[start : start + chunk]
+            table.update(zip(piece, featurize_batch(kind, piece, space)))
+        if not keys:
             return Rows.stack([], [], []), []
+        blocks = [table[k] for k in keys]
         lengths, indices, data = (np.concatenate(parts) for parts in zip(*blocks))
         return Rows.stack(lengths, indices, data), [len(b[0]) for b in blocks]
 
@@ -472,7 +588,7 @@ class _ModelBase:
             raise ModelStateError("model has no weights; train it or set them explicitly")
 
     def _features(self, payloads) -> tuple[Rows, list[int]]:
-        return FEATURES.rows(self.kind, payloads, self.space)
+        return FEATURES.rows(self.kind, payloads, self.space, self.chunk)
 
     def _in_chunks(self, fn, instances: Sequence[Instance]) -> list:
         """fn(payloads, rows, rows per payload) over consecutive chunks; one result per instance."""

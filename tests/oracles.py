@@ -1,13 +1,14 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here enumerates exhaustively, loops one example at a time or,
-for `per_root_decoder`, re-solves once per candidate ROOT arc, and stays
-deliberately naive; none of it shares code with the implementations under
-test.
+Everything here enumerates exhaustively, loops one example or one key at a
+time or, for `per_root_decoder`, re-solves once per candidate ROOT arc, and
+stays deliberately naive; none of it shares code with the implementations
+under test.
 """
 
 import itertools
 import math
+import zlib
 from functools import lru_cache
 
 import numpy as np
@@ -208,3 +209,62 @@ def per_root_decoder(score_matrix):
         if best is None or key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
             best = key
     return best[1]
+
+
+def char_ngrams(text, lo, hi):
+    """Character n-grams of text, lo <= n <= hi, shortest first, left to right."""
+    grams = []
+    for k in range(lo, hi + 1):
+        grams.extend(text[i : i + k] for i in range(len(text) - k + 1))
+    return grams
+
+
+def key_loop_hash(keys, dim):
+    """(sorted indices, counts) of string keys, one `zlib.crc32` and one dict update per key."""
+    counts = {}
+    for key in keys:
+        idx = zlib.crc32(key.encode("utf-8")) & (dim - 1)
+        counts[idx] = counts.get(idx, 0.0) + 1.0
+    indices = np.array(sorted(counts), dtype=np.int64)
+    return indices, np.array([counts[i] for i in indices], dtype=np.float64)
+
+
+def key_loop_text(text, space):
+    return key_loop_hash(char_ngrams(text, space.ngram_min, space.ngram_max), space.hash_dimension)
+
+
+def key_loop_tokens(tokens, space):
+    """One vector per token: "t:" n-grams of the token, "p:"/"n:" n-grams of its neighbours."""
+    vecs = []
+    for i, token in enumerate(tokens):
+        prev_tok = tokens[i - 1] if i > 0 else "<s>"
+        next_tok = tokens[i + 1] if i + 1 < len(tokens) else "</s>"
+        keys = []
+        for prefix, word in (("t:", token), ("p:", prev_tok), ("n:", next_tok)):
+            keys += [prefix + g for g in char_ngrams(word, space.ngram_min, space.ngram_max)]
+        vecs.append(key_loop_hash(keys, space.hash_dimension))
+    return vecs
+
+
+def key_loop_arcs(tokens, upos, space, arc_keys):
+    """One vector per candidate arc, dependent-major, heads ascending; `arc_keys(tokens,
+    upos, head, dep)` names the arc's feature strings."""
+    n = len(tokens)
+    return [
+        key_loop_hash(arc_keys(tokens, upos, h, d), space.hash_dimension)
+        for d in range(1, n + 1)
+        for h in range(n + 1)
+        if h != d
+    ]
+
+
+def key_loop_block(vecs):
+    """Per-row vectors packed as a feature-cache block: (row lengths as int64,
+    indices as int32, counts as float32)."""
+    if not vecs:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.float32)
+    return (
+        np.array([len(idx) for idx, _ in vecs], dtype=np.int64),
+        np.concatenate([idx for idx, _ in vecs]).astype(np.int32),
+        np.concatenate([vals for _, vals in vecs]).astype(np.float32),
+    )

@@ -1,0 +1,183 @@
+"""Feature hashing: the batched CRC-32 pass against the one-key-at-a-time loop of `oracles`."""
+
+import zlib
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import lingalloc.models as models
+from lingalloc.corpus import ClassificationText, DepTree, TaggedSentence
+from lingalloc.models import (
+    FeatureCache,
+    FeatureSpace,
+    arc_feature_keys,
+    featurize_arc,
+    featurize_batch,
+    featurize_text,
+    featurize_tokens,
+    hash_features,
+)
+
+from oracles import key_loop_arcs, key_loop_block, key_loop_hash, key_loop_text, key_loop_tokens
+
+SPACES = (
+    FeatureSpace(hash_dimension=1024, ngram_min=2, ngram_max=4),
+    FeatureSpace(hash_dimension=2**16, ngram_min=1, ngram_max=8),
+)
+# one, two, three and four UTF-8 bytes per character
+ALPHABET = "ab z" + "éßж" + "日本語€" + "\U0001F600\U00010348"
+
+
+def _word(rng, lo=0, hi=12):
+    return "".join(rng.choice(list(ALPHABET), size=int(rng.integers(lo, hi + 1))))
+
+
+def _assert_same(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert g.dtype == e.dtype
+        assert np.array_equal(g, e)
+
+
+class TestCrc32:
+    def test_equals_zlib_on_spans_of_one_buffer(self):
+        rng = np.random.default_rng(0)
+        words = [_word(rng) for _ in range(400)] + ["", "", "x"]
+        data = [w.encode("utf-8") for w in words]
+        buf = np.frombuffer(b"".join(data), dtype=np.uint8)
+        lengths = np.array([len(d) for d in data])
+        starts = np.cumsum(lengths) - lengths
+        expected = [zlib.crc32(d) for d in data]
+        assert models._crc32(buf, starts, lengths).tolist() == expected
+
+    def test_initial_register_continues_a_prefix(self):
+        rng = np.random.default_rng(1)
+        words = [_word(rng) for _ in range(300)]
+        prefixes = [_word(rng, 0, 4).encode("utf-8") for _ in words]
+        data = [w.encode("utf-8") for w in words]
+        buf = np.frombuffer(b"".join(data), dtype=np.uint8)
+        lengths = np.array([len(d) for d in data])
+        inits = np.array([zlib.crc32(p) for p in prefixes], dtype=np.uint32)
+        got = models._crc32(buf, np.cumsum(lengths) - lengths, lengths, inits)
+        assert got.tolist() == [zlib.crc32(p + d) for p, d in zip(prefixes, data)]
+        assert got.dtype == np.uint32
+
+    def test_spans_may_overlap_and_come_in_any_order(self):
+        data = "ab日€\U0001F600z".encode("utf-8")
+        buf = np.frombuffer(data, dtype=np.uint8)
+        spans = [(s, n) for s in range(len(data)) for n in range(len(data) - s + 1)][::-1]
+        starts, lengths = map(np.array, zip(*spans))
+        got = models._crc32(buf, starts, lengths, 12345)
+        assert got.tolist() == [zlib.crc32(data[s : s + n], 12345) for s, n in spans]
+
+    def test_no_spans(self):
+        got = models._crc32(np.zeros(0, dtype=np.uint8), np.zeros(0), np.zeros(0))
+        assert got.shape == (0,) and got.dtype == np.uint32
+
+
+class TestOneRowCase:
+    """The public per-row featurizers keep the per-key loop's arrays and dtypes."""
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_text(self, space):
+        rng = np.random.default_rng(2)
+        for text in [_word(rng, 0, 30) for _ in range(60)] + ["", "a"]:
+            _assert_same(featurize_text(text, space), key_loop_text(text, space))
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_tokens(self, space):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            tokens = tuple(_word(rng, 1, 8) for _ in range(int(rng.integers(1, 6))))
+            got = featurize_tokens(tokens, space)
+            expected = key_loop_tokens(tokens, space)
+            assert len(got) == len(expected) == len(tokens)
+            for g, e in zip(got, expected):
+                _assert_same(g, e)
+
+    def test_arc_and_hash_features(self):
+        space = SPACES[0]
+        tokens, upos = ("Straße", "日本", "\U0001F600!"), ("NOUN", "PROPN", "SYM")
+        for dep in range(1, 4):
+            for head in range(4):
+                if head != dep:
+                    expected = key_loop_hash(arc_feature_keys(tokens, upos, head, dep), 1024)
+                    _assert_same(featurize_arc(tokens, upos, head, dep, space), expected)
+        _assert_same(hash_features([], 1024), key_loop_hash([], 1024))
+        _assert_same(hash_features(["x", "", "x", "ж"], 1024), key_loop_hash(["x", "", "x", "ж"], 1024))
+
+
+def _texts(rng, n):
+    return [_word(rng, 0, 40) for _ in range(n)]
+
+
+def _sentences(rng, n):
+    return [tuple(_word(rng, 1, 9) for _ in range(int(rng.integers(0, 7)))) for _ in range(n)]
+
+
+def _trees(rng, n):
+    tags = ("NOUN", "VERB", "ADJ", "ÜPOS")
+    out = []
+    for _ in range(n):
+        k = int(rng.integers(1, 7))
+        out.append((tuple(_word(rng, 1, 6) for _ in range(k)), tuple(str(t) for t in rng.choice(tags, size=k))))
+    return out
+
+
+def _oracle_block(kind, content, space):
+    if kind == "text":
+        return key_loop_block([key_loop_text(content, space)])
+    if kind == "tokens":
+        return key_loop_block(key_loop_tokens(content, space))
+    return key_loop_block(key_loop_arcs(*content, space, arc_feature_keys))
+
+
+KINDS = [("text", _texts), ("tokens", _sentences), ("arcs", _trees)]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("kind, make", KINDS)
+    def test_blocks_equal_the_key_loop(self, kind, make, space):
+        contents = make(np.random.default_rng(4), 40)
+        blocks = featurize_batch(kind, contents, space)
+        assert len(blocks) == len(contents)
+        for content, block in zip(contents, blocks):
+            _assert_same(block, _oracle_block(kind, content, space))
+
+    @pytest.mark.parametrize("kind, make", KINDS)
+    def test_rows_across_chunk_borders(self, kind, make):
+        space = SPACES[0]
+        payload = {
+            "text": ClassificationText,
+            "tokens": TaggedSentence,
+            "arcs": lambda c: DepTree(*c),
+        }[kind]
+        contents = make(np.random.default_rng(5), 23)
+        rows, counts = FeatureCache().rows(kind, [payload(c) for c in contents], space, chunk=4)
+        assert counts == [len(_oracle_block(kind, c, space)[0]) for c in contents]
+        for r, content in zip(np.split(np.arange(rows.n), np.cumsum(counts)[:-1]), contents):
+            lengths, indices, data = _oracle_block(kind, content, space)
+            got = rows.take(r)
+            assert np.array_equal(np.diff(got.indptr), lengths)
+            assert np.array_equal(got.indices, indices) and np.array_equal(got.data, data)
+
+    def test_rows_hashes_each_distinct_content_once(self, monkeypatch):
+        batches = []
+        original = models.featurize_batch
+
+        def recording(kind, contents, space):
+            batches.append(list(contents))
+            return original(kind, contents, space)
+
+        monkeypatch.setattr(models, "featurize_batch", recording)
+        texts = [f"{i}:{t}" for i, t in enumerate(_texts(np.random.default_rng(6), 9))]
+        payloads = [ClassificationText(t) for t in texts * 3 + texts[::-1]]
+        cache = FeatureCache()
+        rows, counts = cache.rows("text", payloads, SPACES[0], chunk=4)
+        assert Counter(t for batch in batches for t in batch) == Counter(texts)
+        assert [len(b) for b in batches] == [4, 4, 1]
+        assert counts == [1] * len(payloads) and rows.n == len(payloads)
+        batches.clear()
+        assert cache.rows("text", payloads[:5], SPACES[0], chunk=4)[1] == [1] * 5
+        assert batches == []

@@ -342,9 +342,18 @@ class TestLogPartition:
         with pytest.raises(InfeasibleTreeError):
             log_partition(ArcScores(m))
 
-    def test_zero_mass_tree_set_is_numerical_error(self):
+    def test_no_single_root_tree_is_infeasible(self):
         # each dependent has a permitted head, yet no single-root tree exists
         m = np.array([[0.0, 0.0], [FORBIDDEN, FORBIDDEN], [FORBIDDEN, FORBIDDEN]])
+        with pytest.raises(InfeasibleTreeError):
+            log_partition(ArcScores(m))
+        with pytest.raises(InfeasibleTreeError):
+            chu_liu_edmonds(ArcScores(m))
+
+    def test_underflowing_determinant_is_numerical_error(self):
+        # trees exist, but every one has a weight that underflows after the column shift
+        m = np.array([[0.0, 0.0], [-np.inf, -800.0], [-800.0, -np.inf]])
+        assert chu_liu_edmonds(ArcScores(m)).n == 2
         with pytest.raises(NumericalError):
             log_partition(ArcScores(m))
 

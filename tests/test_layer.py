@@ -108,13 +108,15 @@ def _content_rows(payload):
 def test_run_rounds_featurizes_each_instance_once(monkeypatch, make_run):
     data, setting, spec = make_run()
     calls = Counter()
-    original = models.hash_features
+    original = models.featurize_batch
 
-    def counting(keys, dim):
-        calls[tuple(keys)] += 1
-        return original(keys, dim)
+    def counting(kind, contents, space):
+        blocks = original(kind, contents, space)
+        for content, (lengths, _, _) in zip(contents, blocks):
+            calls.update((content, row) for row in range(len(lengths)))
+        return blocks
 
-    monkeypatch.setattr(models, "hash_features", counting)
+    monkeypatch.setattr(models, "featurize_batch", counting)
     models.FEATURES.clear()
     plan = allocate(setting, spec, data.languages)
     run_rounds(plan, data, FAST, SPACE, rng_seed=4)

@@ -14,7 +14,6 @@ from lingalloc.models import (
     TrainingConfig,
     arc_feature_keys,
     build_model,
-    char_ngrams,
     class_objective,
     featurize_arc,
     featurize_text,
@@ -27,7 +26,7 @@ from lingalloc.models import (
 )
 from lingalloc.tasks import TaskKind
 
-from oracles import all_single_root_trees, best_tree
+from oracles import all_single_root_trees, best_tree, char_ngrams
 
 SPACE = FeatureSpace(hash_dimension=1024, ngram_min=2, ngram_max=4)
 
