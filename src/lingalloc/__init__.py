@@ -42,8 +42,6 @@ from .models import (
     TextClassifier,
     TrainingConfig,
     build_model,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .synth import synth_dataset
 from .tasks import BudgetUnit, MetricReport, TaskKind, accuracy, attachment_scores, span_f1

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import _first_fit
 from .errors import ScoringError
 from .graph import Arborescence, ArcScores, log_partition, tree_log_prob
 from .tasks import TaskKind
@@ -114,11 +115,5 @@ def select_batch(
     """
     if budget < 1:
         raise ScoringError("budget must be positive")
-    ranked = sorted(scores, key=lambda s: (s.score, s.instance_id))
-    selected: list[int] = []
-    spent = 0
-    for entry in ranked:
-        if entry.cost <= budget - spent:
-            selected.append(entry.instance_id)
-            spent += entry.cost
-    return selected, spent
+    taken, _ = _first_fit(sorted(scores, key=lambda s: (s.score, s.instance_id)), budget)
+    return [s.instance_id for s in taken], sum(s.cost for s in taken)

@@ -12,7 +12,9 @@ resume by skipping completed cells.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -489,33 +491,40 @@ def _reconstruct_rounds(records: list[dict], task: TaskKind) -> list[RoundResult
 
 
 def _read_cell_records(out: Path) -> dict[str, list[dict]]:
+    """Every result record under `out`, grouped by cell; raises if there is none."""
     records: dict[str, list[dict]] = {}
-    results_dir = out / "results"
-    if not results_dir.is_dir():
-        return records
-    for path in sorted(results_dir.glob("*.jsonl")):
+    for path in sorted((out / "results").glob("*.jsonl")):
         with open(path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if line:
                     rec = json.loads(line)
                     records.setdefault(rec["cell"], []).append(rec)
+    if not records:
+        raise ConfigError(f"no results found under {out}")
     return records
+
+
+def _setting_label(rec: dict) -> str:
+    return f"{rec['setting']}:{rec['strategy']}"
 
 
 def _format_float(value: float) -> str:
     return repr(round(float(value), 10))
 
 
-def write_summary(out: Path, task: TaskKind) -> Path:
+def write_summary(out: Path, records: dict[str, list[dict]]) -> Path:
     """Aggregate every cell into one CSV: a row per setting, metric x AL columns."""
-    records = _read_cell_records(out)
-    if not records:
-        raise ConfigError(f"no results found under {out}")
+    # each task reports its own metric names (see MetricReport)
+    metrics = next(iter(next(iter(records.values()))[0]["metrics"].values()))
+    if "accuracy" in metrics:
+        task = TaskKind.CLASSIFICATION
+    else:
+        task = TaskKind.SEQUENCE_TAGGING if "f1" in metrics else TaskKind.DEPENDENCY_PARSING
     by_setting: dict[str, dict[bool, list]] = {}
     metric_names: set[str] = set()
-    for key, recs in records.items():
-        setting_label = f"{recs[0]['setting']}:{recs[0]['strategy']}"
+    for recs in records.values():
+        setting_label = _setting_label(recs[0])
         replicates = sorted({r["replicate"] for r in recs})
         rounds_by_rep = [
             _reconstruct_rounds([r for r in recs if r["replicate"] == rep], task)
@@ -546,16 +555,13 @@ def write_summary(out: Path, task: TaskKind) -> Path:
     return path
 
 
-def write_plot_data(out: Path, task: TaskKind) -> Path:
+def write_plot_data(out: Path, records: dict[str, list[dict]]) -> Path:
     """Long-format per-round CSV suitable for external plotting."""
-    records = _read_cell_records(out)
-    if not records:
-        raise ConfigError(f"no results found under {out}")
     rows = ["setting,al_flag,round,language,metric,mean,stddev"]
     out_rows = []
     for key in sorted(records):
         recs = records[key]
-        setting_label = f"{recs[0]['setting']}:{recs[0]['strategy']}"
+        setting_label = _setting_label(recs[0])
         al_flag = "al" if recs[0]["al"] else "noal"
         per_round: dict[tuple, list[float]] = {}
         for rec in recs:
@@ -579,9 +585,8 @@ def write_plot_data(out: Path, task: TaskKind) -> Path:
     return path
 
 
-def write_curriculum_csv(out: Path, tolerance: float = 1e-9) -> Path:
+def write_curriculum_csv(out: Path, records: dict[str, list[dict]], tolerance: float = 1e-9) -> Path:
     """Per-round acquisition-share CSV; the share identity is re-checked here."""
-    records = _read_cell_records(out)
     rows = ["setting,al_flag,replicate,round,language,alpha,relative_difference,metric,value"]
     out_rows = []
     logs_dir = out / "logs"
@@ -603,7 +608,7 @@ def write_curriculum_csv(out: Path, tolerance: float = 1e-9) -> Path:
         )
         recs = records.get(key, [])
         al_flag = "al" if recs and recs[0]["al"] else "noal"
-        setting_label = f"{recs[0]['setting']}:{recs[0]['strategy']}" if recs else key
+        setting_label = _setting_label(recs[0]) if recs else key
         for round_idx in sorted(report.relative_difference):
             gap = report.identity_gap(round_idx)
             if gap > tolerance:
@@ -639,7 +644,26 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _cell_runs(config: ExperimentConfig, cells: list[dict], out: str, jobs: int):
+    """Yield (cell, call) in the order the cells finish.
+
+    `call()` returns the cell's key or raises the cell's error. With more than
+    one job the cells run in a process pool with at most one worker per cell.
+    """
+    workers = min(jobs, len(cells))
+    if workers < 2:
+        for cell in cells:
+            yield cell, functools.partial(run_cell, config, cell, out)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(run_cell, config, cell, out): cell for cell in cells}
+        for future in as_completed(futures):
+            yield futures[future], future.result
+
+
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     config, errors = validate_config(args.config)
     if errors:
         for err in errors:
@@ -667,40 +691,22 @@ def cmd_run(args) -> int:
         else:
             pending.append(cell)
     failures: list[str] = []
-
-    def finished(cell, error=None):
-        # the manifest is rewritten after every cell so that an interrupted
-        # run resumes from the last finished one
-        if error is None:
-            manifest["cells"][cell["key"]] = {"status": "complete"}
-            print(f"done {cell['key']}")
-        else:
-            failures.append(f"{cell['key']}: {error}")
-            manifest["cells"][cell["key"]] = {"status": "incomplete"}
-        _write_manifest(out, manifest)
-
-    if args.jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(run_cell, config, cell, str(out)): cell for cell in pending
-            }
-            for future in as_completed(futures):
-                try:
-                    future.result()
-                except Exception as exc:  # noqa: BLE001 - cell failures must not kill siblings
-                    finished(futures[future], exc)
-                else:
-                    finished(futures[future])
-    else:
-        for cell in pending:
+    # closing shuts the pool down even when an interrupt escapes the loop
+    with contextlib.closing(_cell_runs(config, pending, str(out), args.jobs)) as runs:
+        for cell, call in runs:
             try:
-                run_cell(config, cell, str(out))
-            except Exception as exc:  # noqa: BLE001
-                finished(cell, exc)
+                call()
+            except Exception as exc:  # noqa: BLE001 - cell failures must not kill siblings
+                failures.append(f"{cell['key']}: {exc}")
+                manifest["cells"][cell["key"]] = {"status": "incomplete"}
             else:
-                finished(cell)
+                manifest["cells"][cell["key"]] = {"status": "complete"}
+                print(f"done {cell['key']}")
+            # the manifest is rewritten after every cell so that an interrupted
+            # run resumes from the last finished one
+            _write_manifest(out, manifest)
     if not failures:
-        write_summary(out, config.task)
+        write_summary(out, _read_cell_records(out))
     _write_manifest(out, manifest)
     if failures:
         for failure in sorted(failures):
@@ -710,34 +716,17 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _task_from_results(out: Path) -> TaskKind:
-    records = _read_cell_records(out)
-    for recs in records.values():
-        for rec in recs:
-            for metrics in rec["metrics"].values():
-                if "accuracy" in metrics:
-                    return TaskKind.CLASSIFICATION
-                if "f1" in metrics:
-                    return TaskKind.SEQUENCE_TAGGING
-                return TaskKind.DEPENDENCY_PARSING
-    raise ConfigError(f"no results found under {out}")
-
-
 def cmd_report(args) -> int:
     out = Path(args.out)
-    task = _task_from_results(out)
-    summary = write_summary(out, task)
-    plot = write_plot_data(out, task)
-    curriculum_csv = write_curriculum_csv(out)
-    for path in (summary, plot, curriculum_csv):
-        print(path)
+    records = _read_cell_records(out)
+    paths = [write(out, records) for write in (write_summary, write_plot_data, write_curriculum_csv)]
+    print(*paths, sep="\n")
     return 0
 
 
 def cmd_curriculum(args) -> int:
     out = Path(args.out)
-    _task_from_results(out)
-    print(write_curriculum_csv(out))
+    print(write_curriculum_csv(out, _read_cell_records(out)))
     return 0
 
 

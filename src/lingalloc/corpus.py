@@ -348,8 +348,8 @@ class Pool:
         return moved
 
 
-def _first_fit(order: Sequence[Instance], budget: int) -> tuple[list[Instance], list[Instance]]:
-    """Walk `order`, taking every instance whose cost still fits the budget."""
+def _first_fit(order: Sequence, budget: int) -> tuple[list, list]:
+    """Walk `order`, taking every item whose `cost` still fits the budget."""
     taken, passed = [], []
     remaining = budget
     for inst in order:

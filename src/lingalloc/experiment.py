@@ -214,6 +214,16 @@ def _predict_metrics(model, task, test_by_language, languages) -> MetricReport:
     return report
 
 
+def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> list[Pool]:
+    """Each model's seed/validation/unlabeled split, a pure function of its seed."""
+    pools = []
+    for mp in plan.models:
+        candidates = [inst for lang in mp.languages for inst in data.train[lang]]
+        split = SplitSpec(mp.seed_budget, mp.val_budget, _derive_seed(rng_seed, mp.index, 0))
+        pools.append(sample_splits(candidates, split))
+    return pools
+
+
 def run_rounds(
     plan: AllocationPlan,
     data: MultilingualData,
@@ -230,11 +240,7 @@ def run_rounds(
     """
     setting = plan.setting
     spec = plan.spec
-    pools: list[Pool] = []
-    for mp in plan.models:
-        candidates = [inst for lang in mp.languages for inst in data.train[lang]]
-        split = SplitSpec(mp.seed_budget, mp.val_budget, _derive_seed(rng_seed, mp.index, 0))
-        pools.append(sample_splits(candidates, split))
+    pools = _draw_pools(plan, data, rng_seed)
     results: list[RoundResult] = []
     events: list[AcquisitionEvent] = []
     models: list = [None] * len(plan.models)
@@ -295,17 +301,14 @@ def run_rounds(
 def initial_composition(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> dict[str, int]:
     """Cost per language of the initial labeled+unlabeled pools of a run.
 
-    Reconstructs the same seed/validation draw as `run_rounds` (the split is a
-    pure function of its seed), then counts everything except the validation
-    partition. This is the share denominator the curriculum analysis uses.
+    Redraws the pools `run_rounds` starts from, then counts everything except
+    the validation partition. This is the share denominator the curriculum
+    analysis uses.
     """
     composition = {
         lang: 0 for lang in sorted({l for mp in plan.models for l in mp.languages})
     }
-    for mp in plan.models:
-        candidates = [inst for lang in mp.languages for inst in data.train[lang]]
-        split = SplitSpec(mp.seed_budget, mp.val_budget, _derive_seed(rng_seed, mp.index, 0))
-        pool = sample_splits(candidates, split)
+    for pool in _draw_pools(plan, data, rng_seed):
         for part in (pool.labeled, pool.unlabeled):
             for inst in part.values():
                 composition[inst.language] += inst.cost

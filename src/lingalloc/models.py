@@ -26,7 +26,6 @@ taken one after another.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,14 +33,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import DepTree, Instance
-from .errors import ConfigError, FormatError, ModelStateError
+from .errors import ConfigError, ModelStateError
 from .graph import ArcScores, chu_liu_edmonds
 from .tasks import TaskKind, accuracy, attachment_scores, span_f1
 
 ROOT_FORM = "<root>"
 ROOT_UPOS = "<root>"
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -891,54 +888,3 @@ def build_model(task: TaskKind, space: FeatureSpace):
         return SequenceTagger(space)
     return DependencyParser(space)
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints: a JSON container with a mandatory version field.
-# ---------------------------------------------------------------------------
-
-
-def save_checkpoint(model, path) -> None:
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "task": model.task.value,
-        "feature_space": {
-            "hash_dimension": model.space.hash_dimension,
-            "ngram_min": model.space.ngram_min,
-            "ngram_max": model.space.ngram_max,
-        },
-    }
-    if isinstance(model, DependencyParser):
-        model._require_trained()
-        payload["labels"] = list(model.labels)
-        payload["arc_weights"] = model.arc_weights.tolist()
-        payload["label_weights"] = model.label_weights.tolist()
-    elif isinstance(model, SequenceTagger):
-        model._require_trained()
-        payload["tags"] = list(model.tags)
-        payload["weights"] = model.weights.tolist()
-    else:
-        model._require_trained()
-        payload["classes"] = list(model.classes)
-        payload["weights"] = model.weights.tolist()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-
-
-def load_checkpoint(path):
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {payload.get('version')!r}")
-    space = FeatureSpace(**payload["feature_space"])
-    task = TaskKind(payload["task"])
-    if task is TaskKind.DEPENDENCY_PARSING:
-        model = DependencyParser(space, payload["labels"])
-        model.arc_weights = np.asarray(payload["arc_weights"], dtype=np.float64)
-        model.label_weights = np.asarray(payload["label_weights"], dtype=np.float64)
-    elif task is TaskKind.SEQUENCE_TAGGING:
-        model = SequenceTagger(space, payload["tags"])
-        model.weights = np.asarray(payload["weights"], dtype=np.float64)
-    else:
-        model = TextClassifier(space, payload["classes"])
-        model.weights = np.asarray(payload["weights"], dtype=np.float64)
-    return model

@@ -89,6 +89,30 @@ def _difficulty(num_languages: int) -> np.ndarray:
     return np.linspace(0.85, 0.5, num=num_languages)
 
 
+def _draw(task: TaskKind, langs, train_size, test_size, make) -> MultilingualData:
+    """Draw each language's training then test instances from `make(i, lang)`.
+
+    `make` returns one payload for the i-th language; a payload already drawn
+    for that language is drawn again, so no payload repeats within or across
+    a language's splits. Ids run contiguously in language order, train first.
+    """
+    splits: tuple[dict, dict] = ({}, {})
+    counter = 0
+    for i, lang in enumerate(langs):
+        seen: set = set()
+        for split, count in zip(splits, (train_size, test_size)):
+            out = split[lang] = []
+            while len(out) < count:
+                payload = make(i, lang)
+                if payload in seen:
+                    continue
+                seen.add(payload)
+                cost = 1 if task is TaskKind.CLASSIFICATION else len(payload.tokens)
+                out.append(Instance(counter, lang, payload, cost))
+                counter += 1
+    return MultilingualData(task, *splits)
+
+
 _CORE = 10
 _TAIL = 60
 _NEUTRAL = 50
@@ -105,15 +129,12 @@ def synth_classification(languages, train_size, test_size, overlap, seed) -> Mul
         lex.add_group(f"core_{label}", _CORE)
         lex.add_group(f"tail_{label}", _TAIL)
     lex.add_group("neutral", _NEUTRAL)
-    counter = 0
-    train: dict[str, list[Instance]] = {}
-    test: dict[str, list[Instance]] = {}
 
-    def make_text(lang, rate):
+    def make_text(i, lang):
         label = "pos" if rng.random() < 0.5 else "neg"
         hard = rng.random() < 0.5
         length = int(rng.integers(3, 9))
-        signal = rate * (0.7 if hard else 1.0)
+        signal = rates[i] * (0.7 if hard else 1.0)
         group = f"tail_{label}" if hard else f"core_{label}"
         group_size = _TAIL if hard else _CORE
         words = []
@@ -122,25 +143,9 @@ def synth_classification(languages, train_size, test_size, overlap, seed) -> Mul
                 words.append(lex.sample(lang, group, group_size))
             else:
                 words.append(lex.sample(lang, "neutral", _NEUTRAL))
-        return " ".join(words), label
+        return ClassificationText(" ".join(words), label)
 
-    def draw(lang, rate, count, seen):
-        nonlocal counter
-        out = []
-        while len(out) < count:
-            text, label = make_text(lang, rate)
-            if (text, label) in seen:
-                continue
-            seen.add((text, label))
-            out.append(Instance(counter, lang, ClassificationText(text, label), 1))
-            counter += 1
-        return out
-
-    for i, lang in enumerate(langs):
-        seen: set = set()
-        train[lang] = draw(lang, rates[i], train_size, seen)
-        test[lang] = draw(lang, rates[i], test_size, seen)
-    return MultilingualData(TaskKind.CLASSIFICATION, train, test)
+    return _draw(TaskKind.CLASSIFICATION, langs, train_size, test_size, make_text)
 
 
 _ENTITY_TYPES = ("PER", "LOC", "ORG")
@@ -158,16 +163,13 @@ def synth_tagging(languages, train_size, test_size, overlap, seed) -> Multilingu
     for etype in _ENTITY_TYPES:
         lex.add_group(f"ent_{etype}", _ENTITY_VOCAB)
     lex.add_group("filler", _FILLER_VOCAB)
-    counter = 0
-    train: dict[str, list[Instance]] = {}
-    test: dict[str, list[Instance]] = {}
 
-    def make_sentence(lang, rate):
+    def make_sentence(i, lang):
         length = int(rng.integers(4, 11))
         tokens: list[str] = []
         tags: list[str] = []
         while len(tokens) < length:
-            if rng.random() < 0.35 * rate:
+            if rng.random() < 0.35 * rates[i]:
                 etype = _ENTITY_TYPES[int(rng.integers(0, len(_ENTITY_TYPES)))]
                 word = lex.sample(lang, f"ent_{etype}", _ENTITY_VOCAB)
                 tokens.append(word)
@@ -178,25 +180,9 @@ def synth_tagging(languages, train_size, test_size, overlap, seed) -> Multilingu
             else:
                 tokens.append(lex.sample(lang, "filler", _FILLER_VOCAB))
                 tags.append("O")
-        return tuple(tokens), tuple(tags)
+        return TaggedSentence(tuple(tokens), tuple(tags))
 
-    def draw(lang, rate, count, seen):
-        nonlocal counter
-        out = []
-        while len(out) < count:
-            tokens, tags = make_sentence(lang, rate)
-            if (tokens, tags) in seen:
-                continue
-            seen.add((tokens, tags))
-            out.append(Instance(counter, lang, TaggedSentence(tokens, tags), len(tokens)))
-            counter += 1
-        return out
-
-    for i, lang in enumerate(langs):
-        seen: set = set()
-        train[lang] = draw(lang, rates[i], train_size, seen)
-        test[lang] = draw(lang, rates[i], test_size, seen)
-    return MultilingualData(TaskKind.SEQUENCE_TAGGING, train, test)
+    return _draw(TaskKind.SEQUENCE_TAGGING, langs, train_size, test_size, make_sentence)
 
 
 _NOUNS = 24
@@ -219,11 +205,8 @@ def synth_parsing(languages, train_size, test_size, overlap, seed) -> Multilingu
     lex.add_group("verb", _VERBS)
     lex.add_group("adj", _ADJS)
     lex.add_group("det", _DETS)
-    counter = 0
-    train: dict[str, list[Instance]] = {}
-    test: dict[str, list[Instance]] = {}
 
-    def make_tree(lang):
+    def make_tree(i, lang):
         tokens: list[str] = []
         upos: list[str] = []
         heads: list[int] = []
@@ -257,27 +240,9 @@ def synth_parsing(languages, train_size, test_size, overlap, seed) -> Multilingu
         for pos in noun_positions:
             heads[pos - 1] = verb_pos
         heads[verb_pos - 1] = 0
-        return tuple(tokens), tuple(upos), tuple(heads), tuple(labels)
+        return DepTree(tuple(tokens), tuple(upos), tuple(heads), tuple(labels))
 
-    def draw(lang, count, seen):
-        nonlocal counter
-        out = []
-        while len(out) < count:
-            tokens, upos, heads, labels = make_tree(lang)
-            key = (tokens, heads, labels)
-            if key in seen:
-                continue
-            seen.add(key)
-            payload = DepTree(tokens, upos, heads, labels)
-            out.append(Instance(counter, lang, payload, len(tokens)))
-            counter += 1
-        return out
-
-    for lang in langs:
-        seen: set = set()
-        train[lang] = draw(lang, train_size, seen)
-        test[lang] = draw(lang, test_size, seen)
-    return MultilingualData(TaskKind.DEPENDENCY_PARSING, train, test)
+    return _draw(TaskKind.DEPENDENCY_PARSING, langs, train_size, test_size, make_tree)
 
 
 def synth_dataset(task: TaskKind, languages, train_size, test_size, overlap, seed) -> MultilingualData:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -368,6 +370,49 @@ class TestRunCommand:
         skipped = [line.split()[1] for line in lines if line.startswith("skip ")]
         assert len(finished) == 2 and skipped == finished
 
+    def test_pool_has_at_most_one_worker_per_pending_cell(self, tmp_path, monkeypatch):
+        config_path = _small_config(tmp_path / "corpus")
+        workers = []
+
+        class InlineExecutor:
+            """Records its size and runs each submitted cell in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        serial = tmp_path / "serial"
+        assert main(["run", "--config", str(config_path), "--out", str(serial)]) == 0
+        assert workers == []
+        pooled = tmp_path / "pooled"
+        assert main(["run", "--config", str(config_path), "--jobs", "64", "--out", str(pooled)]) == 0
+        assert workers == [4]
+        assert _tree_bytes(pooled) == _tree_bytes(serial)
+        # one pending cell left: no pool at all
+        (pooled / "results" / "sma.lc.al.jsonl").unlink()
+        assert main(["run", "--config", str(config_path), "--jobs", "64", "--out", str(pooled)]) == 0
+        assert workers == [4]
+        assert _tree_bytes(pooled) == _tree_bytes(serial)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        config_path = _small_config(tmp_path / "corpus")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--jobs", jobs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --jobs must be at least 1")
+        assert not out.exists()
+
     def test_invalid_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -441,8 +486,18 @@ class TestReportCommand:
     def test_curriculum_command(self, finished_run):
         assert main(["curriculum", "--out", str(finished_run)]) == 0
 
-    def test_report_on_empty_dir(self, tmp_path):
-        assert main(["report", "--out", str(tmp_path)]) == 1
+    def test_report_and_curriculum_write_identical_curriculum_csv(self, finished_run):
+        path = finished_run / "curriculum.csv"
+        assert main(["report", "--out", str(finished_run)]) == 0
+        from_report = path.read_bytes()
+        path.unlink()
+        assert main(["curriculum", "--out", str(finished_run)]) == 0
+        assert path.read_bytes() == from_report
+
+    @pytest.mark.parametrize("command", ["report", "curriculum"])
+    def test_report_on_empty_dir(self, tmp_path, capsys, command):
+        assert main([command, "--out", str(tmp_path)]) == 1
+        assert "no results found" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -487,6 +542,24 @@ class TestSynthCommand:
         assert rc == 1
         assert "invalid language code 'AA'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("task, digest", [
+        ("classification", "78c82b314f471d51365419e49dcbc16ab1b5aac5859e8a78f96260315a1ff2c7"),
+        ("tagging", "2be5bdea37207057fd5a47340fcbd3450697ba109b65d06f4213d48f718f9b2b"),
+        ("parsing", "f2d3e147b9b78c242e64dc74515e45ce92d563fa67fa766bdc8c2ad10504b22f"),
+    ])
+    def test_output_bytes_pinned(self, tmp_path, task, digest):
+        # every file synth writes (corpora and config.json), hashed by name
+        # and content; a change here changes every downstream result
+        rc = main([
+            "synth", "--task", task, "--languages", "bb,aa", "--train-size", "40",
+            "--test-size", "10", "--seed", "3", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        sha = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            sha.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert sha.hexdigest() == digest
 
     def test_tagging_and_parsing_files_reparse(self, tmp_path):
         for task, ext, reader in (

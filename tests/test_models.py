@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lingalloc.corpus import ClassificationText, DepTree, Instance, TaggedSentence
-from lingalloc.errors import ConfigError, FormatError, ModelStateError
+from lingalloc.errors import ConfigError, ModelStateError
 from lingalloc.graph import Arborescence, tree_log_prob
 from lingalloc.models import (
     DependencyParser,
@@ -19,10 +19,8 @@ from lingalloc.models import (
     featurize_text,
     featurize_tokens,
     hash_features,
-    load_checkpoint,
     parser_objective,
     run_epochs,
-    save_checkpoint,
 )
 from lingalloc.tasks import TaskKind
 
@@ -400,38 +398,6 @@ class TestDependencyParser:
         assert np.array_equal(a.arc_weights, b.arc_weights)
         assert np.array_equal(a.label_weights, b.label_weights)
         assert score_a == 1.0  # tiny treebank with one template is learnable
-
-
-class TestCheckpoints:
-    def test_classifier_round_trip(self, tmp_path):
-        model = TextClassifier(SPACE)
-        model.fit(SEPARABLE, SEPARABLE, FAST)
-        path = tmp_path / "clf.json"
-        save_checkpoint(model, path)
-        back = load_checkpoint(path)
-        inst = text_instance(0, "yes good")
-        assert np.array_equal(back.predict_proba(inst), model.predict_proba(inst))
-
-    def test_parser_round_trip(self, tmp_path):
-        insts = _parse_fixture()
-        model = DependencyParser(SPACE)
-        model.fit(insts, insts, FAST)
-        path = tmp_path / "parser.json"
-        save_checkpoint(model, path)
-        back = load_checkpoint(path)
-        assert back.decode_tree(insts[0]) == model.decode_tree(insts[0])
-
-    def test_version_checked(self, tmp_path):
-        model = TextClassifier.with_zero_weights(SPACE, ("a", "b"))
-        path = tmp_path / "clf.json"
-        save_checkpoint(model, path)
-        import json
-
-        payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
 
 
 class TestBuildModel:
