@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Check that two checkouts write byte-identical outputs.
+
+    python scripts/compare_outputs.py A B
+
+A and B are checkout roots, each with a `src/lingalloc`. For classification,
+tagging and parsing, each checkout's own CLI runs `synth`, then `run --jobs 1`
+and `run --jobs 2` into two output directories, then `report` and
+`curriculum` on both. Every file written is then compared between A and B;
+the manifest's timestamp is left out. Exits 1 and lists the files that
+differ, or that only one side wrote; exits 0 when all are identical.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+LANGUAGES = "aa,bb,cc"
+# task -> (train instances per language, budget): every MonoA pool holds its
+# seed, validation and acquisition budgets, so no AL arm copies its random arm
+SIZES = {"classification": (200, 60), "tagging": (80, 120), "parsing": (60, 80)}
+TEST_SIZE = 20
+TRAINING = {"learning_rates": [0.5], "max_epochs": 4, "patience": 2}
+
+
+def _cli(root: Path, *args: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    subprocess.run(
+        [sys.executable, "-m", "lingalloc.cli", *args],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+
+
+def produce(root: Path, work: Path) -> None:
+    """Every output of one checkout for all three tasks, under `work`."""
+    for task, (train, budget) in SIZES.items():
+        corpus = work / task
+        _cli(root, "synth", "--task", task, "--languages", LANGUAGES, "--train-size", str(train),
+             "--test-size", str(TEST_SIZE), "--budget", str(budget), "--out", str(corpus))
+        config_path = corpus / "config.json"
+        config = json.loads(config_path.read_text())
+        config.update(replicates=2, training=TRAINING)
+        config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+        for jobs in ("1", "2"):
+            out = str(corpus / f"jobs{jobs}")
+            _cli(root, "run", "--config", str(config_path), "--jobs", jobs, "--out", out)
+            _cli(root, "report", "--out", out)
+            _cli(root, "curriculum", "--out", out)
+
+
+def _contents(path: Path) -> bytes:
+    if path.name == "manifest.json":
+        manifest = json.loads(path.read_text())
+        manifest.pop("timestamp", None)
+        return json.dumps(manifest, sort_keys=True).encode()
+    return path.read_bytes()
+
+
+def _files(work: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(work)): _contents(p) for p in sorted(work.rglob("*")) if p.is_file()}
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    roots = [Path(arg).resolve() for arg in sys.argv[1:]]
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = []
+        for side, root in zip("AB", roots):
+            work = Path(tmp) / side
+            produce(root, work)
+            trees.append(_files(work))
+    a, b = trees
+    differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(a.keys() | b.keys()) - len(differ)} files identical, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -54,7 +54,7 @@ from .experiment import (
 )
 from .models import FeatureSpace, TrainingConfig
 from .synth import synth_dataset
-from .tasks import MetricReport, TaskKind
+from .tasks import TaskKind
 
 MANIFEST_VERSION = 1
 
@@ -479,17 +479,6 @@ def _write_manifest(out: Path, manifest: dict) -> None:
     _atomic_write(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _reconstruct_rounds(records: list[dict], task: TaskKind) -> list[RoundResult]:
-    out = []
-    for rec in sorted(records, key=lambda r: r["round"]):
-        report = MetricReport(task, rec["metrics"], rec["counts"])
-        out.append(
-            RoundResult(rec["round"], report, rec["spend"], rec["validation"],
-                        tuple(rec["warnings"]))
-        )
-    return out
-
-
 def _read_cell_records(out: Path) -> dict[str, list[dict]]:
     """Every result record under `out`, grouped by cell; raises if there is none."""
     records: dict[str, list[dict]] = {}
@@ -515,22 +504,15 @@ def _format_float(value: float) -> str:
 
 def write_summary(out: Path, records: dict[str, list[dict]]) -> Path:
     """Aggregate every cell into one CSV: a row per setting, metric x AL columns."""
-    # each task reports its own metric names (see MetricReport)
-    metrics = next(iter(next(iter(records.values()))[0]["metrics"].values()))
-    if "accuracy" in metrics:
-        task = TaskKind.CLASSIFICATION
-    else:
-        task = TaskKind.SEQUENCE_TAGGING if "f1" in metrics else TaskKind.DEPENDENCY_PARSING
     by_setting: dict[str, dict[bool, list]] = {}
     metric_names: set[str] = set()
     for recs in records.values():
         setting_label = _setting_label(recs[0])
-        replicates = sorted({r["replicate"] for r in recs})
-        rounds_by_rep = [
-            _reconstruct_rounds([r for r in recs if r["replicate"] == rep], task)
-            for rep in replicates
-        ]
-        agg = aggregate(rounds_by_rep)
+        in_order = sorted(recs, key=lambda r: r["round"])
+        agg = aggregate([
+            [r["metrics"] for r in in_order if r["replicate"] == rep]
+            for rep in sorted({r["replicate"] for r in recs})
+        ])
         metric_names.update(agg.mean)
         by_setting.setdefault(setting_label, {})[recs[0]["al"]] = agg
     names = sorted(metric_names)
@@ -586,51 +568,50 @@ def write_plot_data(out: Path, records: dict[str, list[dict]]) -> Path:
 
 
 def write_curriculum_csv(out: Path, records: dict[str, list[dict]], tolerance: float = 1e-9) -> Path:
-    """Per-round acquisition-share CSV; the share identity is re-checked here."""
+    """Per-round acquisition-share CSV; the share identity is re-checked here.
+
+    Rows come from each result replicate's `logs/<cell>.rep<k>.curriculum.json`,
+    so the sidecar of a cell without results is never read.
+    """
     rows = ["setting,al_flag,replicate,round,language,alpha,relative_difference,metric,value"]
-    out_rows = []
-    logs_dir = out / "logs"
-    metric_lookup: dict[tuple, dict] = {}
-    for key, recs in records.items():
-        for rec in recs:
-            for lang, metrics in rec["metrics"].items():
-                metric_lookup[(key, rec["replicate"], rec["round"], lang)] = metrics
-    for path in sorted(logs_dir.glob("*.curriculum.json")) if logs_dir.is_dir() else []:
-        name = path.name[: -len(".curriculum.json")]
-        key, _, rep_part = name.rpartition(".rep")
-        replicate = int(rep_part)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        report = CurriculumReport(
-            payload["alphas"],
-            {int(k): v for k, v in payload["acquired"].items()},
-            {int(k): v for k, v in payload["relative_difference"].items()},
-            payload["per_round_budget"],
-        )
-        recs = records.get(key, [])
-        al_flag = "al" if recs and recs[0]["al"] else "noal"
-        setting_label = _setting_label(recs[0]) if recs else key
-        for round_idx in sorted(report.relative_difference):
-            gap = report.identity_gap(round_idx)
-            if gap > tolerance:
-                raise ConfigError(
-                    f"{path.name}: acquisition-share identity violated at round "
-                    f"{round_idx} (gap {gap:.3e})"
-                )
-            for lang in sorted(report.alphas):
-                metrics = metric_lookup.get((key, replicate, round_idx, lang), {})
-                if metrics:
-                    metric, value = sorted(metrics.items())[0]
-                    metric_cell = f"{metric},{_format_float(value)}"
-                else:
-                    metric_cell = ","
-                out_rows.append(
-                    f"{setting_label},{al_flag},{replicate},{round_idx},{lang},"
-                    f"{_format_float(report.alphas[lang])},"
-                    f"{_format_float(report.relative_difference[round_idx][lang])},"
-                    f"{metric_cell}"
-                )
+    for key in sorted(records):
+        recs = records[key]
+        setting_label = _setting_label(recs[0])
+        al_flag = "al" if recs[0]["al"] else "noal"
+        metric_lookup = {(r["replicate"], r["round"]): r["metrics"] for r in recs}
+        for replicate in sorted({r["replicate"] for r in recs}):
+            path = out / "logs" / f"{key}.rep{replicate}.curriculum.json"
+            if not path.is_file():
+                continue
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            report = CurriculumReport(
+                payload["alphas"],
+                {int(k): v for k, v in payload["acquired"].items()},
+                {int(k): v for k, v in payload["relative_difference"].items()},
+                payload["per_round_budget"],
+            )
+            for round_idx in sorted(report.relative_difference):
+                gap = report.identity_gap(round_idx)
+                if gap > tolerance:
+                    raise ConfigError(
+                        f"{path.name}: acquisition-share identity violated at round "
+                        f"{round_idx} (gap {gap:.3e})"
+                    )
+                for lang in sorted(report.alphas):
+                    metrics = metric_lookup.get((replicate, round_idx), {}).get(lang)
+                    if metrics:
+                        metric, value = sorted(metrics.items())[0]
+                        metric_cell = f"{metric},{_format_float(value)}"
+                    else:
+                        metric_cell = ","
+                    rows.append(
+                        f"{setting_label},{al_flag},{replicate},{round_idx},{lang},"
+                        f"{_format_float(report.alphas[lang])},"
+                        f"{_format_float(report.relative_difference[round_idx][lang])},"
+                        f"{metric_cell}"
+                    )
     path = out / "curriculum.csv"
-    _atomic_write(path, "\n".join(rows + out_rows) + "\n")
+    _atomic_write(path, "\n".join(rows) + "\n")
     return path
 
 
@@ -745,7 +726,14 @@ _SYNTH_WRITERS = {
 def cmd_synth(args) -> int:
     task = _TASK_NAMES[args.task]
     languages = sorted(args.languages.split(","))
-    data = synth_dataset(task, languages, args.train_size, args.test_size, args.overlap, args.seed)
+    # checked as `validate` checks them, before anything is written
+    seed = _top_integer("seed", args.seed)
+    settings = _default_settings(task, languages)
+    spec = BudgetSpec(args.budget, args.budget, args.budget)
+    for entry in settings:
+        family, strategy = _FAMILY_NAMES[entry["kind"]], _STRATEGY_NAMES[entry["strategy"]]
+        allocate(Setting(family, strategy, True, entry.get("source")), spec, languages)
+    data = synth_dataset(task, languages, args.train_size, args.test_size, args.overlap, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ext = _SYNTH_EXT[task]
@@ -761,10 +749,10 @@ def cmd_synth(args) -> int:
         "task": task.value,
         "languages": languages,
         "data": paths,
-        "settings": _default_settings(task, languages),
+        "settings": settings,
         "budget": {"seed": args.budget},
         "replicates": 1,
-        "seed": args.seed,
+        "seed": seed,
         "output_dir": "runs",
     }
     config_path = out / "config.json"

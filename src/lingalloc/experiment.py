@@ -387,25 +387,24 @@ class AggregateReport:
     stddev: dict[str, float]
 
 
-def _replicate_mean(rounds: Sequence[RoundResult], metric: str) -> float:
-    values = [
-        metrics[metric]
-        for result in rounds
-        for metrics in result.report.per_language.values()
-    ]
+def _replicate_mean(rounds: Sequence[Mapping[str, Mapping[str, float]]], metric: str) -> float:
+    values = [metrics[metric] for per_language in rounds for metrics in per_language.values()]
     return float(np.mean(values))
 
 
-def aggregate(replicates: Sequence[Sequence[RoundResult]]) -> AggregateReport:
-    """Mean over rounds and languages per replicate, then mean +- sample stddev."""
+def aggregate(replicates: Sequence[Sequence[Mapping[str, Mapping[str, float]]]]) -> AggregateReport:
+    """Mean over rounds and languages per replicate, then mean +- sample stddev.
+
+    A replicate is its rounds' `MetricReport.per_language` dicts, in round order.
+    """
     if not replicates:
         raise ConfigError("need at least one replicate")
     metric_names = sorted(
         {
             name
             for rounds in replicates
-            for result in rounds
-            for metrics in result.report.per_language.values()
+            for per_language in rounds
+            for metrics in per_language.values()
             for name in metrics
         }
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -494,39 +494,6 @@ def parser_objective(arc_w: np.ndarray, label_w: np.ndarray, sentences, l2: floa
     return arc_objective(arc_w, label_w, arcs, sizes, gold, labels, l2)
 
 
-def run_epochs(
-    state,
-    epoch_fn: Callable,
-    eval_fn: Callable,
-    max_epochs: int,
-    patience: int,
-    copy_fn: Callable,
-):
-    """Run training epochs with patience-based early stopping.
-
-    After each epoch the validation score is computed; training stops once
-    `patience` consecutive epochs fail to improve on the best score (or at
-    `max_epochs`). Returns (best state, best score, epochs run).
-    """
-    best_state = None
-    best_score = -np.inf
-    bad = 0
-    epochs_run = 0
-    for epoch in range(1, max_epochs + 1):
-        state = epoch_fn(state, epoch)
-        score = eval_fn(state)
-        epochs_run = epoch
-        if score > best_score:
-            best_score = score
-            best_state = copy_fn(state)
-            bad = 0
-        else:
-            bad += 1
-        if bad >= patience:
-            break
-    return best_state, best_score, epochs_run
-
-
 @dataclass(frozen=True)
 class FitInfo:
     """What a `fit` found: the winning learning rate and, per learning rate,
@@ -541,33 +508,37 @@ class FitInfo:
         return self.validation[self.learning_rate]
 
 
-def _train(init, step, eval_fn, n_examples: int, config: TrainingConfig, copy_fn=np.copy):
+def _train(init, step, eval_fn, n_examples: int, config: TrainingConfig):
     """Train once per learning rate (ascending) and keep the best validation score.
 
     Every epoch visits the examples in a fresh permutation, in mini-batches;
-    `step(state, batch_positions, scale)` applies one batch's update, where
-    `scale` is the learning rate over the batch size. Returns the best state
-    and a `FitInfo`.
+    `step(weights, batch_positions, scale)` applies one batch's update in
+    place, where `scale` is the learning rate over the batch size. After each
+    epoch the validation score is computed; a learning rate's run stops once
+    `patience` consecutive epochs fail to improve on its best score, or at
+    `max_epochs`. Returns the best weights and a `FitInfo`.
     """
     best = None
     validation: dict[float, float] = {}
     epochs: dict[float, int] = {}
     for lr in sorted(config.learning_rates):
         rng = np.random.default_rng(config.rng_seed)
-
-        def epoch_fn(state, _epoch):
+        weights, kept, score, bad = init(), None, -np.inf, 0
+        for epoch in range(1, config.max_epochs + 1):
             order = rng.permutation(n_examples)
             for start in range(0, n_examples, config.batch_size):
                 batch = order[start : start + config.batch_size]
-                step(state, batch, lr / len(batch))
-            return state
-
-        state, score, epochs[lr] = run_epochs(
-            init(), epoch_fn, eval_fn, config.max_epochs, config.patience, copy_fn
-        )
-        validation[lr] = score
+                step(weights, batch, lr / len(batch))
+            value = eval_fn(weights)
+            if value > score:
+                kept, score, bad = weights.copy(), value, 0
+            else:
+                bad += 1
+                if bad >= config.patience:
+                    break
+        validation[lr], epochs[lr] = score, epoch
         if best is None or score > best[1]:
-            best = (state, score, lr)
+            best = (kept, score, lr)
     return best[0], FitInfo(best[2], validation, epochs)
 
 
@@ -575,13 +546,25 @@ class _ModelBase:
     task: TaskKind
     kind: str  # the feature kind of the cache
     chunk: int  # instances per prediction pass, which bounds its transient arrays
+    _arc_rows = 0  # weight rows ahead of the vocabulary's: the parser's arc scorer
 
-    def __init__(self, space: FeatureSpace):
+    def __init__(self, space: FeatureSpace, vocab: Sequence[str] | None = None):
         self.space = space
+        self.vocab = tuple(vocab) if vocab is not None else None
+        self.weights: np.ndarray | None = None
         self.fit_info: FitInfo | None = None
 
+    def _zeros(self, vocab) -> np.ndarray:
+        return np.zeros((self._arc_rows + len(vocab), self.space.hash_dimension))
+
+    @classmethod
+    def with_zero_weights(cls, space: FeatureSpace, vocab: Sequence[str]):
+        model = cls(space, vocab)
+        model.weights = model._zeros(model.vocab)
+        return model
+
     def _require_trained(self):
-        if getattr(self, "weights", None) is None:
+        if self.weights is None:
             raise ModelStateError("model has no weights; train it or set them explicitly")
 
     def _features(self, payloads) -> tuple[Rows, list[int]]:
@@ -606,17 +589,6 @@ class _SoftmaxModel(_ModelBase):
     `perfbench/tracer.py` wraps them in each class's own namespace.
     """
 
-    def __init__(self, space: FeatureSpace, vocab: Sequence[str] | None = None):
-        super().__init__(space)
-        self.vocab = tuple(vocab) if vocab is not None else None
-        self.weights: np.ndarray | None = None
-
-    @classmethod
-    def with_zero_weights(cls, space: FeatureSpace, vocab: Sequence[str]):
-        model = cls(space, vocab)
-        model.weights = np.zeros((len(model.vocab), space.hash_dimension))
-        return model
-
     def _fit(self, labeled, validation, config: TrainingConfig) -> float:
         if not labeled or not validation:
             raise ConfigError("need non-empty labeled and validation sets")
@@ -638,11 +610,8 @@ class _SoftmaxModel(_ModelBase):
             best = [vocab[k] for k in logits(weights, val_rows).argmax(axis=1).tolist()]
             return self._metric(_split(best, val_counts), val_gold)
 
-        weights, self.fit_info = _train(
-            lambda: np.zeros((len(vocab), self.space.hash_dimension)), step, eval_fn, rows.n, config
-        )
+        self.weights, self.fit_info = _train(lambda: self._zeros(vocab), step, eval_fn, rows.n, config)
         self.vocab = vocab
-        self.weights = weights
         return self.fit_info.score
 
     def _probas(self, instances: Sequence[Instance]) -> list[np.ndarray]:
@@ -738,28 +707,17 @@ class DependencyParser(_ModelBase):
 
     A sentence of n tokens has n candidate arcs per dependent (every head
     but itself), stored as n*n rows: dependent-major, heads ascending.
+    Weight row 0 scores arcs; rows 1.. classify an arc's label.
     """
 
     task = TaskKind.DEPENDENCY_PARSING
     kind = "arcs"
     chunk = 16
-
-    def __init__(self, space: FeatureSpace, labels: Sequence[str] | None = None):
-        super().__init__(space)
-        self.labels = tuple(labels) if labels is not None else None
-        self.arc_weights: np.ndarray | None = None
-        self.label_weights: np.ndarray | None = None
+    _arc_rows = 1
 
     @property
-    def weights(self):
-        return self.arc_weights
-
-    @classmethod
-    def with_zero_weights(cls, space: FeatureSpace, labels: Sequence[str]):
-        model = cls(space, labels)
-        model.arc_weights = np.zeros(space.hash_dimension)
-        model.label_weights = np.zeros((len(model.labels), space.hash_dimension))
-        return model
+    def labels(self):
+        return self.vocab
 
     def _sentence_examples(self, payload: DepTree, label_index):
         """One sentence as (arc groups, label examples) for `parser_objective`."""
@@ -795,29 +753,21 @@ class DependencyParser(_ModelBase):
         val_gold = [i.payload for i in validation]
         val_arcs, _ = self._features(val_gold)
 
-        def step(state, batch, scale):
-            arc_w, label_w = state
+        def step(weights, batch, scale):
             n = lengths[batch]
             deps = _ranges(first_dep[batch], n)
             _, g_arc, g_label = arc_objective(
-                arc_w, label_w, arcs.take(_ranges(first_arc[batch], n * n)),
+                weights[0], weights[1:], arcs.take(_ranges(first_arc[batch], n * n)),
                 np.repeat(n, n), gold[deps], gold_labels[deps], config.l2,
             )
-            arc_w += scale * g_arc
-            label_w += scale * g_label
+            weights[0] += scale * g_arc
+            weights[1:] += scale * g_label
 
-        def eval_fn(state):
-            return attachment_scores(self._decode(*state, labels, val_gold, val_arcs), val_gold).las
+        def eval_fn(weights):
+            return attachment_scores(self._decode(weights, labels, val_gold, val_arcs), val_gold).las
 
-        dim = self.space.hash_dimension
-        (arc_w, label_w), self.fit_info = _train(
-            lambda: (np.zeros(dim), np.zeros((len(labels), dim))),
-            step, eval_fn, len(trees), config,
-            copy_fn=lambda state: (state[0].copy(), state[1].copy()),
-        )
-        self.labels = labels
-        self.arc_weights = arc_w
-        self.label_weights = label_w
+        self.weights, self.fit_info = _train(lambda: self._zeros(labels), step, eval_fn, len(trees), config)
+        self.vocab = labels
         return self.fit_info.score
 
     def _head_log_probs(self, arc_w, payloads, arcs: Rows) -> list[np.ndarray]:
@@ -831,16 +781,16 @@ class DependencyParser(_ModelBase):
             out.append(matrix)
         return out
 
-    def _decode(self, arc_w, label_w, labels, payloads, arcs: Rows) -> list[DepTree]:
+    def _decode(self, weights, labels, payloads, arcs: Rows) -> list[DepTree]:
         heads = [
             chu_liu_edmonds(ArcScores(m)).heads
-            for m in self._head_log_probs(arc_w, payloads, arcs)
+            for m in self._head_log_probs(weights[0], payloads, arcs)
         ]
         rows = []
         for tree_heads, first in zip(heads, np.cumsum([0] + [len(h) ** 2 for h in heads]).tolist()):
             n = len(tree_heads)
             rows += [first + (d - 1) * n + _candidate(h, d) for d, h in enumerate(tree_heads, 1)]
-        best = [labels[k] for k in logits(label_w, arcs.take(rows)).argmax(axis=1).tolist()]
+        best = [labels[k] for k in logits(weights[1:], arcs.take(rows)).argmax(axis=1).tolist()]
         return [
             DepTree(p.tokens, p.upos, tree_heads, tuple(pred))
             for p, tree_heads, pred in zip(payloads, heads, _split(best, [len(h) for h in heads]))
@@ -849,7 +799,7 @@ class DependencyParser(_ModelBase):
     def head_log_probs_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
         """Per instance, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
         return self._in_chunks(
-            lambda payloads, arcs, _: self._head_log_probs(self.arc_weights, payloads, arcs),
+            lambda payloads, arcs, _: self._head_log_probs(self.weights[0], payloads, arcs),
             instances,
         )
 
@@ -863,18 +813,15 @@ class DependencyParser(_ModelBase):
         payload = instance.payload
         n = len(payload.tokens)
         arcs, _ = self._features([payload])
-        head_probs = np.exp(self._head_log_probs(self.arc_weights, [payload], arcs)[0])
+        head_probs = np.exp(self._head_log_probs(self.weights[0], [payload], arcs)[0])
         label_probs = np.zeros((n + 1, n, len(self.labels)))
-        label_probs[_candidate_grid(n)] = softmax(logits(self.label_weights, arcs)).reshape(n, n, -1)
+        label_probs[_candidate_grid(n)] = softmax(logits(self.weights[1:], arcs)).reshape(n, n, -1)
         return head_probs, label_probs
 
     def decode_tree_batch(self, instances: Sequence[Instance]) -> list[DepTree]:
         """Best single-root tree per instance under the head softmax, with argmax arc labels."""
         return self._in_chunks(
-            lambda payloads, arcs, _: self._decode(
-                self.arc_weights, self.label_weights, self.labels, payloads, arcs
-            ),
-            instances,
+            lambda payloads, arcs, _: self._decode(self.weights, self.labels, payloads, arcs), instances
         )
 
     def decode_tree(self, instance: Instance) -> DepTree:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -469,9 +470,7 @@ class TestReportCommand:
         records = cli._read_cell_records(finished_run)
         recs = records["sma.lc.al"]
         rounds = [
-            cli._reconstruct_rounds(
-                [r for r in recs if r["replicate"] == rep], TaskKind.CLASSIFICATION
-            )
+            [r["metrics"] for r in sorted(recs, key=lambda r: r["round"]) if r["replicate"] == rep]
             for rep in (0, 1)
         ]
         expected = aggregate(rounds)
@@ -493,6 +492,19 @@ class TestReportCommand:
         path.unlink()
         assert main(["curriculum", "--out", str(finished_run)]) == 0
         assert path.read_bytes() == from_report
+
+    def test_curriculum_skips_sidecars_of_cells_without_results(self, finished_run, tmp_path):
+        # a cell that failed after writing a sidecar has no results file
+        assert main(["curriculum", "--out", str(finished_run)]) == 0
+        full = (finished_run / "curriculum.csv").read_text().splitlines()
+        out = tmp_path / "out"
+        shutil.copytree(finished_run, out)
+        (out / "results" / "sma.lc.al.jsonl").unlink()
+        assert (out / "logs" / "sma.lc.al.rep0.curriculum.json").is_file()
+        assert main(["curriculum", "--out", str(out)]) == 0
+        expected = [row for row in full if not row.startswith("sma:lc,al,")]
+        assert len(expected) < len(full)
+        assert (out / "curriculum.csv").read_text().splitlines() == expected
 
     @pytest.mark.parametrize("command", ["report", "curriculum"])
     def test_report_on_empty_dir(self, tmp_path, capsys, command):
@@ -541,6 +553,20 @@ class TestSynthCommand:
         )
         assert rc == 1
         assert "invalid language code 'AA'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--seed", "-1", "seed: must be an integer >= 0, got -1"),
+        ("--budget", "0", "budgets must be positive"),
+    ], ids=["seed", "budget"])
+    def test_invalid_seed_or_budget_writes_nothing(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "corpus"
+        rc = main([
+            "synth", "--task", "classification", "--languages", "aa,bb",
+            "--train-size", "20", "--test-size", "5", option, value, "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("task, digest", [

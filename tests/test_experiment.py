@@ -6,7 +6,6 @@ from lingalloc.errors import ConfigError
 from lingalloc.experiment import (
     AcquisitionEvent,
     BudgetSpec,
-    RoundResult,
     Setting,
     SettingFamily,
     aggregate,
@@ -263,7 +262,7 @@ def _fake_rounds(metric_value, rounds=2, langs=("aa", "bb")):
         report = MetricReport(TaskKind.CLASSIFICATION)
         for lang in langs:
             report.add_classification(lang, int(metric_value * 100), 100)
-        out.append(RoundResult(r, report, {l: 0 for l in langs}, {"m": 0.0}))
+        out.append(report.per_language)
     return out
 
 
@@ -280,7 +279,10 @@ class TestAggregate:
 
     def test_recomputable_from_round_results(self, small_data):
         plan = allocate(sma(), SPEC, small_data.languages)
-        replicates = [run_rounds(plan, small_data, FAST, SPACE, rng_seed=s)[0] for s in (1, 2)]
+        replicates = [
+            [result.report.per_language for result in run_rounds(plan, small_data, FAST, SPACE, rng_seed=s)[0]]
+            for s in (1, 2)
+        ]
         first = aggregate(replicates)
         second = aggregate(replicates)
         assert first == second

@@ -20,7 +20,7 @@ from lingalloc.models import (
     featurize_tokens,
     hash_features,
     parser_objective,
-    run_epochs,
+    _train,
 )
 from lingalloc.tasks import TaskKind
 
@@ -171,28 +171,29 @@ class TestObjectiveGradients:
             self._check(f, flat, grad_flat, active_arc[:20] + active_label[:20])
 
 
-class TestRunEpochs:
+class TestTrainLoop:
+    """`_train` with one example and batch size 1, so one step per epoch; the
+    state is a one-entry array counting the epochs run."""
+
+    @staticmethod
+    def _run(eval_fn, max_epochs, patience):
+        def step(state, batch, scale):
+            state += 1
+
+        config = TrainingConfig(learning_rates=(0.5,), batch_size=1, max_epochs=max_epochs, patience=patience)
+        state, info = _train(lambda: np.zeros(1), step, eval_fn, 1, config)
+        return int(state[0]), info
+
     def test_early_stopping_returns_best_epoch(self):
         scripted = [0.5, 0.6, 0.6, 0.6, 0.6]
-
-        def epoch_fn(state, epoch):
-            return epoch
-
-        def eval_fn(state):
-            return scripted[state - 1]
-
-        best_state, best_score, epochs_run = run_epochs(
-            0, epoch_fn, eval_fn, max_epochs=5, patience=2, copy_fn=lambda s: s
-        )
-        assert epochs_run == 4
+        best_state, info = self._run(lambda state: scripted[int(state[0]) - 1], max_epochs=5, patience=2)
+        assert info.epochs_run == {0.5: 4}
         assert best_state == 2
-        assert best_score == 0.6
+        assert info.score == 0.6
 
     def test_runs_to_cap_when_improving(self):
-        best_state, best_score, epochs_run = run_epochs(
-            0, lambda s, e: e, lambda s: float(s), max_epochs=3, patience=3, copy_fn=lambda s: s
-        )
-        assert epochs_run == 3
+        best_state, info = self._run(lambda state: float(state[0]), max_epochs=3, patience=3)
+        assert info.epochs_run == {0.5: 3}
         assert best_state == 3
 
 
@@ -341,7 +342,7 @@ class TestDependencyParser:
     def test_probability_columns_normalized(self):
         rng = np.random.default_rng(9)
         model = DependencyParser.with_zero_weights(SPACE, ("a", "b"))
-        model.arc_weights = rng.normal(0, 0.3, SPACE.hash_dimension)
+        model.weights[0] = rng.normal(0, 0.3, SPACE.hash_dimension)
         inst = tree_instance(0, ("x", "yy", "zzz"), ("A", "B", "C"), (0, 1, 2), ("a", "b", "a"))
         head_probs, label_probs = model.predict_arc_probas(inst)
         assert np.allclose(head_probs.sum(axis=0), 1.0, atol=1e-9)
@@ -354,12 +355,12 @@ class TestDependencyParser:
     def test_known_weights_match_hand_softmax(self):
         rng = np.random.default_rng(21)
         model = DependencyParser.with_zero_weights(SPACE, ("a",))
-        model.arc_weights = rng.normal(0, 0.4, SPACE.hash_dimension)
+        model.weights[0] = rng.normal(0, 0.4, SPACE.hash_dimension)
         inst = tree_instance(0, ("foo", "bar"), ("N", "V"), (0, 1), ("a", "a"))
         zs = []
         for h in (0, 2):  # candidates for dependent 1
             idx, vals = featurize_arc(("foo", "bar"), ("N", "V"), h, 1, SPACE)
-            zs.append(sum(model.arc_weights[int(i)] * float(v) for i, v in zip(idx, vals)))
+            zs.append(sum(model.weights[0, int(i)] * float(v) for i, v in zip(idx, vals)))
         denom = math.exp(zs[0]) + math.exp(zs[1])
         expected = [math.exp(z) / denom for z in zs]
         head_probs, _ = model.predict_arc_probas(inst)
@@ -379,7 +380,7 @@ class TestDependencyParser:
     def test_decode_matches_enumeration(self):
         rng = np.random.default_rng(33)
         model = DependencyParser.with_zero_weights(SPACE, ("a",))
-        model.arc_weights = rng.normal(0, 0.5, SPACE.hash_dimension)
+        model.weights[0] = rng.normal(0, 0.5, SPACE.hash_dimension)
         inst = tree_instance(0, ("uno", "dos", "tres"), ("A", "B", "C"), (0, 1, 1), ("a", "a", "a"))
         head_probs, _ = model.predict_arc_probas(inst)
         with np.errstate(divide="ignore"):
@@ -395,12 +396,21 @@ class TestDependencyParser:
         score_a = a.fit(insts, insts, FAST)
         score_b = b.fit(insts, insts, FAST)
         assert score_a == score_b
-        assert np.array_equal(a.arc_weights, b.arc_weights)
-        assert np.array_equal(a.label_weights, b.label_weights)
+        assert np.array_equal(a.weights[0], b.weights[0])
+        assert np.array_equal(a.weights[1:], b.weights[1:])
         assert score_a == 1.0  # tiny treebank with one template is learnable
 
 
 class TestBuildModel:
+    @pytest.mark.parametrize(
+        "cls, rows", [(TextClassifier, 2), (SequenceTagger, 2), (DependencyParser, 3)]
+    )
+    def test_zero_weights_shape(self, cls, rows):
+        # the parser's arc scorer is row 0, ahead of one row per label
+        model = cls.with_zero_weights(SPACE, ("a", "b"))
+        assert model.weights.shape == (rows, SPACE.hash_dimension)
+        assert not model.weights.any()
+
     def test_dispatch(self):
         assert isinstance(build_model(TaskKind.CLASSIFICATION, SPACE), TextClassifier)
         assert isinstance(build_model(TaskKind.SEQUENCE_TAGGING, SPACE), SequenceTagger)
