@@ -6,9 +6,12 @@
 A and B are checkout roots, each with a `src/lingalloc`. For classification,
 tagging and parsing, each checkout's own CLI runs `synth`, then `run --jobs 1`
 and `run --jobs 2` into two output directories, then `report` and
-`curriculum` on both. Every file written is then compared between A and B;
-the manifest's timestamp is left out. Exits 1 and lists the files that
-differ, or that only one side wrote; exits 0 when all are identical.
+`curriculum` on both. Before those, the SMA setting's AL result file of the
+`--jobs 2` run is deleted and `run --jobs 2` resumes into the same
+directory, so the path that reruns one arm of a setting is compared too.
+Every file written is then compared between A and B; the manifest's
+timestamp is left out. Exits 1 and lists the files that differ, or that
+only one side wrote; exits 0 when all are identical.
 """
 
 import json
@@ -22,6 +25,7 @@ LANGUAGES = "aa,bb,cc"
 # task -> (train instances per language, budget): every MonoA pool holds its
 # seed, validation and acquisition budgets, so no AL arm copies its random arm
 SIZES = {"classification": (200, 60), "tagging": (80, 120), "parsing": (60, 80)}
+STRATEGY = {"classification": "lc", "tagging": "mnlp", "parsing": "nlpdt"}
 TEST_SIZE = 20
 TRAINING = {"learning_rates": [0.5], "max_epochs": 4, "patience": 2}
 
@@ -47,6 +51,10 @@ def produce(root: Path, work: Path) -> None:
         for jobs in ("1", "2"):
             out = str(corpus / f"jobs{jobs}")
             _cli(root, "run", "--config", str(config_path), "--jobs", jobs, "--out", out)
+            if jobs == "2":
+                # resume with one setting's AL arm pending and its random arm done
+                (Path(out) / "results" / f"sma.{STRATEGY[task]}.al.jsonl").unlink()
+                _cli(root, "run", "--config", str(config_path), "--jobs", jobs, "--out", out)
             _cli(root, "report", "--out", out)
             _cli(root, "curriculum", "--out", out)
 

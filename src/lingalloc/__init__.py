@@ -32,6 +32,7 @@ from .experiment import (
     allocate,
     curriculum,
     initial_composition,
+    run_arms,
     run_rounds,
 )
 from .graph import Arborescence, ArcScores, chu_liu_edmonds, log_partition, tree_log_prob

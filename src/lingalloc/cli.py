@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 Result files are written atomically (temp file + rename) and contain no
 timestamps, so reruns with the same config and seed are byte-identical; the
 only timestamp lives in the run manifest, which also lets an interrupted run
-resume by skipping completed cells.
+resume by skipping completed cells, and refuses to resume under another
+config or other data.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -50,13 +52,13 @@ from .experiment import (
     allocate,
     curriculum,
     initial_composition,
-    run_rounds,
+    run_arms,
 )
 from .models import FeatureSpace, TrainingConfig
 from .synth import synth_dataset
 from .tasks import TaskKind
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 _TASK_NAMES = {t.value: t for t in TaskKind}
 _STRATEGY_NAMES = {s.value: s for s in StrategyKind}
@@ -358,24 +360,31 @@ def load_data(config: ExperimentConfig) -> MultilingualData:
 # ---------------------------------------------------------------------------
 
 
-def _cell_key(setting: Setting, with_al: bool) -> str:
-    return f"{setting.label}.{setting.strategy.value}.{'al' if with_al else 'noal'}"
+def _setting_key(setting: Setting) -> str:
+    return f"{setting.label}.{setting.strategy.value}"
 
 
-def _cells(config: ExperimentConfig) -> list[dict]:
-    cells = []
+def _tasks(config: ExperimentConfig) -> list[dict]:
+    """One task per setting: its key and its (setting, AL flag) cells, AL first.
+
+    Settings whose models train on every language come before the one-source
+    MonoA settings, so that the cheap tasks fill the end of a pool's run.
+    """
+    tasks = []
     for setting in config.settings:
-        for with_al in (True, False):
-            cells.append(
-                {
-                    "key": _cell_key(setting, with_al),
-                    "kind": setting.family.value,
-                    "strategy": setting.strategy.value,
-                    "source": setting.source,
-                    "al": with_al,
-                }
-            )
-    return sorted(cells, key=lambda c: c["key"])
+        key = _setting_key(setting)
+        cells = [
+            {
+                "key": f"{key}.{'al' if with_al else 'noal'}",
+                "kind": setting.family.value,
+                "strategy": setting.strategy.value,
+                "source": setting.source,
+                "al": with_al,
+            }
+            for with_al in (True, False)
+        ]
+        tasks.append({"key": key, "cells": cells})
+    return sorted(tasks, key=lambda t: (t["cells"][0]["kind"] == "monoa", t["key"]))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -407,71 +416,118 @@ def _round_record(cell: dict, replicate: int, result: RoundResult) -> dict:
     }
 
 
-def run_cell(config: ExperimentConfig, cell: dict, out_dir: str) -> str:
-    """Execute one (setting, AL flag) cell for all replicates and write files."""
-    data = load_data(config)
+# The corpus of the run in progress. `cmd_run` loads it once; a pool worker
+# receives it once, through the pool's initializer, so no task re-reads the
+# files or carries the data.
+_loaded: MultilingualData | None = None
+
+
+def _keep_corpus(data: MultilingualData | None) -> None:
+    global _loaded
+    _loaded = data
+
+
+def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
+    """Execute one task from `_tasks` for all replicates and write its cells' files.
+
+    The task's cells are arms of one setting and share its round 0. Returns
+    the keys of the cells written.
+    """
+    data = _loaded
+    assert data is not None, "run_cell runs only inside _task_runs"
+    cells = task["cells"]
+    first = cells[0]
     setting = Setting(
-        _FAMILY_NAMES[cell["kind"]],
-        _STRATEGY_NAMES[cell["strategy"]],
-        cell["al"],
-        cell["source"],
+        _FAMILY_NAMES[first["kind"]], _STRATEGY_NAMES[first["strategy"]], True, first["source"]
     )
     plan = allocate(setting, config.budget, config.languages)
+    per_round_total = sum(
+        mp.acq_budget // plan.spec.acquisition_rounds for mp in plan.models
+    ) if plan.spec.acquisition_rounds else 0
     out = Path(out_dir)
-    lines = []
+    lines: dict[str, list[str]] = {cell["key"]: [] for cell in cells}
     for replicate in range(config.replicates):
         rng_seed = config.seed + replicate
-        results, events = run_rounds(plan, data, config.training, config.feature_space, rng_seed)
-        for result in results:
-            lines.append(
-                json.dumps(_round_record(cell, replicate, result), sort_keys=True,
-                           separators=(",", ":"))
-            )
-        log_lines = ["round,instance_id,language,cost,score,strategy"]
-        log_lines.extend(
-            f"{e.round},{e.instance_id},{e.language},{e.cost},{e.score!r},{e.strategy}"
-            for e in events
-        )
-        _atomic_write(
-            out / "logs" / f"{cell['key']}.rep{replicate}.acquisition.csv",
-            "\n".join(log_lines) + "\n",
-        )
-        per_round_total = sum(
-            mp.acq_budget // plan.spec.acquisition_rounds for mp in plan.models
-        ) if plan.spec.acquisition_rounds else 0
-        if events and per_round_total >= 1:
-            composition = initial_composition(plan, data, rng_seed)
-            report = curriculum(events, composition, per_round_total)
-            _atomic_write(
-                out / "logs" / f"{cell['key']}.rep{replicate}.curriculum.json",
-                json.dumps(
-                    {
-                        "alphas": report.alphas,
-                        "acquired": {str(k): v for k, v in report.acquired.items()},
-                        "relative_difference": {
-                            str(k): v for k, v in report.relative_difference.items()
-                        },
-                        "per_round_budget": report.per_round_budget,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
+        runs = run_arms(plan, data, config.training, config.feature_space, rng_seed,
+                        [cell["al"] for cell in cells])
+        composition = None
+        for cell in cells:
+            results, events = runs[cell["al"]]
+            for result in results:
+                lines[cell["key"]].append(
+                    json.dumps(_round_record(cell, replicate, result), sort_keys=True,
+                               separators=(",", ":"))
                 )
-                + "\n",
+            log_lines = ["round,instance_id,language,cost,score,strategy"]
+            log_lines.extend(
+                f"{e.round},{e.instance_id},{e.language},{e.cost},{e.score!r},{e.strategy}"
+                for e in events
             )
-    _atomic_write(out / "results" / f"{cell['key']}.jsonl", "\n".join(lines) + "\n")
-    return cell["key"]
+            _atomic_write(
+                out / "logs" / f"{cell['key']}.rep{replicate}.acquisition.csv",
+                "\n".join(log_lines) + "\n",
+            )
+            if events and per_round_total >= 1:
+                if composition is None:
+                    composition = initial_composition(plan, data, rng_seed)
+                report = curriculum(events, composition, per_round_total)
+                _atomic_write(
+                    out / "logs" / f"{cell['key']}.rep{replicate}.curriculum.json",
+                    json.dumps(
+                        {
+                            "alphas": report.alphas,
+                            "acquired": {str(k): v for k, v in report.acquired.items()},
+                            "relative_difference": {
+                                str(k): v for k, v in report.relative_difference.items()
+                            },
+                            "per_round_budget": report.per_round_budget,
+                        },
+                        sort_keys=True,
+                        separators=(",", ":"),
+                    )
+                    + "\n",
+                )
+    for key, records in lines.items():
+        _atomic_write(out / "results" / f"{key}.jsonl", "\n".join(records) + "\n")
+    return [cell["key"] for cell in cells]
 
 
-def _load_manifest(out: Path) -> dict:
+def _config_digest(config: ExperimentConfig) -> str:
+    """SHA-256 of what a run's results depend on.
+
+    That is the effective config (seed overrides included, the output
+    directory left out) with each data path replaced by its file's SHA-256,
+    so a moved corpus keeps its digest and an edited one does not.
+    """
+    echo = config.to_json_dict()
+    del echo["output_dir"]
+    echo["data"] = {
+        lang: {split: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for split, path in paths.items()}
+        for lang, paths in echo["data"].items()
+    }
+    return hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()
+
+
+def _load_manifest(out: Path, digest: str) -> dict:
+    """The manifest under `out`, or a fresh one if none of this version is there.
+
+    Raises ConfigError if it was written for a config with another digest.
+    """
     manifest_path = out / "manifest.json"
     if manifest_path.is_file():
         try:
             loaded = json.loads(manifest_path.read_text(encoding="utf-8"))
-            if loaded.get("version") == MANIFEST_VERSION:
-                return loaded
         except json.JSONDecodeError:
-            pass
-    return {"version": MANIFEST_VERSION, "cells": {}}
+            loaded = {}
+        if loaded.get("version") == MANIFEST_VERSION:
+            if loaded.get("config_digest") != digest:
+                raise ConfigError(
+                    f"{manifest_path} belongs to a run with another config or other data; "
+                    "run into a new output directory"
+                )
+            return loaded
+    return {"version": MANIFEST_VERSION, "config_digest": digest, "cells": {}}
 
 
 def _write_manifest(out: Path, manifest: dict) -> None:
@@ -615,29 +671,64 @@ def write_curriculum_csv(out: Path, records: dict[str, list[dict]], tolerance: f
     return path
 
 
+def _pool_warnings(config: ExperimentConfig, data: MultilingualData) -> list[str]:
+    """One line per model whose budgets need more than its training pool holds.
+
+    The need is the seed and validation budgets plus what the acquisition
+    rounds can spend; the pool is the cost of the model's languages' training
+    instances after dedup and length filtering.
+    """
+    spec = config.budget
+    rounds = spec.acquisition_rounds
+    warnings = []
+    for setting in config.settings:
+        for mp in allocate(setting, spec, config.languages).models:
+            acquisition = mp.acq_budget // rounds * rounds if rounds else 0
+            need = mp.seed_budget + mp.val_budget + acquisition
+            available = sum(i.cost for lang in mp.languages for i in data.train[lang])
+            if need > available:
+                warnings.append(
+                    f"{_setting_key(setting)}: model {mp.key} needs {need} {spec.unit.value}s "
+                    f"(seed {mp.seed_budget} + validation {mp.val_budget} + acquisition "
+                    f"{acquisition}) but its training pool holds {available}"
+                )
+    return warnings
+
+
 def cmd_validate(args) -> int:
     config, errors = validate_config(args.config)
     if errors:
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
         return 1
+    for warning in _pool_warnings(config, load_data(config)):
+        print(f"warning: {warning}", file=sys.stderr)
     print(json.dumps(config.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
 
-def _cell_runs(config: ExperimentConfig, cells: list[dict], out: str, jobs: int):
-    """Yield (cell, call) in the order the cells finish.
+def _task_runs(config: ExperimentConfig, data: MultilingualData, tasks: list[dict], out: str,
+               jobs: int):
+    """Yield (task, call) in the order the tasks finish.
 
-    `call()` returns the cell's key or raises the cell's error. With more than
-    one job the cells run in a process pool with at most one worker per cell.
+    `call()` returns the task's cell keys or raises the task's error. With
+    more than one job the tasks run in a process pool with at most one worker
+    per task; each worker receives `data` once, when it starts.
     """
-    workers = min(jobs, len(cells))
+    workers = min(jobs, len(tasks))
     if workers < 2:
-        for cell in cells:
-            yield cell, functools.partial(run_cell, config, cell, out)
+        _keep_corpus(data)
+        try:
+            for task in tasks:
+                yield task, functools.partial(run_cell, config, task, out)
+        finally:
+            _keep_corpus(None)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(run_cell, config, cell, out): cell for cell in cells}
+    # this process keeps no corpus of its own here, so a worker has one only
+    # through the initializer, whether the pool forks or spawns it
+    with ProcessPoolExecutor(max_workers=workers, initializer=_keep_corpus,
+                             initargs=(data,)) as pool:
+        futures = {pool.submit(run_cell, config, task, out): task for task in tasks}
         for future in as_completed(futures):
             yield futures[future], future.result
 
@@ -658,32 +749,39 @@ def cmd_run(args) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
     out = Path(config.output_dir)
+    # checked before anything is written
+    manifest = _load_manifest(out, _config_digest(config))
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _load_manifest(out)
-    cells = _cells(config)
-    pending = []
-    for cell in cells:
-        status = manifest["cells"].get(cell["key"], {})
-        done = status.get("status") == "complete" and (
-            out / "results" / f"{cell['key']}.jsonl"
-        ).is_file()
-        if done:
-            print(f"skip {cell['key']} (complete per manifest)")
-        else:
-            pending.append(cell)
+    tasks = []
+    for task in _tasks(config):
+        pending = []
+        for cell in task["cells"]:
+            status = manifest["cells"].get(cell["key"], {})
+            done = status.get("status") == "complete" and (
+                out / "results" / f"{cell['key']}.jsonl"
+            ).is_file()
+            if done:
+                print(f"skip {cell['key']} (complete per manifest)")
+            else:
+                pending.append(cell)
+        if pending:
+            tasks.append({**task, "cells": pending})
     failures: list[str] = []
+    data = load_data(config) if tasks else None
     # closing shuts the pool down even when an interrupt escapes the loop
-    with contextlib.closing(_cell_runs(config, pending, str(out), args.jobs)) as runs:
-        for cell, call in runs:
+    with contextlib.closing(_task_runs(config, data, tasks, str(out), args.jobs)) as runs:
+        for task, call in runs:
             try:
                 call()
-            except Exception as exc:  # noqa: BLE001 - cell failures must not kill siblings
-                failures.append(f"{cell['key']}: {exc}")
-                manifest["cells"][cell["key"]] = {"status": "incomplete"}
+            except Exception as exc:  # noqa: BLE001 - task failures must not kill siblings
+                for cell in task["cells"]:
+                    failures.append(f"{cell['key']}: {exc}")
+                    manifest["cells"][cell["key"]] = {"status": "incomplete"}
             else:
-                manifest["cells"][cell["key"]] = {"status": "complete"}
-                print(f"done {cell['key']}")
-            # the manifest is rewritten after every cell so that an interrupted
+                for cell in task["cells"]:
+                    manifest["cells"][cell["key"]] = {"status": "complete"}
+                    print(f"done {cell['key']}")
+            # the manifest is rewritten after every task so that an interrupted
             # run resumes from the last finished one
             _write_manifest(out, manifest)
     if not failures:

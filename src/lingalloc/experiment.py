@@ -224,35 +224,64 @@ def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> 
     return pools
 
 
-def run_rounds(
+def _fit_and_evaluate(plan, pools, data, training_config, feature_space, rng_seed, round_idx):
+    """Retrain every model from scratch on its labeled pool; test every eval language."""
+    models, validation = [], {}
+    report = MetricReport(data.task)
+    for mp, pool in zip(plan.models, pools):
+        model = build_model(data.task, feature_space)
+        cfg = replace(training_config, rng_seed=_derive_seed(rng_seed, mp.index, 1, round_idx))
+        validation[mp.key] = model.fit(
+            sorted(pool.labeled.values(), key=lambda x: x.id),
+            sorted(pool.validation.values(), key=lambda x: x.id),
+            cfg,
+        )
+        models.append(model)
+        partial = _predict_metrics(model, data.task, data.test, mp.eval_languages)
+        report.per_language.update(partial.per_language)
+        report.counts.update(partial.counts)
+    return models, validation, report
+
+
+def run_arms(
     plan: AllocationPlan,
     data: MultilingualData,
     training_config: TrainingConfig,
     feature_space: FeatureSpace,
     rng_seed: int,
-) -> tuple[list[RoundResult], list[AcquisitionEvent]]:
-    """Execute the full protocol for one setting.
+    arms: Sequence[bool],
+) -> dict[bool, tuple[list[RoundResult], list[AcquisitionEvent]]]:
+    """Execute the full protocol for one setting, with and/or without AL.
 
-    Round 0 trains every model on its sampled seed and evaluates; each later
-    round scores that model's unlabeled pool, selects a batch within the
-    per-round budget, reveals it, retrains from scratch, and re-evaluates.
-    Identical (plan, data, config, seed) inputs reproduce identical results.
+    Round 0 trains every model on its sampled seed and evaluates. Neither the
+    pools nor the seeds it draws depend on AL, so it runs once and every arm
+    in `arms` (True: the setting's strategy, False: random) starts from it
+    with its own copy of the pools. Each later round scores that model's
+    unlabeled pool, selects a batch within the per-round budget, reveals it,
+    retrains from scratch, and re-evaluates. `plan.setting.with_al` is not
+    read. Identical (plan, data, config, seed) inputs reproduce identical
+    results, whichever arms run together.
     """
-    setting = plan.setting
     spec = plan.spec
     pools = _draw_pools(plan, data, rng_seed)
-    results: list[RoundResult] = []
-    events: list[AcquisitionEvent] = []
-    models: list = [None] * len(plan.models)
-    for round_idx in range(spec.rounds):
-        spend = {lang: 0 for lang in data.languages}
-        warnings: list[str] = []
-        if round_idx > 0:
-            for mp, pool, model in zip(plan.models, pools, models):
+    first_models, validation, report = _fit_and_evaluate(
+        plan, pools, data, training_config, feature_space, rng_seed, 0
+    )
+    first = RoundResult(0, report, {lang: 0 for lang in data.languages}, validation)
+    runs = {}
+    for with_al in arms:
+        strategy = plan.setting.strategy if with_al else StrategyKind.RANDOM
+        arm_pools = [Pool(p.labeled.values(), p.unlabeled.values(), p.validation.values())
+                     for p in pools]
+        models = first_models
+        results, events = [first], []
+        for round_idx in range(1, spec.rounds):
+            spend = {lang: 0 for lang in data.languages}
+            warnings: list[str] = []
+            for mp, pool, model in zip(plan.models, arm_pools, models):
                 per_round = mp.acq_budget // spec.acquisition_rounds
                 if per_round < 1:
                     continue
-                strategy = setting.strategy if setting.with_al else StrategyKind.RANDOM
                 round_rng = np.random.default_rng(
                     _derive_seed(rng_seed, mp.index, 2, round_idx)
                 )
@@ -276,32 +305,30 @@ def run_rounds(
                         f"model {mp.key}: unlabeled pool exhausted at round {round_idx} "
                         f"(spent {spent} of {per_round})"
                     )
-        validation: dict[str, float] = {}
-        for i, (mp, pool) in enumerate(zip(plan.models, pools)):
-            model = build_model(data.task, feature_space)
-            cfg = replace(training_config, rng_seed=_derive_seed(rng_seed, mp.index, 1, round_idx))
-            score = model.fit(
-                sorted(pool.labeled.values(), key=lambda x: x.id),
-                sorted(pool.validation.values(), key=lambda x: x.id),
-                cfg,
+            models, validation, report = _fit_and_evaluate(
+                plan, arm_pools, data, training_config, feature_space, rng_seed, round_idx
             )
-            models[i] = model
-            validation[mp.key] = score
-        report = MetricReport(data.task)
-        for mp, model in zip(plan.models, models):
-            partial = _predict_metrics(model, data.task, data.test, mp.eval_languages)
-            report.per_language.update(partial.per_language)
-            report.counts.update(partial.counts)
-        results.append(
-            RoundResult(round_idx, report, spend, validation, tuple(warnings))
-        )
-    return results, events
+            results.append(RoundResult(round_idx, report, spend, validation, tuple(warnings)))
+        runs[with_al] = (results, events)
+    return runs
+
+
+def run_rounds(
+    plan: AllocationPlan,
+    data: MultilingualData,
+    training_config: TrainingConfig,
+    feature_space: FeatureSpace,
+    rng_seed: int,
+) -> tuple[list[RoundResult], list[AcquisitionEvent]]:
+    """Execute the full protocol for one setting, AL or not per `plan.setting.with_al`."""
+    with_al = plan.setting.with_al
+    return run_arms(plan, data, training_config, feature_space, rng_seed, (with_al,))[with_al]
 
 
 def initial_composition(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> dict[str, int]:
     """Cost per language of the initial labeled+unlabeled pools of a run.
 
-    Redraws the pools `run_rounds` starts from, then counts everything except
+    Redraws the pools `run_arms` starts from, then counts everything except
     the validation partition. This is the share denominator the curriculum
     analysis uses.
     """

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 from concurrent.futures import Future
 from pathlib import Path
@@ -225,6 +226,20 @@ class TestValidateConfig:
         assert main(["validate", "--config", str(bad)]) == 1
 
 
+    @pytest.mark.parametrize("train_size, warned", [(120, ["aa", "bb", "cc"]), (240, [])])
+    def test_validate_warns_when_a_pool_is_too_small(self, tmp_path, capsys, train_size, warned):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--task", "classification", "--languages", "aa,bb,cc",
+                     "--train-size", str(train_size), "--budget", "60", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--config", str(out / "config.json")]) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        # a MonoA model needs seed 60 + validation 60 + acquisition 60 from one language
+        assert [line.split()[1] for line in lines] == [f"monoa-{lang}.lc:" for lang in warned]
+        assert all(line.startswith("warning: ") and "needs 180 instances" in line for line in lines)
+        assert json.loads(captured.out)["task"] == "classification"
+
 class TestLoadData:
     def test_loads_and_filters(self, tmp_path):
         config_path = _small_config(tmp_path / "corpus")
@@ -310,26 +325,29 @@ class TestRunCommand:
         config_path = _small_config(tmp_path / "corpus")
         out = tmp_path / "out"
 
-        def failing(config_dict, cell, out_dir):
-            if cell["key"] == "sma.lc.al":
+        def failing(config_dict, task, out_dir):
+            if task["key"] == "sma.lc":
                 raise RuntimeError("injected failure")
-            return run_cell(config_dict, cell, out_dir)
+            return run_cell(config_dict, task, out_dir)
 
         monkeypatch.setattr(cli, "run_cell", failing)
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["cells"]["sma.lc.al"]["status"] == "incomplete"
-        assert manifest["cells"]["mma.lc.al"]["status"] == "complete"
-        assert (out / "results" / "mma.lc.al.jsonl").is_file()
+        statuses = {key: entry["status"] for key, entry in manifest["cells"].items()}
+        # only the failing setting's arms are incomplete
+        assert statuses == {"sma.lc.al": "incomplete", "sma.lc.noal": "incomplete",
+                            "mma.lc.al": "complete", "mma.lc.noal": "complete"}
+        assert sorted(p.name for p in (out / "results").iterdir()) == [
+            "mma.lc.al.jsonl", "mma.lc.noal.jsonl"]
 
     def test_resume_skips_completed_cells(self, tmp_path, monkeypatch):
         config_path = _small_config(tmp_path / "corpus")
         out = tmp_path / "out"
 
-        def failing(config_dict, cell, out_dir):
-            if cell["key"] == "sma.lc.al":
+        def failing(config_dict, task, out_dir):
+            if task["key"] == "sma.lc":
                 raise RuntimeError("injected failure")
-            return run_cell(config_dict, cell, out_dir)
+            return run_cell(config_dict, task, out_dir)
 
         monkeypatch.setattr(cli, "run_cell", failing)
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
@@ -337,15 +355,38 @@ class TestRunCommand:
 
         calls = []
 
-        def counting(config_dict, cell, out_dir):
-            calls.append(cell["key"])
-            return run_cell(config_dict, cell, out_dir)
+        def counting(config_dict, task, out_dir):
+            calls.append([cell["key"] for cell in task["cells"]])
+            return run_cell(config_dict, task, out_dir)
 
         monkeypatch.setattr(cli, "run_cell", counting)
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-        assert calls == ["sma.lc.al"]
+        # exactly the incomplete arms, in one task
+        assert calls == [["sma.lc.al", "sma.lc.noal"]]
         fresh = tmp_path / "fresh"
         monkeypatch.undo()
+        assert main(["run", "--config", str(config_path), "--out", str(fresh)]) == 0
+        assert _tree_bytes(out) == _tree_bytes(fresh)
+
+    def test_resume_with_only_the_random_arm_pending(self, tmp_path, monkeypatch, capsys):
+        config_path = _small_config(tmp_path / "corpus")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        (out / "results" / "sma.lc.noal.jsonl").unlink()
+        calls = []
+
+        def counting(config_dict, task, out_dir):
+            calls.append([cell["key"] for cell in task["cells"]])
+            return run_cell(config_dict, task, out_dir)
+
+        monkeypatch.setattr(cli, "run_cell", counting)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path), "--jobs", "2", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert calls == [["sma.lc.noal"]]
+        assert [line for line in lines if line.startswith("done ")] == ["done sma.lc.noal"]
+        monkeypatch.undo()
+        fresh = tmp_path / "fresh"
         assert main(["run", "--config", str(config_path), "--out", str(fresh)]) == 0
         assert _tree_bytes(out) == _tree_bytes(fresh)
 
@@ -354,12 +395,12 @@ class TestRunCommand:
         out = tmp_path / "out"
         finished = []
 
-        def interrupted(config, cell, out_dir):
-            if len(finished) == 2:
+        def interrupted(config, task, out_dir):
+            if finished:
                 raise KeyboardInterrupt
-            key = run_cell(config, cell, out_dir)
-            finished.append(key)
-            return key
+            keys = run_cell(config, task, out_dir)
+            finished.extend(keys)
+            return keys
 
         monkeypatch.setattr(cli, "run_cell", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -369,17 +410,21 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
         skipped = [line.split()[1] for line in lines if line.startswith("skip ")]
-        assert len(finished) == 2 and skipped == finished
+        done = [line.split()[1] for line in lines if line.startswith("done ")]
+        # one task (both arms of one setting) finished before the interrupt
+        assert finished == ["mma.lc.al", "mma.lc.noal"] and skipped == finished
+        assert done == ["sma.lc.al", "sma.lc.noal"]
 
     def test_pool_has_at_most_one_worker_per_pending_cell(self, tmp_path, monkeypatch):
         config_path = _small_config(tmp_path / "corpus")
         workers = []
 
         class InlineExecutor:
-            """Records its size and runs each submitted cell in this process."""
+            """Records its size and runs each submitted task in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 workers.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -393,18 +438,73 @@ class TestRunCommand:
                 return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        # the inline initializer sets this process's corpus; drop it afterwards
+        monkeypatch.setattr(cli, "_loaded", None)
         serial = tmp_path / "serial"
         assert main(["run", "--config", str(config_path), "--out", str(serial)]) == 0
         assert workers == []
         pooled = tmp_path / "pooled"
+        # four cells, two settings: one worker per setting
         assert main(["run", "--config", str(config_path), "--jobs", "64", "--out", str(pooled)]) == 0
-        assert workers == [4]
+        assert workers == [2]
         assert _tree_bytes(pooled) == _tree_bytes(serial)
+        # one pending cell in each setting: two tasks
+        (pooled / "results" / "sma.lc.al.jsonl").unlink()
+        (pooled / "results" / "mma.lc.noal.jsonl").unlink()
+        assert main(["run", "--config", str(config_path), "--jobs", "64", "--out", str(pooled)]) == 0
+        assert workers == [2, 2]
         # one pending cell left: no pool at all
         (pooled / "results" / "sma.lc.al.jsonl").unlink()
         assert main(["run", "--config", str(config_path), "--jobs", "64", "--out", str(pooled)]) == 0
-        assert workers == [4]
+        assert workers == [2, 2]
         assert _tree_bytes(pooled) == _tree_bytes(serial)
+
+    def test_corpus_is_read_once_per_run(self, tmp_path, monkeypatch):
+        config_path = _small_config(tmp_path / "corpus")
+        paths = []
+        ingest = cli.ingest_tsv_classification
+
+        def counting(path, *args, **kwargs):
+            paths.append(str(path))
+            return ingest(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest_tsv_classification", counting)
+        assert main(["run", "--config", str(config_path), "--jobs", "1",
+                     "--out", str(tmp_path / "serial")]) == 0
+        assert len(paths) == 4 and len(set(paths)) == 4  # aa, bb x train, test
+        # pool workers are forked with this process's patches; none may load
+        parent = os.getpid()
+        load = cli.load_data
+
+        def parent_only(config):
+            if os.getpid() != parent:
+                raise RuntimeError("a pool worker loaded the corpus")
+            return load(config)
+
+        monkeypatch.setattr(cli, "load_data", parent_only)
+        assert main(["run", "--config", str(config_path), "--jobs", "2",
+                     "--out", str(tmp_path / "pooled")]) == 0
+        assert len(paths) == 8
+        assert _tree_bytes(tmp_path / "pooled") == _tree_bytes(tmp_path / "serial")
+
+    @pytest.mark.parametrize("change", ["seed", "data"])
+    def test_resume_under_another_config_refused(self, tmp_path, capsys, change):
+        config_path = _small_config(tmp_path / "corpus")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--seed", "1", "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        argv = ["run", "--config", str(config_path), "--seed", "1", "--out", str(out)]
+        if change == "seed":
+            argv[-3] = "2"
+        else:
+            train = tmp_path / "corpus" / "aa.train.tsv"
+            train.write_text("".join(train.read_text().splitlines(keepends=True)[:-1]))
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "another config" in captured.err
+        assert "skip" not in captured.out
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

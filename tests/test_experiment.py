@@ -12,6 +12,7 @@ from lingalloc.experiment import (
     allocate,
     curriculum,
     initial_composition,
+    run_arms,
     run_rounds,
 )
 from lingalloc.models import FeatureSpace, TrainingConfig
@@ -195,6 +196,41 @@ class TestRunRounds:
         results, events = run_rounds(plan, data, FAST, SPACE, rng_seed=1)
         assert all("las" in m for r in results for m in r.report.per_language.values())
         assert all(e.score <= 0.0 for e in events)  # log-prob based scores
+
+
+class TestRunArms:
+    @pytest.mark.parametrize(
+        "make_data, family, strategy, unit, budgets",
+        [
+            (lambda: synth_classification(["aa", "bb", "cc"], 150, 40, 0.5, seed=5),
+             SettingFamily.SMA, StrategyKind.LC, BudgetUnit.INSTANCE, (40, 30, 20)),
+            (lambda: synth_tagging(["aa", "bb"], 40, 10, 0.5, seed=3),
+             SettingFamily.MMA, StrategyKind.MNLP, BudgetUnit.TOKEN, (80, 60, 60)),
+            (lambda: synth_parsing(["aa", "bb"], 30, 8, 0.5, seed=3),
+             SettingFamily.MMA, StrategyKind.NLPDT, BudgetUnit.TOKEN, (60, 40, 40)),
+        ],
+        ids=["classification", "tagging", "parsing"],
+    )
+    def test_each_arm_equals_its_own_run(self, make_data, family, strategy, unit, budgets):
+        data = make_data()
+        spec = BudgetSpec(*budgets, rounds=3, unit=unit)
+        together = run_arms(allocate(Setting(family, strategy), spec, data.languages),
+                            data, FAST, SPACE, rng_seed=3, arms=(True, False))
+        assert sorted(together) == [False, True]
+        for with_al in (True, False):
+            plan = allocate(Setting(family, strategy, with_al), spec, data.languages)
+            alone = run_rounds(plan, data, FAST, SPACE, rng_seed=3)
+            # reports, spend, validation and warnings of every round, and the events
+            assert together[with_al] == alone
+            assert alone[1] and {e.strategy for e in alone[1]} == {
+                strategy.value if with_al else "random"}
+        # the arms share round 0 and part ways after it
+        assert together[True][0][0] == together[False][0][0]
+        assert together[True][1] != together[False][1]
+
+    def test_only_requested_arms_run(self, small_data):
+        plan = allocate(sma(), SPEC, small_data.languages)
+        assert list(run_arms(plan, small_data, FAST, SPACE, 1, (False,))) == [False]
 
 
 class TestCurriculum:
