@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Check that two checkouts write byte-identical outputs.
 
-    python scripts/compare_outputs.py A B
+    python scripts/compare_outputs.py A B [--seeds 0,1,2]
 
-A and B are checkout roots, each with a `src/lingalloc`. For classification,
-tagging and parsing, each checkout's own CLI runs `synth`, then `run --jobs 1`
+A and B are checkout roots, each with a `src/lingalloc`. For every seed
+(default: 0 alone) and for classification, tagging and parsing, each
+checkout's own CLI runs `synth --seed S`, then `run --jobs 1`
 and `run --jobs 2` into two output directories, then `report` and
 `curriculum` on both. Before those, the SMA setting's AL result file of the
 `--jobs 2` run is deleted and `run --jobs 2` resumes into the same
 directory, so the path that reruns one arm of a setting is compared too.
 Every file written is then compared between A and B; the manifest's
-timestamp is left out. Exits 1 and lists the files that differ, or that
-only one side wrote; exits 0 when all are identical.
+timestamp is left out. Prints each seed's count of identical files and the
+files that differ, or that only one side wrote. Exits 1 when any file of
+any seed differs, 0 when all are identical.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -38,12 +41,13 @@ def _cli(root: Path, *args: str) -> None:
     )
 
 
-def produce(root: Path, work: Path) -> None:
-    """Every output of one checkout for all three tasks, under `work`."""
+def produce(root: Path, work: Path, seed: int) -> None:
+    """Every output of one checkout for all three tasks on one seed, under `work`."""
     for task, (train, budget) in SIZES.items():
         corpus = work / task
         _cli(root, "synth", "--task", task, "--languages", LANGUAGES, "--train-size", str(train),
-             "--test-size", str(TEST_SIZE), "--budget", str(budget), "--out", str(corpus))
+             "--test-size", str(TEST_SIZE), "--budget", str(budget), "--seed", str(seed),
+             "--out", str(corpus))
         config_path = corpus / "config.json"
         config = json.loads(config_path.read_text())
         config.update(replicates=2, training=TRAINING)
@@ -72,22 +76,28 @@ def _files(work: Path) -> dict[str, bytes]:
 
 
 def main() -> int:
-    if len(sys.argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    roots = [Path(arg).resolve() for arg in sys.argv[1:]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("roots", nargs=2, type=Path, metavar="ROOT")
+    parser.add_argument("--seeds", default="0", help="comma-separated synth seeds")
+    args = parser.parse_args()
+    seeds = [int(seed) for seed in args.seeds.split(",")]
+    roots = [root.resolve() for root in args.roots]
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        trees = []
-        for side, root in zip("AB", roots):
-            work = Path(tmp) / side
-            produce(root, work)
-            trees.append(_files(work))
-    a, b = trees
-    differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
-    for name in differ:
-        print(f"differs: {name}")
-    print(f"{len(a.keys() | b.keys()) - len(differ)} files identical, {len(differ)} differ")
-    return 1 if differ else 0
+        for seed in seeds:
+            trees = []
+            for side, root in zip("AB", roots):
+                work = Path(tmp) / f"seed{seed}" / side
+                produce(root, work, seed)
+                trees.append(_files(work))
+            a, b = trees
+            differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+            for name in differ:
+                print(f"seed {seed}: differs: {name}")
+            print(f"seed {seed}: {len(a.keys() | b.keys()) - len(differ)} files identical, "
+                  f"{len(differ)} differ")
+            failed = failed or bool(differ)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

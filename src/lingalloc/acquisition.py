@@ -56,23 +56,34 @@ class AcquisitionScore:
             raise ScoringError(f"instance {self.instance_id}: score must be finite or -inf")
 
 
-def lc_score(distribution) -> float:
-    """Confidence of the predicted class: max probability, acquired ascending."""
-    dist = np.asarray(distribution, dtype=np.float64)
-    if dist.ndim != 1 or dist.size == 0 or (dist < 0).any() or abs(dist.sum() - 1.0) > 1e-6:
+def lc_scores(distributions) -> np.ndarray:
+    """Confidence of each row's predicted class: its max probability, acquired ascending."""
+    dist = np.asarray(distributions, dtype=np.float64)
+    if dist.ndim != 2 or dist.shape[1] == 0 or (dist < 0).any() or (abs(dist.sum(axis=1) - 1.0) > 1e-6).any():
         raise ScoringError("class distribution must be non-negative and sum to 1")
-    return float(dist.max())
+    return dist.max(axis=1)
+
+
+def lc_score(distribution) -> float:
+    """`lc_scores` of one distribution."""
+    return float(lc_scores(np.asarray(distribution, dtype=np.float64)[None])[0])
+
+
+def mnlp_scores(tag_distributions, counts: Sequence[int]) -> list[float]:
+    """Per sentence of `counts` consecutive token rows, the mean over its tokens
+    of the log probability of the argmax tag; the argmax is one row max over all."""
+    probas = np.asarray(tag_distributions, dtype=np.float64)
+    if probas.ndim != 2 or min(counts, default=1) < 1 or sum(counts) != len(probas):
+        raise ScoringError("need one tag distribution per token of a non-empty sentence")
+    confidences, ends = probas.max(axis=1), np.cumsum(counts).tolist()
+    sentences = [confidences[a:b] for a, b in zip([0] + ends, ends)]
+    return [float(np.log(c).mean()) if (c > 0).all() else float("-inf") for c in sentences]
 
 
 def mnlp_score(tag_distributions) -> float:
-    """Mean over tokens of the log probability of the argmax tag."""
+    """`mnlp_scores` of one sentence."""
     probas = np.asarray(tag_distributions, dtype=np.float64)
-    if probas.ndim != 2 or probas.shape[0] == 0:
-        raise ScoringError("need one tag distribution per token of a non-empty sentence")
-    confidences = probas.max(axis=1)
-    if (confidences <= 0).any():
-        return float("-inf")
-    return float(np.log(confidences).mean())
+    return mnlp_scores(probas, [len(probas) if probas.ndim == 2 else 0])[0]
 
 
 def nlpdt_score(
@@ -101,7 +112,8 @@ def nlpdt_score(
 
 def random_scores(instance_ids: Sequence[int], round_rng: np.random.Generator) -> dict[int, float]:
     """Uniform scores in [0, 1), drawn in ascending instance-id order."""
-    return {iid: float(round_rng.random()) for iid in sorted(instance_ids)}
+    ids = sorted(instance_ids)
+    return dict(zip(ids, round_rng.random(len(ids)).tolist()))
 
 
 def select_batch(

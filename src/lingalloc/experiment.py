@@ -23,8 +23,8 @@ import numpy as np
 from .acquisition import (
     AcquisitionScore,
     StrategyKind,
-    lc_score,
-    mnlp_score,
+    lc_scores,
+    mnlp_scores,
     nlpdt_score,
     random_scores,
     select_batch,
@@ -177,12 +177,11 @@ def _score_pool(model, task, instances, strategy, round_rng):
         raise ScoringError(f"strategy {strategy.value} incompatible with task {task.value}")
     ordered = sorted(instances, key=lambda i: i.id)
     if strategy is StrategyKind.RANDOM:
-        draws = random_scores([i.id for i in ordered], round_rng)
-        return [AcquisitionScore(i.id, draws[i.id], i.language, i.cost) for i in ordered]
-    if strategy is StrategyKind.LC:
-        values = [lc_score(p) for p in model.predict_proba_batch(ordered)]
+        values = list(random_scores([i.id for i in ordered], round_rng).values())
+    elif strategy is StrategyKind.LC:
+        values = lc_scores(model.predict_proba_batch(ordered)).tolist()
     elif strategy is StrategyKind.MNLP:
-        values = [mnlp_score(p) for p in model.predict_tag_probas_batch(ordered)]
+        values = mnlp_scores(*model.predict_tag_probas_batch(ordered))
     else:
         values = []
         for log_probs in model.head_log_probs_batch(ordered):

@@ -9,8 +9,11 @@ early stopping on the task metric.
 
 Features are computed once per process: the first time a model needs a
 text, a sentence's token windows or a sentence's arc candidates, they are
-hashed and packed as CSR rows (`Rows`); every later fit, validation pass,
-pool scoring and prediction over the same content slices those arrays.
+hashed and appended to one packed CSR store per kind (`FeatureCache`);
+every later fit, validation pass, pool scoring and prediction over the same
+content takes its rows from that store in one gather. Featurization and
+prediction run in passes of whole instances cut by a row budget per model
+(texts, tokens or candidate arcs), which bounds their transient arrays.
 Content not seen before is hashed in one batched pass per kind: the batch
 is encoded to UTF-8 once, every feature key is a byte span of it (an n-gram
 is found by its character offsets, with no string built for it; arc keys
@@ -21,7 +24,9 @@ indices are those of `zlib.crc32` per key, bit for bit. All three models
 run through one batched softmax layer over such rows. Its logits and
 gradients are scattered with `np.bincount`, which adds terms in row order,
 so a batch's gradient is bit for bit the sum of its examples' gradients
-taken one after another.
+taken one after another. Inference yields one (rows, vocabulary) matrix per
+call, from which predictions, pool scores and validation take whole-array
+argmaxes and maxima.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import numpy as np
 from .corpus import DepTree, Instance
 from .errors import ConfigError, ModelStateError
 from .graph import ArcScores, chu_liu_edmonds
-from .tasks import TaskKind, accuracy, attachment_scores, span_f1
+from .tasks import TaskKind, attachment_scores, span_f1
 
 ROOT_FORM = "<root>"
 ROOT_UPOS = "<root>"
@@ -157,14 +162,6 @@ def _counted(rows: np.ndarray, codes: np.ndarray, n_rows: int, dim: int):
     )
 
 
-def _blocks(counted, rows_per_item) -> list[tuple]:
-    """`_counted` output cut into one (row lengths, indices, counts) block per item."""
-    lengths, indices, data = counted
-    entry_ends = np.concatenate(([0], np.cumsum(lengths)))[np.cumsum(rows_per_item, dtype=np.int64)]
-    entries = np.diff(entry_ends, prepend=0)
-    return list(zip(_split(lengths, rows_per_item), _split(indices, entries), _split(data, entries)))
-
-
 def hash_features(keys: Sequence[str], dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Hash string features into (sorted indices, counts)."""
     codes = _crc32(*_key_spans(keys))
@@ -172,11 +169,10 @@ def hash_features(keys: Sequence[str], dim: int) -> tuple[np.ndarray, np.ndarray
     return indices.astype(np.int64), counts.astype(np.float64)
 
 
-def _text_blocks(texts: Sequence[str], space: FeatureSpace) -> list[tuple]:
+def _text_features(texts: Sequence[str], space: FeatureSpace) -> tuple:
     """One row per text: its character n-grams."""
     buf, rows, starts, sizes = _ngram_spans(texts, space.ngram_min, space.ngram_max)
-    counted = _counted(rows, _crc32(buf, starts, sizes), len(texts), space.hash_dimension)
-    return _blocks(counted, np.ones(len(texts), dtype=np.int64))
+    return _counted(rows, _crc32(buf, starts, sizes), len(texts), space.hash_dimension)
 
 
 # (the register after a window prefix, the offset from a word to the token
@@ -184,7 +180,7 @@ def _text_blocks(texts: Sequence[str], space: FeatureSpace) -> list[tuple]:
 _WINDOW = ((zlib.crc32(b"t:"), 0), (zlib.crc32(b"p:"), 1), (zlib.crc32(b"n:"), -1))
 
 
-def _token_blocks(sentences: Sequence[tuple], space: FeatureSpace) -> list[tuple]:
+def _token_features(sentences: Sequence[tuple], space: FeatureSpace) -> tuple:
     """One row per token: n-grams of the token ("t:"), of the token before it
     or "<s>" ("p:") and of the token after it or "</s>" ("n:")."""
     words = [w for tokens in sentences for w in ("<s>", *tokens, "</s>")]
@@ -204,18 +200,17 @@ def _token_blocks(sentences: Sequence[tuple], space: FeatureSpace) -> list[tuple
         inits.append(np.full(len(keep), init, dtype=np.uint32))
     grams = np.concatenate(grams)
     codes = _crc32(buf, starts[grams], sizes[grams], np.concatenate(inits))
-    counted = _counted(np.concatenate(rows), codes, n_rows, space.hash_dimension)
-    return _blocks(counted, n_tokens)
+    return _counted(np.concatenate(rows), codes, n_rows, space.hash_dimension)
 
 
 def featurize_text(text: str, space: FeatureSpace):
-    (_, indices, data), = _text_blocks([text], space)
+    _, indices, data = _text_features([text], space)
     return indices.astype(np.int64), data.astype(np.float64)
 
 
 def featurize_tokens(tokens: Sequence[str], space: FeatureSpace):
     """One vector per token: n-grams of the token and its window-1 neighbors."""
-    (lengths, indices, data), = _token_blocks([tokens], space)
+    lengths, indices, data = _token_features([tokens], space)
     return [
         (i.astype(np.int64), v.astype(np.float64))
         for i, v in zip(_split(indices, lengths), _split(data, lengths))
@@ -326,7 +321,7 @@ class Rows:
         return Rows.stack(lengths, self.indices[pos], self.data[pos])
 
 
-def _arc_blocks(sentences: Sequence[tuple], space: FeatureSpace) -> list[tuple]:
+def _arc_features(sentences: Sequence[tuple], space: FeatureSpace) -> tuple:
     """n*n rows per (tokens, upos) sentence, one per candidate arc: dependent-major, heads ascending."""
     arcs = [
         arc_feature_keys(tokens, upos, h, d)
@@ -337,21 +332,87 @@ def _arc_blocks(sentences: Sequence[tuple], space: FeatureSpace) -> list[tuple]:
     ]
     keys = [key for arc in arcs for key in arc]
     rows = np.repeat(np.arange(len(arcs)), [len(arc) for arc in arcs])
-    counted = _counted(rows, _crc32(*_key_spans(keys)), len(arcs), space.hash_dimension)
-    return _blocks(counted, [len(tokens) ** 2 for tokens, _ in sentences])
+    return _counted(rows, _crc32(*_key_spans(keys)), len(arcs), space.hash_dimension)
 
 
-# kind -> (the cache key of a payload, the batch featurizer of such keys)
+# kind -> (the cache key of a payload, the number of rows of a key, the batch
+# featurizer of such keys)
 _FEATURIZERS = {
-    "text": (lambda p: p.text, _text_blocks),
-    "tokens": (lambda p: p.tokens, _token_blocks),
-    "arcs": (lambda p: (p.tokens, p.upos), _arc_blocks),
+    "text": (lambda p: p.text, lambda key: 1, _text_features),
+    "tokens": (lambda p: p.tokens, len, _token_features),
+    "arcs": (lambda p: (p.tokens, p.upos), lambda key: len(key[0]) ** 2, _arc_features),
 }
 
 
-def featurize_batch(kind: str, contents: Sequence, space: FeatureSpace) -> list[tuple]:
-    """The (row lengths, indices, counts) block of every content of a kind, in one pass."""
-    return _FEATURIZERS[kind][1](contents, space)
+def featurize_batch(kind: str, contents: Sequence, space: FeatureSpace) -> tuple:
+    """(row lengths, indices, counts) of the rows of all contents of a kind, in order, in one pass."""
+    return _FEATURIZERS[kind][2](contents, space)
+
+
+def _passes(sizes: Sequence[int], budget: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive runs of whole items of at most `budget`
+    rows in all; an item with more rows than that is a run of its own."""
+    cuts, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > budget and i > start:
+            cuts.append((start, i))
+            start, total = i, 0
+        total += size
+    return cuts + [(start, len(sizes))] if sizes else cuts
+
+
+def _put(array: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
+    """`array` with `values` written from position `at` on; when they run past
+    its end, into a copy of its first `at` entries at least twice as long."""
+    end = at + len(values)
+    if end > len(array):
+        grown = np.empty(max(end, 2 * len(array)), dtype=array.dtype)
+        grown[:at] = array[:at]
+        array = grown
+    array[at:end] = values
+    return array
+
+
+class _Store:
+    """Every cached row of one kind and feature space, packed as CSR arrays.
+
+    `where` maps a content key to its slot, the order in which it was
+    stored; slot s holds rows `first[s]:first[s + 1]`, and row r holds
+    entries `indptr[r]:indptr[r + 1]` of `indices` and `data`. The arrays
+    have spare room past their filled part; a pass that outgrows them moves
+    that part into arrays at least twice as long (`_put`), so a store
+    copies O(final size) entries in all, however many passes filled it.
+    """
+
+    def __init__(self):
+        self.where: dict = {}
+        self.first = np.zeros(1, dtype=np.int64)
+        self.indptr = np.zeros(1, dtype=np.int64)
+        self.indices = np.zeros(0, dtype=np.int32)
+        self.data = np.zeros(0, dtype=np.float32)
+
+    def append(self, keys: Sequence, sizes: Sequence[int], features: tuple) -> None:
+        """Store the (row lengths, indices, counts) of the keys' rows, `sizes` rows per key."""
+        lengths, indices, data = features
+        slots = len(self.where)
+        rows = int(self.first[slots])
+        entries = int(self.indptr[rows])
+        self.first = _put(self.first, slots + 1, rows + np.cumsum(sizes))
+        self.indptr = _put(self.indptr, rows + 1, entries + np.cumsum(lengths))
+        self.indices = _put(self.indices, entries, indices)
+        self.data = _put(self.data, entries, data)
+        self.where.update(zip(keys, range(slots, slots + len(keys))))
+
+    def take(self, slots: np.ndarray) -> tuple[Rows, list[int]]:
+        """The rows of the given slots, in order, and each slot's row count.
+
+        Each slot's rows and entries are contiguous, so both are gathered
+        by one range per slot."""
+        first, stop = self.first[slots], self.first[slots + 1]
+        row = _ranges(first, stop - first)
+        entry = _ranges(self.indptr[first], self.indptr[stop] - self.indptr[first])
+        lengths = self.indptr[row + 1] - self.indptr[row]
+        return Rows.stack(lengths, self.indices[entry], self.data[entry]), (stop - first).tolist()
 
 
 class FeatureCache:
@@ -359,37 +420,34 @@ class FeatureCache:
 
     Content is the lookup key (a text, a token tuple, or a sentence's
     (tokens, upos)), because a corpus ingested again yields new instances
-    with new ids but the same content. A cached block is what featurizing
+    with new ids but the same content. A cached row is what featurizing
     the key again would give, so sharing the cache never changes a result;
-    it grows with the distinct content a process sees. Each key keeps (row
-    lengths, indices, values) in compact dtypes: hashed indices fit int32
-    and counts are small integers, exact in float32.
+    it grows with the distinct content a process sees. Each (kind, space)
+    keeps one packed store (`_Store`) in compact dtypes: hashed indices fit
+    int32 and counts are small integers, exact in float32.
     """
 
     def __init__(self):
-        self._blocks: dict[tuple[str, FeatureSpace], dict] = {}
+        self._stores: dict[tuple[str, FeatureSpace], _Store] = {}
 
     def clear(self) -> None:
-        self._blocks.clear()
+        self._stores.clear()
 
     def rows(self, kind: str, payloads: Sequence, space: FeatureSpace, chunk: int) -> tuple[Rows, list[int]]:
         """The rows of every payload in order, and how many rows each has.
 
         Content not cached yet is featurized once per distinct key, in
-        `featurize_batch` passes of at most `chunk` keys.
+        `featurize_batch` passes of at most `chunk` rows (`_passes`); then
+        one gather takes every payload's rows from the store.
         """
-        key_of = _FEATURIZERS[kind][0]
-        table = self._blocks.setdefault((kind, space), {})
+        key_of, size_of, _ = _FEATURIZERS[kind]
+        store = self._stores.setdefault((kind, space), _Store())
         keys = [key_of(p) for p in payloads]
-        missing = list(dict.fromkeys(k for k in keys if k not in table))
-        for start in range(0, len(missing), chunk):
-            piece = missing[start : start + chunk]
-            table.update(zip(piece, featurize_batch(kind, piece, space)))
-        if not keys:
-            return Rows.stack([], [], []), []
-        blocks = [table[k] for k in keys]
-        lengths, indices, data = (np.concatenate(parts) for parts in zip(*blocks))
-        return Rows.stack(lengths, indices, data), [len(b[0]) for b in blocks]
+        missing = list(dict.fromkeys(k for k in keys if k not in store.where))
+        sizes = [size_of(k) for k in missing]
+        for a, b in _passes(sizes, chunk):
+            store.append(missing[a:b], sizes[a:b], featurize_batch(kind, missing[a:b], space))
+        return store.take(np.fromiter(map(store.where.__getitem__, keys), dtype=np.int64, count=len(keys)))
 
 
 FEATURES = FeatureCache()
@@ -545,7 +603,7 @@ def _train(init, step, eval_fn, n_examples: int, config: TrainingConfig):
 class _ModelBase:
     task: TaskKind
     kind: str  # the feature kind of the cache
-    chunk: int  # instances per prediction pass, which bounds its transient arrays
+    chunk: int  # rows per feature or prediction pass, which bounds its transient arrays
     _arc_rows = 0  # weight rows ahead of the vocabulary's: the parser's arc scorer
 
     def __init__(self, space: FeatureSpace, vocab: Sequence[str] | None = None):
@@ -570,14 +628,16 @@ class _ModelBase:
     def _features(self, payloads) -> tuple[Rows, list[int]]:
         return FEATURES.rows(self.kind, payloads, self.space, self.chunk)
 
-    def _in_chunks(self, fn, instances: Sequence[Instance]) -> list:
-        """fn(payloads, rows, rows per payload) over consecutive chunks; one result per instance."""
+    def _in_passes(self, fn, instances: Sequence[Instance]) -> list:
+        """fn(payloads, rows, rows per payload) over consecutive passes of whole
+        instances of at most `chunk` rows (`_passes`); one result per pass."""
         self._require_trained()
-        out = []
-        for start in range(0, len(instances), self.chunk):
-            payloads = [i.payload for i in instances[start : start + self.chunk]]
-            out += fn(payloads, *self._features(payloads))
-        return out
+        key_of, size_of, _ = _FEATURIZERS[self.kind]
+        payloads = [i.payload for i in instances]
+        return [
+            fn(payloads[start:stop], *self._features(payloads[start:stop]))
+            for start, stop in _passes([size_of(key_of(p)) for p in payloads], self.chunk)
+        ]
 
 
 class _SoftmaxModel(_ModelBase):
@@ -585,7 +645,7 @@ class _SoftmaxModel(_ModelBase):
 
     Subclasses name the feature kind, the gold label of each row and the
     validation metric; `_fit` is their shared training body. Each subclass
-    still defines `fit` and the per-instance predictors itself, because
+    still defines `fit` and the one-instance predictors itself, because
     `perfbench/tracer.py` wraps them in each class's own namespace.
     """
 
@@ -599,32 +659,34 @@ class _SoftmaxModel(_ModelBase):
         index = {y: k for k, y in enumerate(vocab)}
         rows, _ = self._features(labeled)
         gold = np.array([index[y] for p in labeled for y in self._gold(p)], dtype=np.int64)
-        val_gold = [i.payload for i in validation]
-        val_rows, val_counts = self._features(val_gold)
+        val_payloads = [i.payload for i in validation]
+        val_rows, val_counts = self._features(val_payloads)
+        metric = self._metric(vocab, val_payloads, val_counts)
 
         def step(weights, batch, scale):
             _, grad = softmax_objective(weights, rows.take(batch), gold[batch], config.l2)
             weights += scale * grad
 
         def eval_fn(weights):
-            best = [vocab[k] for k in logits(weights, val_rows).argmax(axis=1).tolist()]
-            return self._metric(_split(best, val_counts), val_gold)
+            return metric(logits(weights, val_rows).argmax(axis=1))
 
         self.weights, self.fit_info = _train(lambda: self._zeros(vocab), step, eval_fn, rows.n, config)
         self.vocab = vocab
         return self.fit_info.score
 
-    def _probas(self, instances: Sequence[Instance]) -> list[np.ndarray]:
-        """Per instance, a (rows, vocab) array of distributions."""
-        return self._in_chunks(
-            lambda _, rows, counts: _split(softmax(logits(self.weights, rows)), counts), instances
+    def _probas(self, instances: Sequence[Instance]) -> tuple[np.ndarray, list[int]]:
+        """One (rows, vocab) matrix of distributions over every instance's rows, and each instance's row count."""
+        passes = self._in_passes(
+            lambda _, rows, counts: (softmax(logits(self.weights, rows)), counts), instances
         )
+        matrices = [m for m, _ in passes] or [np.zeros((0, len(self.vocab)))]
+        return np.concatenate(matrices), [n for _, counts in passes for n in counts]
 
 
 class TextClassifier(_SoftmaxModel):
     task = TaskKind.CLASSIFICATION
     kind = "text"
-    chunk = 256
+    chunk = 256  # texts
 
     @property
     def classes(self):
@@ -635,20 +697,24 @@ class TextClassifier(_SoftmaxModel):
         return None if payload.label is None else (payload.label,)
 
     @staticmethod
-    def _metric(preds, payloads) -> float:
-        return accuracy([p[0] for p in preds], [p.label for p in payloads])
+    def _metric(classes, payloads, _):
+        """Accuracy of argmax class indices: hits over n, the division `accuracy` makes."""
+        index = {y: k for k, y in enumerate(classes)}
+        gold = np.array([index.get(p.label, -1) for p in payloads], dtype=np.int64)
+        return lambda best: int((best == gold).sum()) / len(gold)
 
     def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
         return self._fit(labeled, validation, config)
 
-    def predict_proba_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
-        return [probas[0] for probas in self._probas(instances)]
+    def predict_proba_batch(self, instances: Sequence[Instance]) -> np.ndarray:
+        """(instances, classes) distributions."""
+        return self._probas(instances)[0]
 
     def predict_proba(self, instance: Instance) -> np.ndarray:
         return self.predict_proba_batch([instance])[0]
 
     def predict_batch(self, instances: Sequence[Instance]) -> list[str]:
-        return [self.classes[int(np.argmax(p))] for p in self.predict_proba_batch(instances)]
+        return [self.classes[k] for k in self.predict_proba_batch(instances).argmax(axis=1).tolist()]
 
     def predict(self, instance: Instance) -> str:
         return self.predict_batch([instance])[0]
@@ -657,7 +723,7 @@ class TextClassifier(_SoftmaxModel):
 class SequenceTagger(_SoftmaxModel):
     task = TaskKind.SEQUENCE_TAGGING
     kind = "tokens"
-    chunk = 64
+    chunk = 448  # tokens: 64 sentences of 7
 
     @property
     def tags(self):
@@ -668,23 +734,24 @@ class SequenceTagger(_SoftmaxModel):
         return payload.tags
 
     @staticmethod
-    def _metric(preds, payloads) -> float:
-        return span_f1(preds, [list(p.tags) for p in payloads]).f1
+    def _metric(tags, payloads, counts):
+        """Span F1 of argmax tag indices, cut into sentences of `counts` tokens."""
+        gold = [list(p.tags) for p in payloads]
+        return lambda best: span_f1(_split([tags[k] for k in best.tolist()], counts), gold).f1
 
     def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
         return self._fit(labeled, validation, config)
 
-    def predict_tag_probas_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
+    def predict_tag_probas_batch(self, instances: Sequence[Instance]) -> tuple[np.ndarray, list[int]]:
+        """One (tokens, tags) matrix of distributions over every instance's tokens, and each instance's token count."""
         return self._probas(instances)
 
     def predict_tag_probas(self, instance: Instance) -> np.ndarray:
         return self.predict_tag_probas_batch([instance])[0]
 
     def predict_tags_batch(self, instances: Sequence[Instance]) -> list[list[str]]:
-        return [
-            [self.tags[int(k)] for k in probas.argmax(axis=1)]
-            for probas in self.predict_tag_probas_batch(instances)
-        ]
+        probas, counts = self.predict_tag_probas_batch(instances)
+        return _split([self.tags[k] for k in probas.argmax(axis=1).tolist()], counts)
 
     def predict_tags(self, instance: Instance) -> list[str]:
         return self.predict_tags_batch([instance])[0]
@@ -712,7 +779,7 @@ class DependencyParser(_ModelBase):
 
     task = TaskKind.DEPENDENCY_PARSING
     kind = "arcs"
-    chunk = 16
+    chunk = 24_576  # candidate arcs: 16 sentences of about 39 tokens
     _arc_rows = 1
 
     @property
@@ -798,10 +865,11 @@ class DependencyParser(_ModelBase):
 
     def head_log_probs_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
         """Per instance, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
-        return self._in_chunks(
+        passes = self._in_passes(
             lambda payloads, arcs, _: self._head_log_probs(self.weights[0], payloads, arcs),
             instances,
         )
+        return [matrix for matrices in passes for matrix in matrices]
 
     def predict_arc_probas(self, instance: Instance):
         """Head distribution per dependent plus a label distribution per arc.
@@ -820,9 +888,10 @@ class DependencyParser(_ModelBase):
 
     def decode_tree_batch(self, instances: Sequence[Instance]) -> list[DepTree]:
         """Best single-root tree per instance under the head softmax, with argmax arc labels."""
-        return self._in_chunks(
+        passes = self._in_passes(
             lambda payloads, arcs, _: self._decode(self.weights, self.labels, payloads, arcs), instances
         )
+        return [tree for trees in passes for tree in trees]
 
     def decode_tree(self, instance: Instance) -> DepTree:
         return self.decode_tree_batch([instance])[0]

@@ -9,7 +9,9 @@ from lingalloc.acquisition import (
     AcquisitionScore,
     StrategyKind,
     lc_score,
+    lc_scores,
     mnlp_score,
+    mnlp_scores,
     nlpdt_score,
     random_scores,
     select_batch,
@@ -142,6 +144,63 @@ class TestRandomScores:
     def test_range(self):
         scores = random_scores(range(100), np.random.default_rng(0))
         assert all(0.0 <= v < 1.0 for v in scores.values())
+
+
+class TestArrayScores:
+    """The whole-array scorers against their one-row forms, bit for bit."""
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 7])
+    def test_lc_scores_equal_one_row_scores(self, classes):
+        raw = np.random.default_rng(classes).random((500, classes))
+        dist = raw / raw.sum(axis=1, keepdims=True)
+        got = lc_scores(dist)
+        assert got.dtype == np.float64
+        assert got.tolist() == [lc_score(p) for p in dist]
+
+    @pytest.mark.parametrize(
+        "row", [[1.2, -0.2], [0.5, 0.5 + 2e-6], [0.6, 0.3], [-0.0 - 1e-300, 1.0]]
+    )
+    def test_lc_rejects_a_bad_row(self, row):
+        dist = np.full((50, 2), 0.5)
+        dist[17] = row
+        with pytest.raises(ScoringError, match="non-negative and sum to 1") as many:
+            lc_scores(dist)
+        with pytest.raises(ScoringError) as one:
+            lc_score(row)
+        assert str(many.value) == str(one.value)
+
+    def test_lc_tolerance_and_shapes(self):
+        near = [[0.5, 0.5 + 5e-7]] * 3
+        assert lc_scores(near).tolist() == [lc_score(p) for p in near]
+        assert lc_scores(np.zeros((0, 3))).shape == (0,)
+        for bad in ([], [[]], 0.5, [[[1.0]]]):
+            with pytest.raises(ScoringError):
+                lc_score(bad)
+
+    def test_mnlp_scores_equal_one_sentence_scores(self):
+        rng = np.random.default_rng(3)
+        counts = rng.integers(1, 12, size=200).tolist()
+        probas = rng.random((sum(counts), 4))
+        probas /= probas.sum(axis=1, keepdims=True)
+        probas[5] = [0.0, 0.0, 0.0, 0.0]  # a zero-confidence token gives -inf
+        ends = np.cumsum(counts).tolist()
+        expected = [mnlp_score(probas[a:b]) for a, b in zip([0] + ends, ends)]
+        assert mnlp_scores(probas, counts) == expected
+        assert expected[0] == float("-inf")
+        assert mnlp_scores(np.zeros((0, 4)), []) == []
+
+    @pytest.mark.parametrize("counts", [[2, 0, 2], [2, 1], [3, 2]])
+    def test_mnlp_rejects_empty_or_miscounted_sentences(self, counts):
+        with pytest.raises(ScoringError):
+            mnlp_scores(np.full((4, 2), 0.5), counts)
+
+    def test_random_scores_equal_scalar_draws(self):
+        ids = np.random.default_rng(0).permutation(10_001).tolist()
+        vectorized, scalar = np.random.default_rng(11), np.random.default_rng(11)
+        got = random_scores(ids, vectorized)
+        assert list(got) == sorted(ids)
+        assert got == {iid: scalar.random() for iid in sorted(ids)}
+        assert vectorized.random() == scalar.random()
 
 
 def _scores(spec):

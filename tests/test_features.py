@@ -1,5 +1,6 @@
 """Feature hashing: the batched CRC-32 pass against the one-key-at-a-time loop of `oracles`."""
 
+import tracemalloc
 import zlib
 from collections import Counter
 
@@ -9,8 +10,10 @@ import pytest
 import lingalloc.models as models
 from lingalloc.corpus import ClassificationText, DepTree, TaggedSentence
 from lingalloc.models import (
+    DependencyParser,
     FeatureCache,
     FeatureSpace,
+    Rows,
     arc_feature_keys,
     featurize_arc,
     featurize_batch,
@@ -139,11 +142,11 @@ class TestBatch:
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("kind, make", KINDS)
     def test_blocks_equal_the_key_loop(self, kind, make, space):
+        """One pass gives the rows of every content, in order, packed as one block."""
         contents = make(np.random.default_rng(4), 40)
-        blocks = featurize_batch(kind, contents, space)
-        assert len(blocks) == len(contents)
-        for content, block in zip(contents, blocks):
-            _assert_same(block, _oracle_block(kind, content, space))
+        blocks = [_oracle_block(kind, content, space) for content in contents]
+        expected = tuple(np.concatenate(parts) for parts in zip(*blocks))
+        _assert_same(featurize_batch(kind, contents, space), expected)
 
     @pytest.mark.parametrize("kind, make", KINDS)
     def test_rows_across_chunk_borders(self, kind, make):
@@ -181,3 +184,85 @@ class TestBatch:
         batches.clear()
         assert cache.rows("text", payloads[:5], SPACES[0], chunk=4)[1] == [1] * 5
         assert batches == []
+
+
+def _one_row_vectors(kind, content, space):
+    """The content's rows as the one-row public featurizers give them."""
+    if kind == "text":
+        return [featurize_text(content, space)]
+    if kind == "tokens":
+        return featurize_tokens(content, space)
+    tokens, upos = content
+    n = len(tokens)
+    return [
+        featurize_arc(tokens, upos, h, d, space)
+        for d in range(1, n + 1) for h in range(n + 1) if h != d
+    ]
+
+
+_PAYLOAD = {"text": ClassificationText, "tokens": TaggedSentence, "arcs": lambda c: DepTree(*c)}
+
+
+class TestPackedStore:
+    @pytest.mark.parametrize("kind, make", KINDS)
+    def test_rows_equal_the_one_row_featurizers(self, kind, make):
+        """Repeated content over calls with row budgets of 1, 3, 7 and 50: every
+        call's rows are those of the one-row featurizers, stacked in order."""
+        space = SPACES[0]
+        rng = np.random.default_rng(7)
+        contents = make(rng, 30)
+        cache = FeatureCache()
+        for chunk in (1, 3, 7, 50):
+            picked = [contents[k] for k in rng.integers(0, len(contents), size=25)]
+            rows, counts = cache.rows(kind, [_PAYLOAD[kind](c) for c in picked], space, chunk)
+            vectors = [_one_row_vectors(kind, c, space) for c in picked]
+            expected = Rows.from_vectors([v for per_content in vectors for v in per_content])
+            assert counts == [len(v) for v in vectors]
+            assert np.array_equal(rows.indptr, expected.indptr)
+            assert np.array_equal(rows.indices, expected.indices)
+            assert np.array_equal(rows.data, expected.data)
+
+    @pytest.mark.parametrize("kind, make", KINDS)
+    def test_capacity_at_most_twice_the_size(self, kind, make):
+        cache = FeatureCache()
+        contents = list(dict.fromkeys(make(np.random.default_rng(8), 300)))
+        capacities = set()
+        for content in contents:  # one miss per call
+            cache.rows(kind, [_PAYLOAD[kind](content)], SPACES[0], chunk=4)
+            store = cache._stores[(kind, SPACES[0])]
+            capacities.add(len(store.indices))
+        slots = len(store.where)
+        rows = int(store.first[slots])
+        entries = int(store.indptr[rows])
+        # the arrays grow geometrically, not by one pass at a time
+        assert len(capacities) <= 2 + np.log2(entries)
+        assert slots == len(contents)
+        assert slots + 1 <= len(store.first) <= 2 * (slots + 1)
+        assert rows + 1 <= len(store.indptr) <= 2 * (rows + 1)
+        assert entries <= len(store.indices) == len(store.data) <= 2 * entries
+
+
+def _transient_peak(n_sentences: int) -> int:
+    """Bytes allocated at the peak of featurizing `n_sentences` sentences of
+    120 tokens, beyond what is still held afterwards."""
+    rng = np.random.default_rng(n_sentences)
+    payloads = [
+        DepTree(tuple(f"w{k}" for k in rng.integers(0, 500, 120)), tuple(f"P{k}" for k in rng.integers(0, 12, 120)))
+        for _ in range(n_sentences)
+    ]
+    cache = FeatureCache()
+    tracemalloc.start()
+    try:
+        rows, _ = cache.rows("arcs", payloads, SPACES[0], DependencyParser.chunk)
+        del rows
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
+
+
+def test_featurizing_transient_does_not_grow_with_sentences():
+    """Parser passes are cut by candidate arcs: 8 sentences of 120 tokens
+    (14,400 arcs each) peak no higher than one does."""
+    assert 120**2 <= DependencyParser.chunk < 2 * 120**2
+    assert _transient_peak(8) <= 1.25 * _transient_peak(1)

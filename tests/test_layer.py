@@ -111,10 +111,11 @@ def test_run_rounds_featurizes_each_instance_once(monkeypatch, make_run):
     original = models.featurize_batch
 
     def counting(kind, contents, space):
-        blocks = original(kind, contents, space)
-        for content, (lengths, _, _) in zip(contents, blocks):
-            calls.update((content, row) for row in range(len(lengths)))
-        return blocks
+        features = original(kind, contents, space)
+        rows = [(content, row) for content in contents for row in range(models._FEATURIZERS[kind][1](content))]
+        assert len(rows) == len(features[0])
+        calls.update(rows)
+        return features
 
     monkeypatch.setattr(models, "featurize_batch", counting)
     models.FEATURES.clear()
@@ -136,40 +137,54 @@ def test_run_rounds_featurizes_each_instance_once(monkeypatch, make_run):
 
 
 class TestBatchedPrediction:
-    """Batch methods equal their per-instance counterparts, across chunk borders."""
+    """Whole-array predictions equal their one-instance counterparts, across
+    pass borders: a row budget of 40 cuts the instances into many passes and
+    leaves some instances with more rows than that in passes of their own."""
 
     def test_classifier(self):
         data = synth_classification(["aa", "bb"], 160, 10, 0.5, seed=1)
         insts = [i for lang in data.languages for i in data.train[lang]]
-        assert len(insts) > TextClassifier.chunk
         model = TextClassifier(SPACE)
         model.fit(insts[:60], insts[60:90], FAST)
+        model.chunk = 40
         batch = model.predict_proba_batch(insts)
-        for inst, probas in zip(insts, batch):
+        assert batch.shape == (len(insts), len(model.classes))
+        for inst, probas in zip(insts, batch, strict=True):
             assert np.array_equal(probas, model.predict_proba(inst))
         assert model.predict_batch(insts) == [model.predict(i) for i in insts]
 
     def test_tagger(self):
         data = synth_tagging(["aa", "bb"], 50, 10, 0.5, seed=1)
         insts = [i for lang in data.languages for i in data.train[lang]]
-        assert len(insts) > SequenceTagger.chunk
         model = SequenceTagger(SPACE)
         model.fit(insts[:30], insts[30:45], FAST)
-        batch = model.predict_tag_probas_batch(insts)
-        for inst, probas in zip(insts, batch):
-            assert np.array_equal(probas, model.predict_tag_probas(inst))
+        model.chunk = 40
+        probas, counts = model.predict_tag_probas_batch(insts)
+        assert counts == [len(i.payload.tokens) for i in insts]
+        assert probas.shape == (sum(counts), len(model.tags))
+        for inst, rows in zip(insts, np.split(probas, np.cumsum(counts)[:-1]), strict=True):
+            assert np.array_equal(rows, model.predict_tag_probas(inst))
         assert model.predict_tags_batch(insts) == [model.predict_tags(i) for i in insts]
 
     def test_parser(self):
         data = synth_parsing(["aa", "bb"], 15, 5, 0.5, seed=1)
         insts = [i for lang in data.languages for i in data.train[lang]]
-        assert len(insts) > DependencyParser.chunk
+        assert max(len(i.payload.tokens) ** 2 for i in insts) > 40
         model = DependencyParser(SPACE)
         model.fit(insts[:12], insts[12:18], FAST)
+        model.chunk = 40
         assert model.decode_tree_batch(insts) == [model.decode_tree(i) for i in insts]
-        for inst, log_probs in zip(insts, model.head_log_probs_batch(insts)):
+        for inst, log_probs in zip(insts, model.head_log_probs_batch(insts), strict=True):
             head_probs, _ = model.predict_arc_probas(inst)
             assert np.array_equal(np.exp(log_probs), head_probs)
+
+    def test_empty_input(self):
+        data = synth_tagging(["aa"], 30, 5, 0.5, seed=2)
+        model = SequenceTagger(SPACE)
+        model.fit(data.train["aa"][:15], data.train["aa"][15:], FAST)
+        probas, counts = model.predict_tag_probas_batch([])
+        assert probas.shape == (0, len(model.tags)) and counts == []
+        assert model.predict_tags_batch([]) == []
 
 
 def test_fit_info_records_the_learning_rate_search():

@@ -22,7 +22,7 @@ from lingalloc.models import (
     parser_objective,
     _train,
 )
-from lingalloc.tasks import TaskKind
+from lingalloc.tasks import TaskKind, accuracy, span_f1
 
 from oracles import all_single_root_trees, best_tree, char_ngrams
 
@@ -274,6 +274,33 @@ TAGGED = [
     tagged_instance(2, ["bob", "visits", "oslo"], ["B-PER", "O", "B-LOC"]),
     tagged_instance(3, ["nothing", "here"], ["O", "O"]),
 ]
+
+
+class TestValidationMetric:
+    """Validation scores argmax indices; the scores equal the string metrics."""
+
+    def test_classifier_metric_is_accuracy(self):
+        rng = np.random.default_rng(5)
+        classes = ("neg", "neu", "pos")
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            labels = rng.choice(["neg", "neu", "pos", "unseen", None], size=n).tolist()
+            payloads = [ClassificationText("x", label) for label in labels]
+            best = rng.integers(0, len(classes), size=n)
+            got = TextClassifier._metric(classes, payloads, [1] * n)(best)
+            assert got == accuracy([classes[k] for k in best], labels)
+
+    def test_tagger_metric_is_span_f1(self):
+        rng = np.random.default_rng(6)
+        tags = ("B-LOC", "B-PER", "I-LOC", "I-PER", "O")
+        counts = rng.integers(1, 8, size=30).tolist()
+        gold = [tuple(rng.choice(tags, size=n).tolist()) for n in counts]
+        payloads = [TaggedSentence(tuple("w" * n), g) for n, g in zip(counts, gold)]
+        best = rng.integers(0, len(tags), size=sum(counts))
+        ends = np.cumsum(counts).tolist()
+        pred = [[tags[k] for k in best[a:b]] for a, b in zip([0] + ends, ends)]
+        got = SequenceTagger._metric(tags, payloads, counts)(best)
+        assert got == span_f1(pred, [list(g) for g in gold]).f1
 
 
 class TestSequenceTagger:
