@@ -5,9 +5,12 @@
 
 A and B are checkout roots, each with a `src/lingalloc`. For every seed
 (default: 0 alone) and for classification, tagging and parsing, each
-checkout's own CLI runs `synth --seed S`, then `run --jobs 1`
-and `run --jobs 2` into two output directories, then `report` and
-`curriculum` on both. Before those, the SMA setting's AL result file of the
+checkout's own CLI runs `synth --seed S`, then `validate` on that config and
+on a copy with ten times its budget, whose standard output and error (the
+config echo and the pool warnings) are kept in `validate.txt` with the
+checkout's work directory written as `<work>`, then `run --jobs 1` and
+`run --jobs 2` into two output directories, then `report` and `curriculum`
+on both. Before those, the SMA setting's AL result file of the
 `--jobs 2` run is deleted and `run --jobs 2` resumes into the same
 directory, so the path that reruns one arm of a setting is compared too.
 Every file written is then compared between A and B; the manifest's
@@ -33,12 +36,16 @@ TEST_SIZE = 20
 TRAINING = {"learning_rates": [0.5], "max_epochs": 4, "patience": 2}
 
 
-def _cli(root: Path, *args: str) -> None:
+def _cli(root: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    subprocess.run(
+    done = subprocess.run(
         [sys.executable, "-m", "lingalloc.cli", *args],
-        env=env, check=True, stdout=subprocess.DEVNULL,
+        env=env, capture_output=True, text=True,
     )
+    if done.returncode:
+        sys.stderr.write(done.stderr)
+    done.check_returncode()
+    return done
 
 
 def produce(root: Path, work: Path, seed: int) -> None:
@@ -52,6 +59,14 @@ def produce(root: Path, work: Path, seed: int) -> None:
         config = json.loads(config_path.read_text())
         config.update(replicates=2, training=TRAINING)
         config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+        # ten times the budget: every model needs more than its pool holds and warns
+        tight_path = corpus / "tight.json"
+        tight_path.write_text(json.dumps(dict(config, budget={"seed": 10 * budget}), indent=2) + "\n")
+        text = ""
+        for path in (config_path, tight_path):
+            shown = _cli(root, "validate", "--config", str(path))
+            text += f"{path.name} stdout:\n{shown.stdout}{path.name} stderr:\n{shown.stderr}"
+        (corpus / "validate.txt").write_text(text.replace(str(work.resolve()), "<work>"))
         for jobs in ("1", "2"):
             out = str(corpus / f"jobs{jobs}")
             _cli(root, "run", "--config", str(config_path), "--jobs", jobs, "--out", out)

@@ -84,6 +84,8 @@ _SECTIONS = {
 }
 # smallest value of each top-level integer
 _TOP_MINIMUM = {"replicates": 1, "seed": 0, "max_length": 1}
+# largest gap `report` accepts in a curriculum sidecar's acquisition-share identity
+_IDENTITY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -326,7 +328,8 @@ def load_data(config: ExperimentConfig) -> MultilingualData:
 
     Over-long sentences are dropped from training pools only; classification
     truncation applies everywhere. Instance ids are assigned contiguously in
-    sorted language order, train before test.
+    sorted language order, train before test. A language without test
+    instances raises DataError, because its metrics would read 0.
     """
     def ingest(split: str, lang: str, counter: int):
         paths = config.data[lang]
@@ -351,6 +354,8 @@ def load_data(config: ExperimentConfig) -> MultilingualData:
         instances, counter = ingest("test", lang, counter)
         if config.task is TaskKind.CLASSIFICATION:
             instances = length_filter(instances, config.max_length)
+        if not instances:
+            raise DataError(f"data.{lang}.test: no {lang} instances in {config.data[lang]['test']}")
         test[lang] = instances
     return MultilingualData(config.task, train, test)
 
@@ -364,27 +369,21 @@ def _setting_key(setting: Setting) -> str:
     return f"{setting.label}.{setting.strategy.value}"
 
 
+def _cell_key(setting: Setting, with_al: bool) -> str:
+    return f"{_setting_key(setting)}.{'al' if with_al else 'noal'}"
+
+
 def _tasks(config: ExperimentConfig) -> list[dict]:
-    """One task per setting: its key and its (setting, AL flag) cells, AL first.
+    """One task per setting: its key, its setting and its arms (AL flags), AL first.
 
     Settings whose models train on every language come before the one-source
     MonoA settings, so that the cheap tasks fill the end of a pool's run.
     """
-    tasks = []
-    for setting in config.settings:
-        key = _setting_key(setting)
-        cells = [
-            {
-                "key": f"{key}.{'al' if with_al else 'noal'}",
-                "kind": setting.family.value,
-                "strategy": setting.strategy.value,
-                "source": setting.source,
-                "al": with_al,
-            }
-            for with_al in (True, False)
-        ]
-        tasks.append({"key": key, "cells": cells})
-    return sorted(tasks, key=lambda t: (t["cells"][0]["kind"] == "monoa", t["key"]))
+    tasks = [
+        {"key": _setting_key(setting), "setting": setting, "arms": [True, False]}
+        for setting in config.settings
+    ]
+    return sorted(tasks, key=lambda t: (t["setting"].family is SettingFamily.MONOA, t["key"]))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -400,12 +399,12 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _round_record(cell: dict, replicate: int, result: RoundResult) -> dict:
+def _round_record(setting: Setting, with_al: bool, replicate: int, result: RoundResult) -> dict:
     return {
-        "cell": cell["key"],
-        "setting": cell["kind"] + (f"-{cell['source']}" if cell["source"] else ""),
-        "strategy": cell["strategy"],
-        "al": cell["al"],
+        "cell": _cell_key(setting, with_al),
+        "setting": setting.label,
+        "strategy": setting.strategy.value,
+        "al": with_al,
         "replicate": replicate,
         "round": result.round_index,
         "metrics": result.report.per_language,
@@ -435,27 +434,21 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
     """
     data = _loaded
     assert data is not None, "run_cell runs only inside _task_runs"
-    cells = task["cells"]
-    first = cells[0]
-    setting = Setting(
-        _FAMILY_NAMES[first["kind"]], _STRATEGY_NAMES[first["strategy"]], True, first["source"]
-    )
+    setting, arms = task["setting"], task["arms"]
     plan = allocate(setting, config.budget, config.languages)
-    per_round_total = sum(
-        mp.acq_budget // plan.spec.acquisition_rounds for mp in plan.models
-    ) if plan.spec.acquisition_rounds else 0
+    per_round_total = sum(plan.per_round(mp) for mp in plan.models)
     out = Path(out_dir)
-    lines: dict[str, list[str]] = {cell["key"]: [] for cell in cells}
+    lines: dict[str, list[str]] = {_cell_key(setting, with_al): [] for with_al in arms}
     for replicate in range(config.replicates):
         rng_seed = config.seed + replicate
-        runs = run_arms(plan, data, config.training, config.feature_space, rng_seed,
-                        [cell["al"] for cell in cells])
+        runs = run_arms(plan, data, config.training, config.feature_space, rng_seed, arms)
         composition = None
-        for cell in cells:
-            results, events = runs[cell["al"]]
+        for with_al in arms:
+            key = _cell_key(setting, with_al)
+            results, events = runs[with_al]
             for result in results:
-                lines[cell["key"]].append(
-                    json.dumps(_round_record(cell, replicate, result), sort_keys=True,
+                lines[key].append(
+                    json.dumps(_round_record(setting, with_al, replicate, result), sort_keys=True,
                                separators=(",", ":"))
                 )
             log_lines = ["round,instance_id,language,cost,score,strategy"]
@@ -464,15 +457,15 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
                 for e in events
             )
             _atomic_write(
-                out / "logs" / f"{cell['key']}.rep{replicate}.acquisition.csv",
+                out / "logs" / f"{key}.rep{replicate}.acquisition.csv",
                 "\n".join(log_lines) + "\n",
             )
-            if events and per_round_total >= 1:
+            if events:
                 if composition is None:
                     composition = initial_composition(plan, data, rng_seed)
                 report = curriculum(events, composition, per_round_total)
                 _atomic_write(
-                    out / "logs" / f"{cell['key']}.rep{replicate}.curriculum.json",
+                    out / "logs" / f"{key}.rep{replicate}.curriculum.json",
                     json.dumps(
                         {
                             "alphas": report.alphas,
@@ -489,7 +482,7 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
                 )
     for key, records in lines.items():
         _atomic_write(out / "results" / f"{key}.jsonl", "\n".join(records) + "\n")
-    return [cell["key"] for cell in cells]
+    return list(lines)
 
 
 def _config_digest(config: ExperimentConfig) -> str:
@@ -623,7 +616,7 @@ def write_plot_data(out: Path, records: dict[str, list[dict]]) -> Path:
     return path
 
 
-def write_curriculum_csv(out: Path, records: dict[str, list[dict]], tolerance: float = 1e-9) -> Path:
+def write_curriculum_csv(out: Path, records: dict[str, list[dict]]) -> Path:
     """Per-round acquisition-share CSV; the share identity is re-checked here.
 
     Rows come from each result replicate's `logs/<cell>.rep<k>.curriculum.json`,
@@ -648,7 +641,7 @@ def write_curriculum_csv(out: Path, records: dict[str, list[dict]], tolerance: f
             )
             for round_idx in sorted(report.relative_difference):
                 gap = report.identity_gap(round_idx)
-                if gap > tolerance:
+                if gap > _IDENTITY_TOLERANCE:
                     raise ConfigError(
                         f"{path.name}: acquisition-share identity violated at round "
                         f"{round_idx} (gap {gap:.3e})"
@@ -679,11 +672,11 @@ def _pool_warnings(config: ExperimentConfig, data: MultilingualData) -> list[str
     instances after dedup and length filtering.
     """
     spec = config.budget
-    rounds = spec.acquisition_rounds
     warnings = []
     for setting in config.settings:
-        for mp in allocate(setting, spec, config.languages).models:
-            acquisition = mp.acq_budget // rounds * rounds if rounds else 0
+        plan = allocate(setting, spec, config.languages)
+        for mp in plan.models:
+            acquisition = plan.per_round(mp) * spec.acquisition_rounds
             need = mp.seed_budget + mp.val_budget + acquisition
             available = sum(i.cost for lang in mp.languages for i in data.train[lang])
             if need > available:
@@ -755,32 +748,34 @@ def cmd_run(args) -> int:
     tasks = []
     for task in _tasks(config):
         pending = []
-        for cell in task["cells"]:
-            status = manifest["cells"].get(cell["key"], {})
+        for with_al in task["arms"]:
+            key = _cell_key(task["setting"], with_al)
+            status = manifest["cells"].get(key, {})
             done = status.get("status") == "complete" and (
-                out / "results" / f"{cell['key']}.jsonl"
+                out / "results" / f"{key}.jsonl"
             ).is_file()
             if done:
-                print(f"skip {cell['key']} (complete per manifest)")
+                print(f"skip {key} (complete per manifest)")
             else:
-                pending.append(cell)
+                pending.append(with_al)
         if pending:
-            tasks.append({**task, "cells": pending})
+            tasks.append({**task, "arms": pending})
     failures: list[str] = []
     data = load_data(config) if tasks else None
     # closing shuts the pool down even when an interrupt escapes the loop
     with contextlib.closing(_task_runs(config, data, tasks, str(out), args.jobs)) as runs:
         for task, call in runs:
+            keys = [_cell_key(task["setting"], with_al) for with_al in task["arms"]]
             try:
                 call()
             except Exception as exc:  # noqa: BLE001 - task failures must not kill siblings
-                for cell in task["cells"]:
-                    failures.append(f"{cell['key']}: {exc}")
-                    manifest["cells"][cell["key"]] = {"status": "incomplete"}
+                for key in keys:
+                    failures.append(f"{key}: {exc}")
+                    manifest["cells"][key] = {"status": "incomplete"}
             else:
-                for cell in task["cells"]:
-                    manifest["cells"][cell["key"]] = {"status": "complete"}
-                    print(f"done {cell['key']}")
+                for key in keys:
+                    manifest["cells"][key] = {"status": "complete"}
+                    print(f"done {key}")
             # the manifest is rewritten after every task so that an interrupted
             # run resumes from the last finished one
             _write_manifest(out, manifest)

@@ -34,7 +34,7 @@ from .corpus import Instance, Pool, SplitSpec, sample_splits
 from .errors import ConfigError, ScoringError
 from .graph import ArcScores, chu_liu_edmonds
 from .models import FeatureSpace, TrainingConfig, build_model
-from .tasks import BudgetUnit, MetricReport, TaskKind, attachment_scores, span_f1
+from .tasks import BudgetUnit, MetricReport, TaskKind
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,11 @@ class AllocationPlan:
     spec: BudgetSpec
     models: tuple[ModelPlan, ...]
 
+    def per_round(self, model: ModelPlan) -> int:
+        """What `model` may spend in each acquisition round; 0 when there is none."""
+        rounds = self.spec.acquisition_rounds
+        return model.acq_budget // rounds if rounds else 0
+
 
 def allocate(setting: Setting, spec: BudgetSpec, languages: Sequence[str]) -> AllocationPlan:
     """Lay out models and their budget shares for one setting."""
@@ -173,7 +178,7 @@ def _derive_seed(base: int, *key: int) -> int:
 
 def _score_pool(model, task, instances, strategy, round_rng):
     """Acquisition scores for every unlabeled instance, lower acquired first."""
-    if strategy is not StrategyKind.RANDOM and not strategy_compatible(strategy, task):
+    if not strategy_compatible(strategy, task):
         raise ScoringError(f"strategy {strategy.value} incompatible with task {task.value}")
     ordered = sorted(instances, key=lambda i: i.id)
     if strategy is StrategyKind.RANDOM:
@@ -191,26 +196,6 @@ def _score_pool(model, task, instances, strategy, round_rng):
         AcquisitionScore(inst.id, value, inst.language, inst.cost)
         for inst, value in zip(ordered, values)
     ]
-
-
-def _predict_metrics(model, task, test_by_language, languages) -> MetricReport:
-    report = MetricReport(task)
-    for lang in languages:
-        instances = test_by_language[lang]
-        if task is TaskKind.CLASSIFICATION:
-            preds = model.predict_batch(instances)
-            gold = [i.payload.label for i in instances]
-            correct = sum(1 for p, g in zip(preds, gold) if p == g)
-            report.add_classification(lang, correct, len(gold))
-        elif task is TaskKind.SEQUENCE_TAGGING:
-            preds = model.predict_tags_batch(instances)
-            gold = [list(i.payload.tags) for i in instances]
-            report.add_tagging(lang, span_f1(preds, gold))
-        else:
-            preds = model.decode_tree_batch(instances)
-            gold = [i.payload for i in instances]
-            report.add_parsing(lang, attachment_scores(preds, gold))
-    return report
 
 
 def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> list[Pool]:
@@ -236,9 +221,8 @@ def _fit_and_evaluate(plan, pools, data, training_config, feature_space, rng_see
             cfg,
         )
         models.append(model)
-        partial = _predict_metrics(model, data.task, data.test, mp.eval_languages)
-        report.per_language.update(partial.per_language)
-        report.counts.update(partial.counts)
+        for lang in mp.eval_languages:
+            report.add(lang, model.evaluate(data.test[lang]))
     return models, validation, report
 
 
@@ -278,7 +262,7 @@ def run_arms(
             spend = {lang: 0 for lang in data.languages}
             warnings: list[str] = []
             for mp, pool, model in zip(plan.models, arm_pools, models):
-                per_round = mp.acq_budget // spec.acquisition_rounds
+                per_round = plan.per_round(mp)
                 if per_round < 1:
                     continue
                 round_rng = np.random.default_rng(

@@ -40,7 +40,7 @@ import numpy as np
 from .corpus import DepTree, Instance
 from .errors import ConfigError, ModelStateError
 from .graph import ArcScores, chu_liu_edmonds
-from .tasks import TaskKind, attachment_scores, span_f1
+from .tasks import TaskKind, attachment_scores, span_f1, task_metrics
 
 ROOT_FORM = "<root>"
 ROOT_UPOS = "<root>"
@@ -602,6 +602,7 @@ def _train(init, step, eval_fn, n_examples: int, config: TrainingConfig):
 
 class _ModelBase:
     task: TaskKind
+    headline: str  # the metric of `task_metrics` that validation maximizes
     kind: str  # the feature kind of the cache
     chunk: int  # rows per feature or prediction pass, which bounds its transient arrays
     _arc_rows = 0  # weight rows ahead of the vocabulary's: the parser's arc scorer
@@ -625,6 +626,9 @@ class _ModelBase:
         if self.weights is None:
             raise ModelStateError("model has no weights; train it or set them explicitly")
 
+    def _score(self, counts: dict[str, int]) -> float:
+        return task_metrics(self.task, counts)[self.headline]
+
     def _features(self, payloads) -> tuple[Rows, list[int]]:
         return FEATURES.rows(self.kind, payloads, self.space, self.chunk)
 
@@ -644,9 +648,10 @@ class _SoftmaxModel(_ModelBase):
     """A softmax over feature rows: one row per text (classifier) or per token (tagger).
 
     Subclasses name the feature kind, the gold label of each row and the
-    validation metric; `_fit` is their shared training body. Each subclass
-    still defines `fit` and the one-instance predictors itself, because
-    `perfbench/tracer.py` wraps them in each class's own namespace.
+    `_counter` of the task's counts, which validation and `evaluate` share;
+    `_fit` is their shared training body. Each subclass still defines `fit`
+    and the one-instance predictors itself, because `perfbench/tracer.py`
+    wraps them in each class's own namespace.
     """
 
     def _fit(self, labeled, validation, config: TrainingConfig) -> float:
@@ -661,14 +666,14 @@ class _SoftmaxModel(_ModelBase):
         gold = np.array([index[y] for p in labeled for y in self._gold(p)], dtype=np.int64)
         val_payloads = [i.payload for i in validation]
         val_rows, val_counts = self._features(val_payloads)
-        metric = self._metric(vocab, val_payloads, val_counts)
+        count = self._counter(vocab, val_payloads, val_counts)
 
         def step(weights, batch, scale):
             _, grad = softmax_objective(weights, rows.take(batch), gold[batch], config.l2)
             weights += scale * grad
 
         def eval_fn(weights):
-            return metric(logits(weights, val_rows).argmax(axis=1))
+            return self._score(count(logits(weights, val_rows).argmax(axis=1)))
 
         self.weights, self.fit_info = _train(lambda: self._zeros(vocab), step, eval_fn, rows.n, config)
         self.vocab = vocab
@@ -682,9 +687,15 @@ class _SoftmaxModel(_ModelBase):
         matrices = [m for m, _ in passes] or [np.zeros((0, len(self.vocab)))]
         return np.concatenate(matrices), [n for _, counts in passes for n in counts]
 
+    def evaluate(self, instances: Sequence[Instance]) -> dict[str, int]:
+        """The task's counts of the argmax predictions on `instances` against their gold labels."""
+        probas, counts = self._probas(instances)
+        return self._counter(self.vocab, [i.payload for i in instances], counts)(probas.argmax(axis=1))
+
 
 class TextClassifier(_SoftmaxModel):
     task = TaskKind.CLASSIFICATION
+    headline = "accuracy"
     kind = "text"
     chunk = 256  # texts
 
@@ -697,11 +708,11 @@ class TextClassifier(_SoftmaxModel):
         return None if payload.label is None else (payload.label,)
 
     @staticmethod
-    def _metric(classes, payloads, _):
-        """Accuracy of argmax class indices: hits over n, the division `accuracy` makes."""
+    def _counter(classes, payloads, _):
+        """Hits and instances of argmax class indices; a gold label outside `classes` is a miss."""
         index = {y: k for k, y in enumerate(classes)}
         gold = np.array([index.get(p.label, -1) for p in payloads], dtype=np.int64)
-        return lambda best: int((best == gold).sum()) / len(gold)
+        return lambda best: {"correct": int((best == gold).sum()), "total": len(gold)}
 
     def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
         return self._fit(labeled, validation, config)
@@ -713,15 +724,13 @@ class TextClassifier(_SoftmaxModel):
     def predict_proba(self, instance: Instance) -> np.ndarray:
         return self.predict_proba_batch([instance])[0]
 
-    def predict_batch(self, instances: Sequence[Instance]) -> list[str]:
-        return [self.classes[k] for k in self.predict_proba_batch(instances).argmax(axis=1).tolist()]
-
     def predict(self, instance: Instance) -> str:
-        return self.predict_batch([instance])[0]
+        return self.classes[int(self.predict_proba(instance).argmax())]
 
 
 class SequenceTagger(_SoftmaxModel):
     task = TaskKind.SEQUENCE_TAGGING
+    headline = "f1"
     kind = "tokens"
     chunk = 448  # tokens: 64 sentences of 7
 
@@ -734,10 +743,10 @@ class SequenceTagger(_SoftmaxModel):
         return payload.tags
 
     @staticmethod
-    def _metric(tags, payloads, counts):
-        """Span F1 of argmax tag indices, cut into sentences of `counts` tokens."""
+    def _counter(tags, payloads, counts):
+        """Span counts of argmax tag indices, cut into sentences of `counts` tokens."""
         gold = [list(p.tags) for p in payloads]
-        return lambda best: span_f1(_split([tags[k] for k in best.tolist()], counts), gold).f1
+        return lambda best: span_f1(_split([tags[k] for k in best.tolist()], counts), gold).counts
 
     def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
         return self._fit(labeled, validation, config)
@@ -749,12 +758,8 @@ class SequenceTagger(_SoftmaxModel):
     def predict_tag_probas(self, instance: Instance) -> np.ndarray:
         return self.predict_tag_probas_batch([instance])[0]
 
-    def predict_tags_batch(self, instances: Sequence[Instance]) -> list[list[str]]:
-        probas, counts = self.predict_tag_probas_batch(instances)
-        return _split([self.tags[k] for k in probas.argmax(axis=1).tolist()], counts)
-
     def predict_tags(self, instance: Instance) -> list[str]:
-        return self.predict_tags_batch([instance])[0]
+        return [self.tags[k] for k in self.predict_tag_probas(instance).argmax(axis=1).tolist()]
 
 
 def _candidate_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -778,6 +783,7 @@ class DependencyParser(_ModelBase):
     """
 
     task = TaskKind.DEPENDENCY_PARSING
+    headline = "las"
     kind = "arcs"
     chunk = 24_576  # candidate arcs: 16 sentences of about 39 tokens
     _arc_rows = 1
@@ -831,7 +837,8 @@ class DependencyParser(_ModelBase):
             weights[1:] += scale * g_label
 
         def eval_fn(weights):
-            return attachment_scores(self._decode(weights, labels, val_gold, val_arcs), val_gold).las
+            decoded = self._decode(weights, labels, val_gold, val_arcs)
+            return self._score(attachment_scores(decoded, val_gold).counts)
 
         self.weights, self.fit_info = _train(lambda: self._zeros(labels), step, eval_fn, len(trees), config)
         self.vocab = labels
@@ -895,6 +902,10 @@ class DependencyParser(_ModelBase):
 
     def decode_tree(self, instance: Instance) -> DepTree:
         return self.decode_tree_batch([instance])[0]
+
+    def evaluate(self, instances: Sequence[Instance]) -> dict[str, int]:
+        """Attachment counts of the decoded trees of `instances` against their gold trees."""
+        return attachment_scores(self.decode_tree_batch(instances), [i.payload for i in instances]).counts
 
 
 def build_model(task: TaskKind, space: FeatureSpace):

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import DepTree
 from .errors import EvaluationError
@@ -27,12 +28,36 @@ class TaskKind(Enum):
         return BudgetUnit.TOKEN
 
 
+def task_metrics(task: TaskKind, counts: Mapping[str, int]) -> dict[str, float]:
+    """A task's metrics from its counts: accuracy, span P/R/F1 or UAS/LAS.
+
+    The counts are those `MetricReport.counts` holds per language, so the
+    metrics of one language, of any pool of languages and of the string-level
+    `accuracy`, `span_f1` and `attachment_scores` all come from here.
+    """
+    if task is TaskKind.CLASSIFICATION:
+        total = counts["total"]
+        return {"accuracy": counts["correct"] / total if total else 0.0}
+    if task is TaskKind.SEQUENCE_TAGGING:
+        tp, pred, gold = counts["tp"], counts["pred_spans"], counts["gold_spans"]
+        precision = tp / pred if pred else 0.0
+        recall = tp / gold if gold else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        return {"precision": precision, "recall": recall, "f1": f1}
+    total = counts["total"]
+    return {
+        "uas": counts["head_correct"] / total if total else 0.0,
+        "las": counts["label_correct"] / total if total else 0.0,
+    }
+
+
 def accuracy(pred: Sequence[str], gold: Sequence[str]) -> float:
     if len(pred) != len(gold):
         raise EvaluationError(f"length mismatch: {len(pred)} predictions vs {len(gold)} labels")
     if not gold:
         raise EvaluationError("cannot score an empty prediction list")
-    return sum(1 for p, g in zip(pred, gold) if p == g) / len(gold)
+    hits = sum(1 for p, g in zip(pred, gold) if p == g)
+    return task_metrics(TaskKind.CLASSIFICATION, {"correct": hits, "total": len(gold)})["accuracy"]
 
 
 def bio_spans(tags: Sequence[str]) -> list[tuple[str, int, int]]:
@@ -63,16 +88,7 @@ class SpanF1(NamedTuple):
     precision: float
     recall: float
     f1: float
-    tp: int
-    pred_spans: int
-    gold_spans: int
-
-
-def _prf(tp: int, pred: int, gold: int) -> tuple[float, float, float]:
-    precision = tp / pred if pred else 0.0
-    recall = tp / gold if gold else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    counts: dict[str, int]  # tp, pred_spans, gold_spans
 
 
 def span_f1(pred_tags: Sequence[Sequence[str]], gold_tags: Sequence[Sequence[str]]) -> SpanF1:
@@ -90,16 +106,15 @@ def span_f1(pred_tags: Sequence[Sequence[str]], gold_tags: Sequence[Sequence[str
         tp += len(p_spans & g_spans)
         pred_total += len(p_spans)
         gold_total += len(g_spans)
-    precision, recall, f1 = _prf(tp, pred_total, gold_total)
-    return SpanF1(precision, recall, f1, tp, pred_total, gold_total)
+    counts = {"tp": tp, "pred_spans": pred_total, "gold_spans": gold_total}
+    metrics = task_metrics(TaskKind.SEQUENCE_TAGGING, counts)
+    return SpanF1(metrics["precision"], metrics["recall"], metrics["f1"], counts)
 
 
 class Attachment(NamedTuple):
     uas: float
     las: float
-    head_correct: int
-    label_correct: int
-    total: int
+    counts: dict[str, int]  # head_correct, label_correct, total
 
 
 def attachment_scores(pred: Sequence[DepTree], gold: Sequence[DepTree]) -> Attachment:
@@ -122,7 +137,9 @@ def attachment_scores(pred: Sequence[DepTree], gold: Sequence[DepTree]) -> Attac
                     label_correct += 1
     if total == 0:
         raise EvaluationError("no tokens to score")
-    return Attachment(head_correct / total, label_correct / total, head_correct, label_correct, total)
+    counts = {"head_correct": head_correct, "label_correct": label_correct, "total": total}
+    metrics = task_metrics(TaskKind.DEPENDENCY_PARSING, counts)
+    return Attachment(metrics["uas"], metrics["las"], counts)
 
 
 @dataclass
@@ -137,46 +154,13 @@ class MetricReport:
     per_language: dict[str, dict[str, float]] = field(default_factory=dict)
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def add_classification(self, language: str, correct: int, total: int):
-        self.counts[language] = {"correct": correct, "total": total}
-        self.per_language[language] = {"accuracy": correct / total if total else 0.0}
-
-    def add_tagging(self, language: str, result: SpanF1):
-        self.counts[language] = {
-            "tp": result.tp,
-            "pred_spans": result.pred_spans,
-            "gold_spans": result.gold_spans,
-        }
-        self.per_language[language] = {
-            "precision": result.precision,
-            "recall": result.recall,
-            "f1": result.f1,
-        }
-
-    def add_parsing(self, language: str, result: Attachment):
-        self.counts[language] = {
-            "head_correct": result.head_correct,
-            "label_correct": result.label_correct,
-            "total": result.total,
-        }
-        self.per_language[language] = {"uas": result.uas, "las": result.las}
+    def add(self, language: str, counts: dict[str, int]):
+        self.counts[language] = counts
+        self.per_language[language] = task_metrics(self.task, counts)
 
     def micro(self) -> dict[str, float]:
         """Metrics recomputed from the pooled counts of every language."""
-        if self.task is TaskKind.CLASSIFICATION:
-            correct = sum(c["correct"] for c in self.counts.values())
-            total = sum(c["total"] for c in self.counts.values())
-            return {"accuracy": correct / total if total else 0.0}
-        if self.task is TaskKind.SEQUENCE_TAGGING:
-            tp = sum(c["tp"] for c in self.counts.values())
-            pred = sum(c["pred_spans"] for c in self.counts.values())
-            gold = sum(c["gold_spans"] for c in self.counts.values())
-            precision, recall, f1 = _prf(tp, pred, gold)
-            return {"precision": precision, "recall": recall, "f1": f1}
-        head = sum(c["head_correct"] for c in self.counts.values())
-        label = sum(c["label_correct"] for c in self.counts.values())
-        total = sum(c["total"] for c in self.counts.values())
-        return {
-            "uas": head / total if total else 0.0,
-            "las": label / total if total else 0.0,
-        }
+        pooled: Counter[str] = Counter()
+        for counts in self.counts.values():
+            pooled.update(counts)
+        return task_metrics(self.task, pooled)

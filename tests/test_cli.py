@@ -294,6 +294,29 @@ class TestLoadData:
         assert all(i.language == "bb" for i in data.train["bb"])
 
 
+    @pytest.mark.parametrize("task, name, text", [
+        ("classification", "bb.test.tsv", "label\tlanguage\ttext\n"),
+        ("classification", "bb.test.tsv", "label\tlanguage\ttext\npos\taa\tan aa row\n"),
+        ("tagging", "bb.test.conll", ""),
+        ("parsing", "bb.test.conllu", ""),
+    ])
+    def test_language_without_test_instances_is_rejected(self, tmp_path, capsys, task, name, text):
+        root = tmp_path / "corpus"
+        assert main(["synth", "--task", task, "--languages", "aa,bb", "--train-size", "40",
+                     "--test-size", "10", "--budget", "8", "--out", str(root)]) == 0
+        (root / name).write_text(text, encoding="utf-8")
+        config_path = str(root / "config.json")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        for command in (["validate"], ["run", "--out", str(out)]):
+            assert main([*command, "--config", config_path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: data.bb.test: no bb instances in {(root / name).resolve()}\n"
+        # rejected before any model is trained
+        assert not (out / "results").exists() and not (out / "logs").exists()
+
+
 class TestRunCommand:
     def test_run_writes_expected_files(self, tmp_path):
         config_path = _small_config(tmp_path / "corpus")
@@ -356,7 +379,7 @@ class TestRunCommand:
         calls = []
 
         def counting(config_dict, task, out_dir):
-            calls.append([cell["key"] for cell in task["cells"]])
+            calls.append([cli._cell_key(task["setting"], with_al) for with_al in task["arms"]])
             return run_cell(config_dict, task, out_dir)
 
         monkeypatch.setattr(cli, "run_cell", counting)
@@ -376,7 +399,7 @@ class TestRunCommand:
         calls = []
 
         def counting(config_dict, task, out_dir):
-            calls.append([cell["key"] for cell in task["cells"]])
+            calls.append([cli._cell_key(task["setting"], with_al) for with_al in task["arms"]])
             return run_cell(config_dict, task, out_dir)
 
         monkeypatch.setattr(cli, "run_cell", counting)

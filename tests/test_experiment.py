@@ -96,6 +96,14 @@ class TestAllocate:
         with pytest.raises(ConfigError):
             allocate(setting, BudgetSpec(10, 10, 10), self.LANGS)
 
+    def test_per_round_budget(self):
+        mma = Setting(SettingFamily.MMA, StrategyKind.LC)
+        plan = allocate(mma, BudgetSpec(300, 302, 300, rounds=4), self.LANGS)
+        # 302 // 4 = 75 per model, spread over 3 acquisition rounds
+        assert [plan.per_round(mp) for mp in plan.models] == [25] * 4
+        plan = allocate(mma, BudgetSpec(300, 302, 300, rounds=1), self.LANGS)
+        assert [plan.per_round(mp) for mp in plan.models] == [0] * 4
+
 
 class TestRunRounds:
     def test_protocol_shape(self, small_data):
@@ -297,7 +305,7 @@ def _fake_rounds(metric_value, rounds=2, langs=("aa", "bb")):
     for r in range(rounds):
         report = MetricReport(TaskKind.CLASSIFICATION)
         for lang in langs:
-            report.add_classification(lang, int(metric_value * 100), 100)
+            report.add(lang, {"correct": int(metric_value * 100), "total": 100})
         out.append(report.per_language)
     return out
 

@@ -19,7 +19,7 @@ from lingalloc.models import (
     parser_objective,
 )
 from lingalloc.synth import synth_classification, synth_parsing, synth_tagging
-from lingalloc.tasks import BudgetUnit
+from lingalloc.tasks import BudgetUnit, accuracy, attachment_scores, span_f1, task_metrics
 
 from oracles import example_loop_class_objective, example_loop_parser_objective
 
@@ -137,9 +137,11 @@ def test_run_rounds_featurizes_each_instance_once(monkeypatch, make_run):
 
 
 class TestBatchedPrediction:
-    """Whole-array predictions equal their one-instance counterparts, across
-    pass borders: a row budget of 40 cuts the instances into many passes and
-    leaves some instances with more rows than that in passes of their own."""
+    """Whole-array predictions equal their one-instance counterparts, and
+    `evaluate` counts what the metrics count over the one-instance
+    predictions, across pass borders: a row budget of 40 cuts the instances
+    into many passes and leaves some instances with more rows than that in
+    passes of their own."""
 
     def test_classifier(self):
         data = synth_classification(["aa", "bb"], 160, 10, 0.5, seed=1)
@@ -151,7 +153,10 @@ class TestBatchedPrediction:
         assert batch.shape == (len(insts), len(model.classes))
         for inst, probas in zip(insts, batch, strict=True):
             assert np.array_equal(probas, model.predict_proba(inst))
-        assert model.predict_batch(insts) == [model.predict(i) for i in insts]
+        pred, gold = [model.predict(i) for i in insts], [i.payload.label for i in insts]
+        counts = model.evaluate(insts)
+        assert counts == {"correct": sum(p == g for p, g in zip(pred, gold)), "total": len(insts)}
+        assert task_metrics(model.task, counts)["accuracy"] == accuracy(pred, gold)
 
     def test_tagger(self):
         data = synth_tagging(["aa", "bb"], 50, 10, 0.5, seed=1)
@@ -164,7 +169,8 @@ class TestBatchedPrediction:
         assert probas.shape == (sum(counts), len(model.tags))
         for inst, rows in zip(insts, np.split(probas, np.cumsum(counts)[:-1]), strict=True):
             assert np.array_equal(rows, model.predict_tag_probas(inst))
-        assert model.predict_tags_batch(insts) == [model.predict_tags(i) for i in insts]
+        gold = [list(i.payload.tags) for i in insts]
+        assert model.evaluate(insts) == span_f1([model.predict_tags(i) for i in insts], gold).counts
 
     def test_parser(self):
         data = synth_parsing(["aa", "bb"], 15, 5, 0.5, seed=1)
@@ -173,7 +179,9 @@ class TestBatchedPrediction:
         model = DependencyParser(SPACE)
         model.fit(insts[:12], insts[12:18], FAST)
         model.chunk = 40
-        assert model.decode_tree_batch(insts) == [model.decode_tree(i) for i in insts]
+        trees = [model.decode_tree(i) for i in insts]
+        assert model.decode_tree_batch(insts) == trees
+        assert model.evaluate(insts) == attachment_scores(trees, [i.payload for i in insts]).counts
         for inst, log_probs in zip(insts, model.head_log_probs_batch(insts), strict=True):
             head_probs, _ = model.predict_arc_probas(inst)
             assert np.array_equal(np.exp(log_probs), head_probs)
@@ -184,7 +192,7 @@ class TestBatchedPrediction:
         model.fit(data.train["aa"][:15], data.train["aa"][15:], FAST)
         probas, counts = model.predict_tag_probas_batch([])
         assert probas.shape == (0, len(model.tags)) and counts == []
-        assert model.predict_tags_batch([]) == []
+        assert model.evaluate([]) == {"tp": 0, "pred_spans": 0, "gold_spans": 0}
 
 
 def test_fit_info_records_the_learning_rate_search():

@@ -22,7 +22,8 @@ from lingalloc.models import (
     parser_objective,
     _train,
 )
-from lingalloc.tasks import TaskKind, accuracy, span_f1
+from lingalloc.synth import synth_dataset
+from lingalloc.tasks import TaskKind, accuracy, span_f1, task_metrics
 
 from oracles import all_single_root_trees, best_tree, char_ngrams
 
@@ -277,7 +278,7 @@ TAGGED = [
 
 
 class TestValidationMetric:
-    """Validation scores argmax indices; the scores equal the string metrics."""
+    """Validation counts argmax indices; the counts give the string metrics."""
 
     def test_classifier_metric_is_accuracy(self):
         rng = np.random.default_rng(5)
@@ -287,8 +288,10 @@ class TestValidationMetric:
             labels = rng.choice(["neg", "neu", "pos", "unseen", None], size=n).tolist()
             payloads = [ClassificationText("x", label) for label in labels]
             best = rng.integers(0, len(classes), size=n)
-            got = TextClassifier._metric(classes, payloads, [1] * n)(best)
-            assert got == accuracy([classes[k] for k in best], labels)
+            pred = [classes[k] for k in best]
+            counts = TextClassifier._counter(classes, payloads, [1] * n)(best)
+            assert counts == {"correct": sum(p == g for p, g in zip(pred, labels)), "total": n}
+            assert task_metrics(TaskKind.CLASSIFICATION, counts)["accuracy"] == accuracy(pred, labels)
 
     def test_tagger_metric_is_span_f1(self):
         rng = np.random.default_rng(6)
@@ -299,8 +302,25 @@ class TestValidationMetric:
         best = rng.integers(0, len(tags), size=sum(counts))
         ends = np.cumsum(counts).tolist()
         pred = [[tags[k] for k in best[a:b]] for a, b in zip([0] + ends, ends)]
-        got = SequenceTagger._metric(tags, payloads, counts)(best)
-        assert got == span_f1(pred, [list(g) for g in gold]).f1
+        got = SequenceTagger._counter(tags, payloads, counts)(best)
+        expected = span_f1(pred, [list(g) for g in gold])
+        assert got == expected.counts
+        assert task_metrics(TaskKind.SEQUENCE_TAGGING, got)["f1"] == expected.f1
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_validation_score_is_the_headline_of_the_counts(self, task):
+        """`fit` returns the headline metric of the counts `evaluate` gives on
+        the validation set with the weights it kept."""
+        data = synth_dataset(task, ["aa", "bb"], 40, 5, 0.5, seed=3)
+        insts = [i for lang in data.languages for i in data.train[lang]]
+        model = build_model(task, SPACE)
+        config = TrainingConfig(learning_rates=(0.1, 0.5), batch_size=8, max_epochs=6, patience=3)
+        score = model.fit(insts[:30], insts[30:60], config)
+        counts = model.evaluate(insts[30:60])
+        assert score == task_metrics(task, counts)[model.headline]
+        assert model.headline == {TaskKind.CLASSIFICATION: "accuracy",
+                                  TaskKind.SEQUENCE_TAGGING: "f1",
+                                  TaskKind.DEPENDENCY_PARSING: "las"}[task]
 
 
 class TestSequenceTagger:

@@ -13,6 +13,7 @@ from lingalloc.tasks import (
     attachment_scores,
     bio_spans,
     span_f1,
+    task_metrics,
 )
 
 
@@ -151,21 +152,71 @@ class TestAttachmentScores:
 class TestMetricReport:
     def test_micro_matches_single_language(self):
         report = MetricReport(TaskKind.SEQUENCE_TAGGING)
-        report.add_tagging("en", span_f1([["B-PER", "O"]], [["B-PER", "B-LOC"]]))
+        report.add("en", span_f1([["B-PER", "O"]], [["B-PER", "B-LOC"]]).counts)
         assert abs(report.micro()["f1"] - report.per_language["en"]["f1"]) < 1e-12
 
     def test_micro_pools_counts(self):
         report = MetricReport(TaskKind.CLASSIFICATION)
-        report.add_classification("en", correct=3, total=4)
-        report.add_classification("de", correct=1, total=4)
+        report.add("en", {"correct": 3, "total": 4})
+        report.add("de", {"correct": 1, "total": 4})
         assert report.micro()["accuracy"] == 0.5
 
     def test_parsing_micro(self):
         report = MetricReport(TaskKind.DEPENDENCY_PARSING)
         gold = [_tree([0, 1], ["root", "x"])]
         pred = [_tree([0, 2], ["root", "x"])]
-        report.add_parsing("en", attachment_scores(pred, gold))
-        report.add_parsing("de", attachment_scores(gold, gold))
+        report.add("en", attachment_scores(pred, gold).counts)
+        report.add("de", attachment_scores(gold, gold).counts)
         micro = report.micro()
         assert micro["uas"] == 0.75
         assert micro["las"] == 0.75
+
+    def test_add_computes_the_string_metrics(self):
+        pred, gold = [["B-PER", "I-PER", "O"], ["B-LOC"]], [["B-PER", "O", "O"], ["B-LOC"]]
+        report = MetricReport(TaskKind.SEQUENCE_TAGGING)
+        result = span_f1(pred, gold)
+        report.add("en", result.counts)
+        assert report.per_language["en"] == {
+            "precision": result.precision, "recall": result.recall, "f1": result.f1}
+        trees = [_tree([0, 1, 1], ["root", "x", "y"])]
+        guess = [_tree([0, 1, 2], ["root", "y", "y"])]
+        report = MetricReport(TaskKind.DEPENDENCY_PARSING)
+        attachment = attachment_scores(guess, trees)
+        report.add("en", attachment.counts)
+        assert report.per_language["en"] == {"uas": attachment.uas, "las": attachment.las}
+        report = MetricReport(TaskKind.CLASSIFICATION)
+        report.add("en", {"correct": 2, "total": 3})
+        assert report.per_language["en"] == {"accuracy": accuracy(["a", "b", "c"], ["a", "b", "b"])}
+
+    # per task: the counts of three languages of unequal size, and their pooled metrics
+    POOLED = [
+        (TaskKind.CLASSIFICATION,
+         [{"correct": 9, "total": 10}, {"correct": 1, "total": 2}, {"correct": 0, "total": 1}],
+         {"accuracy": 10 / 13}),
+        (TaskKind.SEQUENCE_TAGGING,
+         [{"tp": 4, "pred_spans": 5, "gold_spans": 8}, {"tp": 1, "pred_spans": 1, "gold_spans": 1},
+          {"tp": 0, "pred_spans": 2, "gold_spans": 0}],
+         {"precision": 5 / 8, "recall": 5 / 9, "f1": 2 * (5 / 8) * (5 / 9) / (5 / 8 + 5 / 9)}),
+        (TaskKind.DEPENDENCY_PARSING,
+         [{"head_correct": 8, "label_correct": 6, "total": 10},
+          {"head_correct": 1, "label_correct": 0, "total": 2},
+          {"head_correct": 3, "label_correct": 3, "total": 3}],
+         {"uas": 12 / 15, "las": 9 / 15}),
+    ]
+
+    @pytest.mark.parametrize("task, counts, pooled", POOLED)
+    def test_micro_pools_counts_of_every_task(self, task, counts, pooled):
+        report = MetricReport(task)
+        for lang, language_counts in zip(("aa", "bb", "cc"), counts):
+            report.add(lang, language_counts)
+        assert report.micro() == pytest.approx(pooled, rel=1e-12)
+        # the pool of unequal languages is not the mean of their rates
+        for name, value in pooled.items():
+            mean = sum(m[name] for m in report.per_language.values()) / len(counts)
+            assert abs(mean - value) > 0.01
+        assert report.micro() == task_metrics(task, {
+            name: sum(c[name] for c in counts) for name in counts[0]})
+
+    def test_micro_of_no_language(self):
+        assert MetricReport(TaskKind.SEQUENCE_TAGGING).micro() == {
+            "precision": 0.0, "recall": 0.0, "f1": 0.0}
