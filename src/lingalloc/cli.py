@@ -328,8 +328,9 @@ def load_data(config: ExperimentConfig) -> MultilingualData:
 
     Over-long sentences are dropped from training pools only; classification
     truncation applies everywhere. Instance ids are assigned contiguously in
-    sorted language order, train before test. A language without test
-    instances raises DataError, because its metrics would read 0.
+    sorted language order, train before test. A language without training
+    or test instances raises DataError: no model could train on it, or its
+    metrics would read 0.
     """
     def ingest(split: str, lang: str, counter: int):
         paths = config.data[lang]
@@ -347,16 +348,16 @@ def load_data(config: ExperimentConfig) -> MultilingualData:
     train: dict[str, list] = {}
     test: dict[str, list] = {}
     counter = 0
-    for lang in config.languages:
-        instances, counter = ingest("train", lang, counter)
-        train[lang] = length_filter(dedup(instances), config.max_length)
-    for lang in config.languages:
-        instances, counter = ingest("test", lang, counter)
-        if config.task is TaskKind.CLASSIFICATION:
-            instances = length_filter(instances, config.max_length)
-        if not instances:
-            raise DataError(f"data.{lang}.test: no {lang} instances in {config.data[lang]['test']}")
-        test[lang] = instances
+    for split, out in (("train", train), ("test", test)):
+        for lang in config.languages:
+            instances, counter = ingest(split, lang, counter)
+            if split == "train":
+                instances = length_filter(dedup(instances), config.max_length)
+            elif config.task is TaskKind.CLASSIFICATION:
+                instances = length_filter(instances, config.max_length)
+            if not instances:
+                raise DataError(f"data.{lang}.{split}: no {lang} instances in {config.data[lang][split]}")
+            out[lang] = instances
     return MultilingualData(config.task, train, test)
 
 
@@ -804,15 +805,11 @@ def cmd_curriculum(args) -> int:
     return 0
 
 
-_SYNTH_EXT = {
-    TaskKind.CLASSIFICATION: "tsv",
-    TaskKind.SEQUENCE_TAGGING: "conll",
-    TaskKind.DEPENDENCY_PARSING: "conllu",
-}
-_SYNTH_WRITERS = {
-    TaskKind.CLASSIFICATION: write_tsv_classification,
-    TaskKind.SEQUENCE_TAGGING: write_conll_ner,
-    TaskKind.DEPENDENCY_PARSING: write_conllu,
+# task -> (corpus file extension, corpus writer, acquisition strategy of the default settings)
+_SYNTH = {
+    TaskKind.CLASSIFICATION: ("tsv", write_tsv_classification, "lc"),
+    TaskKind.SEQUENCE_TAGGING: ("conll", write_conll_ner, "mnlp"),
+    TaskKind.DEPENDENCY_PARSING: ("conllu", write_conllu, "nlpdt"),
 }
 
 
@@ -829,8 +826,7 @@ def cmd_synth(args) -> int:
     data = synth_dataset(task, languages, args.train_size, args.test_size, args.overlap, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ext = _SYNTH_EXT[task]
-    writer = _SYNTH_WRITERS[task]
+    ext, writer, _ = _SYNTH[task]
     paths = {}
     for lang in languages:
         train_path = out / f"{lang}.train.{ext}"
@@ -855,11 +851,7 @@ def cmd_synth(args) -> int:
 
 
 def _default_settings(task: TaskKind, languages) -> list[dict]:
-    strategy = {
-        TaskKind.CLASSIFICATION: "lc",
-        TaskKind.SEQUENCE_TAGGING: "mnlp",
-        TaskKind.DEPENDENCY_PARSING: "nlpdt",
-    }[task]
+    strategy = _SYNTH[task][2]
     settings = [
         {"kind": "sma", "strategy": strategy},
         {"kind": "mma", "strategy": strategy},

@@ -5,7 +5,9 @@ alike contribute to the same weights regardless of language; this is what
 lets a single pooled model transfer across languages. All three models are
 multinomial logistic layers over sparse hashed features, trained by
 mini-batch gradient ascent with a learning-rate search and patience-based
-early stopping on the task metric.
+early stopping on the task metric. One `fit` and one `evaluate` serve all
+three (`_ModelBase`): each model supplies its gold labels, its SGD step,
+its `_predict` of one pass and its `_count` of the task's counts.
 
 Features are computed once per process: the first time a model needs a
 text, a sentence's token windows or a sentence's arc candidates, they are
@@ -24,9 +26,8 @@ indices are those of `zlib.crc32` per key, bit for bit. All three models
 run through one batched softmax layer over such rows. Its logits and
 gradients are scattered with `np.bincount`, which adds terms in row order,
 so a batch's gradient is bit for bit the sum of its examples' gradients
-taken one after another. Inference yields one (rows, vocabulary) matrix per
-call, from which predictions, pool scores and validation take whole-array
-argmaxes and maxima.
+taken one after another. Validation and test predictions take whole-array
+argmaxes of the logits; pool scores read their softmax.
 """
 
 from __future__ import annotations
@@ -601,6 +602,17 @@ def _train(init, step, eval_fn, n_examples: int, config: TrainingConfig):
 
 
 class _ModelBase:
+    """One `fit` and one `evaluate` for all three models, through four hooks:
+    `_gold(payload)`, the labels, or None for a payload without annotation;
+    `_trainer(payloads, vocab, config)`, the number of training examples and
+    the in-place step of `_train`; `_predict(weights, vocab, payloads, rows)`,
+    the labels, tag sequences or trees predicted in one pass; and
+    `_count(predictions, payloads)`, the task's counts. Validation predicts
+    with each epoch's weights, `evaluate` with the trained ones. Each model
+    binds `fit` and its one-instance predictors in its own namespace, where
+    `perfbench/tracer.py` wraps them.
+    """
+
     task: TaskKind
     headline: str  # the metric of `task_metrics` that validation maximizes
     kind: str  # the feature kind of the cache
@@ -626,71 +638,78 @@ class _ModelBase:
         if self.weights is None:
             raise ModelStateError("model has no weights; train it or set them explicitly")
 
-    def _score(self, counts: dict[str, int]) -> float:
-        return task_metrics(self.task, counts)[self.headline]
-
     def _features(self, payloads) -> tuple[Rows, list[int]]:
         return FEATURES.rows(self.kind, payloads, self.space, self.chunk)
 
+    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
+        """Train on the annotated `labeled` instances; keep and return the best validation score."""
+        if not labeled or not validation:
+            raise ConfigError("need non-empty labeled and validation sets")
+        payloads = [i.payload for i in labeled if self._gold(i.payload) is not None]
+        vocab = tuple(sorted({y for p in payloads for y in self._gold(p)}))
+        if not vocab:
+            raise ConfigError("empty label vocabulary")
+        n_examples, step = self._trainer(payloads, vocab, config)
+        val_payloads = [i.payload for i in validation]
+        val_rows, _ = self._features(val_payloads)
+
+        def eval_fn(weights):
+            counts = self._count(self._predict(weights, vocab, val_payloads, val_rows), val_payloads)
+            return task_metrics(self.task, counts)[self.headline]
+
+        self.weights, self.fit_info = _train(lambda: self._zeros(vocab), step, eval_fn, n_examples, config)
+        self.vocab = vocab
+        return self.fit_info.score
+
     def _in_passes(self, fn, instances: Sequence[Instance]) -> list:
-        """fn(payloads, rows, rows per payload) over consecutive passes of whole
-        instances of at most `chunk` rows (`_passes`); one result per pass."""
+        """The lists fn(payloads, rows, rows per payload) of consecutive passes of
+        whole instances of at most `chunk` rows (`_passes`), concatenated."""
         self._require_trained()
         key_of, size_of, _ = _FEATURIZERS[self.kind]
         payloads = [i.payload for i in instances]
         return [
-            fn(payloads[start:stop], *self._features(payloads[start:stop]))
+            item
             for start, stop in _passes([size_of(key_of(p)) for p in payloads], self.chunk)
+            for item in fn(payloads[start:stop], *self._features(payloads[start:stop]))
         ]
+
+    def _predictions(self, instances: Sequence[Instance]) -> list:
+        """`_predict` with the trained weights, one prediction per instance."""
+        return self._in_passes(
+            lambda payloads, rows, _: self._predict(self.weights, self.vocab, payloads, rows), instances
+        )
+
+    def evaluate(self, instances: Sequence[Instance]) -> dict[str, int]:
+        """The task's counts of the predictions on `instances` against their gold annotation."""
+        return self._count(self._predictions(instances), [i.payload for i in instances])
 
 
 class _SoftmaxModel(_ModelBase):
-    """A softmax over feature rows: one row per text (classifier) or per token (tagger).
+    """A softmax over feature rows: one row per text (classifier) or per token (tagger)."""
 
-    Subclasses name the feature kind, the gold label of each row and the
-    `_counter` of the task's counts, which validation and `evaluate` share;
-    `_fit` is their shared training body. Each subclass still defines `fit`
-    and the one-instance predictors itself, because `perfbench/tracer.py`
-    wraps them in each class's own namespace.
-    """
-
-    def _fit(self, labeled, validation, config: TrainingConfig) -> float:
-        if not labeled or not validation:
-            raise ConfigError("need non-empty labeled and validation sets")
-        labeled = [i.payload for i in labeled if self._gold(i.payload) is not None]
-        vocab = tuple(sorted({y for p in labeled for y in self._gold(p)}))
-        if not vocab:
-            raise ConfigError("empty label vocabulary")
+    def _trainer(self, payloads, vocab, config: TrainingConfig):
         index = {y: k for k, y in enumerate(vocab)}
-        rows, _ = self._features(labeled)
-        gold = np.array([index[y] for p in labeled for y in self._gold(p)], dtype=np.int64)
-        val_payloads = [i.payload for i in validation]
-        val_rows, val_counts = self._features(val_payloads)
-        count = self._counter(vocab, val_payloads, val_counts)
+        rows, _ = self._features(payloads)
+        gold = np.array([index[y] for p in payloads for y in self._gold(p)], dtype=np.int64)
 
         def step(weights, batch, scale):
             _, grad = softmax_objective(weights, rows.take(batch), gold[batch], config.l2)
             weights += scale * grad
 
-        def eval_fn(weights):
-            return self._score(count(logits(weights, val_rows).argmax(axis=1)))
+        return rows.n, step
 
-        self.weights, self.fit_info = _train(lambda: self._zeros(vocab), step, eval_fn, rows.n, config)
-        self.vocab = vocab
-        return self.fit_info.score
+    @staticmethod
+    def _predict(weights, vocab, payloads, rows) -> list[str]:
+        """The label of each row's highest logit."""
+        return [vocab[k] for k in logits(weights, rows).argmax(axis=1).tolist()]
 
     def _probas(self, instances: Sequence[Instance]) -> tuple[np.ndarray, list[int]]:
         """One (rows, vocab) matrix of distributions over every instance's rows, and each instance's row count."""
         passes = self._in_passes(
-            lambda _, rows, counts: (softmax(logits(self.weights, rows)), counts), instances
+            lambda _, rows, counts: [(softmax(logits(self.weights, rows)), counts)], instances
         )
         matrices = [m for m, _ in passes] or [np.zeros((0, len(self.vocab)))]
         return np.concatenate(matrices), [n for _, counts in passes for n in counts]
-
-    def evaluate(self, instances: Sequence[Instance]) -> dict[str, int]:
-        """The task's counts of the argmax predictions on `instances` against their gold labels."""
-        probas, counts = self._probas(instances)
-        return self._counter(self.vocab, [i.payload for i in instances], counts)(probas.argmax(axis=1))
 
 
 class TextClassifier(_SoftmaxModel):
@@ -708,14 +727,11 @@ class TextClassifier(_SoftmaxModel):
         return None if payload.label is None else (payload.label,)
 
     @staticmethod
-    def _counter(classes, payloads, _):
-        """Hits and instances of argmax class indices; a gold label outside `classes` is a miss."""
-        index = {y: k for k, y in enumerate(classes)}
-        gold = np.array([index.get(p.label, -1) for p in payloads], dtype=np.int64)
-        return lambda best: {"correct": int((best == gold).sum()), "total": len(gold)}
+    def _count(predictions, payloads) -> dict[str, int]:
+        """Hits and instances; a missing gold label is a miss."""
+        return {"correct": sum(y == p.label for y, p in zip(predictions, payloads)), "total": len(payloads)}
 
-    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
-        return self._fit(labeled, validation, config)
+    fit = _ModelBase.fit
 
     def predict_proba_batch(self, instances: Sequence[Instance]) -> np.ndarray:
         """(instances, classes) distributions."""
@@ -742,14 +758,14 @@ class SequenceTagger(_SoftmaxModel):
     def _gold(payload):
         return payload.tags
 
-    @staticmethod
-    def _counter(tags, payloads, counts):
-        """Span counts of argmax tag indices, cut into sentences of `counts` tokens."""
-        gold = [list(p.tags) for p in payloads]
-        return lambda best: span_f1(_split([tags[k] for k in best.tolist()], counts), gold).counts
+    def _predict(self, weights, tags, payloads, rows) -> list[list[str]]:
+        return _split(super()._predict(weights, tags, payloads, rows), [len(p.tokens) for p in payloads])
 
-    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
-        return self._fit(labeled, validation, config)
+    @staticmethod
+    def _count(predictions, payloads) -> dict[str, int]:
+        return span_f1(predictions, [list(p.tags) for p in payloads]).counts
+
+    fit = _ModelBase.fit
 
     def predict_tag_probas_batch(self, instances: Sequence[Instance]) -> tuple[np.ndarray, list[int]]:
         """One (tokens, tags) matrix of distributions over every instance's tokens, and each instance's token count."""
@@ -805,16 +821,12 @@ class DependencyParser(_ModelBase):
             label_examples.append((cands[_candidate(head, d)], label_index[label]))
         return arc_groups, label_examples
 
-    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
-        if not labeled or not validation:
-            raise ConfigError("need non-empty labeled and validation sets")
-        labels = tuple(
-            sorted({l for i in labeled if i.payload.labels for l in i.payload.labels})
-        )
-        if not labels:
-            raise ConfigError("empty dependency label vocabulary")
+    @staticmethod
+    def _gold(payload: DepTree):
+        return None if payload.heads is None or payload.labels is None else payload.labels
+
+    def _trainer(self, trees, labels, config: TrainingConfig):
         label_index = {l: k for k, l in enumerate(labels)}
-        trees = [i.payload for i in labeled if i.payload.heads is not None]
         arcs, arc_counts = self._features(trees)
         lengths = np.array([len(t.tokens) for t in trees], dtype=np.int64)
         first_dep = np.cumsum(lengths) - lengths
@@ -823,8 +835,6 @@ class DependencyParser(_ModelBase):
             [_candidate(h, d) for t in trees for d, h in enumerate(t.heads, start=1)], dtype=np.int64
         )
         gold_labels = np.array([label_index[l] for t in trees for l in t.labels], dtype=np.int64)
-        val_gold = [i.payload for i in validation]
-        val_arcs, _ = self._features(val_gold)
 
         def step(weights, batch, scale):
             n = lengths[batch]
@@ -836,13 +846,13 @@ class DependencyParser(_ModelBase):
             weights[0] += scale * g_arc
             weights[1:] += scale * g_label
 
-        def eval_fn(weights):
-            decoded = self._decode(weights, labels, val_gold, val_arcs)
-            return self._score(attachment_scores(decoded, val_gold).counts)
+        return len(trees), step
 
-        self.weights, self.fit_info = _train(lambda: self._zeros(labels), step, eval_fn, len(trees), config)
-        self.vocab = labels
-        return self.fit_info.score
+    fit = _ModelBase.fit
+
+    @staticmethod
+    def _count(predictions, payloads) -> dict[str, int]:
+        return attachment_scores(predictions, payloads).counts
 
     def _head_log_probs(self, arc_w, payloads, arcs: Rows) -> list[np.ndarray]:
         """Per sentence, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
@@ -855,7 +865,8 @@ class DependencyParser(_ModelBase):
             out.append(matrix)
         return out
 
-    def _decode(self, weights, labels, payloads, arcs: Rows) -> list[DepTree]:
+    def _predict(self, weights, labels, payloads, arcs: Rows) -> list[DepTree]:
+        """Per sentence, the best single-root tree under the head softmax, with argmax arc labels."""
         heads = [
             chu_liu_edmonds(ArcScores(m)).heads
             for m in self._head_log_probs(weights[0], payloads, arcs)
@@ -872,11 +883,9 @@ class DependencyParser(_ModelBase):
 
     def head_log_probs_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
         """Per instance, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
-        passes = self._in_passes(
-            lambda payloads, arcs, _: self._head_log_probs(self.weights[0], payloads, arcs),
-            instances,
+        return self._in_passes(
+            lambda payloads, arcs, _: self._head_log_probs(self.weights[0], payloads, arcs), instances
         )
-        return [matrix for matrices in passes for matrix in matrices]
 
     def predict_arc_probas(self, instance: Instance):
         """Head distribution per dependent plus a label distribution per arc.
@@ -895,17 +904,10 @@ class DependencyParser(_ModelBase):
 
     def decode_tree_batch(self, instances: Sequence[Instance]) -> list[DepTree]:
         """Best single-root tree per instance under the head softmax, with argmax arc labels."""
-        passes = self._in_passes(
-            lambda payloads, arcs, _: self._decode(self.weights, self.labels, payloads, arcs), instances
-        )
-        return [tree for trees in passes for tree in trees]
+        return self._predictions(instances)
 
     def decode_tree(self, instance: Instance) -> DepTree:
         return self.decode_tree_batch([instance])[0]
-
-    def evaluate(self, instances: Sequence[Instance]) -> dict[str, int]:
-        """Attachment counts of the decoded trees of `instances` against their gold trees."""
-        return attachment_scores(self.decode_tree_batch(instances), [i.payload for i in instances]).counts
 
 
 def build_model(task: TaskKind, space: FeatureSpace):

@@ -299,8 +299,13 @@ class TestLoadData:
         ("classification", "bb.test.tsv", "label\tlanguage\ttext\npos\taa\tan aa row\n"),
         ("tagging", "bb.test.conll", ""),
         ("parsing", "bb.test.conllu", ""),
+        ("classification", "bb.train.tsv", "label\tlanguage\ttext\n"),
+        ("classification", "bb.train.tsv", "label\tlanguage\ttext\npos\taa\tan aa row\n"),
+        ("tagging", "bb.train.conll", ""),
+        ("parsing", "bb.train.conllu", ""),
     ])
     def test_language_without_test_instances_is_rejected(self, tmp_path, capsys, task, name, text):
+        """An empty test or training split of a language fails `validate` and `run` alike."""
         root = tmp_path / "corpus"
         assert main(["synth", "--task", task, "--languages", "aa,bb", "--train-size", "40",
                      "--test-size", "10", "--budget", "8", "--out", str(root)]) == 0
@@ -312,7 +317,8 @@ class TestLoadData:
             assert main([*command, "--config", config_path]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: data.bb.test: no bb instances in {(root / name).resolve()}\n"
+            split = name.split(".")[1]
+            assert captured.err == f"error: data.bb.{split}: no bb instances in {(root / name).resolve()}\n"
         # rejected before any model is trained
         assert not (out / "results").exists() and not (out / "logs").exists()
 

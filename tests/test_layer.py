@@ -193,6 +193,11 @@ class TestBatchedPrediction:
         probas, counts = model.predict_tag_probas_batch([])
         assert probas.shape == (0, len(model.tags)) and counts == []
         assert model.evaluate([]) == {"tp": 0, "pred_spans": 0, "gold_spans": 0}
+        data = synth_classification(["aa"], 30, 5, 0.5, seed=2)
+        model = TextClassifier(SPACE)
+        model.fit(data.train["aa"][:15], data.train["aa"][15:], FAST)
+        assert model.predict_proba_batch([]).shape == (0, len(model.classes))
+        assert model.evaluate([]) == {"correct": 0, "total": 0}
 
 
 def test_fit_info_records_the_learning_rate_search():

@@ -278,7 +278,7 @@ TAGGED = [
 
 
 class TestValidationMetric:
-    """Validation counts argmax indices; the counts give the string metrics."""
+    """`_count` counts predictions against gold labels; the counts give the string metrics."""
 
     def test_classifier_metric_is_accuracy(self):
         rng = np.random.default_rng(5)
@@ -287,9 +287,8 @@ class TestValidationMetric:
             n = int(rng.integers(1, 40))
             labels = rng.choice(["neg", "neu", "pos", "unseen", None], size=n).tolist()
             payloads = [ClassificationText("x", label) for label in labels]
-            best = rng.integers(0, len(classes), size=n)
-            pred = [classes[k] for k in best]
-            counts = TextClassifier._counter(classes, payloads, [1] * n)(best)
+            pred = [classes[k] for k in rng.integers(0, len(classes), size=n)]
+            counts = TextClassifier._count(pred, payloads)
             assert counts == {"correct": sum(p == g for p, g in zip(pred, labels)), "total": n}
             assert task_metrics(TaskKind.CLASSIFICATION, counts)["accuracy"] == accuracy(pred, labels)
 
@@ -302,7 +301,7 @@ class TestValidationMetric:
         best = rng.integers(0, len(tags), size=sum(counts))
         ends = np.cumsum(counts).tolist()
         pred = [[tags[k] for k in best[a:b]] for a, b in zip([0] + ends, ends)]
-        got = SequenceTagger._counter(tags, payloads, counts)(best)
+        got = SequenceTagger._count(pred, payloads)
         expected = span_f1(pred, [list(g) for g in gold])
         assert got == expected.counts
         assert task_metrics(TaskKind.SEQUENCE_TAGGING, got)["f1"] == expected.f1
@@ -446,6 +445,14 @@ class TestDependencyParser:
         assert np.array_equal(a.weights[0], b.weights[0])
         assert np.array_equal(a.weights[1:], b.weights[1:])
         assert score_a == 1.0  # tiny treebank with one template is learnable
+        # a sentence without heads, or with heads but no labels, is not trained on
+        tokens, upos = ("lone", "word"), ("D", "V")
+        unannotated = [Instance(90, "en", DepTree(tokens, upos), 2),
+                       Instance(91, "en", DepTree(tokens, upos, None, ("dep", "root")), 2),
+                       Instance(92, "en", DepTree(tokens, upos, (2, 0), None), 2)]
+        c = DependencyParser(SPACE)
+        assert c.fit(insts[:3] + unannotated + insts[3:], insts, FAST) == score_a
+        assert c.labels == a.labels and np.array_equal(c.weights, a.weights)
 
 
 class TestBuildModel:
