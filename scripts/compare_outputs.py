@@ -33,7 +33,9 @@ LANGUAGES = "aa,bb,cc"
 SIZES = {"classification": (200, 60), "tagging": (80, 120), "parsing": (60, 80)}
 STRATEGY = {"classification": "lc", "tagging": "mnlp", "parsing": "nlpdt"}
 TEST_SIZE = 20
-TRAINING = {"learning_rates": [0.5], "max_epochs": 4, "patience": 2}
+# l2 > 0 and small batches, so the weight-decay branch of every SGD step and
+# a short last batch per epoch are compared too
+TRAINING = {"learning_rates": [0.5], "max_epochs": 4, "patience": 2, "l2": 0.001, "batch_size": 7}
 
 
 def _cli(root: Path, *args: str) -> subprocess.CompletedProcess:

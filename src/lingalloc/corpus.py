@@ -59,11 +59,10 @@ class DepTree:
         n = len(self.tokens)
         if len(self.upos) != n:
             raise DataError("UPOS count does not match token count")
-        if self.heads is not None:
-            if len(self.heads) != n:
-                raise DataError("head count does not match token count")
-            if self.labels is not None and len(self.labels) != n:
-                raise DataError("label count does not match token count")
+        if self.heads is not None and len(self.heads) != n:
+            raise DataError("head count does not match token count")
+        if self.labels is not None and len(self.labels) != n:
+            raise DataError("label count does not match token count")
 
 
 Payload = ClassificationText | TaggedSentence | DepTree

@@ -6,7 +6,8 @@ lets a single pooled model transfer across languages. All three models are
 multinomial logistic layers over sparse hashed features, trained by
 mini-batch gradient ascent with a learning-rate search and patience-based
 early stopping on the task metric. One `fit` and one `evaluate` serve all
-three (`_ModelBase`): each model supplies its gold labels, its SGD step,
+three (`_ModelBase`): each model supplies its gold labels, its epoch
+trainer (each epoch's rows gathered once, every mini-batch a slice of them),
 its `_predict` of one pass and its `_count` of the task's counts.
 
 Features are computed once per process: the first time a model needs a
@@ -26,8 +27,10 @@ indices are those of `zlib.crc32` per key, bit for bit. All three models
 run through one batched softmax layer over such rows. Its logits and
 gradients are scattered with `np.bincount`, which adds terms in row order,
 so a batch's gradient is bit for bit the sum of its examples' gradients
-taken one after another. Validation and test predictions take whole-array
-argmaxes of the logits; pool scores read their softmax.
+taken one after another. A training step adds each class's gradient into
+its weight row in place, with no objective value; the objectives serve the
+gradient checks. Validation and test predictions take whole-array argmaxes
+of the logits; pool scores read their softmax.
 """
 
 from __future__ import annotations
@@ -278,6 +281,8 @@ class Rows:
 
     Row r holds `indices[indptr[r]:indptr[r+1]]` with the values at the same
     positions of `data`; `row_ids` gives the row of every stored entry.
+    Rows built by `stack` hold int64 indices and float64 values, so products
+    with float64 weights cast nothing per class.
     """
 
     __slots__ = ("indptr", "indices", "data", "_row_ids")
@@ -293,7 +298,7 @@ class Rows:
         """Rows from per-row lengths and the concatenated (indices, values)."""
         indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        return cls(indptr, np.asarray(indices, dtype=np.int64), np.asarray(data))
+        return cls(indptr, np.asarray(indices, dtype=np.int64), np.asarray(data, dtype=np.float64))
 
     @classmethod
     def from_vectors(cls, vectors) -> "Rows":
@@ -320,6 +325,36 @@ class Rows:
         lengths = self.indptr[rows + 1] - starts
         pos = _ranges(starts, lengths)
         return Rows.stack(lengths, self.indices[pos], self.data[pos])
+
+    def slice(self, a: int, b: int) -> "Rows":
+        """Rows a to b - 1, their entries views of this one's."""
+        lo, hi = self.indptr[a], self.indptr[b]
+        part = Rows(self.indptr[a : b + 1] - lo, self.indices[lo:hi], self.data[lo:hi])
+        part._row_ids = self.row_ids[lo:hi] - a
+        return part
+
+
+def _permuter(rows: Rows):
+    """`permute(order)`: all of `rows` in that order, with their row ids, in
+    arrays made once and rewritten by every call, since each page of a new
+    array of a megabyte or more faults when first written, which costs more
+    than the gather."""
+    lengths = np.diff(rows.indptr)
+    entry = np.arange(len(rows.indices))
+    pos = np.empty_like(entry)
+    out = Rows(np.zeros_like(rows.indptr), np.empty_like(rows.indices), np.empty_like(rows.data))
+
+    def permute(order) -> Rows:
+        # mode="clip" writes `out` directly; the default mode goes through a copy
+        np.cumsum(lengths[order], out=out.indptr[1:])
+        out._row_ids = np.repeat(np.arange(len(order)), lengths[order])
+        np.take(rows.indptr[order] - out.indptr[:-1], out._row_ids, out=pos, mode="clip")
+        np.add(pos, entry, out=pos)
+        np.take(rows.indices, pos, out=out.indices, mode="clip")
+        np.take(rows.data, pos, out=out.data, mode="clip")
+        return out
+
+    return permute
 
 
 def _arc_features(sentences: Sequence[tuple], space: FeatureSpace) -> tuple:
@@ -469,9 +504,23 @@ def logits(weights: np.ndarray, rows: Rows) -> np.ndarray:
     )
 
 
+def _class_sums(coef: np.ndarray, rows: Rows, dim: int):
+    """Row k of `scatter`, for each class k in turn (float64 even for rows with no entries)."""
+    for c in coef.T:
+        yield np.bincount(rows.indices, c[rows.row_ids] * rows.data, dim).astype(np.float64, copy=False)
+
+
 def scatter(coef: np.ndarray, rows: Rows, dim: int) -> np.ndarray:
     """sum_r outer(coef[r], x_r) as (classes, dim), the rows added in order."""
-    return np.stack([np.bincount(rows.indices, c[rows.row_ids] * rows.data, dim) for c in coef.T])
+    return np.stack(list(_class_sums(coef, rows, dim)))
+
+
+def _ascend(weights: np.ndarray, coef: np.ndarray, rows: Rows, scale: float, l2: float) -> None:
+    """weights += scale * (scatter(coef, rows, dim) - l2 * weights), in place, one class row at a time."""
+    for w, g in zip(weights, _class_sums(coef, rows, weights.shape[1])):
+        if l2:
+            g -= l2 * w
+        w += scale * g
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -498,18 +547,30 @@ def _group_log_softmax(z: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coefficients(logp: np.ndarray, at) -> np.ndarray:
+    """d sum(logp[at]) / d logits: the gold indicator at `at` minus the probabilities."""
+    coef = -np.exp(logp)
+    coef[at] += 1.0
+    return coef
+
+
 def softmax_objective(weights: np.ndarray, rows: Rows, gold: np.ndarray, l2: float):
     """Multinomial logistic log-likelihood of gold classes over rows."""
     logp = _log_softmax(logits(weights, rows))
     at = (np.arange(rows.n), gold)
-    coef = -np.exp(logp)
-    coef[at] += 1.0
+    coef = _coefficients(logp, at)
     value = float(logp[at].sum())
     grad = scatter(coef, rows, weights.shape[1])
     if l2:
         value -= 0.5 * l2 * float((weights * weights).sum())
         grad -= l2 * weights
     return value, grad
+
+
+def _softmax_step(weights: np.ndarray, rows: Rows, gold: np.ndarray, scale: float, l2: float) -> None:
+    """weights += scale * softmax_objective(weights, rows, gold, l2)[1], in place, with no objective value."""
+    coef = _coefficients(_log_softmax(logits(weights, rows)), (np.arange(rows.n), gold))
+    _ascend(weights, coef, rows, scale, l2)
 
 
 def arc_objective(arc_w, label_w, arcs: Rows, sizes, gold, labels, l2: float):
@@ -521,9 +582,7 @@ def arc_objective(arc_w, label_w, arcs: Rows, sizes, gold, labels, l2: float):
     """
     logp = _group_log_softmax(logits(arc_w[None], arcs)[:, 0], sizes)
     gold_rows = np.cumsum(sizes) - sizes + gold
-    target = np.zeros(arcs.n)
-    target[gold_rows] = 1.0
-    grad_arc = scatter((target - np.exp(logp))[:, None], arcs, arc_w.shape[0])[0]
+    grad_arc = scatter(_coefficients(logp, gold_rows)[:, None], arcs, arc_w.shape[0])[0]
     label_value, grad_label = softmax_objective(label_w, arcs.take(gold_rows), labels, 0.0)
     value = float(logp[gold_rows].sum()) + label_value
     if l2:
@@ -567,15 +626,17 @@ class FitInfo:
         return self.validation[self.learning_rate]
 
 
-def _train(init, step, eval_fn, n_examples: int, config: TrainingConfig):
+def _train(init, prepare, eval_fn, n_examples: int, config: TrainingConfig):
     """Train once per learning rate (ascending) and keep the best validation score.
 
-    Every epoch visits the examples in a fresh permutation, in mini-batches;
-    `step(weights, batch_positions, scale)` applies one batch's update in
-    place, where `scale` is the learning rate over the batch size. After each
-    epoch the validation score is computed; a learning rate's run stops once
-    `patience` consecutive epochs fail to improve on its best score, or at
-    `max_epochs`. Returns the best weights and a `FitInfo`.
+    Every epoch visits the examples in a fresh permutation `order`, in
+    mini-batches. `prepare(order)` gathers the epoch's rows in that order
+    once and returns `step(weights, a, b, scale)`, which applies the update
+    of examples `order[a:b]` to the weights in place, where `scale` is the
+    learning rate over the batch size. After each epoch the validation score
+    is computed; a learning rate's run stops once `patience` consecutive
+    epochs fail to improve on its best score, or at `max_epochs`. Returns the
+    best weights and a `FitInfo`.
     """
     best = None
     validation: dict[float, float] = {}
@@ -584,10 +645,10 @@ def _train(init, step, eval_fn, n_examples: int, config: TrainingConfig):
         rng = np.random.default_rng(config.rng_seed)
         weights, kept, score, bad = init(), None, -np.inf, 0
         for epoch in range(1, config.max_epochs + 1):
-            order = rng.permutation(n_examples)
-            for start in range(0, n_examples, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                step(weights, batch, lr / len(batch))
+            step = prepare(rng.permutation(n_examples))
+            for a in range(0, n_examples, config.batch_size):
+                b = min(a + config.batch_size, n_examples)
+                step(weights, a, b, lr / (b - a))
             value = eval_fn(weights)
             if value > score:
                 kept, score, bad = weights.copy(), value, 0
@@ -605,7 +666,8 @@ class _ModelBase:
     """One `fit` and one `evaluate` for all three models, through four hooks:
     `_gold(payload)`, the labels, or None for a payload without annotation;
     `_trainer(payloads, vocab, config)`, the number of training examples and
-    the in-place step of `_train`; `_predict(weights, vocab, payloads, rows)`,
+    the `prepare` of `_train`, which gathers an epoch's rows and returns its
+    in-place batch step; `_predict(weights, vocab, payloads, rows)`,
     the labels, tag sequences or trees predicted in one pass; and
     `_count(predictions, payloads)`, the task's counts. Validation predicts
     with each epoch's weights, `evaluate` with the trained ones. Each model
@@ -692,11 +754,17 @@ class _SoftmaxModel(_ModelBase):
         rows, _ = self._features(payloads)
         gold = np.array([index[y] for p in payloads for y in self._gold(p)], dtype=np.int64)
 
-        def step(weights, batch, scale):
-            _, grad = softmax_objective(weights, rows.take(batch), gold[batch], config.l2)
-            weights += scale * grad
+        permute = _permuter(rows)
 
-        return rows.n, step
+        def prepare(order):
+            epoch, epoch_gold = permute(order), gold[order]
+
+            def step(weights, a, b, scale):
+                _softmax_step(weights, epoch.slice(a, b), epoch_gold[a:b], scale, config.l2)
+
+            return step
+
+        return rows.n, prepare
 
     @staticmethod
     def _predict(weights, vocab, payloads, rows) -> list[str]:
@@ -835,18 +903,32 @@ class DependencyParser(_ModelBase):
             [_candidate(h, d) for t in trees for d, h in enumerate(t.heads, start=1)], dtype=np.int64
         )
         gold_labels = np.array([label_index[l] for t in trees for l in t.labels], dtype=np.int64)
+        permute = _permuter(arcs)
 
-        def step(weights, batch, scale):
-            n = lengths[batch]
-            deps = _ranges(first_dep[batch], n)
-            _, g_arc, g_label = arc_objective(
-                weights[0], weights[1:], arcs.take(_ranges(first_arc[batch], n * n)),
-                np.repeat(n, n), gold[deps], gold_labels[deps], config.l2,
-            )
-            weights[0] += scale * g_arc
-            weights[1:] += scale * g_label
+        def prepare(order):
+            # the epoch's sentences back to back: per dependent its candidate
+            # count, gold arc row and gold label; per sentence its first arc
+            # row and first dependent (`arc_at`, `dep_at`)
+            n = lengths[order]
+            deps = _ranges(first_dep[order], n)
+            sizes = np.repeat(n, n)
+            gold_rows = np.cumsum(sizes) - sizes + gold[deps]
+            epoch = permute(_ranges(first_arc[order], n * n))
+            label_rows, epoch_labels = epoch.take(gold_rows), gold_labels[deps]
+            arc_at = np.append(0, np.cumsum(n * n))
+            dep_at = np.append(0, np.cumsum(n))
 
-        return len(trees), step
+            def step(weights, a, b, scale):
+                i, j, p, q = arc_at[a], arc_at[b], dep_at[a], dep_at[b]
+                batch = epoch.slice(i, j)
+                logp = _group_log_softmax(logits(weights[:1], batch)[:, 0], sizes[p:q])
+                coef = _coefficients(logp, gold_rows[p:q] - i)[:, None]
+                _ascend(weights[:1], coef, batch, scale, config.l2)
+                _softmax_step(weights[1:], label_rows.slice(p, q), epoch_labels[p:q], scale, config.l2)
+
+            return step
+
+        return len(trees), prepare
 
     fit = _ModelBase.fit
 

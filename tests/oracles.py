@@ -3,7 +3,9 @@
 Everything here enumerates exhaustively, loops one example or one key at a
 time or, for `per_root_decoder`, re-solves once per candidate ROOT arc, and
 stays deliberately naive; none of it shares code with the implementations
-under test.
+under test. The one exception is the per-batch SGD loops, the reference for
+the epoch trainers: they take each batch's rows with `Rows.take` and call
+the objectives, which the example loops here and finite differences check.
 """
 
 import itertools
@@ -102,6 +104,57 @@ def example_loop_parser_objective(arc_w, label_w, sentences):
     label_examples = [example for _, examples in sentences for example in examples]
     label_value, grad_label = example_loop_class_objective(label_w, label_examples)
     return value + label_value, grad_arc, grad_label
+
+
+def _batches(orders, batch_size):
+    for order in orders:
+        for start in range(0, len(order), batch_size):
+            yield order[start : start + batch_size]
+
+
+def batch_loop_softmax(weights, rows, gold, orders, batch_size, lr, l2):
+    """SGD in place over each epoch's `order`, one batch at a time:
+    `softmax_objective` on `rows.take(batch)`, then
+    `weights += lr / len(batch) * grad`."""
+    from lingalloc.models import softmax_objective
+
+    for batch in _batches(orders, batch_size):
+        _, grad = softmax_objective(weights, rows.take(batch), gold[batch], l2)
+        weights += lr / len(batch) * grad
+    return weights
+
+
+def batch_loop_parser(weights, arcs, trees, label_index, orders, batch_size, lr, l2):
+    """SGD in place over each epoch's order of `trees`, one batch of sentences
+    at a time: `arc_objective` on the batch's arcs, taken from `arcs` (n*n
+    rows per tree), then each weight row plus lr / len(batch) times its
+    gradient. Row 0 of `weights` scores arcs, rows 1.. labels."""
+    from lingalloc.models import arc_objective
+
+    arc_rows, dep_rows, sizes, gold, labels = [], [], [], [], []
+    n_arcs = 0
+    for tree in trees:
+        n = len(tree.tokens)
+        arc_rows.append(n_arcs)
+        n_arcs += n * n
+        dep_rows.append(len(gold))
+        for d, (h, label) in enumerate(zip(tree.heads, tree.labels), start=1):
+            gold.append(h if h < d else h - 1)
+            labels.append(label_index[label])
+            sizes.append(n)
+    for batch in _batches(orders, batch_size):
+        arcs_of, deps_of = [], []
+        for t in batch.tolist():
+            n = len(trees[t].tokens)
+            arcs_of += range(arc_rows[t], arc_rows[t] + n * n)
+            deps_of += range(dep_rows[t], dep_rows[t] + n)
+        _, g_arc, g_label = arc_objective(
+            weights[0], weights[1:], arcs.take(arcs_of), np.array(sizes)[deps_of],
+            np.array(gold)[deps_of], np.array(labels)[deps_of], l2,
+        )
+        weights[0] += lr / len(batch) * g_arc
+        weights[1:] += lr / len(batch) * g_label
+    return weights
 
 
 _FORBIDDEN = -np.finfo(np.float64).max / 4.0

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from lingalloc.corpus import (
     ClassificationText,
+    DepTree,
     Instance,
     Pool,
     SplitSpec,
@@ -293,6 +294,19 @@ def _unit_instances(n, language="en", start=0):
         Instance(start + i, language, ClassificationText(f"text {start + i}", "pos"), 1)
         for i in range(n)
     ]
+
+
+class TestDepTree:
+    @pytest.mark.parametrize(
+        "heads, labels",
+        [((0,), ("x", "y", "z")), (None, ("x", "y", "z")), (None, ()), ((0, 1), ("x",))],
+    )
+    def test_counts_must_match_tokens(self, heads, labels):
+        with pytest.raises(DataError):
+            DepTree(("a",), ("X",), heads, labels)
+
+    def test_labels_without_heads(self):
+        assert DepTree(("a",), ("X",), None, ("x",)).labels == ("x",)
 
 
 class TestPool:

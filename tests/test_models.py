@@ -25,7 +25,7 @@ from lingalloc.models import (
 from lingalloc.synth import synth_dataset
 from lingalloc.tasks import TaskKind, accuracy, span_f1, task_metrics
 
-from oracles import all_single_root_trees, best_tree, char_ngrams
+from oracles import all_single_root_trees, batch_loop_parser, batch_loop_softmax, best_tree, char_ngrams
 
 SPACE = FeatureSpace(hash_dimension=1024, ngram_min=2, ngram_max=4)
 
@@ -178,11 +178,11 @@ class TestTrainLoop:
 
     @staticmethod
     def _run(eval_fn, max_epochs, patience):
-        def step(state, batch, scale):
+        def step(state, a, b, scale):
             state += 1
 
         config = TrainingConfig(learning_rates=(0.5,), batch_size=1, max_epochs=max_epochs, patience=patience)
-        state, info = _train(lambda: np.zeros(1), step, eval_fn, 1, config)
+        state, info = _train(lambda: np.zeros(1), lambda order: step, eval_fn, 1, config)
         return int(state[0]), info
 
     def test_early_stopping_returns_best_epoch(self):
@@ -196,6 +196,85 @@ class TestTrainLoop:
         best_state, info = self._run(lambda state: float(state[0]), max_epochs=3, patience=3)
         assert info.epochs_run == {0.5: 3}
         assert best_state == 3
+
+
+def _random_heads(rng, n):
+    """Heads of a random single-root tree over tokens 1..n."""
+    order = (rng.permutation(n) + 1).tolist()
+    heads = [0] * n
+    for k, d in enumerate(order[1:], start=1):
+        heads[d - 1] = order[int(rng.integers(0, k))]
+    return tuple(heads)
+
+
+def _training_payloads(kind, rng, n_examples, n_classes):
+    """Payloads holding `n_examples` training examples (texts, tokens or
+    trees) labeled from `n_classes`; two texts are too short to have any
+    feature."""
+    classes = [f"c{k}" for k in range(n_classes)]
+
+    def word():
+        return "".join(rng.choice(list("abcdé"), int(rng.integers(1, 6))))
+
+    if kind == "text":
+        texts = ["", "a"] + [" ".join(word() for _ in range(3)) for _ in range(n_examples - 2)]
+        return [ClassificationText(t, classes[i % n_classes]) for i, t in enumerate(texts)]
+    if kind == "tokens":
+        lengths = []
+        while sum(lengths) < n_examples:
+            lengths.append(min(int(rng.integers(1, 6)), n_examples - sum(lengths)))
+        return [
+            TaggedSentence(tuple(word() for _ in range(n)), tuple(rng.choice(classes, n)))
+            for n in lengths
+        ]
+    trees = []
+    for _ in range(n_examples):
+        n = int(rng.integers(1, 5))
+        tokens = tuple(word() for _ in range(n))
+        upos = tuple(rng.choice(["NOUN", "VERB", "ADP"], n))
+        trees.append(DepTree(tokens, upos, _random_heads(rng, n), tuple(rng.choice(classes, n))))
+    return trees
+
+
+class TestEpochTrainer:
+    """Each model's epoch trainer, run by `_train`, leaves the weights equal
+    bit for bit to the per-batch SGD loop over the objectives in
+    `tests/oracles.py`, on the same permutations."""
+
+    EPOCHS = 2
+    LR = 0.3
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("n_classes", [1, 3, 8, 12])
+    @pytest.mark.parametrize("batch_size, n_examples", [(1, 20), (7, 21), (7, 25), (32, 64), (32, 45)])
+    @pytest.mark.parametrize("model_class", [TextClassifier, SequenceTagger, DependencyParser])
+    def test_equals_the_per_batch_loop(self, model_class, batch_size, n_examples, n_classes, l2):
+        rng = np.random.default_rng(batch_size * 1000 + n_examples * 10 + n_classes)
+        payloads = _training_payloads(model_class.kind, rng, n_examples, n_classes)
+        model = model_class(SPACE)
+        vocab = tuple(sorted({y for p in payloads for y in model._gold(p)}))
+        config = TrainingConfig(
+            learning_rates=(self.LR,), batch_size=batch_size, max_epochs=self.EPOCHS, patience=self.EPOCHS,
+            l2=l2, rng_seed=4,
+        )
+        n, prepare = model._trainer(payloads, vocab, config)
+        scores = iter(range(self.EPOCHS))  # rising, so `_train` keeps the last epoch's weights
+        got, _ = _train(lambda: model._zeros(vocab), prepare, lambda _: next(scores), n, config)
+
+        perms = np.random.default_rng(4)
+        orders = [perms.permutation(n) for _ in range(self.EPOCHS)]
+        rows, _ = model._features(payloads)
+        index = {y: k for k, y in enumerate(vocab)}
+        if model_class is DependencyParser:
+            expected = batch_loop_parser(
+                model._zeros(vocab), rows, payloads, index, orders, batch_size, self.LR, l2
+            )
+        else:
+            gold = np.array([index[y] for p in payloads for y in model._gold(p)])
+            expected = batch_loop_softmax(model._zeros(vocab), rows, gold, orders, batch_size, self.LR, l2)
+        assert n == n_examples
+        assert np.any(got) or n_classes == 1
+        assert np.array_equal(got, expected)
 
 
 SEPARABLE = (
