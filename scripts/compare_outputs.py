@@ -13,8 +13,13 @@ checkout's work directory written as `<work>`, then `run --jobs 1` and
 on both. Before those, the SMA setting's AL result file of the
 `--jobs 2` run is deleted and `run --jobs 2` resumes into the same
 directory, so the path that reruns one arm of a setting is compared too.
-Every file written is then compared between A and B; the manifest's
-timestamp is left out. Prints each seed's count of identical files and the
+Classification also runs a copy of its config with the budgets in
+`EXHAUSTING`, with `--jobs 1` and `--jobs 2`, then `report`: there every
+MonoA source pool runs out in round 2, so the AL and random arms buy
+different instances in round 1, then hold the same pool and share its fits,
+and the results carry `unlabeled pool exhausted` warnings. Every file
+written is then compared between A and B; the manifest's timestamp is left
+out. Prints each seed's count of identical files and the
 files that differ, or that only one side wrote. Exits 1 when any file of
 any seed differs, 0 when all are identical.
 """
@@ -33,6 +38,10 @@ LANGUAGES = "aa,bb,cc"
 SIZES = {"classification": (200, 60), "tagging": (80, 120), "parsing": (60, 80)}
 STRATEGY = {"classification": "lc", "tagging": "mnlp", "parsing": "nlpdt"}
 TEST_SIZE = 20
+# over 200 instances per language, a MonoA pool keeps 80 unlabeled after its
+# seed and validation draws (60 each) and buys 50 per round, so it runs out in
+# round 2; the other settings' pools do not
+EXHAUSTING = {"seed": 60, "acquisition": 150}
 # l2 > 0 and small batches, so the weight-decay branch of every SGD step and
 # a short last batch per epoch are compared too
 TRAINING = {"learning_rates": [0.5], "max_epochs": 4, "patience": 2, "l2": 0.001, "batch_size": 7}
@@ -78,6 +87,17 @@ def produce(root: Path, work: Path, seed: int) -> None:
                 _cli(root, "run", "--config", str(config_path), "--jobs", jobs, "--out", out)
             _cli(root, "report", "--out", out)
             _cli(root, "curriculum", "--out", out)
+    corpus = work / "classification"
+    exhaust_path = corpus / "exhaust.json"
+    config = json.loads((corpus / "config.json").read_text())
+    exhaust_path.write_text(json.dumps(dict(config, budget=EXHAUSTING), indent=2) + "\n")
+    for jobs in ("1", "2"):
+        out = str(corpus / f"exhaust-jobs{jobs}")
+        _cli(root, "run", "--config", str(exhaust_path), "--jobs", jobs, "--out", out)
+        _cli(root, "report", "--out", out)
+    results = corpus / "exhaust-jobs1" / "results" / "monoa-aa.lc.al.jsonl"
+    if "unlabeled pool exhausted" not in results.read_text():
+        raise SystemExit(f"{root}: no MonoA pool of {exhaust_path.name} ran out")
 
 
 def _contents(path: Path) -> bytes:

@@ -430,8 +430,9 @@ def _keep_corpus(data: MultilingualData | None) -> None:
 def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
     """Execute one task from `_tasks` for all replicates and write its cells' files.
 
-    The task's cells are arms of one setting and share its round 0. Returns
-    the keys of the cells written.
+    The task's cells are arms of one setting, which `run_arms` runs in
+    lockstep, sharing the fits of pools they hold in common. Returns the
+    keys of the cells written.
     """
     data = _loaded
     assert data is not None, "run_cell runs only inside _task_runs"

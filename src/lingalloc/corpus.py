@@ -337,13 +337,15 @@ class Pool:
             raise DataError("pool partitions share instance ids")
 
     def move_to_labeled(self, ids: Iterable[int]) -> list[Instance]:
-        moved = []
+        """Move `ids` to labeled; if one is not unlabeled or repeats, raise and move none."""
+        ids = list(ids)
+        seen: set[int] = set()
         for iid in ids:
-            if iid not in self.unlabeled:
+            if iid not in self.unlabeled or iid in seen:
                 raise DataError(f"instance {iid} is not in the unlabeled pool")
-            inst = self.unlabeled.pop(iid)
-            self.labeled[iid] = inst
-            moved.append(inst)
+            seen.add(iid)
+        moved = [self.unlabeled.pop(iid) for iid in ids]
+        self.labeled.update((inst.id, inst) for inst in moved)
         return moved
 
 

@@ -2,8 +2,9 @@
 
 A run is one seed training round followed by acquisition rounds: score the
 unlabeled pool, buy a batch within the per-round budget, reveal its gold
-annotations, retrain from scratch, evaluate every target language. The
-settings differ only in how models, budgets, and eligible pools are laid out:
+annotations, retrain from scratch, evaluate every target language. A
+setting's AL and random arms run their rounds in lockstep and share every fit
+of a model whose labeled pool they hold in common. The settings differ only in how models, budgets, and eligible pools are laid out:
 
 * ``monoa`` - one model, the whole budget on a single source language,
   evaluated on every language (zero-shot on the others);
@@ -208,22 +209,19 @@ def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> 
     return pools
 
 
-def _fit_and_evaluate(plan, pools, data, training_config, feature_space, rng_seed, round_idx):
-    """Retrain every model from scratch on its labeled pool; test every eval language."""
-    models, validation = [], {}
-    report = MetricReport(data.task)
-    for mp, pool in zip(plan.models, pools):
-        model = build_model(data.task, feature_space)
-        cfg = replace(training_config, rng_seed=_derive_seed(rng_seed, mp.index, 1, round_idx))
-        validation[mp.key] = model.fit(
-            sorted(pool.labeled.values(), key=lambda x: x.id),
-            sorted(pool.validation.values(), key=lambda x: x.id),
-            cfg,
-        )
-        models.append(model)
-        for lang in mp.eval_languages:
-            report.add(lang, model.evaluate(data.test[lang]))
-    return models, validation, report
+def _fit_and_evaluate(mp, pool, data, training_config, feature_space, rng_seed, round_idx):
+    """Train one model from scratch on its labeled pool; test each of its eval languages.
+
+    Returns the model, its validation score and its test counts per language.
+    """
+    model = build_model(data.task, feature_space)
+    cfg = replace(training_config, rng_seed=_derive_seed(rng_seed, mp.index, 1, round_idx))
+    score = model.fit(
+        sorted(pool.labeled.values(), key=lambda x: x.id),
+        sorted(pool.validation.values(), key=lambda x: x.id),
+        cfg,
+    )
+    return model, score, [(lang, model.evaluate(data.test[lang])) for lang in mp.eval_languages]
 
 
 def run_arms(
@@ -236,32 +234,30 @@ def run_arms(
 ) -> dict[bool, tuple[list[RoundResult], list[AcquisitionEvent]]]:
     """Execute the full protocol for one setting, with and/or without AL.
 
-    Round 0 trains every model on its sampled seed and evaluates. Neither the
-    pools nor the seeds it draws depend on AL, so it runs once and every arm
-    in `arms` (True: the setting's strategy, False: random) starts from it
-    with its own copy of the pools. Each later round scores that model's
-    unlabeled pool, selects a batch within the per-round budget, reveals it,
-    retrains from scratch, and re-evaluates. `plan.setting.with_al` is not
+    The arms in `arms` (True: the setting's strategy, False: random) run in
+    lockstep, each on its own copy of the seed pools. In every round each arm
+    first scores each model's unlabeled pool with its model of the previous
+    round and buys a batch within the per-round budget; round 0 buys nothing.
+    Then every model is retrained from scratch on its labeled pool and
+    evaluated. A fit depends on the model, the round and the labeled pool,
+    never on the arm, so each model is fitted once per distinct labeled pool
+    in a round: in round 0, and in every later round where the arms hold the
+    same pool, as they do once it has run out. `plan.setting.with_al` is not
     read. Identical (plan, data, config, seed) inputs reproduce identical
     results, whichever arms run together.
     """
-    spec = plan.spec
     pools = _draw_pools(plan, data, rng_seed)
-    first_models, validation, report = _fit_and_evaluate(
-        plan, pools, data, training_config, feature_space, rng_seed, 0
-    )
-    first = RoundResult(0, report, {lang: 0 for lang in data.languages}, validation)
-    runs = {}
-    for with_al in arms:
-        strategy = plan.setting.strategy if with_al else StrategyKind.RANDOM
-        arm_pools = [Pool(p.labeled.values(), p.unlabeled.values(), p.validation.values())
-                     for p in pools]
-        models = first_models
-        results, events = [first], []
-        for round_idx in range(1, spec.rounds):
+    arm_pools = {with_al: [Pool(p.labeled.values(), p.unlabeled.values(), p.validation.values())
+                           for p in pools] for with_al in arms}
+    runs = {with_al: ([], []) for with_al in arms}
+    models: dict[bool, list] = {}
+    for round_idx in range(plan.spec.rounds):
+        for with_al in arms:
+            strategy = plan.setting.strategy if with_al else StrategyKind.RANDOM
             spend = {lang: 0 for lang in data.languages}
             warnings: list[str] = []
-            for mp, pool, model in zip(plan.models, arm_pools, models):
+            # round 0 has no models yet
+            for mp, pool, model in zip(plan.models, arm_pools[with_al], models.get(with_al, ())):
                 per_round = plan.per_round(mp)
                 if per_round < 1:
                     continue
@@ -275,7 +271,7 @@ def run_arms(
                 by_id = {s.instance_id: s for s in scores}
                 for iid in selected:
                     entry = by_id[iid]
-                    events.append(
+                    runs[with_al][1].append(
                         AcquisitionEvent(
                             round_idx, iid, entry.language, entry.cost, entry.score,
                             strategy.value,
@@ -288,11 +284,23 @@ def run_arms(
                         f"model {mp.key}: unlabeled pool exhausted at round {round_idx} "
                         f"(spent {spent} of {per_round})"
                     )
-            models, validation, report = _fit_and_evaluate(
-                plan, arm_pools, data, training_config, feature_space, rng_seed, round_idx
+            # its report and validation scores are filled in below
+            runs[with_al][0].append(
+                RoundResult(round_idx, MetricReport(data.task), spend, {}, tuple(warnings))
             )
-            results.append(RoundResult(round_idx, report, spend, validation, tuple(warnings)))
-        runs[with_al] = (results, events)
+        models, fits = {}, {}
+        for with_al in arms:
+            result, models[with_al] = runs[with_al][0][-1], []
+            for mp, pool in zip(plan.models, arm_pools[with_al]):
+                key = (mp.index, frozenset(pool.labeled))
+                if key not in fits:
+                    fits[key] = _fit_and_evaluate(
+                        mp, pool, data, training_config, feature_space, rng_seed, round_idx
+                    )
+                model, result.validation[mp.key], counts = fits[key]
+                models[with_al].append(model)
+                for lang, lang_counts in counts:
+                    result.report.add(lang, lang_counts)
     return runs
 
 

@@ -1,11 +1,16 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lingalloc import experiment
 from lingalloc.acquisition import StrategyKind
 from lingalloc.errors import ConfigError
 from lingalloc.experiment import (
     AcquisitionEvent,
     BudgetSpec,
+    MultilingualData,
     Setting,
     SettingFamily,
     aggregate,
@@ -235,6 +240,66 @@ class TestRunArms:
         # the arms share round 0 and part ways after it
         assert together[True][0][0] == together[False][0][0]
         assert together[True][1] != together[False][1]
+
+    @pytest.fixture
+    def fitted(self, monkeypatch):
+        """The key of the model each fit trains, in fit order."""
+        build, keys = experiment.build_model, []
+
+        def counting(task, space):
+            model = build(task, space)
+            fit = model.fit
+
+            def recorded(labeled, validation, config):
+                keys.append("+".join(sorted({inst.language for inst in labeled})))
+                return fit(labeled, validation, config)
+
+            model.fit = recorded
+            return model
+
+        monkeypatch.setattr(experiment, "build_model", counting)
+        return keys
+
+    @pytest.mark.parametrize(
+        "setting, bb_size, budgets, fits, exhausted",
+        [
+            # aa's pool holds 40 unlabeled and buys 30 a round: the arms part in
+            # round 1 and both hold the whole pool from round 2 on
+            (Setting(SettingFamily.MONOA, StrategyKind.LC, source="aa"), 100, (40, 90, 20),
+             {"aa": 5}, ["aa"]),
+            # only bb's model (20 unlabeled, 15 a round) runs out, so only it is shared
+            (Setting(SettingFamily.MMA, StrategyKind.LC), 50, (40, 90, 20),
+             {"aa": 7, "bb": 5}, ["bb"]),
+            # no pool runs out: 1 + 2 * 3 fits, only round 0 is shared
+            (Setting(SettingFamily.SMA, StrategyKind.LC), 100, (40, 30, 20),
+             {"aa+bb": 7}, []),
+        ],
+        ids=["monoa-exhausted", "mma-one-exhausted", "never-exhausted"],
+    )
+    def test_each_distinct_pool_is_fitted_once(self, fitted, setting, bb_size, budgets,
+                                               fits, exhausted):
+        full = synth_classification(["aa", "bb"], 100, 20, 0.5, seed=5)
+        data = MultilingualData(
+            full.task, {"aa": full.train["aa"], "bb": full.train["bb"][:bb_size]}, full.test
+        )
+        spec = BudgetSpec(*budgets, rounds=4)
+        together = run_arms(allocate(setting, spec, data.languages), data, FAST, SPACE,
+                            rng_seed=3, arms=(True, False))
+        assert Counter(fitted) == fits
+        for with_al in (True, False):
+            plan = allocate(replace(setting, with_al=with_al), spec, data.languages)
+            assert together[with_al] == run_rounds(plan, data, FAST, SPACE, rng_seed=3)
+            warned = {w.split(" (")[0] for result in together[with_al][0] for w in result.warnings}
+            assert warned == {f"model {lang}: unlabeled pool exhausted at round {r}"
+                              for lang in exhausted for r in (2, 3)}
+        for lang in exhausted:
+            # the arms buy different instances in round 1 and the same pool by round 2
+            bought = [
+                [{e.instance_id for e in together[with_al][1]
+                  if e.language == lang and e.round <= r} for r in (1, 2)]
+                for with_al in (True, False)
+            ]
+            assert bought[0][0] != bought[1][0] and bought[0][1] == bought[1][1]
 
     def test_only_requested_arms_run(self, small_data):
         plan = allocate(sma(), SPEC, small_data.languages)
