@@ -8,11 +8,13 @@ A and B are checkout roots, each with a `src/lingalloc`. For every seed
 checkout's own CLI runs `synth --seed S`, then `validate` on that config and
 on a copy with ten times its budget, whose standard output and error (the
 config echo and the pool warnings) are kept in `validate.txt` with the
-checkout's work directory written as `<work>`, then `run --jobs 1` and
-`run --jobs 2` into two output directories, then `report` and `curriculum`
-on both. Before those, the SMA setting's AL result file of the
-`--jobs 2` run is deleted and `run --jobs 2` resumes into the same
-directory, so the path that reruns one arm of a setting is compared too.
+checkout's work directory written as `<work>`. `validate` must reject each
+config of `_invalid`, and its error lines are kept in `invalid.txt` the
+same way. Then the CLI runs `run --jobs 1` and `run --jobs 2` into two
+output directories, then `report` and `curriculum` on both. Before those,
+the SMA setting's AL result file of the `--jobs 2` run is deleted and
+`run --jobs 2` resumes into the same directory, so the path that reruns
+one arm of a setting is compared too.
 Classification also runs a copy of its config with the budgets in
 `EXHAUSTING`, with `--jobs 1` and `--jobs 2`, then `report`: there every
 MonoA source pool runs out in round 2, so the AL and random arms buy
@@ -47,15 +49,31 @@ EXHAUSTING = {"seed": 60, "acquisition": 150}
 TRAINING = {"learning_rates": [0.5], "max_epochs": 4, "patience": 2, "l2": 0.001, "batch_size": 7}
 
 
-def _cli(root: Path, *args: str) -> subprocess.CompletedProcess:
+def _invalid(own: str, other: str) -> dict[str, tuple[list, dict | None]]:
+    """Name -> (settings, budget or None to keep) of each config `validate` rejects.
+
+    `own` is the task's strategy, `other` one the task does not take.
+    """
+    sma = {"kind": "sma", "strategy": own}
+    return {
+        "unknown-key": ([dict(sma, note=1)], None),
+        "duplicate": ([sma, sma], None),
+        "incompatible": ([dict(sma, strategy=other)], None),
+        "monoa-no-source": ([{"kind": "monoa", "strategy": own}], None),
+        # MMA over three languages needs every budget >= 3
+        "mma-budget": ([{"kind": "mma", "strategy": own}], {"seed": 2}),
+    }
+
+
+def _cli(root: Path, *args: str, expect: int = 0) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run(
         [sys.executable, "-m", "lingalloc.cli", *args],
         env=env, capture_output=True, text=True,
     )
-    if done.returncode:
+    if done.returncode != expect:
         sys.stderr.write(done.stderr)
-    done.check_returncode()
+        raise subprocess.CalledProcessError(done.returncode, done.args)
     return done
 
 
@@ -78,6 +96,15 @@ def produce(root: Path, work: Path, seed: int) -> None:
             shown = _cli(root, "validate", "--config", str(path))
             text += f"{path.name} stdout:\n{shown.stdout}{path.name} stderr:\n{shown.stderr}"
         (corpus / "validate.txt").write_text(text.replace(str(work.resolve()), "<work>"))
+        text = ""
+        other = "mnlp" if task == "classification" else "lc"
+        for name, (settings, budget) in _invalid(STRATEGY[task], other).items():
+            path = corpus / f"{name}.json"
+            bad = dict(config, settings=settings, budget=budget or config["budget"])
+            path.write_text(json.dumps(bad, indent=2) + "\n")
+            shown = _cli(root, "validate", "--config", str(path), expect=1)
+            text += f"{path.name} stderr:\n{shown.stderr}"
+        (corpus / "invalid.txt").write_text(text.replace(str(work.resolve()), "<work>"))
         for jobs in ("1", "2"):
             out = str(corpus / f"jobs{jobs}")
             _cli(root, "run", "--config", str(config_path), "--jobs", jobs, "--out", out)

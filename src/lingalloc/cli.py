@@ -26,6 +26,7 @@ import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 from .acquisition import StrategyKind, strategy_compatible
@@ -40,7 +41,7 @@ from .corpus import (
     write_conllu,
     write_tsv_classification,
 )
-from .errors import ConfigError, DataError, LingallocError
+from .errors import ConfigError, DataError, LingallocError, ParseError
 from .experiment import (
     BudgetSpec,
     CurriculumReport,
@@ -60,16 +61,11 @@ from .tasks import TaskKind
 
 MANIFEST_VERSION = 2
 
-_TASK_NAMES = {t.value: t for t in TaskKind}
-_STRATEGY_NAMES = {s.value: s for s in StrategyKind}
-_FAMILY_NAMES = {f.value: f for f in SettingFamily}
-
-_SETTING_KEYS = {"kind", "strategy", "source"}
 _DATA_KEYS = {"train", "test"}
 
-# One mapping per dataclass-backed section, JSON key -> dataclass field. The
-# keys a section accepts, its echo and (through the dataclass) its defaults,
-# field types and cross-field checks all come from here.
+# One mapping per dataclass-backed section (each `settings` entry is one), JSON
+# key -> dataclass field. The keys a section accepts, its echo and (through the
+# dataclass) its defaults, required fields, types and checks all come from here.
 _SECTIONS = {
     "budget": (BudgetSpec, {
         "seed": "seed_budget", "acquisition": "acq_budget",
@@ -81,6 +77,7 @@ _SECTIONS = {
     "feature_space": (FeatureSpace, {
         key: key for key in ("hash_dimension", "ngram_min", "ngram_max")
     }),
+    "settings": (Setting, {"kind": "family", "strategy": "strategy", "source": "source"}),
 }
 # smallest value of each top-level integer
 _TOP_MINIMUM = {"replicates": 1, "seed": 0, "max_length": 1}
@@ -103,25 +100,21 @@ class ExperimentConfig:
     max_length: int
 
     def to_json_dict(self) -> dict:
-        sections = {
-            name: {key: getattr(getattr(self, name), field) for key, field in keys.items()}
-            for name, (_, keys) in _SECTIONS.items()
-        }
         return {
             "task": self.task.value,
             "languages": list(self.languages),
             "data": {lang: dict(paths) for lang, paths in sorted(self.data.items())},
-            "settings": [
-                {
-                    "kind": s.family.value,
-                    "strategy": s.strategy.value,
-                    **({"source": s.source} if s.source is not None else {}),
-                }
-                for s in self.settings
-            ],
-            **sections,
+            **{name: _echo(name, getattr(self, name)) for name in _SECTIONS},
             **{key: getattr(self, key) for key in (*_TOP_MINIMUM, "output_dir")},
         }
+
+
+def _echo(name: str, value):
+    """Section `name`'s JSON, or a list of it for a tuple: enums by value, no None values."""
+    if isinstance(value, tuple):
+        return [_echo(name, item) for item in value]
+    fields = {key: getattr(value, field) for key, field in _SECTIONS[name][1].items()}
+    return {key: v.value if isinstance(v, Enum) else v for key, v in fields.items() if v is not None}
 
 
 def _check_unknown(obj: dict, allowed, where: str, errors: list[str]):
@@ -133,39 +126,56 @@ def _is_number(value) -> bool:
     return type(value) is int or type(value) is float and math.isfinite(value)
 
 
-# field type -> (its name, the JSON values it takes): a bool is not an
-# integer, a JSON int is a number, nothing is coerced
+def _enum_type(kind: type[Enum]) -> tuple:
+    members = {member.value: member for member in kind}
+    # the type test comes first: a list or an object cannot be looked up
+    return f"one of {sorted(members)}", lambda v: type(v) is str and v in members, members.get
+
+
+# field type -> (its name, the JSON values it takes, the function that turns
+# a taken value into the field's value, or None): a bool is not an integer, a
+# JSON int is a number, an enum member is named by its value
 _JSON_TYPES = {
-    int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", _is_number),
-    tuple[float, ...]: ("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v))),
+    int: ("an integer", lambda v: type(v) is int, None),
+    float: ("a number", _is_number, None),
+    tuple[float, ...]: ("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v)), tuple),
+    str | None: ("a string", lambda v: v is None or type(v) is str, None),
+    **{kind: _enum_type(kind) for kind in (SettingFamily, StrategyKind, TaskKind)},
 }
 
 
-def _section(name: str, raw, errors: list[str], **fixed):
+def _typed(where: str, hint, value, errors: list[str]):
+    """The field value of type `hint` that JSON `value` gives, or None and an error."""
+    what, accepts, convert = _JSON_TYPES[hint]
+    if not accepts(value):
+        errors.append(f"{where}: expected {what}, got {value!r}")
+        return None
+    return convert(value) if convert else value
+
+
+def _section(name: str, raw, errors: list[str], where: str | None = None, **fixed):
     """Build one section's dataclass from its JSON object, collecting errors.
 
     `fixed` holds field values not read from JSON; keys present in `raw`
-    override them, and fields in neither take the dataclass default.
+    override them, fields in neither take the dataclass default, and a field
+    without one is required. Errors name the section `where`, else `name`.
     """
+    where = where or name
     if not isinstance(raw, dict):
-        errors.append(f"{name}: must be an object")
+        errors.append(f"{where}: must be an object")
         return None
     cls, keys = _SECTIONS[name]
-    _check_unknown(raw, keys, name, errors)
+    _check_unknown(raw, keys, where, errors)
     hints = typing.get_type_hints(cls)
-    kwargs, typed = dict(fixed), True
-    for key in keys.keys() & raw.keys():
-        value = raw[key]
-        what, accepts = _JSON_TYPES[hints[keys[key]]]
-        if not accepts(value):
-            errors.append(f"{name}.{key}: expected {what}, got {value!r}")
-            typed = False
-        kwargs[keys[key]] = tuple(value) if type(value) is list else value
+    required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    kwargs, known = dict(fixed), len(errors)
+    for key, field in keys.items():
+        if key in raw or field in required and field not in fixed:
+            kwargs[field] = _typed(f"{where}.{key}", hints[field], raw.get(key), errors)
     try:
-        return cls(**kwargs) if typed else None
+        return cls(**kwargs) if len(errors) == known else None
     except ConfigError as exc:
-        errors.append(f"{name}: {exc}")
+        errors.append(f"{where}: {exc}")
         return None
 
 
@@ -174,10 +184,6 @@ def _top_integer(key: str, value) -> int:
     if type(value) is not int or value < minimum:
         raise ConfigError(f"{key}: must be an integer >= {minimum}, got {value!r}")
     return value
-
-
-def _name(names: dict, value):
-    return names.get(value) if isinstance(value, str) else None
 
 
 def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
@@ -192,9 +198,7 @@ def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
     errors: list[str] = []
     _check_unknown(raw, [f.name for f in dataclasses.fields(ExperimentConfig)], "config", errors)
 
-    task = _name(_TASK_NAMES, raw.get("task"))
-    if task is None:
-        errors.append(f"task: expected one of {sorted(_TASK_NAMES)}, got {raw.get('task')!r}")
+    task = _typed("task", TaskKind, raw.get("task"), errors)
 
     languages: tuple[str, ...] = ()
     codes = raw.get("languages")
@@ -258,28 +262,16 @@ def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
         errors.append("settings: need a non-empty list")
     else:
         for i, entry in enumerate(raw_settings):
-            if not isinstance(entry, dict):
-                errors.append(f"settings[{i}]: must be an object")
+            setting = _section("settings", entry, errors, where=f"settings[{i}]")
+            if setting is None:
                 continue
-            _check_unknown(entry, _SETTING_KEYS, f"settings[{i}]", errors)
-            family = _name(_FAMILY_NAMES, entry.get("kind"))
-            strategy = _name(_STRATEGY_NAMES, entry.get("strategy"))
-            if family is None:
-                errors.append(f"settings[{i}].kind: expected one of {sorted(_FAMILY_NAMES)}")
-                continue
-            if strategy is None:
-                errors.append(f"settings[{i}].strategy: expected one of {sorted(_STRATEGY_NAMES)}")
-                continue
-            if task and not strategy_compatible(strategy, task):
-                errors.append(
-                    f"settings[{i}]: strategy {strategy.value!r} incompatible with task {task.value!r}"
-                )
-            source = entry.get("source")
-            if source is not None and source not in languages:
-                errors.append(f"settings[{i}].source: {source!r} not in language set")
+            if task and not strategy_compatible(setting.strategy, task):
+                errors.append(f"settings[{i}]: strategy {setting.strategy.value!r} "
+                              f"incompatible with task {task.value!r}")
+            if setting.source is not None and setting.source not in languages:
+                errors.append(f"settings[{i}].source: {setting.source!r} not in language set")
                 continue
             try:
-                setting = Setting(family, strategy, True, source)
                 if budget is not None:
                     allocate(setting, budget, languages or ("placeholder",))
             except ConfigError as exc:
@@ -507,15 +499,17 @@ def _config_digest(config: ExperimentConfig) -> str:
 def _load_manifest(out: Path, digest: str) -> dict:
     """The manifest under `out`, or a fresh one if none of this version is there.
 
-    Raises ConfigError if it was written for a config with another digest.
+    A file that is not a JSON object holding a `cells` object is none. Raises
+    ConfigError if it was written for a config with another digest.
     """
     manifest_path = out / "manifest.json"
     if manifest_path.is_file():
         try:
             loaded = json.loads(manifest_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError:
-            loaded = {}
-        if loaded.get("version") == MANIFEST_VERSION:
+            loaded = None
+        valid = isinstance(loaded, dict) and isinstance(loaded.get("cells"), dict)
+        if valid and loaded.get("version") == MANIFEST_VERSION:
             if loaded.get("config_digest") != digest:
                 raise ConfigError(
                     f"{manifest_path} belongs to a run with another config or other data; "
@@ -530,15 +524,24 @@ def _write_manifest(out: Path, manifest: dict) -> None:
     _atomic_write(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _read_json(path: Path, text: str, line: int = 1):
+    """The JSON value `text`, which starts on line `line` of `path`; ParseError if it is invalid."""
+    try:
+        # without its trailing newline, a truncated value is reported on its own line
+        return json.loads(text.rstrip())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg} (column {exc.colno})", path=path,
+                         line=line + exc.lineno - 1) from None
+
+
 def _read_cell_records(out: Path) -> dict[str, list[dict]]:
     """Every result record under `out`, grouped by cell; raises if there is none."""
     records: dict[str, list[dict]] = {}
     for path in sorted((out / "results").glob("*.jsonl")):
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
+            for number, line in enumerate(handle, 1):
+                if line.strip():
+                    rec = _read_json(path, line, number)
                     records.setdefault(rec["cell"], []).append(rec)
     if not records:
         raise ConfigError(f"no results found under {out}")
@@ -634,7 +637,7 @@ def write_curriculum_csv(out: Path, records: dict[str, list[dict]]) -> Path:
             path = out / "logs" / f"{key}.rep{replicate}.curriculum.json"
             if not path.is_file():
                 continue
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = _read_json(path, path.read_text(encoding="utf-8"))
             report = CurriculumReport(
                 payload["alphas"],
                 {int(k): v for k, v in payload["acquired"].items()},
@@ -752,11 +755,8 @@ def cmd_run(args) -> int:
         pending = []
         for with_al in task["arms"]:
             key = _cell_key(task["setting"], with_al)
-            status = manifest["cells"].get(key, {})
-            done = status.get("status") == "complete" and (
-                out / "results" / f"{key}.jsonl"
-            ).is_file()
-            if done:
+            done = manifest["cells"].get(key) == {"status": "complete"}
+            if done and (out / "results" / f"{key}.jsonl").is_file():
                 print(f"skip {key} (complete per manifest)")
             else:
                 pending.append(with_al)
@@ -808,22 +808,21 @@ def cmd_curriculum(args) -> int:
 
 # task -> (corpus file extension, corpus writer, acquisition strategy of the default settings)
 _SYNTH = {
-    TaskKind.CLASSIFICATION: ("tsv", write_tsv_classification, "lc"),
-    TaskKind.SEQUENCE_TAGGING: ("conll", write_conll_ner, "mnlp"),
-    TaskKind.DEPENDENCY_PARSING: ("conllu", write_conllu, "nlpdt"),
+    TaskKind.CLASSIFICATION: ("tsv", write_tsv_classification, StrategyKind.LC),
+    TaskKind.SEQUENCE_TAGGING: ("conll", write_conll_ner, StrategyKind.MNLP),
+    TaskKind.DEPENDENCY_PARSING: ("conllu", write_conllu, StrategyKind.NLPDT),
 }
 
 
 def cmd_synth(args) -> int:
-    task = _TASK_NAMES[args.task]
+    task = TaskKind(args.task)
     languages = sorted(args.languages.split(","))
     # checked as `validate` checks them, before anything is written
     seed = _top_integer("seed", args.seed)
     settings = _default_settings(task, languages)
     spec = BudgetSpec(args.budget, args.budget, args.budget)
-    for entry in settings:
-        family, strategy = _FAMILY_NAMES[entry["kind"]], _STRATEGY_NAMES[entry["strategy"]]
-        allocate(Setting(family, strategy, True, entry.get("source")), spec, languages)
+    for setting in settings:
+        allocate(setting, spec, languages)
     data = synth_dataset(task, languages, args.train_size, args.test_size, args.overlap, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -839,7 +838,7 @@ def cmd_synth(args) -> int:
         "task": task.value,
         "languages": languages,
         "data": paths,
-        "settings": settings,
+        "settings": _echo("settings", settings),
         "budget": {"seed": args.budget},
         "replicates": 1,
         "seed": seed,
@@ -851,14 +850,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _default_settings(task: TaskKind, languages) -> list[dict]:
+def _default_settings(task: TaskKind, languages) -> tuple[Setting, ...]:
     strategy = _SYNTH[task][2]
-    settings = [
-        {"kind": "sma", "strategy": strategy},
-        {"kind": "mma", "strategy": strategy},
-    ]
-    settings.extend({"kind": "monoa", "strategy": strategy, "source": lang} for lang in languages)
-    return settings
+    return (
+        Setting(SettingFamily.SMA, strategy),
+        Setting(SettingFamily.MMA, strategy),
+        *(Setting(SettingFamily.MONOA, strategy, source=lang) for lang in languages),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -884,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curr.add_argument("--out", required=True, help="results directory")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic multilingual corpus")
-    p_synth.add_argument("--task", choices=sorted(_TASK_NAMES), required=True)
+    p_synth.add_argument("--task", choices=[t.value for t in TaskKind], required=True)
     p_synth.add_argument("--languages", required=True, help="comma-separated codes")
     p_synth.add_argument("--train-size", type=int, default=700)
     p_synth.add_argument("--test-size", type=int, default=150)

@@ -244,8 +244,11 @@ def run_arms(
     in a round: in round 0, and in every later round where the arms hold the
     same pool, as they do once it has run out. `plan.setting.with_al` is not
     read. Identical (plan, data, config, seed) inputs reproduce identical
-    results, whichever arms run together.
+    results, whichever arms run together. A repeated arm raises ConfigError:
+    it would buy its batches twice.
     """
+    if len(set(arms)) != len(arms):
+        raise ConfigError(f"arms must be distinct, got {list(arms)}")
     pools = _draw_pools(plan, data, rng_seed)
     arm_pools = {with_al: [Pool(p.labeled.values(), p.unlabeled.values(), p.validation.values())
                            for p in pools] for with_al in arms}

@@ -59,6 +59,10 @@ def _tree_bytes(root: Path, subdirs=("results", "logs")) -> dict[str, bytes]:
     return out
 
 
+KINDS = "['mma', 'monoa', 'sma']"
+STRATEGIES = "['lc', 'mnlp', 'nlpdt', 'nlpdt_global', 'nlpdt_n2', 'random']"
+
+
 class TestValidateConfig:
     def test_minimal_config_echoes_defaults(self, tmp_path):
         config_path = _write_corpus(tmp_path / "corpus")
@@ -192,6 +196,38 @@ class TestValidateConfig:
         config_path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(config_path)]) == 1
         assert (section or key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[], {}], ids=["list", "object"])
+    @pytest.mark.parametrize("key", ["kind", "strategy", "task"])
+    def test_enum_given_as_list_or_object_rejected(self, tmp_path, capsys, key, value):
+        config_path = _small_config(tmp_path / "corpus")
+        cfg = json.loads(config_path.read_text())
+        (cfg if key == "task" else cfg["settings"][0])[key] = value
+        config_path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(config_path)]) == 1
+        where = key if key == "task" else f"settings[0].{key}"
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {where}: expected one of [") and line.endswith(f"], got {value!r}")
+
+    @pytest.mark.parametrize("entry, expected", [
+        ({"kind": "xx", "strategy": "lc"}, [f"settings[0].kind: expected one of {KINDS}, got 'xx'"]),
+        ({"strategy": "lc"}, [f"settings[0].kind: expected one of {KINDS}, got None"]),
+        ({"kind": "sma"}, [f"settings[0].strategy: expected one of {STRATEGIES}, got None"]),
+        ({"kind": "xx", "strategy": "yy"}, [f"settings[0].kind: expected one of {KINDS}, got 'xx'",
+                                            f"settings[0].strategy: expected one of {STRATEGIES}, got 'yy'"]),
+        ({"kind": "monoa", "strategy": "lc", "source": 5}, ["settings[0].source: expected a string, got 5"]),
+        ({"kind": "sma", "strategy": "lc", "source": "zz"}, ["settings[0]: sma takes no source language"]),
+        ({"kind": "monoa", "strategy": "lc", "source": "zz"}, ["settings[0].source: 'zz' not in language set"]),
+        ({"kind": "monoa", "strategy": "mnlp"}, ["settings[0]: monoa requires a source language"]),
+        ({"kind": "sma", "strategy": "lc", "foo": 1}, ["settings[0]: unknown key 'foo'"]),
+        (5, ["settings[0]: must be an object"]),
+    ], ids=["bad-kind", "no-kind", "no-strategy", "bad-kind-and-strategy", "int-source",
+            "sma-unknown-source", "monoa-unknown-source", "monoa-no-source", "unknown-key",
+            "not-an-object"])
+    def test_setting_entry_errors(self, tmp_path, entry, expected):
+        config, errors = validate_config(_small_config(tmp_path / "corpus", settings=[entry]))
+        assert config is None
+        assert errors == expected
 
     def test_negative_seed_override_rejected(self, tmp_path):
         config_path = _small_config(tmp_path / "corpus")
@@ -543,6 +579,21 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: --jobs must be at least 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["not-an-object", "no-cells"])
+    def test_unusable_manifest_counts_as_absent(self, tmp_path, capsys, kind):
+        config_path = _small_config(tmp_path / "corpus")
+        digest = cli._config_digest(validate_config(config_path)[0])
+        out = tmp_path / "out"
+        out.mkdir()
+        text = "[1]" if kind == "not-an-object" else json.dumps({"version": 2, "config_digest": digest})
+        (out / "manifest.json").write_text(text)
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert "skip" not in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_digest"] == digest
+        assert manifest["cells"] == {key: {"status": "complete"} for key in (
+            "sma.lc.al", "sma.lc.noal", "mma.lc.al", "mma.lc.noal")}
+
     def test_invalid_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -641,6 +692,24 @@ class TestReportCommand:
         assert "no results found" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["report", "curriculum"])
+    @pytest.mark.parametrize("name, line", [
+        ("results/mma.lc.noal.jsonl", 6), ("logs/sma.lc.al.rep1.curriculum.json", 1),
+    ], ids=["results", "sidecar"])
+    def test_invalid_json_is_a_runtime_error(self, finished_run, tmp_path, capsys, command,
+                                             name, line):
+        out = tmp_path / "out"
+        shutil.copytree(finished_run, out)
+        path = out / name
+        lines = path.read_text().splitlines(keepends=True)
+        # 2 replicates x 3 rounds of results; one line of sidecar
+        assert len(lines) == line
+        path.write_text("".join(lines[:-1]) + '{"alphas": \n')
+        assert main([command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: invalid JSON: Expecting value (column 11)\n")
+
+
 class TestSynthCommand:
     def test_fixed_seed_identical_files(self, tmp_path):
         a = _write_corpus(tmp_path / "a", seed=3)
@@ -715,6 +784,19 @@ class TestSynthCommand:
         for path in sorted(tmp_path.iterdir()):
             sha.update(path.name.encode() + b"\0" + path.read_bytes())
         assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("task", ["classification", "tagging", "parsing"])
+    def test_settings_equal_the_validate_echo(self, tmp_path, capsys, task):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--task", task, "--languages", "bb,aa", "--train-size", "30",
+                     "--test-size", "8", "--budget", "8", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", "--config", str(out / "config.json")]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        written = json.loads((out / "config.json").read_text())
+        assert written["settings"] == echo["settings"]
+        assert [(s["kind"], s.get("source")) for s in written["settings"]] == [
+            ("sma", None), ("mma", None), ("monoa", "aa"), ("monoa", "bb")]
 
     def test_tagging_and_parsing_files_reparse(self, tmp_path):
         for task, ext, reader in (

@@ -305,6 +305,14 @@ class TestRunArms:
         plan = allocate(sma(), SPEC, small_data.languages)
         assert list(run_arms(plan, small_data, FAST, SPACE, 1, (False,))) == [False]
 
+    def test_repeated_arm_rejected_before_drawing_pools(self, monkeypatch):
+        # run twice, the arm would buy its batches twice: 8 rounds, twice the budget
+        data = synth_classification(["aa", "bb"], 80, 20, 0.5, seed=5)
+        plan = allocate(sma(), BudgetSpec(20, 15, 10, rounds=4), data.languages)
+        monkeypatch.setattr(experiment, "_draw_pools", None)
+        with pytest.raises(ConfigError, match="arms must be distinct"):
+            run_arms(plan, data, FAST, SPACE, 1, (True, True))
+
 
 class TestCurriculum:
     def _events(self, spec):
