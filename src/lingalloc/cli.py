@@ -524,14 +524,22 @@ def _write_manifest(out: Path, manifest: dict) -> None:
     _atomic_write(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _read_json(path: Path, text: str, line: int = 1):
-    """The JSON value `text`, which starts on line `line` of `path`; ParseError if it is invalid."""
+_RECORD_KEYS = ("cell", "setting", "strategy", "al", "replicate", "round", "metrics")
+_SIDECAR_KEYS = ("alphas", "acquired", "relative_difference", "per_round_budget")
+
+
+def _read_json(path: Path, text: str, keys: tuple[str, ...], line: int = 1) -> dict:
+    """The JSON object `text`, which starts on line `line` of `path`; ParseError
+    if it is invalid JSON or not an object holding every one of `keys`."""
     try:
         # without its trailing newline, a truncated value is reported on its own line
-        return json.loads(text.rstrip())
+        value = json.loads(text.rstrip())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg} (column {exc.colno})", path=path,
                          line=line + exc.lineno - 1) from None
+    if not isinstance(value, dict) or not all(key in value for key in keys):
+        raise ParseError(f"expected an object with {', '.join(keys)}", path=path, line=line)
+    return value
 
 
 def _read_cell_records(out: Path) -> dict[str, list[dict]]:
@@ -541,7 +549,7 @@ def _read_cell_records(out: Path) -> dict[str, list[dict]]:
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, 1):
                 if line.strip():
-                    rec = _read_json(path, line, number)
+                    rec = _read_json(path, line, _RECORD_KEYS, number)
                     records.setdefault(rec["cell"], []).append(rec)
     if not records:
         raise ConfigError(f"no results found under {out}")
@@ -637,7 +645,7 @@ def write_curriculum_csv(out: Path, records: dict[str, list[dict]]) -> Path:
             path = out / "logs" / f"{key}.rep{replicate}.curriculum.json"
             if not path.is_file():
                 continue
-            payload = _read_json(path, path.read_text(encoding="utf-8"))
+            payload = _read_json(path, path.read_text(encoding="utf-8"), _SIDECAR_KEYS)
             report = CurriculumReport(
                 payload["alphas"],
                 {int(k): v for k, v in payload["acquired"].items()},

@@ -3,8 +3,10 @@
 A run is one seed training round followed by acquisition rounds: score the
 unlabeled pool, buy a batch within the per-round budget, reveal its gold
 annotations, retrain from scratch, evaluate every target language. A
-setting's AL and random arms run their rounds in lockstep and share every fit
-of a model whose labeled pool they hold in common. The settings differ only in how models, budgets, and eligible pools are laid out:
+setting's AL and random arms run their rounds in lockstep: each round, each
+arm buys for each of its models and then fits it, or reuses the fit of a
+labeled pool another arm holds too. The settings differ only in how models,
+budgets, and eligible pools are laid out:
 
 * ``monoa`` - one model, the whole budget on a single source language,
   evaluated on every language (zero-shot on the others);
@@ -113,7 +115,8 @@ class AllocationPlan:
 
 
 def allocate(setting: Setting, spec: BudgetSpec, languages: Sequence[str]) -> AllocationPlan:
-    """Lay out models and their budget shares for one setting."""
+    """Lay out models and their budget shares for one setting; ConfigError if
+    that leaves a model less than one unit to buy in each acquisition round."""
     langs = tuple(sorted(languages))
     if not langs:
         raise ConfigError("empty language set")
@@ -138,7 +141,11 @@ def allocate(setting: Setting, spec: BudgetSpec, languages: Sequence[str]) -> Al
             ModelPlan(0, langs, spec.seed_budget, spec.acq_budget,
                       spec.val_budget, langs),
         )
-    return AllocationPlan(setting, spec, models)
+    plan = AllocationPlan(setting, spec, models)
+    if spec.acquisition_rounds and min(plan.per_round(mp) for mp in models) < 1:
+        raise ConfigError(f"{setting.family.value} needs an acquisition budget of at least "
+                          "one per model and acquisition round")
+    return plan
 
 
 @dataclass
@@ -236,16 +243,18 @@ def run_arms(
 
     The arms in `arms` (True: the setting's strategy, False: random) run in
     lockstep, each on its own copy of the seed pools. In every round each arm
-    first scores each model's unlabeled pool with its model of the previous
-    round and buys a batch within the per-round budget; round 0 buys nothing.
-    Then every model is retrained from scratch on its labeled pool and
-    evaluated. A fit depends on the model, the round and the labeled pool,
-    never on the arm, so each model is fitted once per distinct labeled pool
-    in a round: in round 0, and in every later round where the arms hold the
-    same pool, as they do once it has run out. `plan.setting.with_al` is not
-    read. Identical (plan, data, config, seed) inputs reproduce identical
-    results, whichever arms run together. A repeated arm raises ConfigError:
-    it would buy its batches twice.
+    takes each of its models in turn: from round 1 on, it scores the model's
+    unlabeled pool with the model's fit of the previous round and buys a
+    batch within the per-round budget; then it fits the model from scratch on
+    its labeled pool and evaluates it, or reuses the fit another arm made of
+    the same pool. A fit depends on the model, the round and the labeled
+    pool, never on the arm, so each model is fitted once per distinct labeled
+    pool in a round: in round 0, and in every later round where the arms hold
+    the same pool, as they do once it has run out. `plan.setting.with_al` is
+    not read. Identical (plan, data,
+    config, seed) inputs reproduce identical results, whichever arms run
+    together. A repeated arm raises ConfigError: it would buy its batches
+    twice.
     """
     if len(set(arms)) != len(arms):
         raise ConfigError(f"arms must be distinct, got {list(arms)}")
@@ -253,57 +262,38 @@ def run_arms(
     arm_pools = {with_al: [Pool(p.labeled.values(), p.unlabeled.values(), p.validation.values())
                            for p in pools] for with_al in arms}
     runs = {with_al: ([], []) for with_al in arms}
-    models: dict[bool, list] = {}
+    fits = {}
     for round_idx in range(plan.spec.rounds):
+        last, fits = fits, {}
         for with_al in arms:
             strategy = plan.setting.strategy if with_al else StrategyKind.RANDOM
-            spend = {lang: 0 for lang in data.languages}
-            warnings: list[str] = []
-            # round 0 has no models yet
-            for mp, pool, model in zip(plan.models, arm_pools[with_al], models.get(with_al, ())):
-                per_round = plan.per_round(mp)
-                if per_round < 1:
-                    continue
-                round_rng = np.random.default_rng(
-                    _derive_seed(rng_seed, mp.index, 2, round_idx)
-                )
-                scores = _score_pool(
-                    model, data.task, pool.unlabeled.values(), strategy, round_rng
-                )
-                selected, spent = select_batch(scores, per_round) if scores else ([], 0)
-                by_id = {s.instance_id: s for s in scores}
-                for iid in selected:
-                    entry = by_id[iid]
-                    runs[with_al][1].append(
-                        AcquisitionEvent(
-                            round_idx, iid, entry.language, entry.cost, entry.score,
-                            strategy.value,
-                        )
-                    )
-                    spend[entry.language] += entry.cost
-                pool.move_to_labeled(selected)
-                if spent < per_round and not pool.unlabeled:
-                    warnings.append(
-                        f"model {mp.key}: unlabeled pool exhausted at round {round_idx} "
-                        f"(spent {spent} of {per_round})"
-                    )
-            # its report and validation scores are filled in below
-            runs[with_al][0].append(
-                RoundResult(round_idx, MetricReport(data.task), spend, {}, tuple(warnings))
-            )
-        models, fits = {}, {}
-        for with_al in arms:
-            result, models[with_al] = runs[with_al][0][-1], []
+            results, events = runs[with_al]
+            result = RoundResult(round_idx, MetricReport(data.task), dict.fromkeys(data.languages, 0), {})
             for mp, pool in zip(plan.models, arm_pools[with_al]):
+                if round_idx:
+                    # until it buys, the pool is the one the model of the round before was fitted on
+                    model = last[mp.index, frozenset(pool.labeled)][0]
+                    per_round = plan.per_round(mp)
+                    rng = np.random.default_rng(_derive_seed(rng_seed, mp.index, 2, round_idx))
+                    scores = _score_pool(model, data.task, pool.unlabeled.values(), strategy, rng)
+                    selected, spent = select_batch(scores, per_round)
+                    by_id = {s.instance_id: s for s in scores}
+                    for entry in map(by_id.__getitem__, selected):
+                        events.append(AcquisitionEvent(round_idx, entry.instance_id, entry.language,
+                                                       entry.cost, entry.score, strategy.value))
+                        result.spend[entry.language] += entry.cost
+                    pool.move_to_labeled(selected)
+                    if spent < per_round and not pool.unlabeled:
+                        result.warnings += (f"model {mp.key}: unlabeled pool exhausted at round "
+                                            f"{round_idx} (spent {spent} of {per_round})",)
                 key = (mp.index, frozenset(pool.labeled))
                 if key not in fits:
-                    fits[key] = _fit_and_evaluate(
-                        mp, pool, data, training_config, feature_space, rng_seed, round_idx
-                    )
-                model, result.validation[mp.key], counts = fits[key]
-                models[with_al].append(model)
+                    fits[key] = _fit_and_evaluate(mp, pool, data, training_config, feature_space,
+                                                  rng_seed, round_idx)
+                result.validation[mp.key], counts = fits[key][1:]
                 for lang, lang_counts in counts:
                     result.report.add(lang, lang_counts)
+            results.append(result)
     return runs
 
 

@@ -442,13 +442,13 @@ class _Store:
     def take(self, slots: np.ndarray) -> tuple[Rows, list[int]]:
         """The rows of the given slots, in order, and each slot's row count.
 
-        Each slot's rows and entries are contiguous, so both are gathered
-        by one range per slot."""
+        Each slot's rows are contiguous, so they are one range per slot of
+        the rows held, gathered as any `Rows` are."""
         first, stop = self.first[slots], self.first[slots + 1]
-        row = _ranges(first, stop - first)
-        entry = _ranges(self.indptr[first], self.indptr[stop] - self.indptr[first])
-        lengths = self.indptr[row + 1] - self.indptr[row]
-        return Rows.stack(lengths, self.indices[entry], self.data[entry]), (stop - first).tolist()
+        rows = int(self.first[len(self.where)])
+        held = Rows(self.indptr[: rows + 1], self.indices[: self.indptr[rows]],
+                    self.data[: self.indptr[rows]])
+        return held.take(_ranges(first, stop - first)), (stop - first).tolist()
 
 
 class FeatureCache:

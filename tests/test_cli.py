@@ -59,6 +59,8 @@ def _tree_bytes(root: Path, subdirs=("results", "logs")) -> dict[str, bytes]:
     return out
 
 
+RECORD_KEYS = "cell, setting, strategy, al, replicate, round, metrics"
+SIDECAR_KEYS = "alphas, acquired, relative_difference, per_round_budget"
 KINDS = "['mma', 'monoa', 'sma']"
 STRATEGIES = "['lc', 'mnlp', 'nlpdt', 'nlpdt_global', 'nlpdt_n2', 'random']"
 
@@ -114,6 +116,21 @@ class TestValidateConfig:
         config, errors = validate_config(config_path)
         assert config is None
         assert any("mma" in e for e in errors)
+
+    def test_budget_leaving_a_model_nothing_per_round_rejected(self, tmp_path, capsys):
+        # 8 // 3 languages = 2 per MMA model (settings[1]), 2 // 3 acquisition rounds = 0
+        config_path = _write_corpus(tmp_path / "corpus", languages=("aa", "bb", "cc"))
+        cfg = json.loads(config_path.read_text())
+        cfg["budget"] = {"seed": 60, "acquisition": 8, "rounds": 4}
+        config_path.write_text(json.dumps(cfg))
+        expected = ("error: settings[1]: mma needs an acquisition budget of at least one per "
+                    "model and acquisition round\n")
+        assert main(["validate", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == expected
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
     def test_missing_file_reported(self, tmp_path):
         config_path = _small_config(tmp_path / "corpus")
@@ -693,21 +710,28 @@ class TestReportCommand:
 
 
     @pytest.mark.parametrize("command", ["report", "curriculum"])
-    @pytest.mark.parametrize("name, line", [
-        ("results/mma.lc.noal.jsonl", 6), ("logs/sma.lc.al.rep1.curriculum.json", 1),
-    ], ids=["results", "sidecar"])
+    @pytest.mark.parametrize("name, line, text, message", [
+        ("results/mma.lc.noal.jsonl", 6, '{"alphas": ', "invalid JSON: Expecting value (column 11)"),
+        ("logs/sma.lc.al.rep1.curriculum.json", 1, '{"alphas": ',
+         "invalid JSON: Expecting value (column 11)"),
+        ("results/mma.lc.noal.jsonl", 6, '{"x": 1}', f"expected an object with {RECORD_KEYS}"),
+        ("results/mma.lc.noal.jsonl", 6, '["cell"]', f"expected an object with {RECORD_KEYS}"),
+        ("logs/sma.lc.al.rep1.curriculum.json", 1, '{"alphas": {}}',
+         f"expected an object with {SIDECAR_KEYS}"),
+        ("logs/sma.lc.al.rep1.curriculum.json", 1, "7", f"expected an object with {SIDECAR_KEYS}"),
+    ], ids=["results", "sidecar", "results-no-keys", "results-array", "sidecar-no-keys",
+            "sidecar-number"])
     def test_invalid_json_is_a_runtime_error(self, finished_run, tmp_path, capsys, command,
-                                             name, line):
+                                             name, line, text, message):
         out = tmp_path / "out"
         shutil.copytree(finished_run, out)
         path = out / name
         lines = path.read_text().splitlines(keepends=True)
         # 2 replicates x 3 rounds of results; one line of sidecar
         assert len(lines) == line
-        path.write_text("".join(lines[:-1]) + '{"alphas": \n')
+        path.write_text("".join(lines[:-1]) + text + "\n")
         assert main([command, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {path}:{line}: invalid JSON: Expecting value (column 11)\n")
+        assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
 
 
 class TestSynthCommand:
@@ -756,7 +780,10 @@ class TestSynthCommand:
     @pytest.mark.parametrize("option, value, message", [
         ("--seed", "-1", "seed: must be an integer >= 0, got -1"),
         ("--budget", "0", "budgets must be positive"),
-    ], ids=["seed", "budget"])
+        # 5 // 2 languages = 2 per MMA model, 2 // 3 acquisition rounds = 0 per round
+        ("--budget", "5", "mma needs an acquisition budget of at least one per model and "
+                          "acquisition round"),
+    ], ids=["seed", "budget", "budget-per-round"])
     def test_invalid_seed_or_budget_writes_nothing(self, tmp_path, capsys, option, value, message):
         out = tmp_path / "corpus"
         rc = main([

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lingalloc import experiment
-from lingalloc.acquisition import StrategyKind
+from lingalloc.acquisition import StrategyKind, select_batch
 from lingalloc.errors import ConfigError
 from lingalloc.experiment import (
     AcquisitionEvent,
@@ -20,7 +20,7 @@ from lingalloc.experiment import (
     run_arms,
     run_rounds,
 )
-from lingalloc.models import FeatureSpace, TrainingConfig
+from lingalloc.models import FeatureSpace, TrainingConfig, build_model
 from lingalloc.synth import synth_classification, synth_parsing, synth_tagging
 from lingalloc.tasks import BudgetUnit, MetricReport, TaskKind
 
@@ -108,6 +108,21 @@ class TestAllocate:
         assert [plan.per_round(mp) for mp in plan.models] == [25] * 4
         plan = allocate(mma, BudgetSpec(300, 302, 300, rounds=1), self.LANGS)
         assert [plan.per_round(mp) for mp in plan.models] == [0] * 4
+
+    @pytest.mark.parametrize("family, acquisition, langs", [
+        # 8 // 3 = 2 per model, 2 // 3 acquisition rounds = 0 per round
+        (SettingFamily.MMA, 8, ("aa", "bb", "cc")),
+        (SettingFamily.SMA, 2, LANGS),
+    ], ids=["mma", "sma"])
+    def test_budget_leaving_a_model_nothing_per_round_rejected(self, family, acquisition, langs):
+        with pytest.raises(ConfigError, match=f"^{family.value} needs an acquisition budget of "
+                                              "at least one per model and acquisition round$"):
+            allocate(Setting(family, StrategyKind.LC), BudgetSpec(60, acquisition, 60, rounds=4),
+                     langs)
+
+    def test_one_unit_per_round_accepted(self):
+        plan = allocate(sma(), BudgetSpec(60, 3, 60, rounds=4), self.LANGS)
+        assert [plan.per_round(mp) for mp in plan.models] == [1]
 
 
 class TestRunRounds:
@@ -209,6 +224,20 @@ class TestRunRounds:
         results, events = run_rounds(plan, data, FAST, SPACE, rng_seed=1)
         assert all("las" in m for r in results for m in r.report.per_language.values())
         assert all(e.score <= 0.0 for e in events)  # log-prob based scores
+
+    @pytest.mark.parametrize("make_data, strategy", [
+        (lambda: synth_classification(["aa"], 30, 5, 0.5, seed=1), StrategyKind.LC),
+        (lambda: synth_tagging(["aa"], 20, 5, 0.5, seed=1), StrategyKind.MNLP),
+        (lambda: synth_parsing(["aa"], 10, 5, 0.5, seed=1), StrategyKind.NLPDT_GLOBAL),
+    ], ids=["classification", "tagging", "parsing"])
+    def test_exhausted_pool_scores_and_buys_nothing(self, make_data, strategy):
+        # an arm whose unlabeled pool has run out still scores and buys each round
+        data = make_data()
+        model = build_model(data.task, SPACE)
+        model.fit(data.train["aa"][:8], data.train["aa"][8:], FAST)
+        for kind in (strategy, StrategyKind.RANDOM):
+            scores = experiment._score_pool(model, data.task, [], kind, np.random.default_rng(0))
+            assert scores == [] and select_batch(scores, 3) == ([], 0)
 
 
 class TestRunArms:
