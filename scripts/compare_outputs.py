@@ -16,10 +16,13 @@ the SMA setting's AL result file of the `--jobs 2` run is deleted and
 `run --jobs 2` resumes into the same directory, so the path that reruns
 one arm of a setting is compared too.
 Classification also runs a copy of its config with the budgets in
-`EXHAUSTING`, with `--jobs 1` and `--jobs 2`, then `report`: there every
-MonoA source pool runs out in round 2, so the AL and random arms buy
-different instances in round 1, then hold the same pool and share its fits,
-and the results carry `unlabeled pool exhausted` warnings. Every file
+`EXHAUSTING` and 3 replicates, with `--jobs 1` and `--jobs 2`, then
+`report`: there every MonoA source pool runs out in round 2, so the AL and
+random arms buy different instances in round 1, then hold the same pool and
+share its fits, and the results carry `unlabeled pool exhausted` warnings.
+With three replicates, each standard deviation of its `summary.csv` and
+`plot_data.csv` is taken over three values, where two formulas for it can
+differ in their last bits. Every file
 written is then compared between A and B; the manifest's timestamp is left
 out. Prints each seed's count of identical files and the
 files that differ, or that only one side wrote. Exits 1 when any file of
@@ -117,7 +120,8 @@ def produce(root: Path, work: Path, seed: int) -> None:
     corpus = work / "classification"
     exhaust_path = corpus / "exhaust.json"
     config = json.loads((corpus / "config.json").read_text())
-    exhaust_path.write_text(json.dumps(dict(config, budget=EXHAUSTING), indent=2) + "\n")
+    exhaust = dict(config, budget=EXHAUSTING, replicates=3)
+    exhaust_path.write_text(json.dumps(exhaust, indent=2) + "\n")
     for jobs in ("1", "2"):
         out = str(corpus / f"exhaust-jobs{jobs}")
         _cli(root, "run", "--config", str(exhaust_path), "--jobs", jobs, "--out", out)

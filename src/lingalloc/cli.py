@@ -46,13 +46,13 @@ from .experiment import (
     BudgetSpec,
     CurriculumReport,
     MultilingualData,
-    RoundResult,
     Setting,
     SettingFamily,
     aggregate,
     allocate,
     curriculum,
     initial_composition,
+    mean_stddev,
     run_arms,
 )
 from .models import FeatureSpace, TrainingConfig
@@ -63,9 +63,30 @@ MANIFEST_VERSION = 2
 
 _DATA_KEYS = {"train", "test"}
 
-# One mapping per dataclass-backed section (each `settings` entry is one), JSON
-# key -> dataclass field. The keys a section accepts, its echo and (through the
-# dataclass) its defaults, required fields, types and checks all come from here.
+
+@dataclass(frozen=True)
+class RoundRecord:
+    """One line of `results/<cell>.jsonl`: a cell's state after one round of one replicate."""
+
+    cell: str
+    setting: str
+    strategy: str
+    al: bool
+    replicate: int
+    round: int
+    metrics: dict[str, dict[str, float]]
+    counts: dict[str, dict[str, int]]
+    spend: dict[str, int]
+    validation: dict[str, float]
+    warnings: tuple[str, ...]
+
+    @property
+    def label(self) -> str:
+        return f"{self.setting}:{self.strategy}"
+
+
+# JSON key -> field of each dataclass section (a `settings` entry, a results line
+# and a curriculum sidecar are each one). Keys, echo, defaults, types and checks come from here.
 _SECTIONS = {
     "budget": (BudgetSpec, {
         "seed": "seed_budget", "acquisition": "acq_budget",
@@ -74,15 +95,14 @@ _SECTIONS = {
     "training": (TrainingConfig, {
         key: key for key in ("learning_rates", "batch_size", "max_epochs", "patience", "l2")
     }),
-    "feature_space": (FeatureSpace, {
-        key: key for key in ("hash_dimension", "ngram_min", "ngram_max")
-    }),
     "settings": (Setting, {"kind": "family", "strategy": "strategy", "source": "source"}),
+    # sections whose JSON keys are their field names
+    **{name: (cls, {f.name: f.name for f in dataclasses.fields(cls)}) for name, cls in (
+        ("feature_space", FeatureSpace), ("record", RoundRecord), ("curriculum", CurriculumReport)
+    )},
 }
 # smallest value of each top-level integer
 _TOP_MINIMUM = {"replicates": 1, "seed": 0, "max_length": 1}
-# largest gap `report` accepts in a curriculum sidecar's acquisition-share identity
-_IDENTITY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,17 +124,28 @@ class ExperimentConfig:
             "task": self.task.value,
             "languages": list(self.languages),
             "data": {lang: dict(paths) for lang, paths in sorted(self.data.items())},
-            **{name: _echo(name, getattr(self, name)) for name in _SECTIONS},
+            **{name: _echo(name, getattr(self, name))
+               for name in ("budget", "training", "feature_space", "settings")},
             **{key: getattr(self, key) for key in (*_TOP_MINIMUM, "output_dir")},
         }
 
 
 def _echo(name: str, value):
-    """Section `name`'s JSON, or a list of it for a tuple: enums by value, no None values."""
+    """Section `name`'s JSON, or a list of it for a tuple: no None values."""
     if isinstance(value, tuple):
         return [_echo(name, item) for item in value]
     fields = {key: getattr(value, field) for key, field in _SECTIONS[name][1].items()}
-    return {key: v.value if isinstance(v, Enum) else v for key, v in fields.items() if v is not None}
+    return {key: _plain(v) for key, v in fields.items() if v is not None}
+
+
+def _plain(value):
+    """A field value as JSON holds it: an enum by its value, a mapping with string keys
+    (made here: `json.dumps` would sort int keys as numbers, 2 before 10, not as strings)."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in value.items()}
+    return value
 
 
 def _check_unknown(obj: dict, allowed, where: str, errors: list[str]):
@@ -134,23 +165,49 @@ def _enum_type(kind: type[Enum]) -> tuple:
 
 # field type -> (its name, the JSON values it takes, the function that turns
 # a taken value into the field's value, or None): a bool is not an integer, a
-# JSON int is a number, an enum member is named by its value
+# JSON int is a number, a number is finite, an enum member is named by its value
 _JSON_TYPES = {
     int: ("an integer", lambda v: type(v) is int, None),
     float: ("a number", _is_number, None),
-    tuple[float, ...]: ("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v)), tuple),
+    bool: ("a boolean", lambda v: type(v) is bool, None),
+    str: ("a string", lambda v: type(v) is str, None),
     str | None: ("a string", lambda v: v is None or type(v) is str, None),
     **{kind: _enum_type(kind) for kind in (SettingFamily, StrategyKind, TaskKind)},
+    # the origins of `tuple[T, ...]` and `dict[K, T]`, whose items `_typed` reads
+    tuple: ("a list", lambda v: type(v) is list, None),
+    dict: ("an object", lambda v: type(v) is dict, None),
 }
 
 
 def _typed(where: str, hint, value, errors: list[str]):
-    """The field value of type `hint` that JSON `value` gives, or None and an error."""
-    what, accepts, convert = _JSON_TYPES[hint]
+    """The field value of type `hint` that JSON `value` gives, or None and errors.
+    Each item of a `tuple[T, ...]` or a `dict[K, T]` is read as a T; an int
+    key is a round: a decimal string >= 1, as `_plain` writes it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    what, accepts, convert = _JSON_TYPES[origin if origin in (tuple, dict) else hint]
     if not accepts(value):
         errors.append(f"{where}: expected {what}, got {value!r}")
         return None
-    return convert(value) if convert else value
+    if origin not in (tuple, dict):
+        return convert(value) if convert else value
+    known = len(errors)
+    if origin is tuple:
+        items = tuple(_typed(f"{where}[{i}]", args[0], v, errors) for i, v in enumerate(value))
+    else:
+        rounds, items = args[0] is int, {}
+        for key, v in value.items():
+            if rounds and not (key.isascii() and key.isdigit() and key[0] != "0"):
+                errors.append(f"{where}: expected rounds >= 1 as keys, got {key!r}")
+            else:
+                items[int(key) if rounds else key] = _typed(f"{where}.{key}", args[1], v, errors)
+    return items if len(errors) == known else None
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[dict, set[str]]:
+    """A dataclass's field types and the names of its fields without a default."""
+    required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    return typing.get_type_hints(cls), required
 
 
 def _section(name: str, raw, errors: list[str], where: str | None = None, **fixed):
@@ -166,8 +223,7 @@ def _section(name: str, raw, errors: list[str], where: str | None = None, **fixe
         return None
     cls, keys = _SECTIONS[name]
     _check_unknown(raw, keys, where, errors)
-    hints = typing.get_type_hints(cls)
-    required = {f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+    hints, required = _schema(cls)
     kwargs, known = dict(fixed), len(errors)
     for key, field in keys.items():
         if key in raw or field in required and field not in fixed:
@@ -392,22 +448,6 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _round_record(setting: Setting, with_al: bool, replicate: int, result: RoundResult) -> dict:
-    return {
-        "cell": _cell_key(setting, with_al),
-        "setting": setting.label,
-        "strategy": setting.strategy.value,
-        "al": with_al,
-        "replicate": replicate,
-        "round": result.round_index,
-        "metrics": result.report.per_language,
-        "counts": result.report.counts,
-        "spend": result.spend,
-        "validation": result.validation,
-        "warnings": list(result.warnings),
-    }
-
-
 # The corpus of the run in progress. `cmd_run` loads it once; a pool worker
 # receives it once, through the pool's initializer, so no task re-reads the
 # files or carries the data.
@@ -441,10 +481,12 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
             key = _cell_key(setting, with_al)
             results, events = runs[with_al]
             for result in results:
-                lines[key].append(
-                    json.dumps(_round_record(setting, with_al, replicate, result), sort_keys=True,
-                               separators=(",", ":"))
-                )
+                record = RoundRecord(key, setting.label, setting.strategy.value, with_al, replicate,
+                                     result.round_index, result.report.per_language,
+                                     result.report.counts, result.spend, result.validation,
+                                     result.warnings)
+                lines[key].append(json.dumps(_echo("record", record), sort_keys=True,
+                                             separators=(",", ":")))
             log_lines = ["round,instance_id,language,cost,score,strategy"]
             log_lines.extend(
                 f"{e.round},{e.instance_id},{e.language},{e.cost},{e.score!r},{e.strategy}"
@@ -458,22 +500,9 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
                 if composition is None:
                     composition = initial_composition(plan, data, rng_seed)
                 report = curriculum(events, composition, per_round_total)
-                _atomic_write(
-                    out / "logs" / f"{key}.rep{replicate}.curriculum.json",
-                    json.dumps(
-                        {
-                            "alphas": report.alphas,
-                            "acquired": {str(k): v for k, v in report.acquired.items()},
-                            "relative_difference": {
-                                str(k): v for k, v in report.relative_difference.items()
-                            },
-                            "per_round_budget": report.per_round_budget,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n",
-                )
+                _atomic_write(out / "logs" / f"{key}.rep{replicate}.curriculum.json",
+                              json.dumps(_echo("curriculum", report), sort_keys=True,
+                                         separators=(",", ":")) + "\n")
     for key, records in lines.items():
         _atomic_write(out / "results" / f"{key}.jsonl", "\n".join(records) + "\n")
     return list(lines)
@@ -524,59 +553,52 @@ def _write_manifest(out: Path, manifest: dict) -> None:
     _atomic_write(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-_RECORD_KEYS = ("cell", "setting", "strategy", "al", "replicate", "round", "metrics")
-_SIDECAR_KEYS = ("alphas", "acquired", "relative_difference", "per_round_budget")
-
-
-def _read_json(path: Path, text: str, keys: tuple[str, ...], line: int = 1) -> dict:
-    """The JSON object `text`, which starts on line `line` of `path`; ParseError
-    if it is invalid JSON or not an object holding every one of `keys`."""
+def _read_json(path: Path, text: str, name: str, line: int = 1):
+    """Section `name` read from the JSON `text`, which starts on line `line` of
+    `path`; ParseError, with every error `_section` finds, if it is not one."""
     try:
         # without its trailing newline, a truncated value is reported on its own line
         value = json.loads(text.rstrip())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg} (column {exc.colno})", path=path,
                          line=line + exc.lineno - 1) from None
-    if not isinstance(value, dict) or not all(key in value for key in keys):
-        raise ParseError(f"expected an object with {', '.join(keys)}", path=path, line=line)
-    return value
+    errors: list[str] = []
+    section = _section(name, value, errors)
+    if errors:
+        raise ParseError("; ".join(errors), path=path, line=line)
+    return section
 
 
-def _read_cell_records(out: Path) -> dict[str, list[dict]]:
+def _read_cell_records(out: Path) -> dict[str, list[RoundRecord]]:
     """Every result record under `out`, grouped by cell; raises if there is none."""
-    records: dict[str, list[dict]] = {}
+    records: dict[str, list[RoundRecord]] = {}
     for path in sorted((out / "results").glob("*.jsonl")):
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, 1):
                 if line.strip():
-                    rec = _read_json(path, line, _RECORD_KEYS, number)
-                    records.setdefault(rec["cell"], []).append(rec)
+                    rec = _read_json(path, line, "record", number)
+                    records.setdefault(rec.cell, []).append(rec)
     if not records:
         raise ConfigError(f"no results found under {out}")
     return records
-
-
-def _setting_label(rec: dict) -> str:
-    return f"{rec['setting']}:{rec['strategy']}"
 
 
 def _format_float(value: float) -> str:
     return repr(round(float(value), 10))
 
 
-def write_summary(out: Path, records: dict[str, list[dict]]) -> Path:
+def write_summary(out: Path, records: dict[str, list[RoundRecord]]) -> Path:
     """Aggregate every cell into one CSV: a row per setting, metric x AL columns."""
     by_setting: dict[str, dict[bool, list]] = {}
     metric_names: set[str] = set()
     for recs in records.values():
-        setting_label = _setting_label(recs[0])
-        in_order = sorted(recs, key=lambda r: r["round"])
+        in_order = sorted(recs, key=lambda r: r.round)
         agg = aggregate([
-            [r["metrics"] for r in in_order if r["replicate"] == rep]
-            for rep in sorted({r["replicate"] for r in recs})
+            [r.metrics for r in in_order if r.replicate == rep]
+            for rep in sorted({r.replicate for r in recs})
         ])
         metric_names.update(agg.mean)
-        by_setting.setdefault(setting_label, {})[recs[0]["al"]] = agg
+        by_setting.setdefault(recs[0].label, {})[recs[0].al] = agg
     names = sorted(metric_names)
     header = ["setting"]
     for name in names:
@@ -599,66 +621,43 @@ def write_summary(out: Path, records: dict[str, list[dict]]) -> Path:
     return path
 
 
-def write_plot_data(out: Path, records: dict[str, list[dict]]) -> Path:
+def write_plot_data(out: Path, records: dict[str, list[RoundRecord]]) -> Path:
     """Long-format per-round CSV suitable for external plotting."""
     rows = ["setting,al_flag,round,language,metric,mean,stddev"]
-    out_rows = []
-    for key in sorted(records):
-        recs = records[key]
-        setting_label = _setting_label(recs[0])
-        al_flag = "al" if recs[0]["al"] else "noal"
+    for key, recs in sorted(records.items()):
+        al_flag = "al" if recs[0].al else "noal"
         per_round: dict[tuple, list[float]] = {}
         for rec in recs:
-            for lang, metrics in rec["metrics"].items():
+            for lang, metrics in rec.metrics.items():
                 for metric, value in metrics.items():
-                    per_round.setdefault((rec["round"], lang, metric), []).append(value)
+                    per_round.setdefault((rec.round, lang, metric), []).append(value)
         for (round_idx, lang, metric), values in sorted(per_round.items()):
-            n = len(values)
-            mean = sum(values) / n
-            if n > 1:
-                var = sum((v - mean) ** 2 for v in values) / (n - 1)
-                std = var ** 0.5
-            else:
-                std = 0.0
-            out_rows.append(
-                f"{setting_label},{al_flag},{round_idx},{lang},{metric},"
+            mean, std = mean_stddev(values)
+            rows.append(
+                f"{recs[0].label},{al_flag},{round_idx},{lang},{metric},"
                 f"{_format_float(mean)},{_format_float(std)}"
             )
     path = out / "plot_data.csv"
-    _atomic_write(path, "\n".join(rows + out_rows) + "\n")
+    _atomic_write(path, "\n".join(rows) + "\n")
     return path
 
 
-def write_curriculum_csv(out: Path, records: dict[str, list[dict]]) -> Path:
-    """Per-round acquisition-share CSV; the share identity is re-checked here.
+def write_curriculum_csv(out: Path, records: dict[str, list[RoundRecord]]) -> Path:
+    """Per-round acquisition-share CSV; reading a sidecar re-checks its share identity.
 
     Rows come from each result replicate's `logs/<cell>.rep<k>.curriculum.json`,
     so the sidecar of a cell without results is never read.
     """
     rows = ["setting,al_flag,replicate,round,language,alpha,relative_difference,metric,value"]
-    for key in sorted(records):
-        recs = records[key]
-        setting_label = _setting_label(recs[0])
-        al_flag = "al" if recs[0]["al"] else "noal"
-        metric_lookup = {(r["replicate"], r["round"]): r["metrics"] for r in recs}
-        for replicate in sorted({r["replicate"] for r in recs}):
+    for key, recs in sorted(records.items()):
+        al_flag = "al" if recs[0].al else "noal"
+        metric_lookup = {(r.replicate, r.round): r.metrics for r in recs}
+        for replicate in sorted({r.replicate for r in recs}):
             path = out / "logs" / f"{key}.rep{replicate}.curriculum.json"
             if not path.is_file():
                 continue
-            payload = _read_json(path, path.read_text(encoding="utf-8"), _SIDECAR_KEYS)
-            report = CurriculumReport(
-                payload["alphas"],
-                {int(k): v for k, v in payload["acquired"].items()},
-                {int(k): v for k, v in payload["relative_difference"].items()},
-                payload["per_round_budget"],
-            )
+            report = _read_json(path, path.read_text(encoding="utf-8"), "curriculum")
             for round_idx in sorted(report.relative_difference):
-                gap = report.identity_gap(round_idx)
-                if gap > _IDENTITY_TOLERANCE:
-                    raise ConfigError(
-                        f"{path.name}: acquisition-share identity violated at round "
-                        f"{round_idx} (gap {gap:.3e})"
-                    )
                 for lang in sorted(report.alphas):
                     metrics = metric_lookup.get((replicate, round_idx), {}).get(lang)
                     if metrics:
@@ -667,7 +666,7 @@ def write_curriculum_csv(out: Path, records: dict[str, list[dict]]) -> Path:
                     else:
                         metric_cell = ","
                     rows.append(
-                        f"{setting_label},{al_flag},{replicate},{round_idx},{lang},"
+                        f"{recs[0].label},{al_flag},{replicate},{round_idx},{lang},"
                         f"{_format_float(report.alphas[lang])},"
                         f"{_format_float(report.relative_difference[round_idx][lang])},"
                         f"{metric_cell}"

@@ -326,6 +326,10 @@ def initial_composition(plan: AllocationPlan, data: MultilingualData, rng_seed: 
     return composition
 
 
+# largest gap a curriculum report accepts in its acquisition-share identity
+_IDENTITY_TOLERANCE = 1e-9
+
+
 @dataclass
 class CurriculumReport:
     """Per-round, per-language acquisition relative to proportional random.
@@ -333,12 +337,33 @@ class CurriculumReport:
     ``relative_difference[i][lang]`` compares the cumulative amount acquired
     for a language through round i against the amount a proportional draw
     would have spent (alpha * per-round budget * i), as a relative difference.
+
+    Rounds are numbered from 1. A report is valid or is not made: ConfigError
+    unless the per-round budget is at least 1, every round of both maps covers
+    exactly the languages of ``alphas``, and every round of
+    ``relative_difference`` meets the share identity (`identity_gap`) within 1e-9.
     """
 
     alphas: dict[str, float]
     acquired: dict[int, dict[str, int]]
     relative_difference: dict[int, dict[str, float]]
     per_round_budget: int
+
+    def __post_init__(self):
+        if self.per_round_budget < 1:
+            raise ConfigError("per-round budget must be positive")
+        for rounds in (self.acquired, self.relative_difference):
+            for round_index, per_language in rounds.items():
+                if per_language.keys() != self.alphas.keys():
+                    raise ConfigError(f"round {round_index} covers languages "
+                                      f"{sorted(per_language)}, not those of alphas "
+                                      f"{sorted(self.alphas)}")
+        for round_index in sorted(self.relative_difference):
+            gap = self.identity_gap(round_index)
+            # written so that a NaN gap fails too
+            if not gap <= _IDENTITY_TOLERANCE:
+                raise ConfigError(f"acquisition-share identity violated at round {round_index} "
+                                  f"(gap {gap:.3e})")
 
     def identity_gap(self, round_index: int) -> float:
         """|sum_j alpha_j (1 + r_ij) - cumulative spend ratio| for one round."""
@@ -358,9 +383,8 @@ def curriculum(
     composition: Mapping[str, int],
     per_round_budget: int,
 ) -> CurriculumReport:
-    """Acquisition-share analysis over one run's acquisition log."""
-    if per_round_budget < 1:
-        raise ConfigError("per-round budget must be positive")
+    """Acquisition-share analysis over one run's acquisition log; ConfigError
+    if it would not make a valid `CurriculumReport`."""
     total = sum(composition.values())
     if total <= 0:
         raise ConfigError("empty pool composition")
@@ -379,6 +403,8 @@ def curriculum(
         if event.language not in alphas:
             raise ConfigError(f"acquired language {event.language} missing from composition")
         acquired[event.round][event.language] += event.cost
+    # the report without shares checks the budget they are divided by
+    report = CurriculumReport(alphas, acquired, {}, per_round_budget)
     relative: dict[int, dict[str, float]] = {}
     for i in range(1, max(rounds) + 1):
         relative[i] = {}
@@ -386,7 +412,7 @@ def curriculum(
             cumulative = sum(acquired[k][lang] for k in range(1, i + 1))
             expected = alphas[lang] * per_round_budget * i
             relative[i][lang] = (cumulative - expected) / expected
-    return CurriculumReport(alphas, acquired, relative, per_round_budget)
+    return replace(report, relative_difference=relative)
 
 
 @dataclass
@@ -401,6 +427,11 @@ class AggregateReport:
 def _replicate_mean(rounds: Sequence[Mapping[str, Mapping[str, float]]], metric: str) -> float:
     values = [metrics[metric] for per_language in rounds for metrics in per_language.values()]
     return float(np.mean(values))
+
+
+def mean_stddev(values: Sequence[float]) -> tuple[float, float]:
+    """The mean of `values` and their sample standard deviation, 0.0 for one value."""
+    return float(np.mean(values)), float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
 def aggregate(replicates: Sequence[Sequence[Mapping[str, Mapping[str, float]]]]) -> AggregateReport:
@@ -423,10 +454,8 @@ def aggregate(replicates: Sequence[Sequence[Mapping[str, Mapping[str, float]]]])
         name: [_replicate_mean(rounds, name) for rounds in replicates]
         for name in metric_names
     }
-    mean = {name: float(np.mean(vals)) for name, vals in per_replicate.items()}
-    stddev = {
-        name: float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        for name, vals in per_replicate.items()
-    }
+    mean, stddev = {}, {}
+    for name, vals in per_replicate.items():
+        mean[name], stddev[name] = mean_stddev(vals)
     return AggregateReport(per_replicate, mean, stddev)
 

@@ -11,7 +11,7 @@ import lingalloc.cli as cli
 from lingalloc.cli import load_data, main, run_cell, validate_config
 from lingalloc.corpus import ingest_conll_ner, ingest_conllu
 from lingalloc.errors import ConfigError
-from lingalloc.experiment import aggregate
+from lingalloc.experiment import AcquisitionEvent, aggregate, curriculum
 from lingalloc.synth import synth_dataset
 from lingalloc.tasks import TaskKind
 
@@ -59,8 +59,22 @@ def _tree_bytes(root: Path, subdirs=("results", "logs")) -> dict[str, bytes]:
     return out
 
 
-RECORD_KEYS = "cell, setting, strategy, al, replicate, round, metrics"
-SIDECAR_KEYS = "alphas, acquired, relative_difference, per_round_budget"
+# what `report` says of a results line and of a curriculum sidecar without any of their keys
+RECORD_KEYS = "; ".join(f"record.{key}: expected {what}, got None" for key, what in [
+    ("cell", "a string"), ("setting", "a string"), ("strategy", "a string"), ("al", "a boolean"),
+    ("replicate", "an integer"), ("round", "an integer"), ("metrics", "an object"),
+    ("counts", "an object"), ("spend", "an object"), ("validation", "an object"),
+    ("warnings", "a list"),
+])
+SIDECAR_KEYS = "; ".join(f"curriculum.{key}: expected {what}, got None" for key, what in [
+    ("acquired", "an object"), ("relative_difference", "an object"),
+    ("per_round_budget", "an integer"),
+])
+RESULTS = "results/mma.lc.noal.jsonl"
+SIDECAR = "logs/sma.lc.al.rep1.curriculum.json"
+# a sidecar of one round, in which two languages of equal share get 4 of 8 units each
+EQUAL_SHARES = {"alphas": {"aa": 0.5, "bb": 0.5}, "acquired": {"1": {"aa": 4, "bb": 4}},
+                "per_round_budget": 8}
 KINDS = "['mma', 'monoa', 'sma']"
 STRATEGIES = "['lc', 'mnlp', 'nlpdt', 'nlpdt_global', 'nlpdt_n2', 'random']"
 
@@ -667,7 +681,7 @@ class TestReportCommand:
         records = cli._read_cell_records(finished_run)
         recs = records["sma.lc.al"]
         rounds = [
-            [r["metrics"] for r in sorted(recs, key=lambda r: r["round"]) if r["replicate"] == rep]
+            [r.metrics for r in sorted(recs, key=lambda r: r.round) if r.replicate == rep]
             for rep in (0, 1)
         ]
         expected = aggregate(rounds)
@@ -711,16 +725,40 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("command", ["report", "curriculum"])
     @pytest.mark.parametrize("name, line, text, message", [
-        ("results/mma.lc.noal.jsonl", 6, '{"alphas": ', "invalid JSON: Expecting value (column 11)"),
-        ("logs/sma.lc.al.rep1.curriculum.json", 1, '{"alphas": ',
-         "invalid JSON: Expecting value (column 11)"),
-        ("results/mma.lc.noal.jsonl", 6, '{"x": 1}', f"expected an object with {RECORD_KEYS}"),
-        ("results/mma.lc.noal.jsonl", 6, '["cell"]', f"expected an object with {RECORD_KEYS}"),
-        ("logs/sma.lc.al.rep1.curriculum.json", 1, '{"alphas": {}}',
-         f"expected an object with {SIDECAR_KEYS}"),
-        ("logs/sma.lc.al.rep1.curriculum.json", 1, "7", f"expected an object with {SIDECAR_KEYS}"),
+        (RESULTS, 6, '{"alphas": ', "invalid JSON: Expecting value (column 11)"),
+        (SIDECAR, 1, '{"alphas": ', "invalid JSON: Expecting value (column 11)"),
+        (RESULTS, 6, '{"x": 1}', f"record: unknown key 'x'; {RECORD_KEYS}"),
+        (RESULTS, 6, '["cell"]', "record: must be an object"),
+        (SIDECAR, 1, '{"alphas": {}}', SIDECAR_KEYS),
+        (SIDECAR, 1, "7", "curriculum: must be an object"),
+        (RESULTS, 6, {"cell": []}, "record.cell: expected a string, got []"),
+        (RESULTS, 6, {"metrics": []}, "record.metrics: expected an object, got []"),
+        (RESULTS, 6, {"metrics": {"aa": {"accuracy": "hi"}}},
+         "record.metrics.aa.accuracy: expected a number, got 'hi'"),
+        (RESULTS, 6, {"metrics": {"aa": 5}}, "record.metrics.aa: expected an object, got 5"),
+        (RESULTS, 6, {"round": "0"}, "record.round: expected an integer, got '0'"),
+        (RESULTS, 6, {"al": "yes"}, "record.al: expected a boolean, got 'yes'"),
+        (SIDECAR, 1, {"acquired": {"x": {"aa": 1, "bb": 1}}},
+         "curriculum.acquired: expected rounds >= 1 as keys, got 'x'"),
+        (SIDECAR, 1, {"per_round_budget": 0}, "curriculum: per-round budget must be positive"),
+        (SIDECAR, 1, {"relative_difference": {"0": {"aa": 0.0, "bb": 0.0}}},
+         "curriculum.relative_difference: expected rounds >= 1 as keys, got '0'"),
+        (SIDECAR, 1, {"relative_difference": {"1": {"aa": 0.0}}},
+         "curriculum: round 1 covers languages ['aa'], not those of alphas ['aa', 'bb']"),
+        (SIDECAR, 1, {"alphas": {"aa": "1"}}, "curriculum.alphas.aa: expected a number, got '1'"),
+        (SIDECAR, 1, {"relative_difference": {"1": {"aa": float("nan"), "bb": 0.0}}},
+         "curriculum.relative_difference.1.aa: expected a number, got nan"),
+        # aa's relative difference is 0.5 off its value, 0
+        (SIDECAR, 1, {**EQUAL_SHARES, "relative_difference": {"1": {"aa": 0.5, "bb": 0.0}}},
+         "curriculum: acquisition-share identity violated at round 1 (gap 2.500e-01)"),
+        (SIDECAR, 1, {**EQUAL_SHARES, "relative_difference": {"-1": {"aa": 0.0, "bb": 0.0}}},
+         "curriculum.relative_difference: expected rounds >= 1 as keys, got '-1'"),
     ], ids=["results", "sidecar", "results-no-keys", "results-array", "sidecar-no-keys",
-            "sidecar-number"])
+            "sidecar-number", "results-cell-list", "results-metrics-list", "results-metric-string",
+            "results-language-number", "results-round-string", "results-al-string",
+            "sidecar-round-not-a-number", "sidecar-budget-zero", "sidecar-round-zero",
+            "sidecar-languages-differ", "sidecar-alpha-string", "sidecar-nan", "sidecar-identity",
+            "sidecar-round-negative"])
     def test_invalid_json_is_a_runtime_error(self, finished_run, tmp_path, capsys, command,
                                              name, line, text, message):
         out = tmp_path / "out"
@@ -729,9 +767,33 @@ class TestReportCommand:
         lines = path.read_text().splitlines(keepends=True)
         # 2 replicates x 3 rounds of results; one line of sidecar
         assert len(lines) == line
+        if isinstance(text, dict):
+            # these keys replace those of the last line
+            text = json.dumps({**json.loads(lines[-1]), **text})
         path.write_text("".join(lines[:-1]) + text + "\n")
         assert main([command, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
+    def test_results_and_sidecars_echo_their_bytes(self, finished_run):
+        paths = sorted((finished_run / "results").glob("*.jsonl"))
+        sidecars = sorted((finished_run / "logs").glob("*.curriculum.json"))
+        assert len(paths) == 4 and len(sidecars) == 8
+        for name, files in (("record", paths), ("curriculum", sidecars)):
+            for path in files:
+                for number, line in enumerate(path.read_text().splitlines(), 1):
+                    value = cli._read_json(path, line, name, number)
+                    assert isinstance(value, cli._SECTIONS[name][0])
+                    assert json.dumps(cli._echo(name, value), sort_keys=True,
+                                      separators=(",", ":")) == line
+
+    def test_sidecar_round_keys_echo_in_string_order(self):
+        # one unit to each language in each of 11 acquisition rounds
+        events = [AcquisitionEvent(r, 2 * r + i, lang, 1, 0.0, "lc")
+                  for r in range(1, 12) for i, lang in enumerate(("aa", "bb"))]
+        report = curriculum(events, {"aa": 100, "bb": 100}, per_round_budget=2)
+        echo = json.loads(json.dumps(cli._echo("curriculum", report), sort_keys=True))
+        order = ["1", "10", "11", "2", "3", "4", "5", "6", "7", "8", "9"]
+        assert list(echo["acquired"]) == list(echo["relative_difference"]) == order
 
 
 class TestSynthCommand:

@@ -401,6 +401,12 @@ class TestCurriculum:
         with pytest.raises(ConfigError):
             curriculum([], {"aa": 100}, per_round_budget=5)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_per_round_budget_below_one_rejected(self, budget):
+        events = self._events([(1, "aa", 5)])
+        with pytest.raises(ConfigError, match="^per-round budget must be positive$"):
+            curriculum(events, {"aa": 100, "bb": 100}, per_round_budget=budget)
+
 
 def _fake_rounds(metric_value, rounds=2, langs=("aa", "bb")):
     out = []
