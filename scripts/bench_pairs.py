@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two checkouts on one benchmark workload over alternating pairs of runs.
 
-    python scripts/bench_pairs.py A B --workload cls_grid --pairs 10 --seconds 20 [--seed 0]
+    python scripts/bench_pairs.py A B --workload cls_grid --pairs 10 --seconds 20 [--seed 0] [--json PATH]
 
 A and B are checkout roots, each with `perfbench/run.py` and `src/lingalloc`.
 Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T --trace 0`
@@ -15,6 +15,13 @@ metric's `better` direction, and the median gap in that direction as a share
 of A's median, marked `BEYOND` when it is worse than the metric's bound.
 It exits 1 when a run fails or reports wrong outputs, or when a metric of B
 is worse than A's beyond its bound, else 0. Neither checkout is changed.
+
+With `--json PATH` it also writes what it prints to PATH as one JSON object:
+each checkout's commit (read from its `.git` as `perfbench/run.py` reads
+it), each pair's seed, run order and per-side metric values, the counts of
+runs not correct and of failed operations, and per end-to-end metric the
+medians, A's quartiles, B's wins, the gap, the bound and whether the gap is
+beyond it.
 """
 
 import argparse
@@ -33,7 +40,27 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--json", type=Path, help="also write the comparison to this file")
     return parser.parse_args(argv)
+
+
+def git_sha(root: Path):
+    """Commit of the checkout at `root`, read from its `.git` without running git; None outside git."""
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return sha
+    except OSError:
+        pass
+    return None
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -48,41 +75,65 @@ def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def compare(metric: dict, a: list, b: list) -> dict:
+    """One end-to-end metric of A's and B's runs, pair by pair, against its bound."""
+    lower = metric["better"] == "lower"
+    q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0], None, a[0])
+    a_med, b_med = statistics.median(a), statistics.median(b)
+    # positive when B is worse than A
+    worse = (b_med - a_med) if lower else (a_med - b_med)
+    gap = worse / abs(a_med) if a_med else worse
+    return {"name": metric["name"], "unit": metric["unit"], "better": metric["better"],
+            "a_median": a_med, "a_quartiles": [q1, q3], "b_median": b_med,
+            "b_won": sum(y < x if lower else y > x for x, y in zip(a, b)), "pairs": len(a),
+            "gap": gap, "bound": metric["bound"], "beyond": gap > metric["bound"]}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     metrics = json.loads((args.a / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"A": [], "B": []}
+    pairs = []
     for i in range(args.pairs):
         seed = args.seed + i
-        for side in ("A", "B") if i % 2 == 0 else ("B", "A"):
+        order = ("A", "B") if i % 2 == 0 else ("B", "A")
+        pair = {"pair": i, "seed": seed, "order": list(order)}
+        for side in order:
             root = args.a if side == "A" else args.b
             out = bench(root, args.workload, seed, args.seconds)
             runs[side].append(out)
+            pair[side] = {"correct": out["correct"], "failed": out["failed"],
+                          "metrics": {name: m["value"] for name, m in out["metrics"].items()}}
             print(f"pair {i} seed {seed} {side}: correct {out['correct']}, failed {out['failed']}, "
                   f"run_s {out['metrics']['run_s']['value']:.4f}", flush=True)
+        pairs.append(pair)
     status = 0
+    not_correct, failed = {}, {}
     for side, outs in runs.items():
-        wrong = sum(not out["correct"] for out in outs)
-        failed = sum(out["failed"] for out in outs)
-        print(f"{side}: {wrong} of {len(outs)} runs not correct, {failed} operations failed")
-        status |= wrong > 0
+        not_correct[side] = sum(not out["correct"] for out in outs)
+        failed[side] = sum(out["failed"] for out in outs)
+        print(f"{side}: {not_correct[side]} of {len(outs)} runs not correct, "
+              f"{failed[side]} operations failed")
+        status |= not_correct[side] > 0
     print(f"{'metric':<12} {'A median':>11} {'A quartiles':>23} {'B median':>11} "
           f"{'B won':>6} {'gap':>8} {'bound':>6}")
+    rows = []
     for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
-        a = [out["metrics"][name]["value"] for out in runs["A"]]
-        b = [out["metrics"][name]["value"] for out in runs["B"]]
-        q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0], None, a[0])
-        won = sum(y < x if lower else y > x for x, y in zip(a, b))
-        a_med, b_med = statistics.median(a), statistics.median(b)
-        # positive when B is worse than A
-        worse = (b_med - a_med) if lower else (a_med - b_med)
-        gap = worse / abs(a_med) if a_med else worse
-        beyond = gap > metric["bound"]
-        status |= beyond
-        print(f"{name:<12} {a_med:>11.5g} {f'{q1:.5g}-{q3:.5g}':>23} {b_med:>11.5g} "
-              f"{f'{won}/{len(a)}':>6} {gap:>+8.2%} {metric['bound']:>6.0%}"
-              f"{'  BEYOND' if beyond else ''}")
+        name = metric["name"]
+        row = compare(metric, [out["metrics"][name]["value"] for out in runs["A"]],
+                      [out["metrics"][name]["value"] for out in runs["B"]])
+        rows.append(row)
+        status |= row["beyond"]
+        q1, q3 = row["a_quartiles"]
+        won = f"{row['b_won']}/{row['pairs']}"
+        print(f"{name:<12} {row['a_median']:>11.5g} {f'{q1:.5g}-{q3:.5g}':>23} {row['b_median']:>11.5g} "
+              f"{won:>6} {row['gap']:>+8.2%} {row['bound']:>6.0%}{'  BEYOND' if row['beyond'] else ''}")
+    if args.json is not None:
+        report = {"workload": args.workload, "seconds": args.seconds, "seed": args.seed,
+                  "commits": {"A": git_sha(args.a), "B": git_sha(args.b)}, "pairs": pairs,
+                  "not_correct": not_correct, "failed": failed, "metrics": rows,
+                  "exit_status": int(status)}
+        args.json.write_text(json.dumps(report, indent=1) + "\n")
     return int(status)
 
 

@@ -3,7 +3,9 @@
 Every strategy produces scores where *lower means acquired first*, so one
 selection rule serves them all: sort ascending by (score, instance id), then
 walk the ranking first-fit, taking each instance whose cost still fits the
-remaining budget and skipping the ones that do not.
+remaining budget and skipping the ones that do not. `select_ranked` applies
+it to a pool held as arrays of ids, scores and costs, which is how the
+experiment buys; `select_batch` is the same rule over `AcquisitionScore`s.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import _first_fit
 from .errors import ScoringError
 from .graph import Arborescence, ArcScores, log_partition, tree_log_prob
 from .tasks import TaskKind
@@ -116,16 +117,49 @@ def random_scores(instance_ids: Sequence[int], round_rng: np.random.Generator) -
     return dict(zip(ids, round_rng.random(len(ids)).tolist()))
 
 
-def select_batch(
-    scores: Sequence[AcquisitionScore], budget: int
-) -> tuple[list[int], int]:
-    """First-fit selection over the ascending (score, id) ranking.
+def select_ranked(
+    ids: np.ndarray, scores: np.ndarray, costs: np.ndarray, budget: int
+) -> tuple[np.ndarray, int]:
+    """First-fit selection over the ascending (score, id) ranking of a pool of arrays.
 
-    Returns the chosen ids in selection order and the total cost spent, which
-    never exceeds the budget. Instances that do not fit the remaining budget
-    are skipped and the walk continues.
+    Returns the positions of the chosen instances in selection order and the
+    total cost spent, which never exceeds the budget. Instances that do not
+    fit the remaining budget are skipped and the walk continues: each step
+    takes the longest run of the ranking that fits from the first instance
+    that does, and the walk ends once no remaining cost fits. A NaN or +inf
+    score raises ScoringError naming its instance.
     """
     if budget < 1:
         raise ScoringError("budget must be positive")
-    taken, _ = _first_fit(sorted(scores, key=lambda s: (s.score, s.instance_id)), budget)
-    return [s.instance_id for s in taken], sum(s.cost for s in taken)
+    bad = np.flatnonzero(np.isnan(scores) | (scores == np.inf))
+    if len(bad):
+        raise ScoringError(f"instance {ids[bad[0]]}: score must be finite or -inf")
+    rank = np.lexsort((ids, scores))
+    ranked = costs[rank]
+    # no more than everything: keeps the running sums within the costs' dtype
+    remaining = min(budget, int(ranked.sum()))
+    taken, start = [], 0
+    while len(fits := np.flatnonzero(ranked[start:] <= remaining)):
+        start += int(fits[0])
+        spend = np.cumsum(ranked[start:])
+        stop = start + int(np.searchsorted(spend, remaining, side="right"))
+        taken.append(rank[start:stop])
+        remaining -= int(spend[stop - start - 1])
+        start = stop
+    chosen = np.concatenate(taken) if taken else rank[:0]
+    return chosen, int(costs[chosen].sum())
+
+
+def select_batch(
+    scores: Sequence[AcquisitionScore], budget: int
+) -> tuple[list[int], int]:
+    """`select_ranked` over `AcquisitionScore`s: the chosen ids in selection
+    order and the total cost spent."""
+    ids = np.array([s.instance_id for s in scores], dtype=np.int64)
+    chosen, spent = select_ranked(
+        ids,
+        np.array([s.score for s in scores], dtype=np.float64),
+        np.array([s.cost for s in scores], dtype=np.int64),
+        budget,
+    )
+    return ids[chosen].tolist(), spent

@@ -153,8 +153,13 @@ def _check_unknown(obj: dict, allowed, where: str, errors: list[str]):
         errors.append(f"{where}: unknown key {key!r}")
 
 
+def _is_integer(value) -> bool:
+    # arithmetic with floats overflows on an int of larger magnitude than a float holds
+    return type(value) is int and abs(value) <= sys.float_info.max
+
+
 def _is_number(value) -> bool:
-    return type(value) is int or type(value) is float and math.isfinite(value)
+    return _is_integer(value) or type(value) is float and math.isfinite(value)
 
 
 def _enum_type(kind: type[Enum]) -> tuple:
@@ -165,9 +170,10 @@ def _enum_type(kind: type[Enum]) -> tuple:
 
 # field type -> (its name, the JSON values it takes, the function that turns
 # a taken value into the field's value, or None): a bool is not an integer, a
-# JSON int is a number, a number is finite, an enum member is named by its value
+# JSON int is a number, a number is finite and no larger than a float holds, an
+# enum member is named by its value
 _JSON_TYPES = {
-    int: ("an integer", lambda v: type(v) is int, None),
+    int: ("an integer", _is_integer, None),
     float: ("a number", _is_number, None),
     bool: ("a boolean", lambda v: type(v) is bool, None),
     str: ("a string", lambda v: type(v) is str, None),
@@ -247,7 +253,8 @@ def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a JSONDecodeError, or an integer of more digits than `int` reads
         return None, [f"cannot read config: {exc}"]
     if not isinstance(raw, dict):
         return None, ["config root must be a JSON object"]
@@ -535,7 +542,7 @@ def _load_manifest(out: Path, digest: str) -> dict:
     if manifest_path.is_file():
         try:
             loaded = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+        except ValueError:  # a JSONDecodeError, or an integer of more digits than `int` reads
             loaded = None
         valid = isinstance(loaded, dict) and isinstance(loaded.get("cells"), dict)
         if valid and loaded.get("version") == MANIFEST_VERSION:
@@ -562,6 +569,9 @@ def _read_json(path: Path, text: str, name: str, line: int = 1):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg} (column {exc.colno})", path=path,
                          line=line + exc.lineno - 1) from None
+    except ValueError as exc:
+        # an integer of more digits than `int` reads
+        raise ParseError(f"invalid JSON: {exc}", path=path, line=line) from None
     errors: list[str] = []
     section = _section(name, value, errors)
     if errors:

@@ -2,11 +2,15 @@
 
 A run is one seed training round followed by acquisition rounds: score the
 unlabeled pool, buy a batch within the per-round budget, reveal its gold
-annotations, retrain from scratch, evaluate every target language. A
-setting's AL and random arms run their rounds in lockstep: each round, each
-arm buys for each of its models and then fits it, or reuses the fit of a
-labeled pool another arm holds too. The settings differ only in how models,
-budgets, and eligible pools are laid out:
+annotations, retrain from scratch, evaluate every target language. A pool
+is scored into one array, in ascending id order, and bought from on arrays
+(`select_ranked`); only the instances bought become `AcquisitionEvent`s.
+Each validation pool and test language is gathered once per run, as an
+evaluation set that every fit validates and tests on. A setting's AL and
+random arms run their rounds in lockstep: each round, each arm buys for
+each of its models and then fits it, or reuses the fit of a labeled pool
+another arm holds too. The settings differ only in how models, budgets,
+and eligible pools are laid out:
 
 * ``monoa`` - one model, the whole budget on a single source language,
   evaluated on every language (zero-shot on the others);
@@ -24,13 +28,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .acquisition import (
-    AcquisitionScore,
     StrategyKind,
     lc_scores,
     mnlp_scores,
     nlpdt_score,
-    random_scores,
-    select_batch,
+    select_ranked,
     strategy_compatible,
 )
 from .corpus import Instance, Pool, SplitSpec, sample_splits
@@ -185,14 +187,16 @@ def _derive_seed(base: int, *key: int) -> int:
 
 
 def _score_pool(model, task, instances, strategy, round_rng):
-    """Acquisition scores for every unlabeled instance, lower acquired first."""
+    """The unlabeled instances in ascending id order and their acquisition
+    scores as one float64 array, lower acquired first."""
     if not strategy_compatible(strategy, task):
         raise ScoringError(f"strategy {strategy.value} incompatible with task {task.value}")
     ordered = sorted(instances, key=lambda i: i.id)
     if strategy is StrategyKind.RANDOM:
-        values = list(random_scores([i.id for i in ordered], round_rng).values())
+        # the draws of `random_scores`, which are made in ascending id order too
+        values = round_rng.random(len(ordered))
     elif strategy is StrategyKind.LC:
-        values = lc_scores(model.predict_proba_batch(ordered)).tolist()
+        values = lc_scores(model.predict_proba_batch(ordered))
     elif strategy is StrategyKind.MNLP:
         values = mnlp_scores(*model.predict_tag_probas_batch(ordered))
     else:
@@ -200,10 +204,7 @@ def _score_pool(model, task, instances, strategy, round_rng):
         for log_probs in model.head_log_probs_batch(ordered):
             tree = chu_liu_edmonds(ArcScores(log_probs))
             values.append(nlpdt_score(np.exp(log_probs), tree, tree.n, strategy))
-    return [
-        AcquisitionScore(inst.id, value, inst.language, inst.cost)
-        for inst, value in zip(ordered, values)
-    ]
+    return ordered, np.asarray(values, dtype=np.float64)
 
 
 def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> list[Pool]:
@@ -216,19 +217,17 @@ def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> 
     return pools
 
 
-def _fit_and_evaluate(mp, pool, data, training_config, feature_space, rng_seed, round_idx):
+def _fit_and_evaluate(mp, pool, val_set, test_sets, task, training_config, feature_space,
+                      rng_seed, round_idx):
     """Train one model from scratch on its labeled pool; test each of its eval languages.
 
-    Returns the model, its validation score and its test counts per language.
+    `val_set` and `test_sets` (per language) are evaluation sets. Returns the
+    model, its validation score and its test counts per language.
     """
-    model = build_model(data.task, feature_space)
+    model = build_model(task, feature_space)
     cfg = replace(training_config, rng_seed=_derive_seed(rng_seed, mp.index, 1, round_idx))
-    score = model.fit(
-        sorted(pool.labeled.values(), key=lambda x: x.id),
-        sorted(pool.validation.values(), key=lambda x: x.id),
-        cfg,
-    )
-    return model, score, [(lang, model.evaluate(data.test[lang])) for lang in mp.eval_languages]
+    score = model.fit(sorted(pool.labeled.values(), key=lambda x: x.id), val_set, cfg)
+    return model, score, [(lang, model.evaluate(test_sets[lang])) for lang in mp.eval_languages]
 
 
 def run_arms(
@@ -250,15 +249,21 @@ def run_arms(
     the same pool. A fit depends on the model, the round and the labeled
     pool, never on the arm, so each model is fitted once per distinct labeled
     pool in a round: in round 0, and in every later round where the arms hold
-    the same pool, as they do once it has run out. `plan.setting.with_al` is
-    not read. Identical (plan, data,
-    config, seed) inputs reproduce identical results, whichever arms run
-    together. A repeated arm raises ConfigError: it would buy its batches
-    twice.
+    the same pool, as they do once it has run out. Each model's validation
+    pool and each test language are gathered once, as evaluation sets that
+    every fit validates and tests on. `plan.setting.with_al` is not read.
+    Identical (plan, data, config, seed) inputs reproduce identical results,
+    whichever arms run together. A repeated arm raises ConfigError: it would
+    buy its batches twice.
     """
     if len(set(arms)) != len(arms):
         raise ConfigError(f"arms must be distinct, got {list(arms)}")
     pools = _draw_pools(plan, data, rng_seed)
+    probe = build_model(data.task, feature_space)
+    val_sets = [probe.evaluation_set(sorted(p.validation.values(), key=lambda x: x.id))
+                for p in pools]
+    test_sets = {lang: probe.evaluation_set(data.test[lang])
+                 for lang in sorted({lang for mp in plan.models for lang in mp.eval_languages})}
     arm_pools = {with_al: [Pool(p.labeled.values(), p.unlabeled.values(), p.validation.values())
                            for p in pools] for with_al in arms}
     runs = {with_al: ([], []) for with_al in arms}
@@ -275,21 +280,26 @@ def run_arms(
                     model = last[mp.index, frozenset(pool.labeled)][0]
                     per_round = plan.per_round(mp)
                     rng = np.random.default_rng(_derive_seed(rng_seed, mp.index, 2, round_idx))
-                    scores = _score_pool(model, data.task, pool.unlabeled.values(), strategy, rng)
-                    selected, spent = select_batch(scores, per_round)
-                    by_id = {s.instance_id: s for s in scores}
-                    for entry in map(by_id.__getitem__, selected):
-                        events.append(AcquisitionEvent(round_idx, entry.instance_id, entry.language,
-                                                       entry.cost, entry.score, strategy.value))
-                        result.spend[entry.language] += entry.cost
-                    pool.move_to_labeled(selected)
+                    ordered, scores = _score_pool(model, data.task, pool.unlabeled.values(),
+                                                  strategy, rng)
+                    ids = np.array([inst.id for inst in ordered], dtype=np.int64)
+                    costs = np.array([inst.cost for inst in ordered], dtype=np.int64)
+                    chosen, spent = select_ranked(ids, scores, costs, per_round)
+                    # Python floats: the repr of a numpy scalar would name its type in the log
+                    for k, score in zip(chosen.tolist(), scores[chosen].tolist()):
+                        inst = ordered[k]
+                        events.append(AcquisitionEvent(round_idx, inst.id, inst.language,
+                                                       inst.cost, score, strategy.value))
+                        result.spend[inst.language] += inst.cost
+                    pool.move_to_labeled(ids[chosen].tolist())
                     if spent < per_round and not pool.unlabeled:
                         result.warnings += (f"model {mp.key}: unlabeled pool exhausted at round "
                                             f"{round_idx} (spent {spent} of {per_round})",)
                 key = (mp.index, frozenset(pool.labeled))
                 if key not in fits:
-                    fits[key] = _fit_and_evaluate(mp, pool, data, training_config, feature_space,
-                                                  rng_seed, round_idx)
+                    fits[key] = _fit_and_evaluate(mp, pool, val_sets[mp.index], test_sets, data.task,
+                                                  training_config, feature_space, rng_seed,
+                                                  round_idx)
                 result.validation[mp.key], counts = fits[key][1:]
                 for lang, lang_counts in counts:
                     result.report.add(lang, lang_counts)

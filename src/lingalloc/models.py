@@ -7,16 +7,22 @@ multinomial logistic layers over sparse hashed features, trained by
 mini-batch gradient ascent with a learning-rate search and patience-based
 early stopping on the task metric. One `fit` and one `evaluate` serve all
 three (`_ModelBase`): each model supplies its gold labels, its epoch
-trainer (each epoch's rows gathered once, every mini-batch a slice of them),
-its `_predict` of one pass and its `_count` of the task's counts.
+trainer (each epoch's rows gathered once, every mini-batch a slice of them)
+and its counter of the task's counts on an evaluation set (`EvalSet`): a
+validation or test set's payloads and feature rows, gathered once and
+counted on by every epoch and fit that validates or tests on it. The
+classifier holds its gold labels there as codes and counts hits as equal
+argmax codes; the tagger and parser count their predicted tag sequences
+and trees.
 
 Features are computed once per process: the first time a model needs a
 text, a sentence's token windows or a sentence's arc candidates, they are
 hashed and appended to one packed CSR store per kind (`FeatureCache`);
 every later fit, validation pass, pool scoring and prediction over the same
-content takes its rows from that store in one gather. Featurization and
-prediction run in passes of whole instances cut by a row budget per model
-(texts, tokens or candidate arcs), which bounds their transient arrays.
+content takes its rows from that store in one gather. Featurization, pool
+scoring and decoding run in passes of whole instances cut by a row budget
+per model (texts, tokens or candidate arcs), which bounds their transient
+arrays; an evaluation set is predicted on in one pass.
 Content not seen before is hashed in one batched pass per kind: the batch
 is encoded to UTF-8 once, every feature key is a byte span of it (an n-gram
 is found by its character offsets, with no string built for it; arc keys
@@ -30,13 +36,13 @@ so a batch's gradient is bit for bit the sum of its examples' gradients
 taken one after another. A training step adds each class's gradient into
 its weight row in place, with no objective value; the objectives serve the
 gradient checks. Validation and test predictions take whole-array argmaxes
-of the logits; pool scores read their softmax.
+of the logits over an evaluation set; pool scores read their softmax.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -662,17 +668,36 @@ def _train(init, prepare, eval_fn, n_examples: int, config: TrainingConfig):
     return best[0], FitInfo(best[2], validation, epochs)
 
 
+@dataclass(frozen=True)
+class EvalSet:
+    """Instances to count predictions on, gathered once by a model's
+    `evaluation_set`: their payloads and feature rows and, for the
+    classifier, each gold label as a code into `labels` (None for an
+    unannotated text). Every model of that task and feature space can
+    validate and test on it."""
+
+    payloads: list
+    rows: Rows
+    labels: tuple = ()
+    codes: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.payloads)
+
+
 class _ModelBase:
-    """One `fit` and one `evaluate` for all three models, through four hooks:
+    """One `fit` and one `evaluate` for all three models, through three hooks:
     `_gold(payload)`, the labels, or None for a payload without annotation;
     `_trainer(payloads, vocab, config)`, the number of training examples and
     the `prepare` of `_train`, which gathers an epoch's rows and returns its
-    in-place batch step; `_predict(weights, vocab, payloads, rows)`,
-    the labels, tag sequences or trees predicted in one pass; and
-    `_count(predictions, payloads)`, the task's counts. Validation predicts
-    with each epoch's weights, `evaluate` with the trained ones. Each model
-    binds `fit` and its one-instance predictors in its own namespace, where
-    `perfbench/tracer.py` wraps them.
+    in-place batch step; and `_counter(vocab, evaluation)`, the function that
+    gives the task's counts of some weights on an `EvalSet`. The tagger's and
+    parser's `_counter` takes their `_predict(weights, vocab, payloads, rows)`,
+    the tag sequences or trees predicted in one pass, to their
+    `_count(predictions, payloads)`; the classifier's compares argmax codes
+    with gold ones. Validation counts with each epoch's weights, `evaluate`
+    with the trained ones. Each model binds `fit` and its one-instance
+    predictors in its own namespace, where `perfbench/tracer.py` wraps them.
     """
 
     task: TaskKind
@@ -703,8 +728,20 @@ class _ModelBase:
     def _features(self, payloads) -> tuple[Rows, list[int]]:
         return FEATURES.rows(self.kind, payloads, self.space, self.chunk)
 
-    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance], config: TrainingConfig) -> float:
-        """Train on the annotated `labeled` instances; keep and return the best validation score."""
+    def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
+        """`instances` gathered once, to validate or test on as often as needed."""
+        payloads = [i.payload for i in instances]
+        return EvalSet(payloads, self._features(payloads)[0])
+
+    def _counter(self, vocab, evaluation: EvalSet):
+        return lambda weights: self._count(
+            self._predict(weights, vocab, evaluation.payloads, evaluation.rows), evaluation.payloads
+        )
+
+    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance] | EvalSet,
+            config: TrainingConfig) -> float:
+        """Train on the annotated `labeled` instances; keep and return the best
+        validation score. `validation` is instances or their `evaluation_set`."""
         if not labeled or not validation:
             raise ConfigError("need non-empty labeled and validation sets")
         payloads = [i.payload for i in labeled if self._gold(i.payload) is not None]
@@ -712,12 +749,12 @@ class _ModelBase:
         if not vocab:
             raise ConfigError("empty label vocabulary")
         n_examples, step = self._trainer(payloads, vocab, config)
-        val_payloads = [i.payload for i in validation]
-        val_rows, _ = self._features(val_payloads)
+        if not isinstance(validation, EvalSet):
+            validation = self.evaluation_set(validation)
+        count = self._counter(vocab, validation)
 
         def eval_fn(weights):
-            counts = self._count(self._predict(weights, vocab, val_payloads, val_rows), val_payloads)
-            return task_metrics(self.task, counts)[self.headline]
+            return task_metrics(self.task, count(weights))[self.headline]
 
         self.weights, self.fit_info = _train(lambda: self._zeros(vocab), step, eval_fn, n_examples, config)
         self.vocab = vocab
@@ -735,15 +772,13 @@ class _ModelBase:
             for item in fn(payloads[start:stop], *self._features(payloads[start:stop]))
         ]
 
-    def _predictions(self, instances: Sequence[Instance]) -> list:
-        """`_predict` with the trained weights, one prediction per instance."""
-        return self._in_passes(
-            lambda payloads, rows, _: self._predict(self.weights, self.vocab, payloads, rows), instances
-        )
-
-    def evaluate(self, instances: Sequence[Instance]) -> dict[str, int]:
-        """The task's counts of the predictions on `instances` against their gold annotation."""
-        return self._count(self._predictions(instances), [i.payload for i in instances])
+    def evaluate(self, instances: Sequence[Instance] | EvalSet) -> dict[str, int]:
+        """The task's counts of the trained model's predictions on `instances`,
+        or on their `evaluation_set`, against their gold annotation."""
+        self._require_trained()
+        if not isinstance(instances, EvalSet):
+            instances = self.evaluation_set(instances)
+        return self._counter(self.vocab, instances)(self.weights)
 
 
 class _SoftmaxModel(_ModelBase):
@@ -765,11 +800,6 @@ class _SoftmaxModel(_ModelBase):
             return step
 
         return rows.n, prepare
-
-    @staticmethod
-    def _predict(weights, vocab, payloads, rows) -> list[str]:
-        """The label of each row's highest logit."""
-        return [vocab[k] for k in logits(weights, rows).argmax(axis=1).tolist()]
 
     def _probas(self, instances: Sequence[Instance]) -> tuple[np.ndarray, list[int]]:
         """One (rows, vocab) matrix of distributions over every instance's rows, and each instance's row count."""
@@ -794,10 +824,22 @@ class TextClassifier(_SoftmaxModel):
     def _gold(payload):
         return None if payload.label is None else (payload.label,)
 
-    @staticmethod
-    def _count(predictions, payloads) -> dict[str, int]:
-        """Hits and instances; a missing gold label is a miss."""
-        return {"correct": sum(y == p.label for y, p in zip(predictions, payloads)), "total": len(payloads)}
+    def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
+        evaluation = super().evaluation_set(instances)
+        code_of: dict = {}
+        codes = [code_of.setdefault(p.label, len(code_of)) for p in evaluation.payloads]
+        return replace(evaluation, labels=tuple(code_of), codes=np.array(codes, dtype=np.int64))
+
+    def _counter(self, vocab, evaluation: EvalSet):
+        """Hits and instances, a hit where a text's argmax is its gold label's
+        code in `vocab`; a gold label outside `vocab`, or none, is a miss."""
+        index = {y: k for k, y in enumerate(vocab)}
+        lookup = np.array([index.get(y, -1) for y in evaluation.labels], dtype=np.int64)
+        gold = lookup[evaluation.codes]
+        return lambda weights: {
+            "correct": int(np.count_nonzero(logits(weights, evaluation.rows).argmax(axis=1) == gold)),
+            "total": len(evaluation),
+        }
 
     fit = _ModelBase.fit
 
@@ -826,8 +868,11 @@ class SequenceTagger(_SoftmaxModel):
     def _gold(payload):
         return payload.tags
 
-    def _predict(self, weights, tags, payloads, rows) -> list[list[str]]:
-        return _split(super()._predict(weights, tags, payloads, rows), [len(p.tokens) for p in payloads])
+    @staticmethod
+    def _predict(weights, tags, payloads, rows) -> list[list[str]]:
+        """Per sentence, the tag of each token row's highest logit."""
+        best = [tags[k] for k in logits(weights, rows).argmax(axis=1).tolist()]
+        return _split(best, [len(p.tokens) for p in payloads])
 
     @staticmethod
     def _count(predictions, payloads) -> dict[str, int]:
@@ -986,7 +1031,9 @@ class DependencyParser(_ModelBase):
 
     def decode_tree_batch(self, instances: Sequence[Instance]) -> list[DepTree]:
         """Best single-root tree per instance under the head softmax, with argmax arc labels."""
-        return self._predictions(instances)
+        return self._in_passes(
+            lambda payloads, arcs, _: self._predict(self.weights, self.labels, payloads, arcs), instances
+        )
 
     def decode_tree(self, instance: Instance) -> DepTree:
         return self.decode_tree_batch([instance])[0]

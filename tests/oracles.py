@@ -321,3 +321,54 @@ def key_loop_block(vecs):
         np.concatenate([idx for idx, _ in vecs]).astype(np.int32),
         np.concatenate([vals for _, vals in vecs]).astype(np.float32),
     )
+
+
+def first_fit_selection(pool, budget):
+    """(ids, spend) of walking (id, score, cost) triples in ascending (score, id)
+    order, taking each one whose cost still fits what is left of the budget."""
+    taken, remaining = [], budget
+    for score, iid, cost in sorted((score, iid, cost) for iid, score, cost in pool):
+        if cost <= remaining:
+            taken.append(iid)
+            remaining -= cost
+    return taken, budget - remaining
+
+
+def instance_loop_counts(task, predictions, payloads):
+    """The task's counts summed over instances, each prediction compared with
+    its gold annotation on its own: a text's label equal to its gold one; a
+    sentence's gold BIO spans found exactly; a token's head, and head and label."""
+    if task == "classification":
+        return {"correct": sum(y == p.label for y, p in zip(predictions, payloads)),
+                "total": len(payloads)}
+    if task == "tagging":
+        counts = {"tp": 0, "pred_spans": 0, "gold_spans": 0}
+        for pred, p in zip(predictions, payloads):
+            pred_spans, gold_spans = _bio_spans(pred), _bio_spans(p.tags)
+            counts["tp"] += len(pred_spans & gold_spans)
+            counts["pred_spans"] += len(pred_spans)
+            counts["gold_spans"] += len(gold_spans)
+        return counts
+    counts = {"head_correct": 0, "label_correct": 0, "total": 0}
+    for pred, p in zip(predictions, payloads):
+        for ph, gh, pl, gl in zip(pred.heads, p.heads, pred.labels, p.labels):
+            counts["total"] += 1
+            counts["head_correct"] += ph == gh
+            counts["label_correct"] += ph == gh and pl == gl
+    return counts
+
+
+def _bio_spans(tags):
+    """The (type, start, end) of every entity: a B- tag and the I- tags of its
+    type after it; an I- tag after anything else starts one, as a B- would."""
+    spans, current = set(), None
+    for i, tag in enumerate(list(tags) + ["O"]):
+        inside = tag.startswith("I-") and current is not None and current[0] == tag[2:]
+        if inside:
+            continue
+        if current is not None:
+            spans.add((current[0], current[1], i))
+            current = None
+        if tag.startswith(("B-", "I-")):
+            current = (tag[2:], i)
+    return spans

@@ -15,13 +15,14 @@ from lingalloc.acquisition import (
     nlpdt_score,
     random_scores,
     select_batch,
+    select_ranked,
     strategy_compatible,
 )
 from lingalloc.errors import ScoringError
 from lingalloc.graph import Arborescence
 from lingalloc.tasks import TaskKind
 
-from oracles import all_single_root_trees, logsumexp_over_trees, tree_total
+from oracles import all_single_root_trees, first_fit_selection, logsumexp_over_trees, tree_total
 
 
 class TestStrategyCompatibility:
@@ -286,3 +287,37 @@ class TestSelectionProperties:
         selected, spent = select_batch(pool, 25)
         by_id = {s.instance_id: s.cost for s in pool}
         assert spent == sum(by_id[i] for i in selected)
+
+
+@st.composite
+def array_pools(draw):
+    """(ids, scores, costs) of a pool: distinct ids in any order, scores with
+    repeats and -inf among them, and unit costs or 1-8 tokens."""
+    ids = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=40))
+    score = st.sampled_from([float("-inf"), -1.0, 0.0, 0.25, 0.5]) | st.floats(-10, 10)
+    scores = draw(st.lists(score, min_size=len(ids), max_size=len(ids)))
+    max_cost = draw(st.sampled_from([1, 8]))
+    costs = draw(st.lists(st.integers(1, max_cost), min_size=len(ids), max_size=len(ids)))
+    return ids, scores, costs
+
+
+class TestSelectRanked:
+    @settings(max_examples=300, deadline=None)
+    @given(array_pools(), st.integers(1, 80))
+    def test_equals_first_fit_over_the_ranking(self, pool, budget):
+        ids, scores, costs = pool
+        expected = first_fit_selection(list(zip(ids, scores, costs)), budget)
+        chosen, spent = select_ranked(np.array(ids, dtype=np.int64), np.array(scores, dtype=np.float64),
+                                      np.array(costs, dtype=np.int64), budget)
+        assert (np.array(ids, dtype=np.int64)[chosen].tolist(), spent) == expected
+        assert type(spent) is int
+        assert select_batch(_scores(zip(ids, scores, costs)), budget) == expected
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nan_and_inf_raise_naming_the_instance(self, bad):
+        with pytest.raises(ScoringError, match="instance 7: score must be finite or -inf"):
+            select_ranked(np.array([3, 7, 5]), np.array([0.5, bad, float("-inf")]), np.ones(3, dtype=np.int64), 2)
+
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ScoringError, match="budget must be positive"):
+            select_ranked(np.array([1]), np.array([0.5]), np.array([1]), 0)

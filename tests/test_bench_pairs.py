@@ -1,0 +1,70 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+METRICS = [
+    {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.1},
+    {"name": "quality", "unit": "ratio", "better": "higher", "bound": 0.1},
+]
+
+
+@pytest.fixture
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checkouts(tmp_path):
+    """Checkout A on a branch ref, B on a packed ref."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / ".git").mkdir(parents=True)
+        (root / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+    (a / ".git" / "refs" / "heads").mkdir(parents=True)
+    (a / ".git" / "refs" / "heads" / "main").write_text("a" * 40 + "\n")
+    (b / ".git" / "packed-refs").write_text(f"# pack-refs\n{'b' * 40} refs/heads/main\n")
+    (a / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    return a, b
+
+
+@pytest.mark.parametrize("slowdown, status", [(1.0, 0), (1.5, 1)])
+def test_json_holds_what_is_printed(bench_pairs, tmp_path, monkeypatch, capsys, slowdown, status):
+    a, b = _checkouts(tmp_path)
+    calls = []
+
+    def bench(root, workload, seed, seconds):
+        calls.append((root.name, seed))
+        run_s = (1.0 + seed / 10) * (slowdown if root == b else 1.0)
+        return {"correct": True, "failed": 0,
+                "metrics": {"run_s": {"value": run_s}, "quality": {"value": 0.5}}}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    path = tmp_path / "bench.json"
+    argv = [str(a), str(b), "--workload", "w", "--pairs", "3", "--seconds", "1", "--seed", "4"]
+    assert bench_pairs.main(argv + ["--json", str(path)]) == status
+    printed = capsys.readouterr().out
+    assert calls == [("a", 4), ("b", 4), ("b", 5), ("a", 5), ("a", 6), ("b", 6)]
+    report = json.loads(path.read_text())
+    assert report["commits"] == {"A": "a" * 40, "B": "b" * 40}
+    assert [(p["seed"], p["order"]) for p in report["pairs"]] == [
+        (4, ["A", "B"]), (5, ["B", "A"]), (6, ["A", "B"])]
+    assert report["pairs"][1]["B"] == {"correct": True, "failed": 0,
+                                       "metrics": {"run_s": 1.5 * slowdown, "quality": 0.5}}
+    assert report["not_correct"] == {"A": 0, "B": 0} and report["exit_status"] == status
+    run_s, quality = report["metrics"]
+    assert run_s["a_median"] == 1.5 and run_s["b_median"] == 1.5 * slowdown
+    assert run_s["a_quartiles"] == [1.4, 1.6] and run_s["b_won"] == 0
+    assert run_s["gap"] == pytest.approx(slowdown - 1) and run_s["beyond"] == bool(status)
+    assert quality["gap"] == 0 and not quality["beyond"]
+    for row in report["metrics"]:
+        line = next(line for line in printed.splitlines() if line.startswith(row["name"] + " "))
+        assert line.endswith("BEYOND") == row["beyond"]
+        assert f"{row['b_won']}/{row['pairs']}" in line and f"{row['b_median']:.5g}" in line
+    # without --json the exit status is the same and nothing is written
+    path.unlink()
+    assert bench_pairs.main(argv) == status and not path.exists()

@@ -292,6 +292,17 @@ class TestValidateConfig:
         bad.write_text("{\"task\": \"nope\"}")
         assert main(["validate", "--config", str(bad)]) == 1
 
+    def test_integer_of_too_many_digits_cannot_be_read(self, tmp_path, capsys):
+        # `json` reads an integer of at most 4300 digits
+        config_path = _small_config(tmp_path / "corpus")
+        text = config_path.read_text()
+        config_path.write_text(text.replace("{", '{"replicates": 1' + "0" * 5000 + ",", 1))
+        assert main(["validate", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot read config: Exceeds the limit (4300 digits) for integer string "
+            "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase "
+            "the limit\n")
+
 
     @pytest.mark.parametrize("train_size, warned", [(120, ["aa", "bb", "cc"]), (240, [])])
     def test_validate_warns_when_a_pool_is_too_small(self, tmp_path, capsys, train_size, warned):
@@ -610,13 +621,16 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: --jobs must be at least 1")
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["not-an-object", "no-cells"])
+    @pytest.mark.parametrize("kind", ["not-an-object", "no-cells", "too-many-digits"])
     def test_unusable_manifest_counts_as_absent(self, tmp_path, capsys, kind):
         config_path = _small_config(tmp_path / "corpus")
         digest = cli._config_digest(validate_config(config_path)[0])
         out = tmp_path / "out"
         out.mkdir()
-        text = "[1]" if kind == "not-an-object" else json.dumps({"version": 2, "config_digest": digest})
+        text = {"not-an-object": "[1]",
+                "no-cells": json.dumps({"version": 2, "config_digest": digest}),
+                # `json` reads an integer of at most 4300 digits
+                "too-many-digits": '{"cells": {}, "version": 1' + "0" * 5000 + "}"}[kind]
         (out / "manifest.json").write_text(text)
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
         assert "skip" not in capsys.readouterr().out
@@ -753,12 +767,21 @@ class TestReportCommand:
          "curriculum: acquisition-share identity violated at round 1 (gap 2.500e-01)"),
         (SIDECAR, 1, {**EQUAL_SHARES, "relative_difference": {"-1": {"aa": 0.0, "bb": 0.0}}},
          "curriculum.relative_difference: expected rounds >= 1 as keys, got '-1'"),
+        (RESULTS, 6, '{"round": 2' + "0" * 5000 + "}",
+         "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: value "
+         "has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+        # an integer larger than any float
+        (RESULTS, 6, {"metrics": {"aa": {"accuracy": 10**400}}},
+         f"record.metrics.aa.accuracy: expected a number, got {10**400}"),
+        (SIDECAR, 1, {"acquired": {"1": {"aa": 10**400, "bb": 1}}},
+         f"curriculum.acquired.1.aa: expected an integer, got {10**400}"),
     ], ids=["results", "sidecar", "results-no-keys", "results-array", "sidecar-no-keys",
             "sidecar-number", "results-cell-list", "results-metrics-list", "results-metric-string",
             "results-language-number", "results-round-string", "results-al-string",
             "sidecar-round-not-a-number", "sidecar-budget-zero", "sidecar-round-zero",
             "sidecar-languages-differ", "sidecar-alpha-string", "sidecar-nan", "sidecar-identity",
-            "sidecar-round-negative"])
+            "sidecar-round-negative", "results-too-many-digits", "results-metric-beyond-float",
+            "sidecar-acquired-beyond-float"])
     def test_invalid_json_is_a_runtime_error(self, finished_run, tmp_path, capsys, command,
                                              name, line, text, message):
         out = tmp_path / "out"

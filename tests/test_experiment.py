@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lingalloc import experiment
-from lingalloc.acquisition import StrategyKind, select_batch
+from lingalloc.acquisition import StrategyKind, random_scores, select_ranked
 from lingalloc.errors import ConfigError
 from lingalloc.experiment import (
     AcquisitionEvent,
@@ -236,8 +236,28 @@ class TestRunRounds:
         model = build_model(data.task, SPACE)
         model.fit(data.train["aa"][:8], data.train["aa"][8:], FAST)
         for kind in (strategy, StrategyKind.RANDOM):
-            scores = experiment._score_pool(model, data.task, [], kind, np.random.default_rng(0))
-            assert scores == [] and select_batch(scores, 3) == ([], 0)
+            ordered, scores = experiment._score_pool(model, data.task, [], kind,
+                                                     np.random.default_rng(0))
+            assert ordered == [] and scores.dtype == np.float64 and scores.shape == (0,)
+            chosen, spent = select_ranked(np.zeros(0, dtype=np.int64), scores,
+                                          np.zeros(0, dtype=np.int64), 3)
+            assert chosen.tolist() == [] and spent == 0
+
+    def test_random_pool_scores_are_those_of_random_scores(self, small_data):
+        pool = small_data.train["bb"][::-1]
+        ordered, scores = experiment._score_pool(None, small_data.task, pool, StrategyKind.RANDOM,
+                                                 np.random.default_rng(9))
+        expected = random_scores([i.id for i in pool], np.random.default_rng(9))
+        assert [i.id for i in ordered] == list(expected)
+        assert scores.tolist() == list(expected.values())
+
+    @pytest.mark.parametrize("with_al", [True, False])
+    def test_event_scores_are_python_floats(self, small_data, with_al):
+        # so that the acquisition log writes them as `repr` of a float
+        plan = allocate(Setting(SettingFamily.SMA, StrategyKind.LC, with_al), SPEC,
+                        small_data.languages)
+        _, events = run_rounds(plan, small_data, FAST, SPACE, rng_seed=2)
+        assert events and all(type(e.score) is float for e in events)
 
 
 class TestRunArms:

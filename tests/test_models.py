@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lingalloc.corpus import ClassificationText, DepTree, Instance, TaggedSentence
-from lingalloc.errors import ConfigError, ModelStateError
+from lingalloc.errors import ConfigError, EvaluationError, ModelStateError
 from lingalloc.graph import Arborescence, tree_log_prob
 from lingalloc.models import (
     DependencyParser,
     FeatureSpace,
+    Rows,
     SequenceTagger,
     TextClassifier,
     TrainingConfig,
@@ -25,7 +27,14 @@ from lingalloc.models import (
 from lingalloc.synth import synth_dataset
 from lingalloc.tasks import TaskKind, accuracy, span_f1, task_metrics
 
-from oracles import all_single_root_trees, batch_loop_parser, batch_loop_softmax, best_tree, char_ngrams
+from oracles import (
+    all_single_root_trees,
+    batch_loop_parser,
+    batch_loop_softmax,
+    best_tree,
+    char_ngrams,
+    instance_loop_counts,
+)
 
 SPACE = FeatureSpace(hash_dimension=1024, ngram_min=2, ngram_max=4)
 
@@ -360,14 +369,23 @@ class TestValidationMetric:
     """`_count` counts predictions against gold labels; the counts give the string metrics."""
 
     def test_classifier_metric_is_accuracy(self):
+        # the classifier counts on an evaluation set: a hit is an argmax equal
+        # to the gold label's code, and an unseen or missing label is a miss
         rng = np.random.default_rng(5)
         classes = ("neg", "neu", "pos")
+        model = TextClassifier(SPACE)
         for _ in range(200):
             n = int(rng.integers(1, 40))
             labels = rng.choice(["neg", "neu", "pos", "unseen", None], size=n).tolist()
-            payloads = [ClassificationText("x", label) for label in labels]
-            pred = [classes[k] for k in rng.integers(0, len(classes), size=n)]
-            counts = TextClassifier._count(pred, payloads)
+            best = rng.integers(0, len(classes), size=n)
+            pred = [classes[k] for k in best]
+            # one-hot rows, and weights whose argmax on row i is best[i]
+            one_hot = Rows.stack(np.ones(n, dtype=np.int64), np.arange(n), np.ones(n))
+            evaluation = replace(model.evaluation_set([text_instance(i, "x", y) for i, y in enumerate(labels)]),
+                                 rows=one_hot)
+            weights = np.zeros((len(classes), n))
+            weights[best, np.arange(n)] = 1.0
+            counts = model._counter(classes, evaluation)(weights)
             assert counts == {"correct": sum(p == g for p, g in zip(pred, labels)), "total": n}
             assert task_metrics(TaskKind.CLASSIFICATION, counts)["accuracy"] == accuracy(pred, labels)
 
@@ -548,3 +566,83 @@ class TestBuildModel:
         assert isinstance(build_model(TaskKind.CLASSIFICATION, SPACE), TextClassifier)
         assert isinstance(build_model(TaskKind.SEQUENCE_TAGGING, SPACE), SequenceTagger)
         assert isinstance(build_model(TaskKind.DEPENDENCY_PARSING, SPACE), DependencyParser)
+
+
+def _unseen(inst, iid):
+    """`inst` again under id `iid`, with gold labels that no fit has in its vocabulary."""
+    payload = inst.payload
+    if isinstance(payload, ClassificationText):
+        payload = replace(payload, label="unseen")
+    elif isinstance(payload, TaggedSentence):
+        payload = replace(payload, tags=("B-UNSEEN",) * len(payload.tokens))
+    else:
+        payload = replace(payload, labels=("unseen",) * len(payload.tokens))
+    return replace(inst, id=iid, payload=payload)
+
+
+class TestEvaluationSet:
+    """An `EvalSet` counts as the per-instance predictions do, compared one at a time."""
+
+    CONFIG = TrainingConfig(learning_rates=(0.1, 0.5), batch_size=8, max_epochs=6, patience=3)
+
+    @staticmethod
+    def _fitted(task, validation=None):
+        data = synth_dataset(task, ["aa", "bb"], 40, 12, 0.5, seed=4)
+        insts = [i for lang in data.languages for i in data.train[lang]]
+        model = build_model(task, SPACE)
+        score = model.fit(insts[:30], insts[30:60] if validation is None else validation(model, insts[30:60]),
+                          TestEvaluationSet.CONFIG)
+        return model, score, insts, [i for lang in data.languages for i in data.test[lang]]
+
+    @staticmethod
+    def _predictions(model, instances):
+        predict = {TaskKind.CLASSIFICATION: "predict", TaskKind.SEQUENCE_TAGGING: "predict_tags",
+                   TaskKind.DEPENDENCY_PARSING: "decode_tree"}[model.task]
+        return [getattr(model, predict)(i) for i in instances]
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_counts_equal_instance_loop(self, task):
+        model, _, _, tests = self._fitted(task)
+        tests = tests + [_unseen(tests[0], 10**6)]
+        if task is TaskKind.CLASSIFICATION:
+            tests.append(text_instance(10**6 + 1, tests[1].payload.text))
+        expected = instance_loop_counts(task.value, self._predictions(model, tests), [i.payload for i in tests])
+        assert model.evaluate(model.evaluation_set(tests)) == expected
+        assert model.evaluate(tests) == expected
+        # an evaluation set serves any fit of the task and space, not only the model that made it
+        assert model.evaluate(build_model(task, SPACE).evaluation_set(tests)) == expected
+
+    @pytest.mark.parametrize("task, expected", [
+        (TaskKind.CLASSIFICATION, {"correct": 0, "total": 0}),
+        (TaskKind.SEQUENCE_TAGGING, {"tp": 0, "pred_spans": 0, "gold_spans": 0}),
+    ])
+    def test_empty_set_counts_nothing(self, task, expected):
+        model = self._fitted(task)[0]
+        assert model.evaluate(model.evaluation_set([])) == expected == model.evaluate([])
+
+    def test_parser_rejects_an_empty_or_unannotated_set(self):
+        model, _, _, tests = self._fitted(TaskKind.DEPENDENCY_PARSING)
+        unannotated = replace(tests[0], payload=replace(tests[0].payload, heads=None, labels=None))
+        for instances in ([], [tests[1], unannotated]):
+            with pytest.raises(EvaluationError):
+                model.evaluate(model.evaluation_set(instances))
+            with pytest.raises(EvaluationError):
+                model.evaluate(instances)
+
+    # the validation scores each learning rate reached, and the epochs it ran,
+    # when validation counted one instance's prediction at a time
+    PINNED = {
+        TaskKind.CLASSIFICATION: ({0.1: 0.8333333333333334, 0.5: 0.9333333333333333}, {0.1: 4, 0.5: 4}),
+        TaskKind.SEQUENCE_TAGGING: ({0.1: 0.17391304347826086, 0.5: 0.4}, {0.1: 6, 0.5: 6}),
+        TaskKind.DEPENDENCY_PARSING: ({0.1: 1.0, 0.5: 1.0}, {0.1: 4, 0.5: 4}),
+    }
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_fit_validates_on_the_set_as_on_instances(self, task):
+        a, score, insts, _ = self._fitted(task)
+        b, same, _, _ = self._fitted(task, lambda model, val: model.evaluation_set(val))
+        assert (a.fit_info.validation, a.fit_info.epochs_run) == self.PINNED[task]
+        assert same == score and b.fit_info == a.fit_info and np.array_equal(b.weights, a.weights)
+        val = insts[30:60]
+        counts = instance_loop_counts(task.value, self._predictions(a, val), [i.payload for i in val])
+        assert score == task_metrics(task, counts)[a.headline]
