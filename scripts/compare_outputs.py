@@ -52,20 +52,27 @@ EXHAUSTING = {"seed": 60, "acquisition": 150}
 TRAINING = {"learning_rates": [0.5], "max_epochs": 4, "patience": 2, "l2": 0.001, "batch_size": 7}
 
 
-def _invalid(own: str, other: str) -> dict[str, tuple[list, dict | None]]:
-    """Name -> (settings, budget or None to keep) of each config `validate` rejects.
+def _invalid(config: dict, own: str, other: str) -> dict[str, dict]:
+    """Name -> each config `validate` rejects, made from the valid `config`.
 
     `own` is the task's strategy, `other` one the task does not take.
     """
     sma = {"kind": "sma", "strategy": own}
-    return {
-        "unknown-key": ([dict(sma, note=1)], None),
-        "duplicate": ([sma, sma], None),
-        "incompatible": ([dict(sma, strategy=other)], None),
-        "monoa-no-source": ([{"kind": "monoa", "strategy": own}], None),
+    aa = config["data"]["aa"]
+    changes = {
+        "unknown-key": {"settings": [dict(sma, note=1)]},
+        "duplicate": {"settings": [sma, sma]},
+        "incompatible": {"settings": [dict(sma, strategy=other)]},
+        "monoa-no-source": {"settings": [{"kind": "monoa", "strategy": own}]},
         # MMA over three languages needs every budget >= 3
-        "mma-budget": ([{"kind": "mma", "strategy": own}], {"seed": 2}),
+        "mma-budget": {"settings": [{"kind": "mma", "strategy": own}], "budget": {"seed": 2}},
+        "unknown-top-key": {"note": 1},
+        "no-replicates": {"replicates": 0},
+        "missing-file": {"data": dict(config["data"], aa=dict(aa, train="missing." + aa["train"]))},
+        # a wrongly typed value in one section beside a broken rule in another
+        "type-and-rule": {"training": dict(config["training"], batch_size="x"), "replicates": 0},
     }
+    return {name: dict(config, **change) for name, change in changes.items()}
 
 
 def _cli(root: Path, *args: str, expect: int = 0) -> subprocess.CompletedProcess:
@@ -101,9 +108,8 @@ def produce(root: Path, work: Path, seed: int) -> None:
         (corpus / "validate.txt").write_text(text.replace(str(work.resolve()), "<work>"))
         text = ""
         other = "mnlp" if task == "classification" else "lc"
-        for name, (settings, budget) in _invalid(STRATEGY[task], other).items():
+        for name, bad in _invalid(config, STRATEGY[task], other).items():
             path = corpus / f"{name}.json"
-            bad = dict(config, settings=settings, budget=budget or config["budget"])
             path.write_text(json.dumps(bad, indent=2) + "\n")
             shown = _cli(root, "validate", "--config", str(path), expect=1)
             text += f"{path.name} stderr:\n{shown.stderr}"

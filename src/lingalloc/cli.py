@@ -61,8 +61,6 @@ from .tasks import TaskKind
 
 MANIFEST_VERSION = 2
 
-_DATA_KEYS = {"train", "test"}
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -85,8 +83,36 @@ class RoundRecord:
         return f"{self.setting}:{self.strategy}"
 
 
-# JSON key -> field of each dataclass section (a `settings` entry, a results line
-# and a curriculum sidecar are each one). Keys, echo, defaults, types and checks come from here.
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A run's whole config: JSON keys are field names, and a key left out takes
+    its field's default. `max_length` defaults to 256 for classification, where
+    it truncates, and to 175 for the token tasks, where it drops; the budget
+    counts in the task's unit. `validate_config` reads and checks it."""
+
+    task: TaskKind
+    languages: tuple[str, ...]
+    data: dict[str, dict[str, str]]
+    settings: tuple[Setting, ...]
+    budget: BudgetSpec
+    output_dir: str
+    training: TrainingConfig = TrainingConfig()
+    feature_space: FeatureSpace = FeatureSpace()
+    replicates: int = 1
+    seed: int = 0
+    max_length: int = None
+
+    def __post_init__(self):
+        if self.max_length is None:
+            object.__setattr__(self, "max_length", 256 if self.task is TaskKind.CLASSIFICATION else 175)
+        object.__setattr__(self, "budget", dataclasses.replace(self.budget, unit=self.task.budget_unit))
+
+    def to_json_dict(self) -> dict:
+        return _echo("config", self)
+
+
+# JSON key -> field of each dataclass section (the config, a `settings` entry, a results
+# line and a curriculum sidecar are each one). Keys, echo, defaults, types and checks come from here.
 _SECTIONS = {
     "budget": (BudgetSpec, {
         "seed": "seed_budget", "acquisition": "acq_budget",
@@ -98,51 +124,32 @@ _SECTIONS = {
     "settings": (Setting, {"kind": "family", "strategy": "strategy", "source": "source"}),
     # sections whose JSON keys are their field names
     **{name: (cls, {f.name: f.name for f in dataclasses.fields(cls)}) for name, cls in (
-        ("feature_space", FeatureSpace), ("record", RoundRecord), ("curriculum", CurriculumReport)
+        ("config", ExperimentConfig), ("feature_space", FeatureSpace), ("record", RoundRecord),
+        ("curriculum", CurriculumReport),
     )},
 }
+# the section of each dataclass: a field of that type is read and echoed as the section
+_SECTION_NAMES = {cls: name for name, (cls, _) in _SECTIONS.items()}
 # smallest value of each top-level integer
 _TOP_MINIMUM = {"replicates": 1, "seed": 0, "max_length": 1}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    task: TaskKind
-    languages: tuple[str, ...]
-    data: dict[str, dict[str, str]]
-    settings: tuple[Setting, ...]
-    budget: BudgetSpec
-    training: TrainingConfig
-    feature_space: FeatureSpace
-    replicates: int
-    seed: int
-    output_dir: str
-    max_length: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "task": self.task.value,
-            "languages": list(self.languages),
-            "data": {lang: dict(paths) for lang, paths in sorted(self.data.items())},
-            **{name: _echo(name, getattr(self, name))
-               for name in ("budget", "training", "feature_space", "settings")},
-            **{key: getattr(self, key) for key in (*_TOP_MINIMUM, "output_dir")},
-        }
-
-
-def _echo(name: str, value):
-    """Section `name`'s JSON, or a list of it for a tuple: no None values."""
-    if isinstance(value, tuple):
-        return [_echo(name, item) for item in value]
+def _echo(name: str, value) -> dict:
+    """Section `name`'s JSON: no None values."""
     fields = {key: getattr(value, field) for key, field in _SECTIONS[name][1].items()}
     return {key: _plain(v) for key, v in fields.items() if v is not None}
 
 
 def _plain(value):
-    """A field value as JSON holds it: an enum by its value, a mapping with string keys
-    (made here: `json.dumps` would sort int keys as numbers, 2 before 10, not as strings)."""
+    """A field value as JSON holds it: a section by its `_echo`, a tuple as a
+    list, an enum by its value, a mapping with string keys (made here:
+    `json.dumps` would sort int keys as numbers, 2 before 10, not as strings)."""
+    if type(value) in _SECTION_NAMES:
+        return _echo(_SECTION_NAMES[type(value)], value)
     if isinstance(value, Enum):
         return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
     if isinstance(value, dict):
         return {str(key): _plain(item) for key, item in value.items()}
     return value
@@ -187,26 +194,27 @@ _JSON_TYPES = {
 
 def _typed(where: str, hint, value, errors: list[str]):
     """The field value of type `hint` that JSON `value` gives, or None and errors.
-    Each item of a `tuple[T, ...]` or a `dict[K, T]` is read as a T; an int
+    A section's dataclass is read by `_section`. Each item of a `tuple[T, ...]`
+    or a `dict[K, T]` is read as a T, and is None where it is not one; an int
     key is a round: a decimal string >= 1, as `_plain` writes it."""
+    if hint in _SECTION_NAMES:
+        return _section(_SECTION_NAMES[hint], value, errors, where)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     what, accepts, convert = _JSON_TYPES[origin if origin in (tuple, dict) else hint]
     if not accepts(value):
         errors.append(f"{where}: expected {what}, got {value!r}")
         return None
-    if origin not in (tuple, dict):
-        return convert(value) if convert else value
-    known = len(errors)
     if origin is tuple:
-        items = tuple(_typed(f"{where}[{i}]", args[0], v, errors) for i, v in enumerate(value))
-    else:
-        rounds, items = args[0] is int, {}
-        for key, v in value.items():
-            if rounds and not (key.isascii() and key.isdigit() and key[0] != "0"):
-                errors.append(f"{where}: expected rounds >= 1 as keys, got {key!r}")
-            else:
-                items[int(key) if rounds else key] = _typed(f"{where}.{key}", args[1], v, errors)
-    return items if len(errors) == known else None
+        return tuple(_typed(f"{where}[{i}]", args[0], v, errors) for i, v in enumerate(value))
+    if origin is not dict:
+        return convert(value) if convert else value
+    rounds, items = args[0] is int, {}
+    for key, v in value.items():
+        if rounds and not (key.isascii() and key.isdigit() and key[0] != "0"):
+            errors.append(f"{where}: expected rounds >= 1 as keys, got {key!r}")
+        else:
+            items[int(key) if rounds else key] = _typed(f"{where}.{key}", args[1], v, errors)
+    return items
 
 
 @functools.cache
@@ -216,40 +224,56 @@ def _schema(cls: type) -> tuple[dict, set[str]]:
     return typing.get_type_hints(cls), required
 
 
-def _section(name: str, raw, errors: list[str], where: str | None = None, **fixed):
-    """Build one section's dataclass from its JSON object, collecting errors.
-
-    `fixed` holds field values not read from JSON; keys present in `raw`
-    override them, fields in neither take the dataclass default, and a field
-    without one is required. Errors name the section `where`, else `name`.
-    """
-    where = where or name
+def _fields(name: str, raw, errors: list[str], where: str) -> dict | None:
+    """Section `name`'s field values that the JSON object `raw` gives, or None
+    and errors: those of its keys, and None for each required field it lacks.
+    A value `_typed` rejects is None. A key is named `<where>.<key>`, or by
+    itself where `where` is empty (the config's)."""
     if not isinstance(raw, dict):
         errors.append(f"{where}: must be an object")
         return None
     cls, keys = _SECTIONS[name]
-    _check_unknown(raw, keys, where, errors)
+    _check_unknown(raw, keys, where or name, errors)
     hints, required = _schema(cls)
-    kwargs, known = dict(fixed), len(errors)
-    for key, field in keys.items():
-        if key in raw or field in required and field not in fixed:
-            kwargs[field] = _typed(f"{where}.{key}", hints[field], raw.get(key), errors)
+    return {
+        field: _typed(f"{where}.{key}" if where else key, hints[field], raw.get(key), errors)
+        for key, field in keys.items() if key in raw or field in required
+    }
+
+
+def _section(name: str, raw, errors: list[str], where: str | None = None):
+    """Build one section's dataclass from its JSON object, collecting errors.
+
+    A key absent from `raw` takes the dataclass default, and a field without
+    one is required. Errors name the section `where`, else `name`.
+    """
+    where = where or name
+    known = len(errors)
+    fields = _fields(name, raw, errors, where)
+    if len(errors) > known:
+        return None
     try:
-        return cls(**kwargs) if len(errors) == known else None
+        return _SECTIONS[name][0](**fields)
     except ConfigError as exc:
         errors.append(f"{where}: {exc}")
         return None
 
 
-def _top_integer(key: str, value) -> int:
+def _top_integer(key: str, value: int) -> int:
     minimum = _TOP_MINIMUM[key]
-    if type(value) is not int or value < minimum:
+    if value < minimum:
         raise ConfigError(f"{key}: must be an integer >= {minimum}, got {value!r}")
     return value
 
 
 def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
-    """Parse and fully validate a JSON config, collecting every violation."""
+    """Read a JSON config and check it, collecting every violation.
+
+    The schema (`_fields`) reads each value and checks its type. The rules
+    here tie fields together or reach outside the JSON; each skips a value the
+    schema rejected, so that no error hides another. Relative paths resolve
+    against the config's directory.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -259,123 +283,81 @@ def validate_config(path) -> tuple[ExperimentConfig | None, list[str]]:
     if not isinstance(raw, dict):
         return None, ["config root must be a JSON object"]
     errors: list[str] = []
-    _check_unknown(raw, [f.name for f in dataclasses.fields(ExperimentConfig)], "config", errors)
+    fields = _fields("config", raw, errors, "")
+    task, budget = fields["task"], fields["budget"]
 
-    task = _typed("task", TaskKind, raw.get("task"), errors)
-
-    languages: tuple[str, ...] = ()
-    codes = raw.get("languages")
-    if not isinstance(codes, list) or not codes:
+    if fields["languages"] == ():
         errors.append("languages: need a non-empty list of language codes")
-    else:
-        for code in codes:
-            try:
-                check_language(code)
-            except DataError as exc:
-                errors.append(f"languages: {exc}")
-        languages = tuple(sorted(c for c in codes if isinstance(c, str)))
-        if len(set(languages)) != len(languages):
-            errors.append("languages: duplicate codes")
+    languages = tuple(sorted(c for c in fields["languages"] or () if c is not None))
+    for code in languages:
+        try:
+            check_language(code)
+        except DataError as exc:
+            errors.append(f"languages: {exc}")
+    if len(set(languages)) != len(languages):
+        errors.append("languages: duplicate codes")
 
     data: dict[str, dict[str, str]] = {}
-    raw_data = raw.get("data")
-    if not isinstance(raw_data, dict):
-        errors.append("data: need a mapping from language to {train, test} paths")
-    else:
+    if fields["data"] is not None:
+        for lang in sorted(set(fields["data"]) - set(languages)):
+            errors.append(f"data.{lang}: language not in the language set")
         for lang in languages:
-            entry = raw_data.get(lang)
-            if not isinstance(entry, dict):
+            if lang not in fields["data"]:
                 errors.append(f"data.{lang}: missing train/test paths")
                 continue
-            _check_unknown(entry, _DATA_KEYS, f"data.{lang}", errors)
-            resolved = {}
+            entry = fields["data"][lang]
+            if entry is None:
+                continue
+            _check_unknown(entry, ("train", "test"), f"data.{lang}", errors)
             for split in ("train", "test"):
-                value = entry.get(split)
-                if not isinstance(value, str):
+                if split not in entry:
                     errors.append(f"data.{lang}.{split}: missing path")
-                    continue
-                resolved_path = Path(value)
-                if not resolved_path.is_absolute():
-                    resolved_path = (path.parent / resolved_path).resolve()
-                if not resolved_path.is_file():
-                    errors.append(f"data.{lang}.{split}: file not found: {resolved_path}")
-                resolved[split] = str(resolved_path)
-            if len(resolved) == 2:
-                data[lang] = resolved
-        for lang in sorted(set(raw_data) - set(languages)):
-            errors.append(f"data.{lang}: language not in the language set")
+                elif entry[split] is not None:
+                    file = Path(entry[split])
+                    if not file.is_absolute():
+                        file = (path.parent / file).resolve()
+                    if not file.is_file():
+                        errors.append(f"data.{lang}.{split}: file not found: {file}")
+                    data.setdefault(lang, {})[split] = str(file)
 
-    budget = None
-    raw_budget = raw.get("budget")
-    if not isinstance(raw_budget, dict) or "seed" not in raw_budget:
-        errors.append("budget: need an object with at least a seed budget")
-    else:
-        # acquisition and validation default to the seed budget
-        seed_b = raw_budget["seed"]
-        budget = _section(
-            "budget", raw_budget, errors, acq_budget=seed_b, val_budget=seed_b,
-            unit=task.budget_unit if task else None,
-        )
-    training = _section("training", raw.get("training", {}), errors)
-    feature_space = _section("feature_space", raw.get("feature_space", {}), errors)
-
-    settings: dict[Setting, int] = {}
-    raw_settings = raw.get("settings")
-    if not isinstance(raw_settings, list) or not raw_settings:
+    if fields["settings"] == ():
         errors.append("settings: need a non-empty list")
-    else:
-        for i, entry in enumerate(raw_settings):
-            setting = _section("settings", entry, errors, where=f"settings[{i}]")
-            if setting is None:
-                continue
-            if task and not strategy_compatible(setting.strategy, task):
-                errors.append(f"settings[{i}]: strategy {setting.strategy.value!r} "
-                              f"incompatible with task {task.value!r}")
-            if setting.source is not None and setting.source not in languages:
-                errors.append(f"settings[{i}].source: {setting.source!r} not in language set")
-                continue
-            try:
-                if budget is not None:
-                    allocate(setting, budget, languages or ("placeholder",))
-            except ConfigError as exc:
-                errors.append(f"settings[{i}]: {exc}")
-                continue
-            if setting in settings:
-                errors.append(f"settings[{i}]: duplicate of settings[{settings[setting]}]")
-            settings.setdefault(setting, i)
-
-    # truncation limit for classification, hard drop limit for token tasks
-    top = {
-        "replicates": raw.get("replicates", 1),
-        "seed": raw.get("seed", 0),
-        "max_length": raw.get("max_length", 256 if task is TaskKind.CLASSIFICATION else 175),
-    }
-    for key, value in top.items():
+    settings: dict[Setting, int] = {}
+    for i, setting in enumerate(fields["settings"] or ()):
+        if setting is None:
+            continue
+        if task is not None and not strategy_compatible(setting.strategy, task):
+            errors.append(f"settings[{i}]: strategy {setting.strategy.value!r} "
+                          f"incompatible with task {task.value!r}")
+        if setting.source is not None and setting.source not in languages:
+            errors.append(f"settings[{i}].source: {setting.source!r} not in language set")
+            continue
         try:
-            _top_integer(key, value)
+            if budget is not None:
+                allocate(setting, budget, languages or ("placeholder",))
         except ConfigError as exc:
-            errors.append(str(exc))
-    output_dir = raw.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
+            errors.append(f"settings[{i}]: {exc}")
+            continue
+        if setting in settings:
+            errors.append(f"settings[{i}]: duplicate of settings[{settings[setting]}]")
+        settings.setdefault(setting, i)
+
+    for key in _TOP_MINIMUM:
+        if fields.get(key) is not None:
+            try:
+                _top_integer(key, fields[key])
+            except ConfigError as exc:
+                errors.append(str(exc))
+    if fields["output_dir"] == "":
         errors.append("output_dir: required")
 
     if errors:
         return None, sorted(set(errors))
-    out_path = Path(output_dir)
+    out_path = Path(fields["output_dir"])
     if not out_path.is_absolute():
         out_path = (path.parent / out_path).resolve()
-    config = ExperimentConfig(
-        task=task,
-        languages=languages,
-        data=data,
-        settings=tuple(settings),
-        budget=budget,
-        training=training,
-        feature_space=feature_space,
-        output_dir=str(out_path),
-        **top,
-    )
-    return config, []
+    fields.update(languages=languages, data=data, output_dir=str(out_path))
+    return ExperimentConfig(**fields), []
 
 
 def load_data(config: ExperimentConfig) -> MultilingualData:
@@ -837,7 +819,7 @@ def cmd_synth(args) -> int:
     # checked as `validate` checks them, before anything is written
     seed = _top_integer("seed", args.seed)
     settings = _default_settings(task, languages)
-    spec = BudgetSpec(args.budget, args.budget, args.budget)
+    spec = BudgetSpec(args.budget)
     for setting in settings:
         allocate(setting, spec, languages)
     data = synth_dataset(task, languages, args.train_size, args.test_size, args.overlap, seed)
@@ -855,7 +837,7 @@ def cmd_synth(args) -> int:
         "task": task.value,
         "languages": languages,
         "data": paths,
-        "settings": _echo("settings", settings),
+        "settings": _plain(settings),
         "budget": {"seed": args.budget},
         "replicates": 1,
         "seed": seed,

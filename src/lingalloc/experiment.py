@@ -44,15 +44,19 @@ from .tasks import BudgetUnit, MetricReport, TaskKind
 
 @dataclass(frozen=True)
 class BudgetSpec:
-    """Seed / acquisition / validation allotments, all in the task's cost unit."""
+    """Seed / acquisition / validation allotments, all in the task's cost unit;
+    acquisition and validation default to the seed budget."""
 
     seed_budget: int
-    acq_budget: int
-    val_budget: int
+    acq_budget: int = None
+    val_budget: int = None
     rounds: int = 4
     unit: BudgetUnit = BudgetUnit.INSTANCE
 
     def __post_init__(self):
+        for name in ("acq_budget", "val_budget"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, self.seed_budget)
         if min(self.seed_budget, self.acq_budget, self.val_budget) < 1:
             raise ConfigError("budgets must be positive")
         if self.rounds < 1:
@@ -351,7 +355,8 @@ class CurriculumReport:
     Rounds are numbered from 1. A report is valid or is not made: ConfigError
     unless the per-round budget is at least 1, every round of both maps covers
     exactly the languages of ``alphas``, and every round of
-    ``relative_difference`` meets the share identity (`identity_gap`) within 1e-9.
+    ``relative_difference`` meets the share identity (`identity_gap`) within 1e-9,
+    its cumulative spend ratio no larger than a float holds.
     """
 
     alphas: dict[str, float]
@@ -369,7 +374,11 @@ class CurriculumReport:
                                       f"{sorted(per_language)}, not those of alphas "
                                       f"{sorted(self.alphas)}")
         for round_index in sorted(self.relative_difference):
-            gap = self.identity_gap(round_index)
+            try:
+                gap = self.identity_gap(round_index)
+            except OverflowError:  # acquired integers that each fit a float, but not their sum
+                raise ConfigError(f"round {round_index}: cumulative spend ratio too large "
+                                  "for a float") from None
             # written so that a NaN gap fails too
             if not gap <= _IDENTITY_TOLERANCE:
                 raise ConfigError(f"acquisition-share identity violated at round {round_index} "

@@ -715,12 +715,6 @@ class _ModelBase:
     def _zeros(self, vocab) -> np.ndarray:
         return np.zeros((self._arc_rows + len(vocab), self.space.hash_dimension))
 
-    @classmethod
-    def with_zero_weights(cls, space: FeatureSpace, vocab: Sequence[str]):
-        model = cls(space, vocab)
-        model.weights = model._zeros(model.vocab)
-        return model
-
     def _require_trained(self):
         if self.weights is None:
             raise ModelStateError("model has no weights; train it or set them explicitly")
@@ -876,7 +870,7 @@ class SequenceTagger(_SoftmaxModel):
 
     @staticmethod
     def _count(predictions, payloads) -> dict[str, int]:
-        return span_f1(predictions, [list(p.tags) for p in payloads]).counts
+        return span_f1(predictions, [p.tags for p in payloads]).counts
 
     fit = _ModelBase.fit
 

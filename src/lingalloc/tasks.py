@@ -91,14 +91,17 @@ class SpanF1(NamedTuple):
     counts: dict[str, int]  # tp, pred_spans, gold_spans
 
 
-def span_f1(pred_tags: Sequence[Sequence[str]], gold_tags: Sequence[Sequence[str]]) -> SpanF1:
-    """Micro-averaged exact-match span precision/recall/F1 over sentences."""
+def span_f1(pred_tags: Sequence[Sequence[str]], gold_tags: Sequence[Sequence[str] | None]) -> SpanF1:
+    """Micro-averaged exact-match span precision/recall/F1 over sentences;
+    EvaluationError for a gold sentence without tags (None)."""
     if len(pred_tags) != len(gold_tags):
         raise EvaluationError(
             f"sentence count mismatch: {len(pred_tags)} vs {len(gold_tags)}"
         )
     tp = pred_total = gold_total = 0
     for i, (pred, gold) in enumerate(zip(pred_tags, gold_tags)):
+        if gold is None:
+            raise EvaluationError(f"sentence {i} lacks tag annotations")
         if len(pred) != len(gold):
             raise EvaluationError(f"token count mismatch in sentence {i}")
         p_spans = set(bio_spans(pred))

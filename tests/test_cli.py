@@ -11,9 +11,9 @@ import lingalloc.cli as cli
 from lingalloc.cli import load_data, main, run_cell, validate_config
 from lingalloc.corpus import ingest_conll_ner, ingest_conllu
 from lingalloc.errors import ConfigError
-from lingalloc.experiment import AcquisitionEvent, aggregate, curriculum
+from lingalloc.experiment import AcquisitionEvent, BudgetSpec, aggregate, curriculum
 from lingalloc.synth import synth_dataset
-from lingalloc.tasks import TaskKind
+from lingalloc.tasks import BudgetUnit, TaskKind
 
 
 def _write_corpus(root: Path, languages=("aa", "bb"), train=80, test=20, seed=7):
@@ -303,6 +303,64 @@ class TestValidateConfig:
             "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase "
             "the limit\n")
 
+
+    @pytest.mark.parametrize("change, expected", [
+        (lambda cfg: cfg.update(languages="aa"), ["data.aa: language not in the language set",
+                                                  "data.bb: language not in the language set",
+                                                  "languages: expected a list, got 'aa'"]),
+        (lambda cfg: cfg["languages"].append(5), ["languages[2]: expected a string, got 5"]),
+        (lambda cfg: cfg.update(data=5), ["data: expected an object, got 5"]),
+        (lambda cfg: cfg["data"].update(aa=5), ["data.aa: expected an object, got 5"]),
+        (lambda cfg: cfg["data"]["aa"].update(train=5), ["data.aa.train: expected a string, got 5"]),
+        (lambda cfg: cfg.update(budget=5), ["budget: must be an object"]),
+        (lambda cfg: cfg.pop("budget"), ["budget: must be an object"]),
+        (lambda cfg: cfg.update(budget={"rounds": 3}), ["budget.seed: expected an integer, got None"]),
+        (lambda cfg: cfg["budget"].update(acquisition=None),
+         ["budget.acquisition: expected an integer, got None"]),
+        (lambda cfg: cfg.update(settings={"kind": "sma"}),
+         ["settings: expected a list, got {'kind': 'sma'}"]),
+        (lambda cfg: cfg.update(replicates="3"), ["replicates: expected an integer, got '3'"]),
+        (lambda cfg: cfg.update(seed=1.0), ["seed: expected an integer, got 1.0"]),
+        (lambda cfg: cfg.update(max_length=None), ["max_length: expected an integer, got None"]),
+        (lambda cfg: cfg.pop("output_dir"), ["output_dir: expected a string, got None"]),
+    ], ids=["languages-string", "language-number", "data-number", "data-entry-number",
+            "path-number", "budget-number", "no-budget", "budget-without-seed",
+            "acquisition-null", "settings-object", "replicates-string", "seed-float",
+            "max-length-null", "no-output-dir"])
+    def test_wrongly_typed_value_reported_by_the_schema(self, tmp_path, capsys, change, expected):
+        config_path = _small_config(tmp_path / "corpus")
+        cfg = json.loads(config_path.read_text())
+        change(cfg)
+        config_path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == "".join(f"error: {line}\n" for line in expected)
+
+    def test_type_error_hides_no_rule_error(self, tmp_path, capsys):
+        config_path = _small_config(tmp_path / "corpus", training={"batch_size": "x"}, replicates=0)
+        cfg = json.loads(config_path.read_text())
+        cfg["data"]["aa"]["train"] = "nope.tsv"
+        config_path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: data.aa.train: file not found: {(config_path.parent / 'nope.tsv').resolve()}\n"
+            "error: replicates: must be an integer >= 1, got 0\n"
+            "error: training.batch_size: expected an integer, got 'x'\n")
+
+    def test_budget_defaults_to_the_seed_budget(self):
+        assert BudgetSpec(60) == BudgetSpec(60, 60, 60)
+        assert BudgetSpec(60, val_budget=10) == BudgetSpec(60, 60, 10)
+
+    def test_tagging_pool_warning_counts_tokens(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--task", "tagging", "--languages", "aa,bb", "--train-size", "30",
+                     "--test-size", "8", "--budget", "400", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert validate_config(out / "config.json")[0].budget.unit is BudgetUnit.TOKEN
+        assert main(["validate", "--config", str(out / "config.json")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        # a MonoA model needs seed 400 + validation 400 + acquisition 399 from one language
+        assert lines and all(line.startswith("warning: ") and " tokens (seed " in line for line in lines)
+        assert any(" needs 1199 tokens " in line for line in lines)
 
     @pytest.mark.parametrize("train_size, warned", [(120, ["aa", "bb", "cc"]), (240, [])])
     def test_validate_warns_when_a_pool_is_too_small(self, tmp_path, capsys, train_size, warned):
@@ -775,13 +833,17 @@ class TestReportCommand:
          f"record.metrics.aa.accuracy: expected a number, got {10**400}"),
         (SIDECAR, 1, {"acquired": {"1": {"aa": 10**400, "bb": 1}}},
          f"curriculum.acquired.1.aa: expected an integer, got {10**400}"),
+        # amounts that each fit a float, but whose spend ratio does not
+        (SIDECAR, 1, {**EQUAL_SHARES, "acquired": {"1": {"aa": 10**308, "bb": 10**308}},
+                      "relative_difference": {"1": {"aa": 0.0, "bb": 0.0}}, "per_round_budget": 1},
+         "curriculum: round 1: cumulative spend ratio too large for a float"),
     ], ids=["results", "sidecar", "results-no-keys", "results-array", "sidecar-no-keys",
             "sidecar-number", "results-cell-list", "results-metrics-list", "results-metric-string",
             "results-language-number", "results-round-string", "results-al-string",
             "sidecar-round-not-a-number", "sidecar-budget-zero", "sidecar-round-zero",
             "sidecar-languages-differ", "sidecar-alpha-string", "sidecar-nan", "sidecar-identity",
             "sidecar-round-negative", "results-too-many-digits", "results-metric-beyond-float",
-            "sidecar-acquired-beyond-float"])
+            "sidecar-acquired-beyond-float", "sidecar-spend-ratio-beyond-float"])
     def test_invalid_json_is_a_runtime_error(self, finished_run, tmp_path, capsys, command,
                                              name, line, text, message):
         out = tmp_path / "out"

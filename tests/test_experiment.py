@@ -10,6 +10,7 @@ from lingalloc.errors import ConfigError
 from lingalloc.experiment import (
     AcquisitionEvent,
     BudgetSpec,
+    CurriculumReport,
     MultilingualData,
     Setting,
     SettingFamily,
@@ -426,6 +427,12 @@ class TestCurriculum:
         events = self._events([(1, "aa", 5)])
         with pytest.raises(ConfigError, match="^per-round budget must be positive$"):
             curriculum(events, {"aa": 100, "bb": 100}, per_round_budget=budget)
+
+    def test_spend_ratio_beyond_a_float_rejected(self):
+        # each amount fits a float, their sum over a per-round budget of 1 does not
+        with pytest.raises(ConfigError, match="^round 1: cumulative spend ratio too large for a float$"):
+            CurriculumReport({"aa": 0.5, "bb": 0.5}, {1: {"aa": 10**308, "bb": 10**308}},
+                             {1: {"aa": 0.0, "bb": 0.0}}, 1)
 
 
 def _fake_rounds(metric_value, rounds=2, langs=("aa", "bb")):

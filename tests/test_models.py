@@ -52,6 +52,14 @@ def tree_instance(iid, tokens, upos, heads, labels, language="en"):
     return Instance(iid, language, payload, len(tokens))
 
 
+def zero_model(cls, vocab):
+    """A `cls` over `vocab` whose weights are all zero, set as `fit` sets them."""
+    model = cls(SPACE)
+    model.vocab = tuple(vocab)
+    model.weights = model._zeros(model.vocab)
+    return model
+
+
 class TestFeatureSpace:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
@@ -310,7 +318,7 @@ class TestTextClassifier:
         assert np.array_equal(a.weights, b.weights)
 
     def test_zero_weights_give_uniform(self):
-        model = TextClassifier.with_zero_weights(SPACE, ("neg", "pos"))
+        model = zero_model(TextClassifier, ("neg", "pos"))
         proba = model.predict_proba(text_instance(0, "whatever"))
         assert np.allclose(proba, [0.5, 0.5])
 
@@ -323,7 +331,7 @@ class TestTextClassifier:
 
     def test_known_weights_match_hand_softmax(self):
         # uniform per-class weights make the logit c_k * (number of n-grams)
-        model = TextClassifier.with_zero_weights(SPACE, ("neg", "pos"))
+        model = zero_model(TextClassifier, ("neg", "pos"))
         model.weights[0, :] = 0.02
         model.weights[1, :] = -0.01
         text = "abc"
@@ -428,12 +436,12 @@ class TestSequenceTagger:
         assert np.allclose(probas.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_weights_uniform(self):
-        model = SequenceTagger.with_zero_weights(SPACE, ("B-PER", "O"))
+        model = zero_model(SequenceTagger, ("B-PER", "O"))
         probas = model.predict_tag_probas(tagged_instance(0, ["x", "y"], ["O", "O"]))
         assert np.allclose(probas, 0.5)
 
     def test_known_weights_match_hand_softmax(self):
-        model = SequenceTagger.with_zero_weights(SPACE, ("B-PER", "O"))
+        model = zero_model(SequenceTagger, ("B-PER", "O"))
         model.weights[0, :] = 0.05
         tokens = ("ab",)
         vecs = featurize_tokens(tokens, SPACE)
@@ -466,7 +474,7 @@ def _parse_fixture():
 
 class TestDependencyParser:
     def test_single_token_points_to_root(self):
-        model = DependencyParser.with_zero_weights(SPACE, ("root",))
+        model = zero_model(DependencyParser, ("root",))
         head_probs, _ = model.predict_arc_probas(
             tree_instance(0, ("solo",), ("X",), (0,), ("root",))
         )
@@ -475,7 +483,7 @@ class TestDependencyParser:
         assert tree.heads == (0,)
 
     def test_zero_weights_uniform_heads(self):
-        model = DependencyParser.with_zero_weights(SPACE, ("root",))
+        model = zero_model(DependencyParser, ("root",))
         inst = tree_instance(0, ("a", "b"), ("X", "Y"), (0, 1), ("root", "dep"))
         head_probs, _ = model.predict_arc_probas(inst)
         assert np.allclose(head_probs[[0, 2], 0], 0.5)
@@ -484,7 +492,7 @@ class TestDependencyParser:
 
     def test_probability_columns_normalized(self):
         rng = np.random.default_rng(9)
-        model = DependencyParser.with_zero_weights(SPACE, ("a", "b"))
+        model = zero_model(DependencyParser, ("a", "b"))
         model.weights[0] = rng.normal(0, 0.3, SPACE.hash_dimension)
         inst = tree_instance(0, ("x", "yy", "zzz"), ("A", "B", "C"), (0, 1, 2), ("a", "b", "a"))
         head_probs, label_probs = model.predict_arc_probas(inst)
@@ -497,7 +505,7 @@ class TestDependencyParser:
 
     def test_known_weights_match_hand_softmax(self):
         rng = np.random.default_rng(21)
-        model = DependencyParser.with_zero_weights(SPACE, ("a",))
+        model = zero_model(DependencyParser, ("a",))
         model.weights[0] = rng.normal(0, 0.4, SPACE.hash_dimension)
         inst = tree_instance(0, ("foo", "bar"), ("N", "V"), (0, 1), ("a", "a"))
         zs = []
@@ -522,7 +530,7 @@ class TestDependencyParser:
 
     def test_decode_matches_enumeration(self):
         rng = np.random.default_rng(33)
-        model = DependencyParser.with_zero_weights(SPACE, ("a",))
+        model = zero_model(DependencyParser, ("a",))
         model.weights[0] = rng.normal(0, 0.5, SPACE.hash_dimension)
         inst = tree_instance(0, ("uno", "dos", "tres"), ("A", "B", "C"), (0, 1, 1), ("a", "a", "a"))
         head_probs, _ = model.predict_arc_probas(inst)
@@ -558,7 +566,7 @@ class TestBuildModel:
     )
     def test_zero_weights_shape(self, cls, rows):
         # the parser's arc scorer is row 0, ahead of one row per label
-        model = cls.with_zero_weights(SPACE, ("a", "b"))
+        model = zero_model(cls, ("a", "b"))
         assert model.weights.shape == (rows, SPACE.hash_dimension)
         assert not model.weights.any()
 
@@ -619,6 +627,14 @@ class TestEvaluationSet:
     def test_empty_set_counts_nothing(self, task, expected):
         model = self._fitted(task)[0]
         assert model.evaluate(model.evaluation_set([])) == expected == model.evaluate([])
+
+    def test_tagger_rejects_an_unannotated_sentence(self):
+        model, _, _, tests = self._fitted(TaskKind.SEQUENCE_TAGGING)
+        unannotated = replace(tests[0], payload=replace(tests[0].payload, tags=None))
+        instances = [tests[1], unannotated]
+        for evaluation in (model.evaluation_set(instances), instances):
+            with pytest.raises(EvaluationError, match="^sentence 1 lacks tag annotations$"):
+                model.evaluate(evaluation)
 
     def test_parser_rejects_an_empty_or_unannotated_set(self):
         model, _, _, tests = self._fitted(TaskKind.DEPENDENCY_PARSING)
