@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one benchmark workload over alternating pairs of runs.
+"""Compare two checkouts on benchmark workloads over alternating pairs of runs.
 
-    python scripts/bench_pairs.py A B --workload cls_grid --pairs 10 --seconds 20 [--seed 0] [--json PATH]
+    python scripts/bench_pairs.py A B --workload cls_grid [--workload W ...] --pairs 10 --seconds 20 [--seed 0] [--json PATH]
 
 A and B are checkout roots, each with `perfbench/run.py` and `src/lingalloc`.
 Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T --trace 0`
@@ -13,15 +13,18 @@ For each end-to-end metric of A's `BENCHMARK.json` it prints the median of A
 and of B, A's quartiles (`statistics.quantiles`), how many pairs B won in the
 metric's `better` direction, and the median gap in that direction as a share
 of A's median, marked `BEYOND` when it is worse than the metric's bound.
-It exits 1 when a run fails or reports wrong outputs, or when a metric of B
-is worse than A's beyond its bound, else 0. Neither checkout is changed.
+Several `--workload` options are compared one after the other, each with
+the same pairs, seeds and seconds. It exits 1 when a run fails or reports
+wrong outputs, or when a metric of B is worse than A's beyond its bound on
+any workload, else 0. Neither checkout is changed.
 
 With `--json PATH` it also writes what it prints to PATH as one JSON object:
 each checkout's commit (read from its `.git` as `perfbench/run.py` reads
 it), each pair's seed, run order and per-side metric values, the counts of
 runs not correct and of failed operations, and per end-to-end metric the
 medians, A's quartiles, B's wins, the gap, the bound and whether the gap is
-beyond it.
+beyond it. With several workloads the file holds one such object per
+workload, keyed by its name.
 """
 
 import argparse
@@ -36,12 +39,16 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="checkout root of the baseline")
     parser.add_argument("b", type=Path, help="checkout root of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload to compare; repeat for several")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", type=Path, help="also write the comparison to this file")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if len(set(args.workload)) < len(args.workload):
+        parser.error("a workload is given more than once")
+    return args
 
 
 def git_sha(root: Path):
@@ -89,9 +96,8 @@ def compare(metric: dict, a: list, b: list) -> dict:
             "gap": gap, "bound": metric["bound"], "beyond": gap > metric["bound"]}
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    metrics = json.loads((args.a / "BENCHMARK.json").read_text())["end_to_end"]
+def compare_workload(args, workload: str, metrics: list) -> dict:
+    """Run the pairs of one workload, print the comparison and return it as a report."""
     runs = {"A": [], "B": []}
     pairs = []
     for i in range(args.pairs):
@@ -100,7 +106,7 @@ def main(argv=None) -> int:
         pair = {"pair": i, "seed": seed, "order": list(order)}
         for side in order:
             root = args.a if side == "A" else args.b
-            out = bench(root, args.workload, seed, args.seconds)
+            out = bench(root, workload, seed, args.seconds)
             runs[side].append(out)
             pair[side] = {"correct": out["correct"], "failed": out["failed"],
                           "metrics": {name: m["value"] for name, m in out["metrics"].items()}}
@@ -128,13 +134,24 @@ def main(argv=None) -> int:
         won = f"{row['b_won']}/{row['pairs']}"
         print(f"{name:<12} {row['a_median']:>11.5g} {f'{q1:.5g}-{q3:.5g}':>23} {row['b_median']:>11.5g} "
               f"{won:>6} {row['gap']:>+8.2%} {row['bound']:>6.0%}{'  BEYOND' if row['beyond'] else ''}")
+    return {"workload": workload, "seconds": args.seconds, "seed": args.seed,
+            "commits": {"A": git_sha(args.a), "B": git_sha(args.b)}, "pairs": pairs,
+            "not_correct": not_correct, "failed": failed, "metrics": rows,
+            "exit_status": int(status)}
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    metrics = json.loads((args.a / "BENCHMARK.json").read_text())["end_to_end"]
+    reports = {}
+    for workload in args.workload:
+        if len(args.workload) > 1:
+            print(f"workload {workload}", flush=True)
+        reports[workload] = compare_workload(args, workload, metrics)
     if args.json is not None:
-        report = {"workload": args.workload, "seconds": args.seconds, "seed": args.seed,
-                  "commits": {"A": git_sha(args.a), "B": git_sha(args.b)}, "pairs": pairs,
-                  "not_correct": not_correct, "failed": failed, "metrics": rows,
-                  "exit_status": int(status)}
-        args.json.write_text(json.dumps(report, indent=1) + "\n")
-    return int(status)
+        stored = reports if len(reports) > 1 else reports[args.workload[0]]
+        args.json.write_text(json.dumps(stored, indent=1) + "\n")
+    return max(report["exit_status"] for report in reports.values())
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ tokens. Arc scores live in log space. All functions here are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import eq, itemgetter, sub
 
 import numpy as np
 
@@ -60,9 +63,11 @@ class ArcScores:
         m = np.asarray(matrix, dtype=np.float64).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1] + 1 or m.shape[1] < 1:
             raise DataError(f"arc score matrix must be (n+1) x n, got {m.shape}")
-        if np.isnan(m).any() or np.isposinf(m).any():
-            raise DataError("arc scores must be finite or -inf")
-        m[np.isneginf(m)] = FORBIDDEN
+        absent = ~np.isfinite(m)
+        if absent.any():
+            if not (m[absent] < 0).all():  # NaN or +inf
+                raise DataError("arc scores must be finite or -inf")
+            m[absent] = FORBIDDEN
         self.n = m.shape[1]
         self.scores = m
 
@@ -100,7 +105,7 @@ def _find_cycle(heads: list[int]) -> list[int] | None:
     return None
 
 
-def _contract(sq: np.ndarray) -> np.ndarray:
+def _contract(sq: np.ndarray) -> list[int]:
     """Single-root maximum arborescence by contracting the tokens to one node.
 
     Each node takes its best non-ROOT head; those choices close a cycle,
@@ -111,40 +116,85 @@ def _contract(sq: np.ndarray) -> np.ndarray:
     included (Zmigrod, Vieira & Cotterell, EMNLP 2020), so expanding the
     contractions in reverse gives an optimum. A ROOT arc into a node with
     no permitted non-ROOT head becomes hugely positive, as that node must
-    take it. Returns the full head array (index 0 unused).
+    take it.
+
+    Scores are Python lists, one per head row. A cycle becomes a new node
+    numbered after all others: it gets a row of its arcs out, and each live
+    row gets its arc into it appended. So the live nodes in ascending order
+    are the tokens left, then the cycles in the order they were made, and a
+    tie goes to the first of them. Each live node keeps its best head, that
+    head's score and how many live heads tie it from one level to the next
+    (Tarjan, Networks 1977): a column is searched again only when its best
+    head joins the cycle while another head ties it. A level is then one
+    pass over the cycle's rows and one over its columns. Returns the full
+    head list (index 0 unused).
     """
-    w = sq
+    n = sq.shape[0] - 1
+    w = sq.tolist()
+    top = sq[1:].max(axis=0)
+    best = (np.argmax(sq[1:], axis=0) + 1).tolist()
+    ties = np.count_nonzero(sq[1:] == top, axis=0).tolist()
+    score = top.tolist()  # a node's best score stays the same while it lives
+    live = list(range(1, n + 1))
     levels = []
-    while w.shape[0] > 2:
-        best = np.argmax(w[1:], axis=0) + 1
-        best[0] = 0
-        cycle = np.array(_find_cycle(best.tolist()))
-        outside = np.ones(w.shape[0], dtype=bool)
-        outside[cycle] = False
-        rest = np.flatnonzero(outside)  # ROOT first
-        k = len(rest)
-        leave = w[cycle[:, None], rest]
-        with np.errstate(over="ignore"):  # a must-take ROOT arc may reach +inf
-            enter = w[rest[:, None], cycle] - w[best[cycle], cycle]
-        leave_from = leave.argmax(axis=0)
-        enter_at = enter.argmax(axis=1)
-        sub = np.empty((k + 1, k + 1))
-        sub[:k, :k] = w[rest[:, None], rest]
-        sub[k, :k] = leave.max(axis=0)
-        sub[:k, k] = enter.max(axis=1)
-        sub[k, k] = -np.inf
-        levels.append((rest, cycle, best[cycle], cycle[leave_from], cycle[enter_at]))
-        w = sub
-    heads = np.zeros(2, dtype=np.int64)  # the last node hangs off ROOT
-    for rest, cycle, cycle_heads, leave_from, enter_at in reversed(levels):
-        k = len(rest)  # the cycle is node k of the contracted graph
-        inner = heads
-        heads = np.zeros(k + len(cycle), dtype=np.int64)
-        heads[cycle] = cycle_heads
-        h = inner[1:k]
-        heads[rest[1:]] = np.where(h == k, leave_from[1:], rest[np.minimum(h, k - 1)])
-        heads[enter_at[inner[k]]] = rest[inner[k]]
-    return heads
+    while len(live) > 1:
+        # each live node's best head is another live node, so the walk from
+        # the first one ends on the first cycle `_find_cycle` would report
+        walk = {}
+        v = live[0]
+        while v not in walk:
+            walk[v] = len(walk)
+            v = best[v]
+        cycle = sorted(list(walk)[walk[v]:])
+        c = len(w)
+        if len(cycle) == len(live):  # the last node: only the ROOT arc enters it
+            root = w[0]
+            root.append(max([root[m] - score[m] for m in cycle]))
+            levels.append((c, cycle, [], []))
+            break
+        members = set(cycle)
+        rest = [v for v in live if v not in members]
+        take = itemgetter(0, *rest)  # ROOT first, so one token left still gives a tuple
+        # arcs out: into each outside node from its first best cycle member
+        cols = list(zip(*[take(w[m]) for m in cycle]))[1:]
+        leave = list(map(max, cols))
+        leave_from = list(map(cycle.__getitem__, map(tuple.index, cols, leave)))
+        out = [-math.inf] * (c + 1)
+        for j, s in zip(rest, leave):
+            out[j] = s
+        for j in compress(rest, map(eq, leave, map(score.__getitem__, rest))):
+            if ties[j] == 1:  # its one best head is in the cycle
+                best[j] = c
+                continue
+            s = score[j]
+            ties[j] -= sum(w[m][j] == s for m in cycle) - 1  # the new node ties in their place
+            if best[j] in members:
+                best[j] = next(i for i in rest if w[i][j] == s) if ties[j] > 1 else c
+        # arcs in: each head's best gain over the cycle arc it would replace
+        rows = take(w)
+        enter = list(map(max, *[map(sub, map(itemgetter(m), rows), repeat(score[m]))
+                                for m in cycle]))
+        for row, s in zip(rows, enter):
+            row.append(s)
+        w.append(out)
+        levels.append((c, cycle, rest, leave_from))
+        into = enter[1:]
+        s = max(into)
+        best.append(rest[into.index(s)])
+        ties.append(into.count(s))
+        score.append(s)
+        live = [*rest, c]
+    heads = [0] * (len(w) + 1)  # the last node hangs off ROOT
+    for c, cycle, rest, leave_from in reversed(levels):
+        for j, m in zip(rest, leave_from):
+            if heads[j] == c:
+                heads[j] = m
+        h = heads[c]  # enters at the first member where its gain is largest
+        row = w[h]
+        for m in cycle:
+            heads[m] = best[m]
+        heads[next(m for m in cycle if row[m] - score[m] == row[c])] = h
+    return heads[: n + 1]
 
 
 def chu_liu_edmonds(scores: ArcScores) -> Arborescence:
@@ -161,7 +211,7 @@ def chu_liu_edmonds(scores: ArcScores) -> Arborescence:
     heads = np.argmax(sq, axis=0)
     heads[0] = 0
     if np.count_nonzero(heads[1:] == 0) != 1 or _find_cycle(heads.tolist()) is not None:
-        heads = _contract(sq)
+        heads = np.array(_contract(sq))
     deps = np.arange(1, scores.n + 1)
     forbidden = sq[heads[deps], deps] <= FORBIDDEN_THRESHOLD
     if forbidden.any():
@@ -180,12 +230,12 @@ def tree_log_prob(arc_probas: np.ndarray, tree: Arborescence) -> float:
     n = tree.n
     if probas.shape != (n + 1, n):
         raise DataError(f"probability matrix {probas.shape} does not match n={n}")
+    arcs = probas[tree.heads, np.arange(n)]
+    if (arcs <= 0.0).any():
+        return float("-inf")
     total = 0.0
-    for d, h in enumerate(tree.heads, start=1):
-        p = probas[h, d - 1]
-        if p <= 0.0:
-            return float("-inf")
-        total += float(np.log(p))
+    for logp in np.log(arcs).tolist():  # left to right, as the per-token sum
+        total += logp
     return total
 
 

@@ -6,6 +6,8 @@ stays deliberately naive; none of it shares code with the implementations
 under test. The one exception is the per-batch SGD loops, the reference for
 the epoch trainers: they take each batch's rows with `Rows.take` and call
 the objectives, which the example loops here and finite differences check.
+`sub_matrix_contract` is the decoder's earlier numpy form, kept to pin every
+tie of the list-based contraction that replaced it.
 """
 
 import itertools
@@ -231,6 +233,58 @@ def _unconstrained_mst(sq):
     entry = int(sub_heads[k])
     out[enter_choice[entry]] = rest[entry]
     return out
+
+
+def sub_matrix_contract(sq):
+    """Heads by the earlier numpy form of `graph._contract`: each level
+    rebuilds the contracted graph as a numpy sub-matrix, the cycle node last.
+
+    Same rules and ties as the list-based contraction (best non-ROOT head by
+    `np.argmax`, first cycle from the lowest start, first maximum for the
+    arcs out of and into the cycle), so the two must agree head for head.
+    """
+    w = sq
+    levels = []
+    while w.shape[0] > 2:
+        best = np.argmax(w[1:], axis=0) + 1
+        best[0] = 0
+        cycle = np.array(_head_cycle(best))
+        outside = np.ones(w.shape[0], dtype=bool)
+        outside[cycle] = False
+        rest = np.flatnonzero(outside)  # ROOT first
+        k = len(rest)
+        leave = w[cycle[:, None], rest]
+        with np.errstate(over="ignore"):  # a must-take ROOT arc may reach +inf
+            enter = w[rest[:, None], cycle] - w[best[cycle], cycle]
+        sub = np.empty((k + 1, k + 1))
+        sub[:k, :k] = w[rest[:, None], rest]
+        sub[k, :k] = leave.max(axis=0)
+        sub[:k, k] = enter.max(axis=1)
+        sub[k, k] = -np.inf
+        levels.append((rest, cycle, best[cycle], cycle[leave.argmax(axis=0)],
+                       cycle[enter.argmax(axis=1)]))
+        w = sub
+    heads = np.zeros(2, dtype=np.int64)  # the last node hangs off ROOT
+    for rest, cycle, cycle_heads, leave_from, enter_at in reversed(levels):
+        k = len(rest)  # the cycle is node k of the contracted graph
+        inner = heads
+        heads = np.zeros(k + len(cycle), dtype=np.int64)
+        heads[cycle] = cycle_heads
+        h = inner[1:k]
+        heads[rest[1:]] = np.where(h == k, leave_from[1:], rest[np.minimum(h, k - 1)])
+        heads[enter_at[inner[k]]] = rest[inner[k]]
+    return [int(h) for h in heads]
+
+
+def token_loop_tree_log_prob(probas, heads):
+    """Sum of log P(head | dependent), one token at a time; -inf at a zero."""
+    total = 0.0
+    for d, h in enumerate(heads, start=1):
+        p = probas[h, d - 1]
+        if p <= 0.0:
+            return float("-inf")
+        total += float(np.log(p))
+    return total
 
 
 def per_root_decoder(score_matrix):

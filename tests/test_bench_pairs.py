@@ -68,3 +68,39 @@ def test_json_holds_what_is_printed(bench_pairs, tmp_path, monkeypatch, capsys, 
     # without --json the exit status is the same and nothing is written
     path.unlink()
     assert bench_pairs.main(argv) == status and not path.exists()
+
+
+def test_several_workloads_keyed_by_name(bench_pairs, tmp_path, monkeypatch, capsys):
+    a, b = _checkouts(tmp_path)
+    calls = []
+
+    def bench(root, workload, seed, seconds):
+        calls.append((workload, root.name, seed))
+        slow = 1.5 if (workload, root) == ("slow", b) else 1.0
+        return {"correct": True, "failed": 0,
+                "metrics": {"run_s": {"value": slow}, "quality": {"value": 0.5}}}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    path = tmp_path / "bench.json"
+    argv = [str(a), str(b), "--workload", "fast", "--workload", "slow", "--pairs", "2",
+            "--seconds", "1", "--json", str(path)]
+    assert bench_pairs.main(argv) == 1
+    printed = capsys.readouterr().out
+    assert calls == [(w, side, seed) for w in ("fast", "slow")
+                     for seed, sides in ((0, "ab"), (1, "ba")) for side in sides]
+    report = json.loads(path.read_text())
+    assert list(report) == ["fast", "slow"]
+    assert [report[w]["workload"] for w in report] == ["fast", "slow"]
+    assert [report[w]["exit_status"] for w in report] == [0, 1]
+    assert report["slow"]["commits"] == {"A": "a" * 40, "B": "b" * 40}
+    assert report["slow"]["metrics"][0]["b_median"] == 1.5
+    assert printed.index("workload fast") < printed.index("workload slow")
+    assert printed.count("BEYOND") == 1
+
+
+def test_repeated_workload_rejected(bench_pairs, tmp_path):
+    a, b = _checkouts(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main([str(a), str(b), "--workload", "w", "--workload", "w",
+                          "--pairs", "1", "--seconds", "1"])
+    assert exc.value.code == 2

@@ -9,6 +9,7 @@ from lingalloc.graph import (
     FORBIDDEN,
     Arborescence,
     ArcScores,
+    _contract,
     chu_liu_edmonds,
     log_partition,
     tree_log_prob,
@@ -19,6 +20,8 @@ from oracles import (
     best_tree,
     logsumexp_over_trees,
     per_root_decoder,
+    sub_matrix_contract,
+    token_loop_tree_log_prob,
     tree_total,
 )
 
@@ -33,6 +36,16 @@ def root_preferring(rng, n, k, boost=8.0):
     logits[np.arange(1, n + 1), np.arange(n)] = -np.inf
     logits[0, rng.choice(n, size=k, replace=False)] += boost
     return logits - np.log(np.exp(logits).sum(axis=0))
+
+
+def random_tree(rng, n):
+    """Heads of a random tree: the tokens in a random order, each after the
+    first hanging off one placed before it."""
+    order = rng.permutation(np.arange(1, n + 1))
+    heads = [0] * n
+    for i in range(1, n):
+        heads[order[i] - 1] = int(order[rng.integers(i)])
+    return tuple(heads)
 
 
 def greedy_roots(m):
@@ -80,6 +93,10 @@ class TestArcScores:
     def test_rejects_nan(self):
         with pytest.raises(DataError):
             ArcScores([[np.nan], [0.0]])
+
+    def test_rejects_pos_inf(self):
+        with pytest.raises(DataError, match="finite or -inf"):
+            ArcScores([[0.0, 1.0], [np.inf, 0.0], [-np.inf, 2.0]])
 
 
 class TestChuLiuEdmonds:
@@ -239,6 +256,25 @@ class TestChuLiuEdmonds:
                 tree = chu_liu_edmonds(ArcScores(m))
                 assert tree_total(m, tree.heads) == pytest.approx(totals.max(), abs=1e-9)
 
+    def test_contract_matches_sub_matrix_oracle_on_ties(self):
+        # small integer scores tie often, and with many -inf arcs some tokens
+        # must take their ROOT arc; every head, ties included, is the old
+        # decoder's
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            n = int(rng.integers(1, 31))
+            m = rng.integers(-2, 3, size=(n + 1, n)).astype(np.float64)
+            m[rng.random(size=m.shape) < rng.uniform(0, 0.6)] = -np.inf
+            sq = ArcScores(m).square()
+            assert _contract(sq) == sub_matrix_contract(sq)
+
+    @pytest.mark.parametrize("n", [50, 100, 175])
+    def test_contract_matches_sub_matrix_oracle_on_long_sentences(self, n):
+        rng = np.random.default_rng(n)
+        for k in (2, 8, n // 2):
+            sq = ArcScores(root_preferring(rng, n, k)).square()
+            assert _contract(sq) == sub_matrix_contract(sq)
+
     def test_many_root_preferring_tokens_decode_quickly(self):
         m = root_preferring(np.random.default_rng(23), 150, 8)
         assert greedy_roots(m) >= 8
@@ -291,6 +327,17 @@ class TestTreeLogProb:
             )
             got = tree_log_prob(probas, Arborescence(heads))
             assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_equals_token_loop_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            raw = rng.uniform(0.0, 1.0, size=(n + 1, n)) ** 3
+            probas = raw / raw.sum(axis=0)
+            heads = random_tree(rng, n)
+            assert tree_log_prob(probas, Arborescence(heads)) == token_loop_tree_log_prob(
+                probas, heads
+            )
 
 
 class TestLogPartition:
