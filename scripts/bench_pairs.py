@@ -13,6 +13,9 @@ For each end-to-end metric of A's `BENCHMARK.json` it prints the median of A
 and of B, A's quartiles (`statistics.quantiles`), how many pairs B won in the
 metric's `better` direction, and the median gap in that direction as a share
 of A's median, marked `BEYOND` when it is worse than the metric's bound.
+A metric is marked `GAIN` when B won at least 9 of every 10 pairs (a tie
+counts for neither side) and its median is better than A's by more than
+A's quartile spread, the rule for claiming a gain.
 Several `--workload` options are compared one after the other, each with
 the same pairs, seeds and seconds. It exits 1 when a run fails or reports
 wrong outputs, or when a metric of B is worse than A's beyond its bound on
@@ -22,9 +25,9 @@ With `--json PATH` it also writes what it prints to PATH as one JSON object:
 each checkout's commit (read from its `.git` as `perfbench/run.py` reads
 it), each pair's seed, run order and per-side metric values, the counts of
 runs not correct and of failed operations, and per end-to-end metric the
-medians, A's quartiles, B's wins, the gap, the bound and whether the gap is
-beyond it. With several workloads the file holds one such object per
-workload, keyed by its name.
+medians, A's quartiles, B's wins, the gap, the bound, whether the gap is
+beyond it and whether B gains (`gain`). With several workloads the file
+holds one such object per workload, keyed by its name.
 """
 
 import argparse
@@ -90,10 +93,12 @@ def compare(metric: dict, a: list, b: list) -> dict:
     # positive when B is worse than A
     worse = (b_med - a_med) if lower else (a_med - b_med)
     gap = worse / abs(a_med) if a_med else worse
+    won = sum(y < x if lower else y > x for x, y in zip(a, b))
     return {"name": metric["name"], "unit": metric["unit"], "better": metric["better"],
             "a_median": a_med, "a_quartiles": [q1, q3], "b_median": b_med,
-            "b_won": sum(y < x if lower else y > x for x, y in zip(a, b)), "pairs": len(a),
-            "gap": gap, "bound": metric["bound"], "beyond": gap > metric["bound"]}
+            "b_won": won, "pairs": len(a), "gap": gap, "bound": metric["bound"],
+            "beyond": gap > metric["bound"],
+            "gain": 10 * won >= 9 * len(a) and -worse > q3 - q1}
 
 
 def compare_workload(args, workload: str, metrics: list) -> dict:
@@ -133,7 +138,8 @@ def compare_workload(args, workload: str, metrics: list) -> dict:
         q1, q3 = row["a_quartiles"]
         won = f"{row['b_won']}/{row['pairs']}"
         print(f"{name:<12} {row['a_median']:>11.5g} {f'{q1:.5g}-{q3:.5g}':>23} {row['b_median']:>11.5g} "
-              f"{won:>6} {row['gap']:>+8.2%} {row['bound']:>6.0%}{'  BEYOND' if row['beyond'] else ''}")
+              f"{won:>6} {row['gap']:>+8.2%} {row['bound']:>6.0%}{'  BEYOND' if row['beyond'] else ''}"
+              f"{'  GAIN' if row['gain'] else ''}")
     return {"workload": workload, "seconds": args.seconds, "seed": args.seed,
             "commits": {"A": git_sha(args.a), "B": git_sha(args.b)}, "pairs": pairs,
             "not_correct": not_correct, "failed": failed, "metrics": rows,

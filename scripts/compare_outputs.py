@@ -5,10 +5,12 @@
 
 A and B are checkout roots, each with a `src/lingalloc`. For every seed
 (default: 0 alone) and for classification, tagging and parsing, each
-checkout's own CLI runs `synth --seed S`, then `validate` on that config and
-on a copy with ten times its budget, whose standard output and error (the
-config echo and the pool warnings) are kept in `validate.txt` with the
-checkout's work directory written as `<work>`. `validate` must reject each
+checkout's own CLI runs `synth --seed S`; parsing's config also gets SMA
+settings with `nlpdt_n2` and `nlpdt_global`, so all three tree scores are
+compared. Then `validate` runs on that config and on a copy with ten times
+its budget, whose standard output and error (the config echo and the pool
+warnings) are kept in `validate.txt` with the checkout's work directory
+written as `<work>`. `validate` must reject each
 config of `_invalid`, and its error lines are kept in `invalid.txt` the
 same way. Then the CLI runs `run --jobs 1` and `run --jobs 2` into two
 output directories, then `report` and `curriculum` on both. Before those,
@@ -42,6 +44,9 @@ LANGUAGES = "aa,bb,cc"
 # seed, validation and acquisition budgets, so no AL arm copies its random arm
 SIZES = {"classification": (200, 60), "tagging": (80, 120), "parsing": (60, 80)}
 STRATEGY = {"classification": "lc", "tagging": "mnlp", "parsing": "nlpdt"}
+# SMA settings added to the synthesized ones, so that parsing runs every tree
+# score `experiment._score_pool` computes
+MORE_STRATEGIES = {"parsing": ("nlpdt_n2", "nlpdt_global")}
 TEST_SIZE = 20
 # over 200 instances per language, a MonoA pool keeps 80 unlabeled after its
 # seed and validation draws (60 each) and buys 50 per round, so it runs out in
@@ -97,6 +102,8 @@ def produce(root: Path, work: Path, seed: int) -> None:
         config_path = corpus / "config.json"
         config = json.loads(config_path.read_text())
         config.update(replicates=2, training=TRAINING)
+        config["settings"] += [{"kind": "sma", "strategy": strategy}
+                               for strategy in MORE_STRATEGIES.get(task, ())]
         config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
         # ten times the budget: every model needs more than its pool holds and warns
         tight_path = corpus / "tight.json"

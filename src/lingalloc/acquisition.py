@@ -98,7 +98,10 @@ def nlpdt_score(
     Plain: divide by token count. N2: divide by its square. Global: subtract
     the log partition over all single-root trees, giving the tree's log share
     of the total mass (always <= 0, no length normalization needed).
+    Raises ScoringError when `n_tokens` is below one.
     """
+    if n_tokens < 1:
+        raise ScoringError(f"a tree needs at least one token, got n_tokens={n_tokens}")
     logp = tree_log_prob(arc_probas, tree)
     if variant is StrategyKind.NLPDT:
         return logp / n_tokens

@@ -1,7 +1,9 @@
 """Maximum spanning arborescence decoding and arborescence partition functions.
 
 Sentences are rooted graphs: node 0 is an artificial ROOT, nodes 1..n are the
-tokens. Arc scores live in log space. All functions here are pure.
+tokens. Arc scores live in log space; a -inf score (no arc) and the FORBIDDEN
+sentinel it is stored as behave alike, and a token's arc to itself is masked
+wherever trees are decoded or counted. All functions here are pure.
 """
 
 from __future__ import annotations
@@ -55,19 +57,18 @@ class ArcScores:
     """Dense (n+1) x n matrix of arc log-scores.
 
     Row h in {0..n} is the head (0 = ROOT), column j holds dependent d = j+1.
-    Non-finite entries (-inf) are replaced by the FORBIDDEN sentinel so that
-    downstream arithmetic stays NaN-free.
+    -inf entries (no arc) become the finite FORBIDDEN sentinel, which every
+    function here treats as -inf, so arithmetic stays NaN-free. Self-arcs
+    (row d, column d-1) are kept as given; decoding and counting mask them.
     """
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=np.float64).copy()
+        m = np.array(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] + 1 or m.shape[1] < 1:
             raise DataError(f"arc score matrix must be (n+1) x n, got {m.shape}")
-        absent = ~np.isfinite(m)
-        if absent.any():
-            if not (m[absent] < 0).all():  # NaN or +inf
-                raise DataError("arc scores must be finite or -inf")
-            m[absent] = FORBIDDEN
+        if not (m < np.inf).all():  # NaN or +inf
+            raise DataError("arc scores must be finite or -inf")
+        m[m == -np.inf] = FORBIDDEN
         self.n = m.shape[1]
         self.scores = m
 
@@ -79,7 +80,7 @@ class ArcScores:
         n = self.n
         sq = np.full((n + 1, n + 1), -np.inf)
         sq[:, 1:] = self.scores
-        sq[np.arange(1, n + 1), np.arange(1, n + 1)] = -np.inf
+        sq.flat[n + 2 :: n + 2] = -np.inf
         return sq
 
 
@@ -105,7 +106,16 @@ def _find_cycle(heads: list[int]) -> list[int] | None:
     return None
 
 
-def _contract(sq: np.ndarray) -> list[int]:
+def _best_heads(sq: np.ndarray) -> tuple[list, list, list, list]:
+    """The rows of a square score matrix as lists, and per column its best
+    non-ROOT score, the first head with that score and how many heads have it."""
+    inner = sq[1:]
+    top = inner.max(axis=0)
+    ties = (inner == top).sum(axis=0).tolist()
+    return sq.tolist(), top.tolist(), (inner.argmax(axis=0) + 1).tolist(), ties
+
+
+def _contract(w: list, score: list, best: list, ties: list) -> list[int]:
     """Single-root maximum arborescence by contracting the tokens to one node.
 
     Each node takes its best non-ROOT head; those choices close a cycle,
@@ -118,23 +128,22 @@ def _contract(sq: np.ndarray) -> list[int]:
     no permitted non-ROOT head becomes hugely positive, as that node must
     take it.
 
-    Scores are Python lists, one per head row. A cycle becomes a new node
-    numbered after all others: it gets a row of its arcs out, and each live
-    row gets its arc into it appended. So the live nodes in ascending order
-    are the tokens left, then the cycles in the order they were made, and a
-    tie goes to the first of them. Each live node keeps its best head, that
-    head's score and how many live heads tie it from one level to the next
-    (Tarjan, Networks 1977): a column is searched again only when its best
-    head joins the cycle while another head ties it. A level is then one
-    pass over the cycle's rows and one over its columns. Returns the full
-    head list (index 0 unused).
+    `w` holds the scores of the square matrix as Python lists, one per head
+    row, and `score`, `best` and `ties` each token's best non-ROOT score,
+    that head and how many heads tie it (`_best_heads`); all four change in
+    place, but rows 0..n keep their first n+1 entries. A cycle becomes a new
+    node numbered after all others: it gets a row of its arcs out, and each
+    live row gets its arc into it appended. So the live nodes in ascending
+    order are the tokens left, then the cycles in the order they were made,
+    and a tie goes to the first of them. Each live node keeps its best head,
+    that head's score and how many live heads tie it from one level to the
+    next (Tarjan, Networks 1977): a node's best score stays the same while
+    it lives, and a column is searched again only when its best head joins
+    the cycle while another head ties it. A level is then one pass over the
+    cycle's rows and one over its columns. Returns the full head list
+    (index 0 unused).
     """
-    n = sq.shape[0] - 1
-    w = sq.tolist()
-    top = sq[1:].max(axis=0)
-    best = (np.argmax(sq[1:], axis=0) + 1).tolist()
-    ties = np.count_nonzero(sq[1:] == top, axis=0).tolist()
-    score = top.tolist()  # a node's best score stays the same while it lives
+    n = len(w) - 1
     live = list(range(1, n + 1))
     levels = []
     while len(live) > 1:
@@ -207,17 +216,15 @@ def chu_liu_edmonds(scores: ArcScores) -> Arborescence:
     contracted cycle being numbered after the nodes left outside it. Raises
     InfeasibleTreeError when no single-root tree of permitted arcs exists.
     """
-    sq = scores.square()
-    heads = np.argmax(sq, axis=0)
-    heads[0] = 0
-    if np.count_nonzero(heads[1:] == 0) != 1 or _find_cycle(heads.tolist()) is not None:
-        heads = np.array(_contract(sq))
-    deps = np.arange(1, scores.n + 1)
-    forbidden = sq[heads[deps], deps] <= FORBIDDEN_THRESHOLD
-    if forbidden.any():
-        d = int(deps[forbidden][0])
-        raise InfeasibleTreeError(f"no single-root tree of permitted arcs (dependent {d})")
-    return Arborescence(tuple(int(h) for h in heads[1:]))
+    w, score, best, ties = _best_heads(scores.square())
+    # each token's best head, ROOT included and winning a tie; entry 0 is unused
+    heads = [0 if r >= s else b for r, s, b in zip(w[0], score, best)]
+    if heads.count(0) != 2 or _find_cycle(heads) is not None:  # not one ROOT arc, or a cycle
+        heads = _contract(w, score, best, ties)
+    for d, h in enumerate(heads[1:], start=1):  # `_contract` leaves rows 0..n as they were
+        if w[h][d] <= FORBIDDEN_THRESHOLD:
+            raise InfeasibleTreeError(f"no single-root tree of permitted arcs (dependent {d})")
+    return Arborescence(tuple(heads[1:]))
 
 
 def tree_log_prob(arc_probas: np.ndarray, tree: Arborescence) -> float:
@@ -245,28 +252,30 @@ def log_partition(scores: ArcScores) -> float:
     Uses the directed matrix-tree construction restricted to single-root
     trees: build the in-degree Laplacian over tokens from non-ROOT arc
     weights, replace its first row with the ROOT arc weights, and take the
-    log-determinant. Each dependent's column is shifted by its maximum
-    log-score before exponentiation; the shifts are added back at the end.
-    Raises InfeasibleTreeError when no single-root tree of permitted arcs
-    exists, and NumericalError when one exists but the determinant is not
-    positive (the permitted trees' weights underflow).
+    log-determinant. Self-arcs are masked to -inf. Each dependent's column
+    is shifted by its maximum log-score before exponentiation, all in one
+    copy of the scores; the shifts are added back at the end. A FORBIDDEN
+    arc and a -inf one both get weight exactly 0.0. Raises
+    InfeasibleTreeError when no single-root tree of permitted arcs exists,
+    and NumericalError when one exists but the determinant is not positive
+    (the permitted trees' weights underflow).
     """
     n = scores.n
-    sq = scores.square()
-    col_max = sq[:, 1:].max(axis=0)
+    weights = scores.scores.copy()
+    weights.flat[n :: n + 1] = -np.inf  # the self-arcs, (d, d-1) for d = 1..n
+    col_max = weights.max(axis=0)
     if (col_max <= FORBIDDEN_THRESHOLD).any():
         bad = int(np.argmax(col_max <= FORBIDDEN_THRESHOLD)) + 1
         raise InfeasibleTreeError(f"dependent {bad} has no permitted head arc")
-    shifted = sq[:, 1:] - col_max[None, :]
+    weights -= col_max
     with np.errstate(under="ignore"):
-        weights = np.exp(shifted)  # forbidden arcs underflow to exactly 0
-    root_w = weights[0]
-    inner = weights[1:, :]  # inner[h-1, d-1] = weight of arc h -> d; diagonal is 0
-    lap_hat = -inner.copy()
-    lap_hat[np.diag_indices(n)] = inner.sum(axis=0)
-    lap_hat[0, :] = root_w
+        np.exp(weights, out=weights)  # forbidden arcs and self-arcs become exactly 0
+    inner = weights[1:]  # inner[h-1, d-1] = weight of arc h -> d; diagonal is 0
+    lap_hat = -inner
+    lap_hat.flat[:: n + 1] = inner.sum(axis=0)
+    lap_hat[0] = weights[0]
     sign, logdet = np.linalg.slogdet(lap_hat)
-    if sign <= 0 or not np.isfinite(logdet):
+    if sign <= 0 or not math.isfinite(logdet):
         chu_liu_edmonds(ArcScores(np.where(scores.scores > FORBIDDEN_THRESHOLD, 0.0, -np.inf)))
         cond = float(np.linalg.cond(lap_hat)) if n > 0 else float("nan")
         raise NumericalError(

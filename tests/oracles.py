@@ -7,7 +7,8 @@ under test. The one exception is the per-batch SGD loops, the reference for
 the epoch trainers: they take each batch's rows with `Rows.take` and call
 the objectives, which the example loops here and finite differences check.
 `sub_matrix_contract` is the decoder's earlier numpy form, kept to pin every
-tie of the list-based contraction that replaced it.
+tie of the list-based contraction that replaced it, and `square_log_partition`
+the log-partition's earlier form on the square matrix, kept to pin its bits.
 """
 
 import itertools
@@ -274,6 +275,63 @@ def sub_matrix_contract(sq):
         heads[rest[1:]] = np.where(h == k, leave_from[1:], rest[np.minimum(h, k - 1)])
         heads[enter_at[inner[k]]] = rest[inner[k]]
     return [int(h) for h in heads]
+
+
+def _single_root_tree_exists(permitted):
+    """Whether some token with a permitted ROOT arc reaches every token over
+    permitted non-ROOT arcs; `permitted` is (n+1) x n, self-arcs ignored."""
+    n = permitted.shape[1]
+    for r in range(1, n + 1):
+        if not permitted[0, r - 1]:
+            continue
+        seen, todo = {r}, [r]
+        while todo:
+            h = todo.pop()
+            for d in range(1, n + 1):
+                if d != h and d not in seen and permitted[h, d - 1]:
+                    seen.add(d)
+                    todo.append(d)
+        if len(seen) == n:
+            return True
+    return False
+
+
+def square_log_partition(matrix):
+    """`graph.log_partition(ArcScores(matrix))` as it was computed on the
+    (n+1) x (n+1) square matrix with -inf in column 0 and on the diagonal,
+    raising the same errors: DataError for a NaN or +inf score,
+    InfeasibleTreeError when no single-root tree of permitted arcs exists and
+    NumericalError when the trees' weights underflow."""
+    from lingalloc.errors import DataError, InfeasibleTreeError, NumericalError
+
+    m = np.asarray(matrix, dtype=np.float64).copy()
+    if m.ndim != 2 or m.shape[0] != m.shape[1] + 1 or m.shape[1] < 1:
+        raise DataError(f"arc score matrix must be (n+1) x n, got {m.shape}")
+    absent = ~np.isfinite(m)
+    if absent.any():
+        if not (m[absent] < 0).all():
+            raise DataError("arc scores must be finite or -inf")
+        m[absent] = _FORBIDDEN
+    n = m.shape[1]
+    sq = np.full((n + 1, n + 1), -np.inf)
+    sq[:, 1:] = m
+    sq[np.arange(1, n + 1), np.arange(1, n + 1)] = -np.inf
+    col_max = sq[:, 1:].max(axis=0)
+    if (col_max <= _FORBIDDEN / 2).any():
+        raise InfeasibleTreeError("a dependent has no permitted head arc")
+    shifted = sq[:, 1:] - col_max[None, :]
+    with np.errstate(under="ignore"):
+        weights = np.exp(shifted)
+    inner = weights[1:, :]
+    lap_hat = -inner.copy()
+    lap_hat[np.diag_indices(n)] = inner.sum(axis=0)
+    lap_hat[0, :] = weights[0]
+    sign, logdet = np.linalg.slogdet(lap_hat)
+    if sign <= 0 or not np.isfinite(logdet):
+        if not _single_root_tree_exists(m > _FORBIDDEN / 2):
+            raise InfeasibleTreeError("no single-root tree of permitted arcs")
+        raise NumericalError("laplacian determinant not positive")
+    return float(col_max.sum() + logdet)
 
 
 def token_loop_tree_log_prob(probas, heads):

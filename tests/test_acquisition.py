@@ -86,6 +86,14 @@ class TestNlpdtScore:
         for variant in (StrategyKind.NLPDT, StrategyKind.NLPDT_N2, StrategyKind.NLPDT_GLOBAL):
             assert nlpdt_score(probas, tree, 1, variant) == 0.0
 
+    @pytest.mark.parametrize("variant", [StrategyKind.NLPDT, StrategyKind.NLPDT_N2,
+                                         StrategyKind.NLPDT_GLOBAL])
+    @pytest.mark.parametrize("n_tokens", [0, -1])
+    def test_rejects_fewer_than_one_token(self, variant, n_tokens):
+        probas = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ScoringError):
+            nlpdt_score(probas, Arborescence((0, 1)), n_tokens, variant)
+
     def test_two_token_normalizations(self):
         probas = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
         tree = Arborescence((0, 1))

@@ -104,3 +104,38 @@ def test_repeated_workload_rejected(bench_pairs, tmp_path):
         bench_pairs.main([str(a), str(b), "--workload", "w", "--workload", "w",
                           "--pairs", "1", "--seconds", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("b_runs, gain", [
+    # A runs 1.0, 1.1, ..., 1.9: median 1.45, quartiles 1.175 and 1.725.
+    # 9 of 10 pairs won, median 0.85: 0.6 better against a spread of 0.55
+    ([0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.95], True),
+    # 8 of 10 won
+    ([0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.95, 1.95], False),
+    # 8 won and 2 tied: a tie counts for neither side
+    ([0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.8, 1.9], False),
+    # 10 of 10 won, but the median only 0.05 better
+    ([0.95, 1.05, 1.15, 1.25, 1.35, 1.45, 1.55, 1.65, 1.75, 1.85], False),
+])
+def test_gain_needs_nine_of_ten_and_a_gap_beyond_the_spread(
+        bench_pairs, tmp_path, monkeypatch, capsys, b_runs, gain):
+    a, b = _checkouts(tmp_path)
+    a_runs = [1.0 + i / 10 for i in range(10)]
+
+    def bench(root, workload, seed, seconds):
+        run_s = (b_runs if root == b else a_runs)[seed]
+        # quality better on B in every pair, by more than A's spread of zero
+        quality = 0.6 if root == b else 0.5
+        return {"correct": True, "failed": 0,
+                "metrics": {"run_s": {"value": run_s}, "quality": {"value": quality}}}
+
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    path = tmp_path / "bench.json"
+    assert bench_pairs.main([str(a), str(b), "--workload", "w", "--pairs", "10", "--seconds", "1",
+                             "--json", str(path)]) == 0
+    printed = capsys.readouterr().out
+    run_s, quality = json.loads(path.read_text())["metrics"]
+    assert run_s["gain"] is gain and quality["gain"] is True
+    for row in (run_s, quality):
+        line = next(line for line in printed.splitlines() if line.startswith(row["name"] + " "))
+        assert line.endswith("GAIN") == row["gain"]

@@ -4,11 +4,13 @@ import time
 import numpy as np
 import pytest
 
-from lingalloc.errors import DataError, InfeasibleTreeError, NumericalError
+from lingalloc.acquisition import StrategyKind, nlpdt_score
+from lingalloc.errors import DataError, InfeasibleTreeError, LingallocError, NumericalError
 from lingalloc.graph import (
     FORBIDDEN,
     Arborescence,
     ArcScores,
+    _best_heads,
     _contract,
     chu_liu_edmonds,
     log_partition,
@@ -20,6 +22,7 @@ from oracles import (
     best_tree,
     logsumexp_over_trees,
     per_root_decoder,
+    square_log_partition,
     sub_matrix_contract,
     token_loop_tree_log_prob,
     tree_total,
@@ -54,6 +57,34 @@ def greedy_roots(m):
     n = m.shape[1]
     m[np.arange(1, n + 1), np.arange(n)] = -np.inf
     return int((m.argmax(axis=0) == 0).sum())
+
+
+def partition_cases(rng):
+    """Log-score matrices for n = 1..25: random, tie-heavy, with forbidden
+    arcs, with arcs far enough below their column's best to underflow, and
+    with tokens preferring ROOT; then a few holding NaN or +inf."""
+    for n in range(1, 26):
+        for _ in range(3):
+            yield rng.uniform(-5.0, 5.0, size=(n + 1, n))
+            yield rng.integers(-2, 3, size=(n + 1, n)).astype(np.float64)
+            for m in (rng.integers(-2, 3, size=(n + 1, n)).astype(np.float64),
+                      rng.uniform(-700.0, 0.0, size=(n + 1, n))):
+                m[rng.random(size=m.shape) < rng.uniform(0.0, 0.8)] = -np.inf
+                yield m
+            yield root_preferring(rng, n, int(rng.integers(1, n + 1)))
+    for bad in (np.nan, np.inf):
+        for n in (1, 4, 25):
+            m = rng.uniform(-5.0, 5.0, size=(n + 1, n))
+            m[int(rng.integers(n + 1)), int(rng.integers(n))] = bad
+            yield m
+
+
+def outcome(f, *args):
+    """The hex of what f returns, or the name of the package error it raises."""
+    try:
+        return float.hex(f(*args))
+    except LingallocError as exc:
+        return type(exc).__name__
 
 
 class TestArborescence:
@@ -266,14 +297,14 @@ class TestChuLiuEdmonds:
             m = rng.integers(-2, 3, size=(n + 1, n)).astype(np.float64)
             m[rng.random(size=m.shape) < rng.uniform(0, 0.6)] = -np.inf
             sq = ArcScores(m).square()
-            assert _contract(sq) == sub_matrix_contract(sq)
+            assert _contract(*_best_heads(sq)) == sub_matrix_contract(sq)
 
     @pytest.mark.parametrize("n", [50, 100, 175])
     def test_contract_matches_sub_matrix_oracle_on_long_sentences(self, n):
         rng = np.random.default_rng(n)
         for k in (2, 8, n // 2):
             sq = ArcScores(root_preferring(rng, n, k)).square()
-            assert _contract(sq) == sub_matrix_contract(sq)
+            assert _contract(*_best_heads(sq)) == sub_matrix_contract(sq)
 
     def test_many_root_preferring_tokens_decode_quickly(self):
         m = root_preferring(np.random.default_rng(23), 150, 8)
@@ -407,3 +438,28 @@ class TestLogPartition:
     def test_large_scores_are_stabilized(self):
         s = ArcScores(np.full((3, 2), 500.0))
         assert log_partition(s) == pytest.approx(1000.0 + math.log(2.0), abs=1e-9)
+
+    def test_equals_square_oracle_bit_for_bit(self):
+        seen = set()
+        for m in partition_cases(np.random.default_rng(41)):
+            got = outcome(lambda: log_partition(ArcScores(m)))
+            assert got == outcome(square_log_partition, m)
+            seen.add(got if got.endswith("Error") else "value")
+        assert seen == {"value", "DataError", "InfeasibleTreeError", "NumericalError"}
+
+    def test_global_score_equals_square_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        seen = set()
+        for m in partition_cases(rng):
+            probs = np.exp(m)  # NaN and +inf stay, -inf becomes a zero probability
+            n = probs.shape[1]
+            heads = random_tree(rng, n)
+            tree = Arborescence(heads)
+            got = outcome(nlpdt_score, probs, tree, n, StrategyKind.NLPDT_GLOBAL)
+            with np.errstate(divide="ignore"):
+                log_probs = np.log(probs)
+            want = outcome(lambda: token_loop_tree_log_prob(probs, heads)
+                           - square_log_partition(log_probs))
+            assert got == want
+            seen.add(got if got.endswith("Error") else "value")
+        assert seen == {"value", "DataError", "InfeasibleTreeError", "NumericalError"}
