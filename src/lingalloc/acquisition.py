@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ScoringError
+from .errors import DataError, ScoringError
 from .graph import Arborescence, ArcScores, log_partition, tree_log_prob
 from .tasks import TaskKind
 
@@ -98,10 +98,14 @@ def nlpdt_score(
     Plain: divide by token count. N2: divide by its square. Global: subtract
     the log partition over all single-root trees, giving the tree's log share
     of the total mass (always <= 0, no length normalization needed).
-    Raises ScoringError when `n_tokens` is below one.
+    Raises ScoringError when `n_tokens` is below one, and DataError under
+    every variant when a probability is NaN or +inf, on a tree arc or not.
     """
     if n_tokens < 1:
         raise ScoringError(f"a tree needs at least one token, got n_tokens={n_tokens}")
+    arc_probas = np.asarray(arc_probas, dtype=np.float64)
+    if not (arc_probas < np.inf).all():  # NaN or +inf
+        raise DataError("arc probabilities must not be NaN or +inf")
     logp = tree_log_prob(arc_probas, tree)
     if variant is StrategyKind.NLPDT:
         return logp / n_tokens
@@ -109,7 +113,7 @@ def nlpdt_score(
         return logp / (n_tokens * n_tokens)
     if variant is StrategyKind.NLPDT_GLOBAL:
         with np.errstate(divide="ignore"):
-            log_scores = np.log(np.asarray(arc_probas, dtype=np.float64))
+            log_scores = np.log(arc_probas)
         return logp - log_partition(ArcScores(log_scores))
     raise ScoringError(f"{variant} is not a tree-probability variant")
 

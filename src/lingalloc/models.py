@@ -9,11 +9,11 @@ early stopping on the task metric. One `fit` and one `evaluate` serve all
 three (`_ModelBase`): each model supplies its gold labels, its epoch
 trainer (each epoch's rows gathered once, every mini-batch a slice of them)
 and its counter of the task's counts on an evaluation set (`EvalSet`): a
-validation or test set's payloads and feature rows, gathered once and
-counted on by every epoch and fit that validates or tests on it. The
-classifier holds its gold labels there as codes and counts hits as equal
-argmax codes; the tagger and parser count their predicted tag sequences
-and trees.
+validation or test set's payloads, feature rows and gold labels as codes,
+gathered once and counted on by every epoch and fit that validates or tests
+on it. Every counter compares arrays of codes: argmax classes, the BIO
+spans of argmax tags as int64 keys, or decoded heads and argmax arc labels;
+pool scores read the softmax of the logits.
 
 Features are computed once per process: the first time a model needs a
 text, a sentence's token windows or a sentence's arc candidates, they are
@@ -35,8 +35,7 @@ gradients are scattered with `np.bincount`, which adds terms in row order,
 so a batch's gradient is bit for bit the sum of its examples' gradients
 taken one after another. A training step adds each class's gradient into
 its weight row in place, with no objective value; the objectives serve the
-gradient checks. Validation and test predictions take whole-array argmaxes
-of the logits over an evaluation set; pool scores read their softmax.
+gradient checks.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DepTree, Instance
-from .errors import ConfigError, ModelStateError
+from .errors import ConfigError, EvaluationError, ModelStateError
 from .graph import ArcScores, chu_liu_edmonds
-from .tasks import TaskKind, attachment_scores, span_f1, task_metrics
+from .tasks import TaskKind, task_metrics
 
 ROOT_FORM = "<root>"
 ROOT_UPOS = "<root>"
@@ -668,36 +667,61 @@ def _train(init, prepare, eval_fn, n_examples: int, config: TrainingConfig):
     return best[0], FitInfo(best[2], validation, epochs)
 
 
+def _span_keys(tags, codes: np.ndarray, payloads) -> np.ndarray:
+    """The BIO spans of the sentences' tokens laid end to end, tagged
+    `tags[codes]`, as int64 keys of (type, start, end), with types numbered
+    in order of first appearance in `tags`. A span opens at a B tag, at a
+    sentence's first token and after O or a tag of another type: the
+    conlleval rule of `tasks.bio_spans`."""
+    parts = [("O", None) if t in ("O", None) else t.partition("-")[::2] for t in tags]
+    ids: dict = {}
+    types = np.array([-1 if e is None else ids.setdefault(e, len(ids)) for _, e in parts], dtype=np.int64)[codes]
+    opens = np.append(np.array([prefix == "B" for prefix, _ in parts], dtype=bool)[codes], False)
+    opens[np.cumsum([0] + [len(p.tokens) for p in payloads][:-1])] = True
+    n = len(codes)
+    opens = (types >= 0) & (opens[:n] | (types != np.append(-1, types)[:-1]))
+    stops = np.append(np.flatnonzero(opens | (types < 0)), n)
+    starts = np.flatnonzero(opens)
+    return (types[starts] * (n + 1) + starts) * (n + 1) + stops[np.searchsorted(stops, starts, side="right")]
+
+
 @dataclass(frozen=True)
 class EvalSet:
     """Instances to count predictions on, gathered once by a model's
-    `evaluation_set`: their payloads and feature rows and, for the
-    classifier, each gold label as a code into `labels` (None for an
-    unannotated text). Every model of that task and feature space can
-    validate and test on it."""
+    `evaluation_set`: their payloads and feature rows, and each unit's gold
+    label (a text's class, a token's tag, an arc's label) as a code into
+    `labels`. The tagger's set also holds its gold spans as sorted
+    `_span_keys`, the parser's the gold heads of all its tokens. Every model
+    of that task and feature space can validate and test on it."""
 
     payloads: list
     rows: Rows
-    labels: tuple = ()
-    codes: np.ndarray | None = None
+    labels: tuple
+    codes: np.ndarray
+    spans: np.ndarray | None = None
+    heads: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.payloads)
 
+    def gold(self, vocab) -> np.ndarray:
+        """Each unit's gold label as a code into `vocab`, -1 for one outside it or none."""
+        index = {y: k for k, y in enumerate(vocab)}
+        return np.array([index.get(y, -1) for y in self.labels], dtype=np.int64)[self.codes]
+
 
 class _ModelBase:
     """One `fit` and one `evaluate` for all three models, through three hooks:
-    `_gold(payload)`, the labels, or None for a payload without annotation;
-    `_trainer(payloads, vocab, config)`, the number of training examples and
-    the `prepare` of `_train`, which gathers an epoch's rows and returns its
-    in-place batch step; and `_counter(vocab, evaluation)`, the function that
-    gives the task's counts of some weights on an `EvalSet`. The tagger's and
-    parser's `_counter` takes their `_predict(weights, vocab, payloads, rows)`,
-    the tag sequences or trees predicted in one pass, to their
-    `_count(predictions, payloads)`; the classifier's compares argmax codes
-    with gold ones. Validation counts with each epoch's weights, `evaluate`
-    with the trained ones. Each model binds `fit` and its one-instance
-    predictors in its own namespace, where `perfbench/tracer.py` wraps them.
+    `_gold(payload)`, the labels, or None for a payload without annotation,
+    whose units an `EvalSet` codes as `_blank(payload)`; `_trainer(payloads,
+    vocab, config)`, the number of training examples and the `prepare` of
+    `_train`, which gathers an epoch's rows and returns its in-place batch
+    step; and `_counter(vocab, evaluation)`, which maps the vocabulary into
+    the set's label space once and returns the task's counts of some weights
+    on that `EvalSet`, from array codes: each epoch's weights in validation,
+    the trained ones in `evaluate`. Each model binds `fit` and its
+    one-instance predictors in its own namespace, where
+    `perfbench/tracer.py` wraps them.
     """
 
     task: TaskKind
@@ -722,15 +746,14 @@ class _ModelBase:
     def _features(self, payloads) -> tuple[Rows, list[int]]:
         return FEATURES.rows(self.kind, payloads, self.space, self.chunk)
 
+    _blank = staticmethod(lambda payload: (None,) * len(payload.tokens))
+
     def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
         """`instances` gathered once, to validate or test on as often as needed."""
         payloads = [i.payload for i in instances]
-        return EvalSet(payloads, self._features(payloads)[0])
-
-    def _counter(self, vocab, evaluation: EvalSet):
-        return lambda weights: self._count(
-            self._predict(weights, vocab, evaluation.payloads, evaluation.rows), evaluation.payloads
-        )
+        code_of: dict = {}
+        codes = [code_of.setdefault(y, len(code_of)) for p in payloads for y in self._gold(p) or self._blank(p)]
+        return EvalSet(payloads, self._features(payloads)[0], tuple(code_of), np.array(codes, dtype=np.int64))
 
     def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance] | EvalSet,
             config: TrainingConfig) -> float:
@@ -818,18 +841,12 @@ class TextClassifier(_SoftmaxModel):
     def _gold(payload):
         return None if payload.label is None else (payload.label,)
 
-    def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
-        evaluation = super().evaluation_set(instances)
-        code_of: dict = {}
-        codes = [code_of.setdefault(p.label, len(code_of)) for p in evaluation.payloads]
-        return replace(evaluation, labels=tuple(code_of), codes=np.array(codes, dtype=np.int64))
+    _blank = staticmethod(lambda payload: (None,))
 
     def _counter(self, vocab, evaluation: EvalSet):
         """Hits and instances, a hit where a text's argmax is its gold label's
         code in `vocab`; a gold label outside `vocab`, or none, is a miss."""
-        index = {y: k for k, y in enumerate(vocab)}
-        lookup = np.array([index.get(y, -1) for y in evaluation.labels], dtype=np.int64)
-        gold = lookup[evaluation.codes]
+        gold = evaluation.gold(vocab)
         return lambda weights: {
             "correct": int(np.count_nonzero(logits(weights, evaluation.rows).argmax(axis=1) == gold)),
             "total": len(evaluation),
@@ -862,15 +879,25 @@ class SequenceTagger(_SoftmaxModel):
     def _gold(payload):
         return payload.tags
 
-    @staticmethod
-    def _predict(weights, tags, payloads, rows) -> list[list[str]]:
-        """Per sentence, the tag of each token row's highest logit."""
-        best = [tags[k] for k in logits(weights, rows).argmax(axis=1).tolist()]
-        return _split(best, [len(p.tokens) for p in payloads])
+    def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
+        evaluation = super().evaluation_set(instances)
+        return replace(evaluation, spans=np.sort(_span_keys(evaluation.labels, evaluation.codes, evaluation.payloads)))
 
-    @staticmethod
-    def _count(predictions, payloads) -> dict[str, int]:
-        return span_f1(predictions, [p.tags for p in payloads]).counts
+    def _counter(self, vocab, evaluation: EvalSet):
+        """Matching, predicted and gold spans; the argmax tags are coded after
+        the set's labels, so their spans' types are numbered as the gold ones."""
+        for i, p in enumerate(evaluation.payloads):
+            if p.tags is None:
+                raise EvaluationError(f"sentence {i} lacks tag annotations")
+        tags, gold = (*evaluation.labels, *vocab), evaluation.spans
+
+        def count(weights):
+            best = logits(weights, evaluation.rows).argmax(axis=1) + len(evaluation.labels)
+            pred = _span_keys(tags, best, evaluation.payloads)
+            tp = len(np.intersect1d(pred, gold, assume_unique=True))
+            return {"tp": tp, "pred_spans": len(pred), "gold_spans": len(gold)}
+
+        return count
 
     fit = _ModelBase.fit
 
@@ -971,9 +998,31 @@ class DependencyParser(_ModelBase):
 
     fit = _ModelBase.fit
 
-    @staticmethod
-    def _count(predictions, payloads) -> dict[str, int]:
-        return attachment_scores(predictions, payloads).counts
+    # `tasks.attachment_scores` compares a tree without labels as all ""
+    _blank = staticmethod(lambda payload: ("",) * len(payload.tokens))
+
+    def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
+        evaluation = super().evaluation_set(instances)
+        heads = [h for p in evaluation.payloads for h in p.heads or ()]
+        return replace(evaluation, heads=np.array(heads, dtype=np.int64))
+
+    def _counter(self, vocab, evaluation: EvalSet):
+        """Head-correct, head- and label-correct, and all tokens of the decoded
+        trees; a gold label outside `vocab` is a miss."""
+        for i, p in enumerate(evaluation.payloads):
+            if p.heads is None:
+                raise EvaluationError(f"sentence {i} lacks head annotations")
+        if not len(evaluation.heads):
+            raise EvaluationError("no tokens to score")
+        gold = evaluation.gold(vocab)
+
+        def count(weights):
+            heads, labels = self._decode(weights, evaluation.payloads, evaluation.rows)
+            hit = np.concatenate(heads) == evaluation.heads
+            return {"head_correct": int(np.count_nonzero(hit)),
+                    "label_correct": int(np.count_nonzero(hit & (labels == gold))), "total": len(gold)}
+
+        return count
 
     def _head_log_probs(self, arc_w, payloads, arcs: Rows) -> list[np.ndarray]:
         """Per sentence, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
@@ -986,8 +1035,9 @@ class DependencyParser(_ModelBase):
             out.append(matrix)
         return out
 
-    def _predict(self, weights, labels, payloads, arcs: Rows) -> list[DepTree]:
-        """Per sentence, the best single-root tree under the head softmax, with argmax arc labels."""
+    def _decode(self, weights, payloads, arcs: Rows) -> tuple[list[tuple], np.ndarray]:
+        """Per sentence, the heads of the best single-root tree under the head
+        softmax; and the argmax label code of each of those arcs, flat."""
         heads = [
             chu_liu_edmonds(ArcScores(m)).heads
             for m in self._head_log_probs(weights[0], payloads, arcs)
@@ -996,11 +1046,13 @@ class DependencyParser(_ModelBase):
         for tree_heads, first in zip(heads, np.cumsum([0] + [len(h) ** 2 for h in heads]).tolist()):
             n = len(tree_heads)
             rows += [first + (d - 1) * n + _candidate(h, d) for d, h in enumerate(tree_heads, 1)]
-        best = [labels[k] for k in logits(weights[1:], arcs.take(rows)).argmax(axis=1).tolist()]
-        return [
-            DepTree(p.tokens, p.upos, tree_heads, tuple(pred))
-            for p, tree_heads, pred in zip(payloads, heads, _split(best, [len(h) for h in heads]))
-        ]
+        return heads, logits(weights[1:], arcs.take(rows)).argmax(axis=1)
+
+    def _trees(self, payloads, arcs: Rows, _) -> list[DepTree]:
+        """The trees of `_decode` with the trained weights, their labels as strings."""
+        heads, codes = self._decode(self.weights, payloads, arcs)
+        labels = _split([self.labels[k] for k in codes.tolist()], [len(h) for h in heads])
+        return [DepTree(p.tokens, p.upos, h, tuple(y)) for p, h, y in zip(payloads, heads, labels)]
 
     def head_log_probs_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
         """Per instance, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
@@ -1025,9 +1077,7 @@ class DependencyParser(_ModelBase):
 
     def decode_tree_batch(self, instances: Sequence[Instance]) -> list[DepTree]:
         """Best single-root tree per instance under the head softmax, with argmax arc labels."""
-        return self._in_passes(
-            lambda payloads, arcs, _: self._predict(self.weights, self.labels, payloads, arcs), instances
-        )
+        return self._in_passes(self._trees, instances)
 
     def decode_tree(self, instance: Instance) -> DepTree:
         return self.decode_tree_batch([instance])[0]

@@ -18,7 +18,7 @@ from lingalloc.acquisition import (
     select_ranked,
     strategy_compatible,
 )
-from lingalloc.errors import ScoringError
+from lingalloc.errors import DataError, ScoringError
 from lingalloc.graph import Arborescence
 from lingalloc.tasks import TaskKind
 
@@ -93,6 +93,16 @@ class TestNlpdtScore:
         probas = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
         with pytest.raises(ScoringError):
             nlpdt_score(probas, Arborescence((0, 1)), n_tokens, variant)
+
+    @pytest.mark.parametrize("variant", [StrategyKind.NLPDT, StrategyKind.NLPDT_N2,
+                                         StrategyKind.NLPDT_GLOBAL])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("arc", [(0, 0), (2, 0)], ids=["tree_arc", "other_arc"])
+    def test_rejects_nan_or_inf_under_every_variant(self, variant, bad, arc):
+        probas = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
+        probas[arc] = bad
+        with pytest.raises(DataError, match="must not be NaN or \\+inf"):
+            nlpdt_score(probas, Arborescence((0, 1)), 2, variant)
 
     def test_two_token_normalizations(self):
         probas = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])

@@ -25,7 +25,7 @@ from lingalloc.models import (
     _train,
 )
 from lingalloc.synth import synth_dataset
-from lingalloc.tasks import TaskKind, accuracy, span_f1, task_metrics
+from lingalloc.tasks import TaskKind, accuracy, attachment_scores, span_f1, task_metrics
 
 from oracles import (
     all_single_root_trees,
@@ -50,6 +50,18 @@ def tagged_instance(iid, tokens, tags, language="en"):
 def tree_instance(iid, tokens, upos, heads, labels, language="en"):
     payload = DepTree(tuple(tokens), tuple(upos), tuple(heads), tuple(labels))
     return Instance(iid, language, payload, len(tokens))
+
+
+def one_hot_counts(cls, vocab, instances, best):
+    """A `cls`'s counts on `instances` with `vocab`, for weights whose argmax on
+    row i of their evaluation set is best[i]: the set's rows are made one-hot."""
+    n = len(best)
+    one_hot = Rows.stack(np.ones(n, dtype=np.int64), np.arange(n), np.ones(n))
+    model = cls(SPACE)
+    evaluation = replace(model.evaluation_set(instances), rows=one_hot)
+    weights = np.zeros((len(vocab), n))
+    weights[best, np.arange(n)] = 1.0
+    return model._counter(vocab, evaluation)(weights)
 
 
 def zero_model(cls, vocab):
@@ -374,26 +386,20 @@ TAGGED = [
 
 
 class TestValidationMetric:
-    """`_count` counts predictions against gold labels; the counts give the string metrics."""
+    """Each model's counter counts predictions against gold labels; the counts give the string metrics."""
 
     def test_classifier_metric_is_accuracy(self):
         # the classifier counts on an evaluation set: a hit is an argmax equal
         # to the gold label's code, and an unseen or missing label is a miss
         rng = np.random.default_rng(5)
         classes = ("neg", "neu", "pos")
-        model = TextClassifier(SPACE)
         for _ in range(200):
             n = int(rng.integers(1, 40))
             labels = rng.choice(["neg", "neu", "pos", "unseen", None], size=n).tolist()
             best = rng.integers(0, len(classes), size=n)
             pred = [classes[k] for k in best]
-            # one-hot rows, and weights whose argmax on row i is best[i]
-            one_hot = Rows.stack(np.ones(n, dtype=np.int64), np.arange(n), np.ones(n))
-            evaluation = replace(model.evaluation_set([text_instance(i, "x", y) for i, y in enumerate(labels)]),
-                                 rows=one_hot)
-            weights = np.zeros((len(classes), n))
-            weights[best, np.arange(n)] = 1.0
-            counts = model._counter(classes, evaluation)(weights)
+            counts = one_hot_counts(TextClassifier, classes, [text_instance(i, "x", y) for i, y in enumerate(labels)],
+                                    best)
             assert counts == {"correct": sum(p == g for p, g in zip(pred, labels)), "total": n}
             assert task_metrics(TaskKind.CLASSIFICATION, counts)["accuracy"] == accuracy(pred, labels)
 
@@ -402,14 +408,63 @@ class TestValidationMetric:
         tags = ("B-LOC", "B-PER", "I-LOC", "I-PER", "O")
         counts = rng.integers(1, 8, size=30).tolist()
         gold = [tuple(rng.choice(tags, size=n).tolist()) for n in counts]
-        payloads = [TaggedSentence(tuple("w" * n), g) for n, g in zip(counts, gold)]
         best = rng.integers(0, len(tags), size=sum(counts))
         ends = np.cumsum(counts).tolist()
         pred = [[tags[k] for k in best[a:b]] for a, b in zip([0] + ends, ends)]
-        got = SequenceTagger._count(pred, payloads)
+        got = one_hot_counts(SequenceTagger, tags, [tagged_instance(i, "w" * n, g) for i, (n, g)
+                                                    in enumerate(zip(counts, gold))], best)
         expected = span_f1(pred, [list(g) for g in gold])
         assert got == expected.counts
         assert task_metrics(TaskKind.SEQUENCE_TAGGING, got)["f1"] == expected.f1
+
+    def test_tagger_counter_is_span_f1_on_random_bio(self):
+        # I after O, type switches and spans at sentence ends; the fit's
+        # vocabulary has a type (MISC) that no gold tag has, and lacks gold
+        # tags (I-ORG, and the untyped "B")
+        rng = np.random.default_rng(7)
+        gold_tags = ["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "I-ORG", "B"]
+        vocab = ("B-LOC", "B-MISC", "B-PER", "I-LOC", "I-MISC", "I-PER", "O")
+        for _ in range(300):
+            lengths = rng.integers(0, 8, size=int(rng.integers(1, 12))).tolist()
+            gold = [rng.choice(gold_tags, size=n).tolist() for n in lengths]
+            best = rng.integers(0, len(vocab), size=sum(lengths))
+            ends = np.cumsum(lengths).tolist()
+            pred = [[vocab[k] for k in best[a:b]] for a, b in zip([0] + ends, ends)]
+            instances = [Instance(i, "en", TaggedSentence(("w",) * len(g), tuple(g)), 1) for i, g in enumerate(gold)]
+            assert one_hot_counts(SequenceTagger, vocab, instances, best) == span_f1(pred, gold).counts
+
+    def test_parser_counter_is_attachment_scores_on_random_trees(self):
+        # gold heads and labels at random, labels the vocabulary lacks, and
+        # gold trees without labels; the weights decode a random tree
+        rng = np.random.default_rng(8)
+        vocab = ("", "dep", "obj", "root")
+        for _ in range(100):
+            gold, pred, arc_w, label_w = [], [], [], []
+            for _ in range(int(rng.integers(1, 6))):
+                n = int(rng.integers(1, 6))
+                heads = tuple(int(h) for h in rng.integers(0, n + 1, size=n))
+                labels = None if rng.random() < 0.3 else tuple(rng.choice(["dep", "obj", "nsubj"], size=n).tolist())
+                gold.append(DepTree(("w",) * n, ("X",) * n, heads, labels))
+                order = rng.permutation(n) + 1  # each token's head comes before it, ROOT first
+                tree = [0] * n
+                for k in range(1, n):
+                    tree[order[k] - 1] = int(order[rng.integers(0, k)])
+                codes = rng.integers(0, len(vocab), size=n)
+                pred.append(DepTree(("w",) * n, ("X",) * n, tuple(tree), tuple(vocab[k] for k in codes)))
+                # one-hot rows n*n per sentence: arc weight 1 on the tree's arcs
+                chosen = np.zeros((n, n))
+                chosen[np.arange(n), [h if h < d else h - 1 for d, h in enumerate(tree, 1)]] = 1.0
+                arc_w.append(chosen.ravel())
+                label_w.append(np.zeros((len(vocab), n, n)))
+                label_w[-1][codes, np.arange(n), chosen.argmax(axis=1)] = 1.0
+            r = sum(len(t.tokens) ** 2 for t in gold)
+            model = DependencyParser(SPACE)
+            instances = [Instance(i, "en", t, len(t.tokens)) for i, t in enumerate(gold)]
+            one_hot = Rows.stack(np.ones(r, dtype=np.int64), np.arange(r), np.ones(r))
+            evaluation = replace(model.evaluation_set(instances), rows=one_hot)
+            weights = np.vstack([np.concatenate(arc_w)[None],
+                                 np.concatenate([w.reshape(len(vocab), -1) for w in label_w], axis=1)])
+            assert model._counter(vocab, evaluation)(weights) == attachment_scores(pred, gold).counts
 
     @pytest.mark.parametrize("task", list(TaskKind))
     def test_validation_score_is_the_headline_of_the_counts(self, task):
