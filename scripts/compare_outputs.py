@@ -7,7 +7,9 @@ A and B are checkout roots, each with a `src/lingalloc`. For every seed
 (default: 0 alone) and for classification, tagging and parsing, each
 checkout's own CLI runs `synth --seed S`; parsing's config also gets SMA
 settings with `nlpdt_n2` and `nlpdt_global`, so all three tree scores are
-compared. Then `validate` runs on that config and on a copy with ten times
+compared. Language aa's train file is rewritten with `\\r\\n` line ends, so
+the readers' newline handling is compared end to end. Then `validate` runs
+on that config and on a copy with ten times
 its budget, whose standard output and error (the config echo and the pool
 warnings) are kept in `validate.txt` with the checkout's work directory
 written as `<work>`. `validate` must reject each
@@ -101,6 +103,8 @@ def produce(root: Path, work: Path, seed: int) -> None:
              "--out", str(corpus))
         config_path = corpus / "config.json"
         config = json.loads(config_path.read_text())
+        crlf = corpus / config["data"]["aa"]["train"]
+        crlf.write_bytes(crlf.read_bytes().replace(b"\n", b"\r\n"))
         config.update(replicates=2, training=TRAINING)
         config["settings"] += [{"kind": "sma", "strategy": strategy}
                                for strategy in MORE_STRATEGIES.get(task, ())]

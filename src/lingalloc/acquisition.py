@@ -6,6 +6,7 @@ walk the ranking first-fit, taking each instance whose cost still fits the
 remaining budget and skipping the ones that do not. `select_ranked` applies
 it to a pool held as arrays of ids, scores and costs, which is how the
 experiment buys; `select_batch` is the same rule over `AcquisitionScore`s.
+The walk is `corpus.first_fit`, which also buys the seed and validation sets.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import first_fit
 from .errors import DataError, ScoringError
 from .graph import Arborescence, ArcScores, log_partition, tree_log_prob
 from .tasks import TaskKind
@@ -130,11 +132,9 @@ def select_ranked(
     """First-fit selection over the ascending (score, id) ranking of a pool of arrays.
 
     Returns the positions of the chosen instances in selection order and the
-    total cost spent, which never exceeds the budget. Instances that do not
-    fit the remaining budget are skipped and the walk continues: each step
-    takes the longest run of the ranking that fits from the first instance
-    that does, and the walk ends once no remaining cost fits. A NaN or +inf
-    score raises ScoringError naming its instance.
+    total cost spent, which never exceeds the budget: the ranking is walked by
+    `corpus.first_fit`. A NaN or +inf score raises ScoringError naming its
+    instance.
     """
     if budget < 1:
         raise ScoringError("budget must be positive")
@@ -142,18 +142,7 @@ def select_ranked(
     if len(bad):
         raise ScoringError(f"instance {ids[bad[0]]}: score must be finite or -inf")
     rank = np.lexsort((ids, scores))
-    ranked = costs[rank]
-    # no more than everything: keeps the running sums within the costs' dtype
-    remaining = min(budget, int(ranked.sum()))
-    taken, start = [], 0
-    while len(fits := np.flatnonzero(ranked[start:] <= remaining)):
-        start += int(fits[0])
-        spend = np.cumsum(ranked[start:])
-        stop = start + int(np.searchsorted(spend, remaining, side="right"))
-        taken.append(rank[start:stop])
-        remaining -= int(spend[stop - start - 1])
-        start = stop
-    chosen = np.concatenate(taken) if taken else rank[:0]
+    chosen = rank[first_fit(costs[rank], budget)]
     return chosen, int(costs[chosen].sum())
 
 

@@ -908,7 +908,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LingallocError as exc:
+    except (LingallocError, OSError) as exc:  # OSError: an output or corpus path is unusable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

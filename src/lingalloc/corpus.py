@@ -6,6 +6,11 @@ Three on-disk formats are supported, all UTF-8:
   last, blank line between sentences, ``-DOCSTART-`` blocks skipped),
 * 10-column CoNLL-U dependency treebanks,
 * classification TSV with the mandatory header ``label\\tlanguage\\ttext``.
+
+All three are read by `_lines`: ``\\n``, ``\\r\\n`` and a bare ``\\r`` end a
+line, and a byte that is not UTF-8 is rejected with its path and line.
+`first_fit` is the one budget walk: the seed and validation draws here and
+every AL batch (`acquisition.select_ranked`) use it.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from .graph import Arborescence
 
 _LANGUAGE_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
 _BIO_RE = re.compile(r"^(O|[BI]-\S+)$")
+# how errors="surrogateescape" decodes a byte that is not UTF-8
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
 
 TSV_HEADER = "label\tlanguage\ttext"
 
@@ -96,34 +103,49 @@ class SplitSpec:
             raise ConfigError("split budgets must be positive")
 
 
+def _lines(path: Path):
+    """(line number, line without its break) for each line of a UTF-8 file.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as in text mode. The
+    first byte that is not UTF-8 raises ParseError with its line, before any
+    line is yielded.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        text = handle.read()
+    if not text.isascii() and (bad := _ESCAPED_BYTE_RE.search(text)):
+        line_no = text.count("\n", 0, bad.start()) + 1
+        raise ParseError(f"byte {ord(bad.group()) - 0xDC00:#04x} is not UTF-8", path=path, line=line_no)
+    lines = text.removesuffix("\n").split("\n") if text else []
+    yield from enumerate(lines, start=1)
+
+
+def _sentences(path: Path, docstart: bool):
+    """The (line number, line) pairs of each sentence of a column-format file.
+
+    A blank line ends a sentence; with `docstart`, so does a line whose first
+    field is ``-DOCSTART-``. Neither belongs to a sentence.
+    """
+    sentence = []
+    for line_no, line in _lines(path):
+        # the substring test spares splitting every line
+        if line.strip() and not (docstart and "-DOCSTART-" in line and line.split()[0] == "-DOCSTART-"):
+            sentence.append((line_no, line))
+        elif sentence:
+            yield sentence
+            sentence = []
+    if sentence:
+        yield sentence
+
+
 def ingest_conll_ner(path, language: str, start_id: int = 0) -> list[Instance]:
     """Read a column-formatted NER file into tagged-sentence instances."""
     check_language(language)
     path = Path(path)
     instances = []
-    tokens: list[str] = []
-    tags: list[str] = []
-    next_id = start_id
-
-    def flush():
-        nonlocal next_id
-        if tokens:
-            payload = TaggedSentence(tuple(tokens), tuple(tags))
-            instances.append(Instance(next_id, language, payload, len(tokens)))
-            next_id += 1
-            tokens.clear()
-            tags.clear()
-
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                continue
+    for sentence in _sentences(path, docstart=True):
+        tokens, tags = [], []
+        for line_no, line in sentence:
             cols = line.split()
-            if cols[0] == "-DOCSTART-":
-                flush()
-                continue
             if len(cols) < 2:
                 raise ParseError(
                     f"expected at least 2 columns, got {len(cols)}", path=path, line=line_no
@@ -133,7 +155,8 @@ def ingest_conll_ner(path, language: str, start_id: int = 0) -> list[Instance]:
                 raise ParseError(f"tag {tag!r} is not valid BIO", path=path, line=line_no)
             tokens.append(cols[0])
             tags.append(tag)
-    flush()
+        payload = TaggedSentence(tuple(tokens), tuple(tags))
+        instances.append(Instance(start_id + len(instances), language, payload, len(tokens)))
     return instances
 
 
@@ -147,23 +170,27 @@ def ingest_conllu(path, language: str, start_id: int = 0) -> list[Instance]:
     check_language(language)
     path = Path(path)
     instances = []
-    rows: list[tuple[int, str, str, str, str]] = []  # (line_no, form, upos, head, deprel)
-    next_id = start_id
-    sent_start = 0
-
-    def flush():
-        nonlocal next_id
+    for sentence in _sentences(path, docstart=False):
+        rows = []  # (line_no, form, upos, head, deprel)
+        for line_no, line in sentence:
+            if line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise ParseError(
+                    f"expected 10 tab-separated columns, got {len(cols)}", path=path, line=line_no
+                )
+            if "-" not in cols[0] and "." not in cols[0]:
+                rows.append((line_no, cols[1], cols[3], cols[6], cols[7]))
         if not rows:
-            return
+            continue
         n = len(rows)
-        forms = tuple(r[1] for r in rows)
-        upos = tuple(r[2] for r in rows)
-        head_cols = [r[3] for r in rows]
+        line_nos, forms, upos, head_cols, labels = zip(*rows)
         if all(h == "_" for h in head_cols):
             heads = labels = None
         else:
             heads = []
-            for line_no, _, _, head, _ in rows:
+            for line_no, head in zip(line_nos, head_cols):
                 try:
                     h = int(head)
                 except ValueError:
@@ -176,60 +203,31 @@ def ingest_conllu(path, language: str, start_id: int = 0) -> list[Instance]:
             try:
                 heads = Arborescence(tuple(heads)).heads
             except DataError as exc:
-                raise DataError(f"{path}: sentence starting at line {sent_start}: {exc}")
-            labels = tuple(r[4] for r in rows)
+                raise DataError(f"{path}: sentence starting at line {line_nos[0]}: {exc}")
         payload = DepTree(forms, upos, heads, labels)
-        instances.append(Instance(next_id, language, payload, n))
-        next_id += 1
-        rows.clear()
-
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                continue
-            if line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise ParseError(
-                    f"expected 10 tab-separated columns, got {len(cols)}",
-                    path=path,
-                    line=line_no,
-                )
-            if "-" in cols[0] or "." in cols[0]:
-                continue
-            if not rows:
-                sent_start = line_no
-            rows.append((line_no, cols[1], cols[3], cols[6], cols[7]))
-    flush()
+        instances.append(Instance(start_id + len(instances), language, payload, n))
     return instances
 
 
 def ingest_tsv_classification(path, start_id: int = 0) -> list[Instance]:
     """Read a three-column classification TSV (label, language, text)."""
     path = Path(path)
+    lines = _lines(path)
+    if next(lines, (1, ""))[1] != TSV_HEADER:
+        raise FormatError(f"{path}: missing header {TSV_HEADER!r}")
     instances = []
-    next_id = start_id
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").rstrip("\r")
-        if header != TSV_HEADER:
-            raise FormatError(f"{path}: missing header {TSV_HEADER!r}")
-        for row_no, raw in enumerate(handle, start=2):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ParseError(f"expected 3 columns, got {len(cols)}", path=path, line=row_no)
-            label, language, text = cols
-            check_language(language)
-            if not text:
-                raise ParseError("empty text field", path=path, line=row_no)
-            payload = ClassificationText(text, label or None)
-            instances.append(Instance(next_id, language, payload, 1))
-            next_id += 1
+    for row_no, line in lines:
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise ParseError(f"expected 3 columns, got {len(cols)}", path=path, line=row_no)
+        label, language, text = cols
+        check_language(language)
+        if not text:
+            raise ParseError("empty text field", path=path, line=row_no)
+        payload = ClassificationText(text, label or None)
+        instances.append(Instance(start_id + len(instances), language, payload, 1))
     return instances
 
 
@@ -349,38 +347,49 @@ class Pool:
         return moved
 
 
-def _first_fit(order: Sequence, budget: int) -> tuple[list, list]:
-    """Walk `order`, taking every item whose `cost` still fits the budget."""
-    taken, passed = [], []
-    remaining = budget
-    for inst in order:
-        if inst.cost <= remaining:
-            taken.append(inst)
-            remaining -= inst.cost
-        else:
-            passed.append(inst)
-    return taken, passed
+def first_fit(costs: np.ndarray, budget: int) -> np.ndarray:
+    """The positions a first-fit walk over `costs` takes, in walk order.
+
+    The walk takes each cost that still fits what is left of `budget` and
+    skips the ones that do not. Each step takes the longest run that fits from
+    the first position that does; the walk ends once no remaining cost fits.
+    """
+    # no more than everything: keeps the running sums within the costs' dtype
+    remaining = min(budget, int(costs.sum()))
+    taken, start = [], 0
+    while len(fits := np.flatnonzero(costs[start:] <= remaining)):
+        start += int(fits[0])
+        spend = np.cumsum(costs[start:])
+        stop = start + int(np.searchsorted(spend, remaining, side="right"))
+        taken.append(np.arange(start, stop))
+        remaining -= int(spend[stop - start - 1])
+        start = stop
+    return np.concatenate(taken) if taken else np.arange(0)
 
 
 def sample_splits(instances: Sequence[Instance], spec: SplitSpec) -> Pool:
     """Draw seed and validation sets without replacement; the rest is unlabeled.
 
     One pooled draw over all instances uses the budgets in `spec`. Instances
-    are shuffled with the seeded PRNG and taken first-fit until the budget
-    would be exceeded, so the draw is a pure function of (instances ordered
-    by id, spec).
+    are shuffled with the seeded PRNG; the seed set, then the validation set
+    from the rest, is bought with `first_fit` over that order, so the draw is
+    a pure function of (instances ordered by id, spec).
     """
     ordered = sorted(instances, key=lambda i: i.id)
     if len({i.id for i in ordered}) != len(ordered):
         raise DataError("duplicate instance ids in sampling input")
-    available = sum(i.cost for i in ordered)
+    costs = np.array([i.cost for i in ordered], dtype=np.int64)
+    available = int(costs.sum())
     if available < spec.seed_budget + spec.val_budget:
         raise ConfigError(
             f"available cost {available} cannot cover seed+validation "
             f"budget {spec.seed_budget + spec.val_budget}"
         )
-    perm = np.random.default_rng(spec.rng_seed).permutation(len(ordered))
-    shuffled = [ordered[int(k)] for k in perm]
-    labeled, rest = _first_fit(shuffled, spec.seed_budget)
-    validation, unlabeled = _first_fit(rest, spec.val_budget)
+    order = np.random.default_rng(spec.rng_seed).permutation(len(ordered))
+    parts = []
+    for budget in (spec.seed_budget, spec.val_budget):
+        taken = first_fit(costs[order], budget)
+        parts.append(order[taken])
+        order = np.delete(order, taken)
+    labeled, validation, unlabeled = ([ordered[k] for k in part.tolist()] for part in (*parts, order))
     return Pool(labeled=labeled, unlabeled=unlabeled, validation=validation)

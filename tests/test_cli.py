@@ -458,6 +458,26 @@ class TestLoadData:
         # rejected before any model is trained
         assert not (out / "results").exists() and not (out / "logs").exists()
 
+    @pytest.mark.parametrize("task, ext", [
+        ("classification", "tsv"), ("tagging", "conll"), ("parsing", "conllu")])
+    def test_byte_not_utf8_is_one_error_line(self, tmp_path, capsys, task, ext):
+        """`validate` and `run` name the path and line of a byte that is not UTF-8."""
+        root = tmp_path / "corpus"
+        assert main(["synth", "--task", task, "--languages", "aa,bb", "--train-size", "40",
+                     "--test-size", "10", "--budget", "8", "--out", str(root)]) == 0
+        path = root / f"bb.train.{ext}"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:1] + b"\xe9" + lines[2][1:]
+        path.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        for command in (["validate"], ["run", "--out", str(out)]):
+            assert main([*command, "--config", str(root / "config.json")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {path.resolve()}:3: byte 0xe9 is not UTF-8\n"
+        assert not (out / "results").exists() and not (out / "manifest.json").exists()
+
 
 class TestRunCommand:
     def test_run_writes_expected_files(self, tmp_path):
@@ -696,6 +716,19 @@ class TestRunCommand:
         assert manifest["config_digest"] == digest
         assert manifest["cells"] == {key: {"status": "complete"} for key in (
             "sma.lc.al", "sma.lc.noal", "mma.lc.al", "mma.lc.noal")}
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_output_path_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, under):
+        config_path = _small_config(tmp_path / "corpus")
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "runs" if under else blocker
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        assert blocker.read_text() == "kept\n"
+        assert not list(tmp_path.rglob("manifest.json"))
 
     def test_invalid_config_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -940,6 +973,19 @@ class TestSynthCommand:
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_output_path_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "corpus" if under else blocker
+        rc = main(["synth", "--task", "classification", "--languages", "aa,bb",
+                   "--train-size", "20", "--test-size", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize("task, digest", [
         ("classification", "78c82b314f471d51365419e49dcbc16ab1b5aac5859e8a78f96260315a1ff2c7"),

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lingalloc.corpus import (
+    TSV_HEADER,
     ClassificationText,
     DepTree,
     Instance,
@@ -10,6 +12,7 @@ from lingalloc.corpus import (
     SplitSpec,
     TaggedSentence,
     dedup,
+    first_fit,
     ingest_conll_ner,
     ingest_conllu,
     ingest_tsv_classification,
@@ -20,6 +23,7 @@ from lingalloc.corpus import (
     write_tsv_classification,
 )
 from lingalloc.errors import ConfigError, DataError, FormatError, ParseError
+from oracles import first_fit_selection
 
 NER_FIXTURE = """\
 John B-PER
@@ -203,6 +207,61 @@ class TestIngestTsv:
         assert {i.language for i in got} == {"en", "de"}
 
 
+READERS = {
+    "ner": ingest_conll_ner,
+    "conllu": ingest_conllu,
+    "tsv": lambda path, language: ingest_tsv_classification(path),
+}
+# format -> (a file that reads, a file with a fault on line 3)
+NEWLINE_FIXTURES = {
+    "ner": (NER_FIXTURE, "John B-PER\n\nworks\n"),
+    "conllu": (CONLLU_FIXTURE, "# sent_id = 1\n\n1\ta\tX\n"),
+    "tsv": ("label\tlanguage\ttext\npos\ten\ta b\n\nneg\tde\tc d\n", TSV_HEADER + "\npos\ten\tx\npos\ten\n"),
+}
+
+
+class TestLineReader:
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    def test_other_line_ends_read_as_newlines(self, tmp_path, fmt, newline):
+        reader = READERS[fmt]
+        good, bad = NEWLINE_FIXTURES[fmt]
+        got, lines = [], []
+        for name, ending in (("lf", "\n"), ("other", newline)):
+            path = tmp_path / f"{name}.{fmt}"
+            path.write_bytes(good.replace("\n", ending).encode("utf-8"))
+            got.append(reader(path, "es"))
+            path.write_bytes(bad.replace("\n", ending).encode("utf-8"))
+            with pytest.raises(ParseError) as err:
+                reader(path, "es")
+            lines.append(err.value.line)
+        assert got[0] and got[0] == got[1]
+        assert lines == [3, 3]
+
+    def test_conllu_comment_inside_a_sentence_does_not_split_it(self, tmp_path):
+        path = tmp_path / "c.conllu"
+        path.write_text(
+            "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n"
+            "# a comment between two tokens\n"
+            "2\tb\t_\tX\t_\t_\t1\tdep\t_\t_\n\n",
+            encoding="utf-8",
+        )
+        (got,) = ingest_conllu(path, "en")
+        assert got.payload.tokens == ("a", "b") and got.payload.heads == (0, 1)
+
+    def test_conllu_block_without_words_uses_no_id(self, tmp_path):
+        path = tmp_path / "m.conllu"
+        path.write_text(
+            "1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n\n"
+            "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
+            "# a block of comments only\n\n"
+            "1\tb\t_\tX\t_\t_\t0\troot\t_\t_\n",
+            encoding="utf-8",
+        )
+        got = ingest_conllu(path, "en", start_id=5)
+        assert [(i.id, i.payload.tokens) for i in got] == [(5, ("a",)), (6, ("b",))]
+
+
 class TestRoundTrip:
     def test_ner(self, tmp_path):
         src = tmp_path / "src.conll"
@@ -374,3 +433,34 @@ class TestSampleSplits:
             assert not (ids & part.keys())
             ids.update(part.keys())
         assert ids == {i.id for i in insts}
+
+
+class TestFirstFit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 8), max_size=40), st.integers(1, 400))
+    def test_equals_the_walk_over_positions(self, costs, budget):
+        """Budgets reach past the total of 40 costs of at most 8."""
+        expected, _ = first_fit_selection([(k, k, c) for k, c in enumerate(costs)], budget)
+        assert first_fit(np.array(costs, dtype=np.int64), budget).tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 8)), unique_by=lambda t: t[0],
+                 min_size=2, max_size=40),
+        st.data(), st.integers(0, 2**32 - 1),
+    )
+    def test_sample_splits_buys_seed_then_validation_first_fit(self, pool, data, rng_seed):
+        total = sum(cost for _, cost in pool)
+        seed_budget = data.draw(st.integers(1, total - 1))
+        val_budget = data.draw(st.integers(1, total - seed_budget))
+        insts = [Instance(iid, "en", TaggedSentence(("t",) * cost), cost) for iid, cost in pool]
+        by_id = sorted(insts, key=lambda i: i.id)
+        perm = np.random.default_rng(rng_seed).permutation(len(by_id)).tolist()
+        walk = [(by_id[k].id, position, by_id[k].cost) for position, k in enumerate(perm)]
+        labeled, _ = first_fit_selection(walk, seed_budget)
+        rest = [entry for entry in walk if entry[0] not in set(labeled)]
+        validation, _ = first_fit_selection(rest, val_budget)
+        unlabeled = [iid for iid, _, _ in rest if iid not in set(validation)]
+        got = sample_splits(insts, SplitSpec(seed_budget, val_budget, rng_seed))
+        assert (list(got.labeled), list(got.validation), list(got.unlabeled)) == (
+            labeled, validation, unlabeled)
