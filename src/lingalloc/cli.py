@@ -62,6 +62,30 @@ from .tasks import TaskKind
 MANIFEST_VERSION = 2
 
 
+class _Task(typing.NamedTuple):
+    """What the CLI does differently for one task."""
+
+    ext: str  # of its corpus files
+    read: typing.Callable  # (path, language, first id) -> the file's instances, numbered in order
+    write: typing.Callable  # (instances, path)
+    strategy: StrategyKind  # of the settings `synth` writes
+    max_length: int  # the config's default: truncates a text, drops a longer sentence
+
+
+# A TSV may mix languages, so a reader returns every instance of its file and
+# `load_data` keeps the language's. A reader calls its `corpus` function by
+# this module's name for it, which `perfbench/tracer.py` rebinds to its wrapper.
+_TASKS = {
+    TaskKind.CLASSIFICATION: _Task(
+        "tsv", lambda path, language, first: ingest_tsv_classification(path, first),
+        write_tsv_classification, StrategyKind.LC, 256),
+    TaskKind.SEQUENCE_TAGGING: _Task(
+        "conll", lambda *args: ingest_conll_ner(*args), write_conll_ner, StrategyKind.MNLP, 175),
+    TaskKind.DEPENDENCY_PARSING: _Task(
+        "conllu", lambda *args: ingest_conllu(*args), write_conllu, StrategyKind.NLPDT, 175),
+}
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     """One line of `results/<cell>.jsonl`: a cell's state after one round of one replicate."""
@@ -86,9 +110,8 @@ class RoundRecord:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A run's whole config: JSON keys are field names, and a key left out takes
-    its field's default. `max_length` defaults to 256 for classification, where
-    it truncates, and to 175 for the token tasks, where it drops; the budget
-    counts in the task's unit. `validate_config` reads and checks it."""
+    its field's default; that of `max_length` is the task's (`_TASKS`). The
+    budget counts in the task's unit. `validate_config` reads and checks it."""
 
     task: TaskKind
     languages: tuple[str, ...]
@@ -104,7 +127,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.max_length is None:
-            object.__setattr__(self, "max_length", 256 if self.task is TaskKind.CLASSIFICATION else 175)
+            object.__setattr__(self, "max_length", _TASKS[self.task].max_length)
         object.__setattr__(self, "budget", dataclasses.replace(self.budget, unit=self.task.budget_unit))
 
     def to_json_dict(self) -> dict:
@@ -364,38 +387,29 @@ def load_data(config: ExperimentConfig) -> MultilingualData:
     """Ingest, dedup, and length-filter the configured corpus files.
 
     Over-long sentences are dropped from training pools only; classification
-    truncation applies everywhere. Instance ids are assigned contiguously in
-    sorted language order, train before test. A language without training
-    or test instances raises DataError: no model could train on it, or its
-    metrics would read 0.
+    truncation applies everywhere. Instance ids count on from file to file
+    in sorted language order, train before test, and each instance a file
+    holds takes one, also one of another language in a mixed-language TSV. A
+    language without training or test instances raises DataError: no model
+    could train on it, or its metrics would read 0.
     """
-    def ingest(split: str, lang: str, counter: int):
-        paths = config.data[lang]
-        if config.task is TaskKind.CLASSIFICATION:
-            # a TSV may mix languages; ids are assigned to every row before
-            # filtering, so the counter must advance by the full row count
-            ingested = ingest_tsv_classification(paths[split], start_id=counter)
-            return [i for i in ingested if i.language == lang], counter + len(ingested)
-        if config.task is TaskKind.SEQUENCE_TAGGING:
-            ingested = ingest_conll_ner(paths[split], lang, start_id=counter)
-        else:
-            ingested = ingest_conllu(paths[split], lang, start_id=counter)
-        return ingested, counter + len(ingested)
-
-    train: dict[str, list] = {}
-    test: dict[str, list] = {}
+    read = _TASKS[config.task].read
+    splits: dict[str, dict[str, list]] = {"train": {}, "test": {}}
     counter = 0
-    for split, out in (("train", train), ("test", test)):
+    for split, out in splits.items():
         for lang in config.languages:
-            instances, counter = ingest(split, lang, counter)
+            path = config.data[lang][split]
+            ingested = read(path, lang, counter)
+            counter += len(ingested)
+            instances = [i for i in ingested if i.language == lang]
             if split == "train":
                 instances = length_filter(dedup(instances), config.max_length)
             elif config.task is TaskKind.CLASSIFICATION:
                 instances = length_filter(instances, config.max_length)
             if not instances:
-                raise DataError(f"data.{lang}.{split}: no {lang} instances in {config.data[lang][split]}")
+                raise DataError(f"data.{lang}.{split}: no {lang} instances in {path}")
             out[lang] = instances
-    return MultilingualData(config.task, train, test)
+    return MultilingualData(config.task, splits["train"], splits["test"])
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +451,14 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _write_table(path: Path, header: str, rows) -> Path:
+    """The one writer of the CLI's CSVs: the `header` line, then a line of each
+    row's cells as `str` gives them. No cell holds a comma, so none is quoted."""
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    _atomic_write(path, "\n".join(lines) + "\n")
+    return path
+
+
 # The corpus of the run in progress. `cmd_run` loads it once; a pool worker
 # receives it once, through the pool's initializer, so no task re-reads the
 # files or carries the data.
@@ -476,15 +498,10 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
                                      result.warnings)
                 lines[key].append(json.dumps(_echo("record", record), sort_keys=True,
                                              separators=(",", ":")))
-            log_lines = ["round,instance_id,language,cost,score,strategy"]
-            log_lines.extend(
-                f"{e.round},{e.instance_id},{e.language},{e.cost},{e.score!r},{e.strategy}"
-                for e in events
-            )
-            _atomic_write(
-                out / "logs" / f"{key}.rep{replicate}.acquisition.csv",
-                "\n".join(log_lines) + "\n",
-            )
+            _write_table(out / "logs" / f"{key}.rep{replicate}.acquisition.csv",
+                         "round,instance_id,language,cost,score,strategy",
+                         [(e.round, e.instance_id, e.language, e.cost, repr(e.score), e.strategy)
+                          for e in events])
             if events:
                 if composition is None:
                     composition = initial_composition(plan, data, rng_seed)
@@ -597,7 +614,7 @@ def write_summary(out: Path, records: dict[str, list[RoundRecord]]) -> Path:
         for flag in ("with_al", "without_al"):
             header.append(f"{name}_{flag}_mean")
             header.append(f"{name}_{flag}_stddev")
-    rows = [",".join(header)]
+    rows = []
     for setting_label in sorted(by_setting):
         row = [setting_label]
         for name in names:
@@ -607,15 +624,13 @@ def write_summary(out: Path, records: dict[str, list[RoundRecord]]) -> Path:
                     row.extend(["", ""])
                 else:
                     row.extend([_format_float(agg.mean[name]), _format_float(agg.stddev[name])])
-        rows.append(",".join(row))
-    path = out / "summary.csv"
-    _atomic_write(path, "\n".join(rows) + "\n")
-    return path
+        rows.append(row)
+    return _write_table(out / "summary.csv", ",".join(header), rows)
 
 
 def write_plot_data(out: Path, records: dict[str, list[RoundRecord]]) -> Path:
     """Long-format per-round CSV suitable for external plotting."""
-    rows = ["setting,al_flag,round,language,metric,mean,stddev"]
+    rows = []
     for key, recs in sorted(records.items()):
         al_flag = "al" if recs[0].al else "noal"
         per_round: dict[tuple, list[float]] = {}
@@ -625,13 +640,10 @@ def write_plot_data(out: Path, records: dict[str, list[RoundRecord]]) -> Path:
                     per_round.setdefault((rec.round, lang, metric), []).append(value)
         for (round_idx, lang, metric), values in sorted(per_round.items()):
             mean, std = mean_stddev(values)
-            rows.append(
-                f"{recs[0].label},{al_flag},{round_idx},{lang},{metric},"
-                f"{_format_float(mean)},{_format_float(std)}"
-            )
-    path = out / "plot_data.csv"
-    _atomic_write(path, "\n".join(rows) + "\n")
-    return path
+            rows.append((recs[0].label, al_flag, round_idx, lang, metric,
+                         _format_float(mean), _format_float(std)))
+    header = "setting,al_flag,round,language,metric,mean,stddev"
+    return _write_table(out / "plot_data.csv", header, rows)
 
 
 def write_curriculum_csv(out: Path, records: dict[str, list[RoundRecord]]) -> Path:
@@ -640,7 +652,7 @@ def write_curriculum_csv(out: Path, records: dict[str, list[RoundRecord]]) -> Pa
     Rows come from each result replicate's `logs/<cell>.rep<k>.curriculum.json`,
     so the sidecar of a cell without results is never read.
     """
-    rows = ["setting,al_flag,replicate,round,language,alpha,relative_difference,metric,value"]
+    rows = []
     for key, recs in sorted(records.items()):
         al_flag = "al" if recs[0].al else "noal"
         metric_lookup = {(r.replicate, r.round): r.metrics for r in recs}
@@ -651,21 +663,14 @@ def write_curriculum_csv(out: Path, records: dict[str, list[RoundRecord]]) -> Pa
             report = _read_json(path, path.read_text(encoding="utf-8"), "curriculum")
             for round_idx in sorted(report.relative_difference):
                 for lang in sorted(report.alphas):
-                    metrics = metric_lookup.get((replicate, round_idx), {}).get(lang)
-                    if metrics:
-                        metric, value = sorted(metrics.items())[0]
-                        metric_cell = f"{metric},{_format_float(value)}"
-                    else:
-                        metric_cell = ","
-                    rows.append(
-                        f"{recs[0].label},{al_flag},{replicate},{round_idx},{lang},"
-                        f"{_format_float(report.alphas[lang])},"
-                        f"{_format_float(report.relative_difference[round_idx][lang])},"
-                        f"{metric_cell}"
-                    )
-    path = out / "curriculum.csv"
-    _atomic_write(path, "\n".join(rows) + "\n")
-    return path
+                    metrics = sorted(metric_lookup.get((replicate, round_idx), {}).get(lang, {}).items())
+                    metric_cells = (metrics[0][0], _format_float(metrics[0][1])) if metrics else ("", "")
+                    rows.append((recs[0].label, al_flag, replicate, round_idx, lang,
+                                 _format_float(report.alphas[lang]),
+                                 _format_float(report.relative_difference[round_idx][lang]),
+                                 *metric_cells))
+    header = "setting,al_flag,replicate,round,language,alpha,relative_difference,metric,value"
+    return _write_table(out / "curriculum.csv", header, rows)
 
 
 def _pool_warnings(config: ExperimentConfig, data: MultilingualData) -> list[str]:
@@ -805,14 +810,6 @@ def cmd_curriculum(args) -> int:
     return 0
 
 
-# task -> (corpus file extension, corpus writer, acquisition strategy of the default settings)
-_SYNTH = {
-    TaskKind.CLASSIFICATION: ("tsv", write_tsv_classification, StrategyKind.LC),
-    TaskKind.SEQUENCE_TAGGING: ("conll", write_conll_ner, StrategyKind.MNLP),
-    TaskKind.DEPENDENCY_PARSING: ("conllu", write_conllu, StrategyKind.NLPDT),
-}
-
-
 def cmd_synth(args) -> int:
     task = TaskKind(args.task)
     languages = sorted(args.languages.split(","))
@@ -825,14 +822,12 @@ def cmd_synth(args) -> int:
     data = synth_dataset(task, languages, args.train_size, args.test_size, args.overlap, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ext, writer, _ = _SYNTH[task]
+    ext, write = _TASKS[task].ext, _TASKS[task].write
     paths = {}
     for lang in languages:
-        train_path = out / f"{lang}.train.{ext}"
-        test_path = out / f"{lang}.test.{ext}"
-        writer(data.train[lang], train_path)
-        writer(data.test[lang], test_path)
-        paths[lang] = {"train": train_path.name, "test": test_path.name}
+        paths[lang] = {split: f"{lang}.{split}.{ext}" for split in ("train", "test")}
+        write(data.train[lang], out / paths[lang]["train"])
+        write(data.test[lang], out / paths[lang]["test"])
     config = {
         "task": task.value,
         "languages": languages,
@@ -850,7 +845,7 @@ def cmd_synth(args) -> int:
 
 
 def _default_settings(task: TaskKind, languages) -> tuple[Setting, ...]:
-    strategy = _SYNTH[task][2]
+    strategy = _TASKS[task].strategy
     return (
         Setting(SettingFamily.SMA, strategy),
         Setting(SettingFamily.MMA, strategy),

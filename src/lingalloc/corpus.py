@@ -164,8 +164,9 @@ def ingest_conllu(path, language: str, start_id: int = 0) -> list[Instance]:
     """Read a CoNLL-U file into dependency-tree instances.
 
     Multiword-token lines (hyphenated ids) and empty nodes (dotted ids) are
-    skipped; cost counts syntactic-word lines only. Files without head
-    annotations (``_`` in the HEAD column) produce unlabeled trees.
+    skipped; cost counts syntactic-word lines only, and the k-th of them in a
+    sentence must have id k. Files without head annotations (``_`` in the
+    HEAD column) produce unlabeled trees.
     """
     check_language(language)
     path = Path(path)
@@ -181,6 +182,9 @@ def ingest_conllu(path, language: str, start_id: int = 0) -> list[Instance]:
                     f"expected 10 tab-separated columns, got {len(cols)}", path=path, line=line_no
                 )
             if "-" not in cols[0] and "." not in cols[0]:
+                if cols[0] != str(len(rows) + 1):
+                    raise ParseError(f"expected word id {len(rows) + 1}, got {cols[0]!r}",
+                                     path=path, line=line_no)
                 rows.append((line_no, cols[1], cols[3], cols[6], cols[7]))
         if not rows:
             continue

@@ -42,7 +42,9 @@ class Arborescence:
         if len(roots) != 1:
             raise DataError(f"expected exactly one root attachment, found {len(roots)}")
         for d, h in enumerate(self.heads, start=1):
-            if not 0 <= h <= n or h == d:
+            if h == d:
+                raise DataError(f"token {d} is its own head")
+            if not 0 <= h <= n:
                 raise DataError(f"head {h} out of range for dependent {d} (n={n})")
         cycle = _find_cycle([0, *self.heads])
         if cycle is not None:
@@ -71,9 +73,6 @@ class ArcScores:
         m[m == -np.inf] = FORBIDDEN
         self.n = m.shape[1]
         self.scores = m
-
-    def score(self, head: int, dep: int) -> float:
-        return float(self.scores[head, dep - 1])
 
     def square(self) -> np.ndarray:
         """(n+1) x (n+1) copy whose column 0 and diagonal are -inf (no arc)."""

@@ -428,6 +428,36 @@ class TestLoadData:
         assert len(all_ids) == len(set(all_ids))
         assert len(data.train["aa"]) == 30
         assert all(i.language == "bb" for i in data.train["bb"])
+        # every read numbers all 60 rows of its file, aa's on the even ids and bb's on the odd
+        assert {(split, lang): [i.id for i in part[lang]]
+                for split, part in (("train", data.train), ("test", data.test))
+                for lang in part} == {
+            ("train", "aa"): list(range(0, 60, 2)), ("train", "bb"): list(range(61, 120, 2)),
+            ("test", "aa"): list(range(120, 180, 2)), ("test", "bb"): list(range(181, 240, 2)),
+        }
+
+    @pytest.mark.parametrize("task, ext, sentence", [
+        ("tagging", "conll", "{word} B-PER\nx O\n\n"),
+        ("parsing", "conllu",
+         "1\t{word}\t_\tX\t_\t_\t0\troot\t_\t_\n2\tx\t_\tX\t_\t_\t1\tdep\t_\t_\n\n"),
+    ])
+    def test_one_language_files_take_contiguous_ids(self, tmp_path, task, ext, sentence):
+        root = tmp_path / "corpus"
+        assert main(["synth", "--task", task, "--languages", "aa,bb", "--train-size", "40",
+                     "--test-size", "10", "--budget", "8", "--out", str(root)]) == 0
+        sizes = {("train", "aa"): 3, ("train", "bb"): 2, ("test", "aa"): 2, ("test", "bb"): 1}
+        for (split, lang), size in sizes.items():
+            text = "".join(sentence.format(word=f"{lang}-{split}-{k}") for k in range(size))
+            (root / f"{lang}.{split}.{ext}").write_text(text, encoding="utf-8")
+        config, errors = validate_config(root / "config.json")
+        assert errors == []
+        data = load_data(config)
+        assert {(split, lang): [i.id for i in part[lang]]
+                for split, part in (("train", data.train), ("test", data.test))
+                for lang in part} == {
+            ("train", "aa"): [0, 1, 2], ("train", "bb"): [3, 4],
+            ("test", "aa"): [5, 6], ("test", "bb"): [7],
+        }
 
 
     @pytest.mark.parametrize("task, name, text", [
@@ -477,6 +507,21 @@ class TestLoadData:
             assert captured.out == ""
             assert captured.err == f"error: {path.resolve()}:3: byte 0xe9 is not UTF-8\n"
         assert not (out / "results").exists() and not (out / "manifest.json").exists()
+
+    def test_conllu_word_id_out_of_place_is_one_error_line(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        assert main(["synth", "--task", "parsing", "--languages", "aa,bb", "--train-size", "40",
+                     "--test-size", "10", "--budget", "8", "--out", str(root)]) == 0
+        path = root / "bb.train.conllu"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[1].startswith("2\t")
+        lines[1] = "1" + lines[1][1:]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", "--config", str(root / "config.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path.resolve()}:2: expected word id 2, got '1'\n"
 
 
 class TestRunCommand:
@@ -987,12 +1032,15 @@ class TestSynthCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert blocker.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("task, digest", [
-        ("classification", "78c82b314f471d51365419e49dcbc16ab1b5aac5859e8a78f96260315a1ff2c7"),
-        ("tagging", "2be5bdea37207057fd5a47340fcbd3450697ba109b65d06f4213d48f718f9b2b"),
-        ("parsing", "f2d3e147b9b78c242e64dc74515e45ce92d563fa67fa766bdc8c2ad10504b22f"),
+    @pytest.mark.parametrize("task, ext, strategy, digest", [
+        ("classification", "tsv", "lc",
+         "78c82b314f471d51365419e49dcbc16ab1b5aac5859e8a78f96260315a1ff2c7"),
+        ("tagging", "conll", "mnlp",
+         "2be5bdea37207057fd5a47340fcbd3450697ba109b65d06f4213d48f718f9b2b"),
+        ("parsing", "conllu", "nlpdt",
+         "f2d3e147b9b78c242e64dc74515e45ce92d563fa67fa766bdc8c2ad10504b22f"),
     ])
-    def test_output_bytes_pinned(self, tmp_path, task, digest):
+    def test_output_bytes_pinned(self, tmp_path, task, ext, strategy, digest):
         # every file synth writes (corpora and config.json), hashed by name
         # and content; a change here changes every downstream result
         rc = main([
@@ -1000,6 +1048,13 @@ class TestSynthCommand:
             "--test-size", "10", "--seed", "3", "--out", str(tmp_path),
         ])
         assert rc == 0
+        config = json.loads((tmp_path / "config.json").read_text())
+        names = {lang: {split: f"{lang}.{split}.{ext}" for split in ("train", "test")}
+                 for lang in ("aa", "bb")}
+        assert config["data"] == names
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json", *(name for split in names.values() for name in split.values())])
+        assert [s["strategy"] for s in config["settings"]] == [strategy] * 4
         sha = hashlib.sha256()
         for path in sorted(tmp_path.iterdir()):
             sha.update(path.name.encode() + b"\0" + path.read_bytes())

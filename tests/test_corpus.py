@@ -46,9 +46,10 @@ CONLLU_FIXTURE = """\
 1\tHi\thi\tINTJ\t_\t_\t2\tdiscourse\t_\t_
 2\tthere\tthere\tADV\t_\t_\t0\troot\t_\t_
 
-# a multiword token line must be skipped
+# a multiword token line and an empty node must be skipped
 1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_
 1\tde\tde\tADP\t_\t_\t2\tcase\t_\t_
+1.1\tva\tir\tVERB\t_\t_\t_\t_\t0:root\t_
 2\tel\tel\tDET\t_\t_\t0\troot\t_\t_
 """
 
@@ -117,6 +118,7 @@ class TestIngestConllu:
         got = ingest_conllu(path, "es")
         assert len(got) == 2
         assert got[1].payload.tokens == ("de", "el")
+        assert got[1].payload.heads == (2, 0)
         assert got[1].cost == 2
 
     def test_head_out_of_range(self, tmp_path):
@@ -164,6 +166,26 @@ class TestIngestConllu:
         path.write_text("1\ta\tX\n", encoding="utf-8")
         with pytest.raises(ParseError):
             ingest_conllu(path, "en")
+
+    @pytest.mark.parametrize("ids, line, message", [
+        (("1", "1"), 5, "expected word id 2, got '1'"),  # repeated
+        (("2", "1"), 4, "expected word id 1, got '2'"),  # out of order
+        (("1", "x"), 5, "expected word id 2, got 'x'"),  # not an integer
+    ], ids=["repeated", "out-of-order", "not-integer"])
+    def test_word_ids_must_count_from_one(self, tmp_path, ids, line, message):
+        """The k-th word line of a sentence has id k, or its line is named."""
+        path = tmp_path / "bad.conllu"
+        path.write_text(
+            "1\tok\t_\tX\t_\t_\t0\troot\t_\t_\n\n"
+            "# sent_id = 2\n"
+            f"{ids[0]}\ta\t_\tX\t_\t_\t0\troot\t_\t_\n"
+            f"{ids[1]}\tb\t_\tX\t_\t_\t{ids[0]}\tdep\t_\t_\n\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            ingest_conllu(path, "en")
+        assert (err.value.path, err.value.line) == (path, line)
+        assert str(err.value) == f"{path}:{line}: {message}"
 
 
 class TestIngestTsv:

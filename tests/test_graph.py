@@ -101,8 +101,13 @@ class TestArborescence:
             Arborescence((0, 3, 2))
 
     def test_rejects_self_head(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^token 2 is its own head$"):
             Arborescence((0, 2))
+        # the first token in order that breaks a rule is the one named
+        with pytest.raises(DataError, match=r"^head 7 out of range for dependent 2 \(n=3\)$"):
+            Arborescence((0, 7, 3))
+        with pytest.raises(DataError, match=r"^token 2 is its own head$"):
+            Arborescence((0, 2, 7))
 
     def test_long_chain_and_long_cycle(self):
         n = 175
@@ -119,7 +124,7 @@ class TestArcScores:
 
     def test_neg_inf_becomes_sentinel(self):
         s = ArcScores([[0.0], [-np.inf]])
-        assert s.score(1, 1) == FORBIDDEN
+        assert s.scores[1, 0] == FORBIDDEN
 
     def test_rejects_nan(self):
         with pytest.raises(DataError):
