@@ -100,11 +100,11 @@ def nlpdt_score(
     Plain: divide by token count. N2: divide by its square. Global: subtract
     the log partition over all single-root trees, giving the tree's log share
     of the total mass (always <= 0, no length normalization needed).
-    Raises ScoringError when `n_tokens` is below one, and DataError under
+    Raises ScoringError when `n_tokens` is not `tree.n`, and DataError under
     every variant when a probability is NaN or +inf, on a tree arc or not.
     """
-    if n_tokens < 1:
-        raise ScoringError(f"a tree needs at least one token, got n_tokens={n_tokens}")
+    if n_tokens != tree.n:
+        raise ScoringError(f"the tree has {tree.n} tokens, got n_tokens={n_tokens}")
     arc_probas = np.asarray(arc_probas, dtype=np.float64)
     if not (arc_probas < np.inf).all():  # NaN or +inf
         raise DataError("arc probabilities must not be NaN or +inf")

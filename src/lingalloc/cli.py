@@ -73,16 +73,18 @@ class _Task(typing.NamedTuple):
 
 
 # A TSV may mix languages, so a reader returns every instance of its file and
-# `load_data` keeps the language's. A reader calls its `corpus` function by
-# this module's name for it, which `perfbench/tracer.py` rebinds to its wrapper.
+# `load_data` keeps the language's. A reader or writer calls its `corpus`
+# function by this module's name, which `perfbench/tracer.py` rebinds to its wrapper.
 _TASKS = {
     TaskKind.CLASSIFICATION: _Task(
         "tsv", lambda path, language, first: ingest_tsv_classification(path, first),
-        write_tsv_classification, StrategyKind.LC, 256),
+        lambda *args: write_tsv_classification(*args), StrategyKind.LC, 256),
     TaskKind.SEQUENCE_TAGGING: _Task(
-        "conll", lambda *args: ingest_conll_ner(*args), write_conll_ner, StrategyKind.MNLP, 175),
+        "conll", lambda *args: ingest_conll_ner(*args),
+        lambda *args: write_conll_ner(*args), StrategyKind.MNLP, 175),
     TaskKind.DEPENDENCY_PARSING: _Task(
-        "conllu", lambda *args: ingest_conllu(*args), write_conllu, StrategyKind.NLPDT, 175),
+        "conllu", lambda *args: ingest_conllu(*args),
+        lambda *args: write_conllu(*args), StrategyKind.NLPDT, 175),
 }
 
 

@@ -6,14 +6,14 @@ lets a single pooled model transfer across languages. All three models are
 multinomial logistic layers over sparse hashed features, trained by
 mini-batch gradient ascent with a learning-rate search and patience-based
 early stopping on the task metric. One `fit` and one `evaluate` serve all
-three (`_ModelBase`): each model supplies its gold labels, its epoch
-trainer (each epoch's rows gathered once, every mini-batch a slice of them)
-and its counter of the task's counts on an evaluation set (`EvalSet`): a
-validation or test set's payloads, feature rows and gold labels as codes,
-gathered once and counted on by every epoch and fit that validates or tests
-on it. Every counter compares arrays of codes: argmax classes, the BIO
-spans of argmax tags as int64 keys, or decoded heads and argmax arc labels;
-pool scores read the softmax of the logits.
+three (`_ModelBase`) on one gathered form of labeled data, the `EvalSet`:
+a training, validation or test set's payloads, feature rows and gold labels
+as codes. Each model supplies its gold labels, its epoch trainer on a
+training set (each epoch's rows gathered once, every mini-batch a slice of
+them) and its counter of the task's counts on a validation or test set.
+Every counter compares arrays of codes: argmax classes, the BIO spans of
+argmax tags as int64 keys, or decoded heads and argmax arc labels; pool
+scores read the softmax of the logits.
 
 Features are computed once per process: the first time a model needs a
 text, a sentence's token windows or a sentence's arc candidates, they are
@@ -41,7 +41,7 @@ gradient checks.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -83,14 +83,16 @@ class TrainingConfig:
     def __post_init__(self):
         if not self.learning_rates:
             raise ConfigError("need at least one learning rate")
-        if not all(lr > 0 for lr in self.learning_rates):
-            raise ConfigError("learning rates must be positive")
+        if not all(0 < lr < np.inf for lr in self.learning_rates):
+            raise ConfigError("learning rates must be positive and finite")
+        if len(set(self.learning_rates)) < len(self.learning_rates):
+            raise ConfigError("learning rates must be distinct")
         if self.patience > self.max_epochs:
             raise ConfigError("patience cannot exceed max_epochs")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, max_epochs, and patience must be positive")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be non-negative")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError("l2 must be non-negative and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +675,7 @@ def _span_keys(tags, codes: np.ndarray, payloads) -> np.ndarray:
     in order of first appearance in `tags`. A span opens at a B tag, at a
     sentence's first token and after O or a tag of another type: the
     conlleval rule of `tasks.bio_spans`."""
-    parts = [("O", None) if t in ("O", None) else t.partition("-")[::2] for t in tags]
+    parts = [("O", None) if t == "O" else t.partition("-")[::2] for t in tags]
     ids: dict = {}
     types = np.array([-1 if e is None else ids.setdefault(e, len(ids)) for _, e in parts], dtype=np.int64)[codes]
     opens = np.append(np.array([prefix == "B" for prefix, _ in parts], dtype=bool)[codes], False)
@@ -687,19 +689,16 @@ def _span_keys(tags, codes: np.ndarray, payloads) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalSet:
-    """Instances to count predictions on, gathered once by a model's
+    """Instances to train, validate or test on, gathered once by a model's
     `evaluation_set`: their payloads and feature rows, and each unit's gold
     label (a text's class, a token's tag, an arc's label) as a code into
-    `labels`. The tagger's set also holds its gold spans as sorted
-    `_span_keys`, the parser's the gold heads of all its tokens. Every model
-    of that task and feature space can validate and test on it."""
+    `labels`. Every model of that task and feature space can train,
+    validate and test on it, each taking its gold codes from `gold`."""
 
     payloads: list
     rows: Rows
     labels: tuple
     codes: np.ndarray
-    spans: np.ndarray | None = None
-    heads: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -711,14 +710,14 @@ class EvalSet:
 
 
 class _ModelBase:
-    """One `fit` and one `evaluate` for all three models, through three hooks:
-    `_gold(payload)`, the labels, or None for a payload without annotation,
-    whose units an `EvalSet` codes as `_blank(payload)`; `_trainer(payloads,
-    vocab, config)`, the number of training examples and the `prepare` of
-    `_train`, which gathers an epoch's rows and returns its in-place batch
-    step; and `_counter(vocab, evaluation)`, which maps the vocabulary into
-    the set's label space once and returns the task's counts of some weights
-    on that `EvalSet`, from array codes: each epoch's weights in validation,
+    """One `fit` and one `evaluate` for all three models, on `EvalSet`s,
+    through three hooks: `_gold(payload)`, the labels, or None for a payload
+    without annotation, whose units an `EvalSet` codes as `_blank(payload)`;
+    `_trainer(train, vocab, config)`, the training set's number of examples
+    and the `prepare` of `_train`, which gathers an epoch's rows and returns
+    its in-place batch step; and `_counter(vocab, evaluation)`, which maps
+    the vocabulary into the set's label space once and returns the task's
+    counts of some weights on that set: each epoch's weights in validation,
     the trained ones in `evaluate`. Each model binds `fit` and its
     one-instance predictors in its own namespace, where
     `perfbench/tracer.py` wraps them.
@@ -749,25 +748,22 @@ class _ModelBase:
     _blank = staticmethod(lambda payload: (None,) * len(payload.tokens))
 
     def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
-        """`instances` gathered once, to validate or test on as often as needed."""
+        """`instances` gathered once, to train, validate or test on as often as needed."""
         payloads = [i.payload for i in instances]
         code_of: dict = {}
         codes = [code_of.setdefault(y, len(code_of)) for p in payloads for y in self._gold(p) or self._blank(p)]
         return EvalSet(payloads, self._features(payloads)[0], tuple(code_of), np.array(codes, dtype=np.int64))
 
-    def fit(self, labeled: Sequence[Instance], validation: Sequence[Instance] | EvalSet,
-            config: TrainingConfig) -> float:
-        """Train on the annotated `labeled` instances; keep and return the best
-        validation score. `validation` is instances or their `evaluation_set`."""
+    def fit(self, labeled: Sequence[Instance], validation: EvalSet, config: TrainingConfig) -> float:
+        """Train on the set of the annotated `labeled` instances; keep and
+        return the best score on the `validation` set."""
         if not labeled or not validation:
             raise ConfigError("need non-empty labeled and validation sets")
-        payloads = [i.payload for i in labeled if self._gold(i.payload) is not None]
-        vocab = tuple(sorted({y for p in payloads for y in self._gold(p)}))
+        train = self.evaluation_set([i for i in labeled if self._gold(i.payload) is not None])
+        vocab = tuple(sorted(train.labels))
         if not vocab:
             raise ConfigError("empty label vocabulary")
-        n_examples, step = self._trainer(payloads, vocab, config)
-        if not isinstance(validation, EvalSet):
-            validation = self.evaluation_set(validation)
+        n_examples, step = self._trainer(train, vocab, config)
         count = self._counter(vocab, validation)
 
         def eval_fn(weights):
@@ -789,24 +785,18 @@ class _ModelBase:
             for item in fn(payloads[start:stop], *self._features(payloads[start:stop]))
         ]
 
-    def evaluate(self, instances: Sequence[Instance] | EvalSet) -> dict[str, int]:
-        """The task's counts of the trained model's predictions on `instances`,
-        or on their `evaluation_set`, against their gold annotation."""
+    def evaluate(self, evaluation: EvalSet) -> dict[str, int]:
+        """The task's counts of the trained model's predictions on the set
+        against its gold annotation."""
         self._require_trained()
-        if not isinstance(instances, EvalSet):
-            instances = self.evaluation_set(instances)
-        return self._counter(self.vocab, instances)(self.weights)
+        return self._counter(self.vocab, evaluation)(self.weights)
 
 
 class _SoftmaxModel(_ModelBase):
     """A softmax over feature rows: one row per text (classifier) or per token (tagger)."""
 
-    def _trainer(self, payloads, vocab, config: TrainingConfig):
-        index = {y: k for k, y in enumerate(vocab)}
-        rows, _ = self._features(payloads)
-        gold = np.array([index[y] for p in payloads for y in self._gold(p)], dtype=np.int64)
-
-        permute = _permuter(rows)
+    def _trainer(self, train: EvalSet, vocab, config: TrainingConfig):
+        permute, gold = _permuter(train.rows), train.gold(vocab)
 
         def prepare(order):
             epoch, epoch_gold = permute(order), gold[order]
@@ -816,7 +806,7 @@ class _SoftmaxModel(_ModelBase):
 
             return step
 
-        return rows.n, prepare
+        return train.rows.n, prepare
 
     def _probas(self, instances: Sequence[Instance]) -> tuple[np.ndarray, list[int]]:
         """One (rows, vocab) matrix of distributions over every instance's rows, and each instance's row count."""
@@ -879,17 +869,14 @@ class SequenceTagger(_SoftmaxModel):
     def _gold(payload):
         return payload.tags
 
-    def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
-        evaluation = super().evaluation_set(instances)
-        return replace(evaluation, spans=np.sort(_span_keys(evaluation.labels, evaluation.codes, evaluation.payloads)))
-
     def _counter(self, vocab, evaluation: EvalSet):
         """Matching, predicted and gold spans; the argmax tags are coded after
         the set's labels, so their spans' types are numbered as the gold ones."""
         for i, p in enumerate(evaluation.payloads):
             if p.tags is None:
                 raise EvaluationError(f"sentence {i} lacks tag annotations")
-        tags, gold = (*evaluation.labels, *vocab), evaluation.spans
+        tags = (*evaluation.labels, *vocab)
+        gold = np.sort(_span_keys(evaluation.labels, evaluation.codes, evaluation.payloads))
 
         def count(weights):
             best = logits(weights, evaluation.rows).argmax(axis=1) + len(evaluation.labels)
@@ -959,17 +946,15 @@ class DependencyParser(_ModelBase):
     def _gold(payload: DepTree):
         return None if payload.heads is None or payload.labels is None else payload.labels
 
-    def _trainer(self, trees, labels, config: TrainingConfig):
-        label_index = {l: k for k, l in enumerate(labels)}
-        arcs, arc_counts = self._features(trees)
-        lengths = np.array([len(t.tokens) for t in trees], dtype=np.int64)
+    def _trainer(self, train: EvalSet, vocab, config: TrainingConfig):
+        lengths = np.array([len(t.tokens) for t in train.payloads], dtype=np.int64)
         first_dep = np.cumsum(lengths) - lengths
-        first_arc = np.cumsum(arc_counts) - arc_counts
+        first_arc = np.cumsum(lengths * lengths) - lengths * lengths
         gold = np.array(
-            [_candidate(h, d) for t in trees for d, h in enumerate(t.heads, start=1)], dtype=np.int64
+            [_candidate(h, d) for t in train.payloads for d, h in enumerate(t.heads, start=1)], dtype=np.int64
         )
-        gold_labels = np.array([label_index[l] for t in trees for l in t.labels], dtype=np.int64)
-        permute = _permuter(arcs)
+        gold_labels = train.gold(vocab)
+        permute = _permuter(train.rows)
 
         def prepare(order):
             # the epoch's sentences back to back: per dependent its candidate
@@ -994,17 +979,12 @@ class DependencyParser(_ModelBase):
 
             return step
 
-        return len(trees), prepare
+        return len(train), prepare
 
     fit = _ModelBase.fit
 
     # `tasks.attachment_scores` compares a tree without labels as all ""
     _blank = staticmethod(lambda payload: ("",) * len(payload.tokens))
-
-    def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
-        evaluation = super().evaluation_set(instances)
-        heads = [h for p in evaluation.payloads for h in p.heads or ()]
-        return replace(evaluation, heads=np.array(heads, dtype=np.int64))
 
     def _counter(self, vocab, evaluation: EvalSet):
         """Head-correct, head- and label-correct, and all tokens of the decoded
@@ -1012,13 +992,14 @@ class DependencyParser(_ModelBase):
         for i, p in enumerate(evaluation.payloads):
             if p.heads is None:
                 raise EvaluationError(f"sentence {i} lacks head annotations")
-        if not len(evaluation.heads):
+        if not len(evaluation.codes):
             raise EvaluationError("no tokens to score")
         gold = evaluation.gold(vocab)
+        gold_heads = np.array([h for p in evaluation.payloads for h in p.heads], dtype=np.int64)
 
         def count(weights):
             heads, labels = self._decode(weights, evaluation.payloads, evaluation.rows)
-            hit = np.concatenate(heads) == evaluation.heads
+            hit = np.concatenate(heads) == gold_heads
             return {"head_correct": int(np.count_nonzero(hit)),
                     "label_correct": int(np.count_nonzero(hit & (labels == gold))), "total": len(gold)}
 

@@ -96,6 +96,14 @@ class TestNlpdtScore:
 
     @pytest.mark.parametrize("variant", [StrategyKind.NLPDT, StrategyKind.NLPDT_N2,
                                          StrategyKind.NLPDT_GLOBAL])
+    @pytest.mark.parametrize("n_tokens", [1, 3])
+    def test_rejects_a_token_count_other_than_the_trees(self, variant, n_tokens):
+        probas = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ScoringError, match=f"^the tree has 2 tokens, got n_tokens={n_tokens}$"):
+            nlpdt_score(probas, Arborescence((0, 1)), n_tokens, variant)
+
+    @pytest.mark.parametrize("variant", [StrategyKind.NLPDT, StrategyKind.NLPDT_N2,
+                                         StrategyKind.NLPDT_GLOBAL])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("arc", [(0, 0), (2, 0)], ids=["tree_arc", "other_arc"])
     def test_rejects_nan_or_inf_under_every_variant(self, variant, bad, arc):

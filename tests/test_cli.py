@@ -228,6 +228,14 @@ class TestValidateConfig:
         assert main(["validate", "--config", str(config_path)]) == 1
         assert (section or key) in capsys.readouterr().err
 
+    def test_repeated_learning_rate_rejected(self, tmp_path, capsys):
+        config_path = _small_config(tmp_path / "corpus")
+        cfg = json.loads(config_path.read_text())
+        cfg["training"]["learning_rates"] = [0.5, 0.5]
+        config_path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: training: learning rates must be distinct"]
+
     @pytest.mark.parametrize("value", [[], {}], ids=["list", "object"])
     @pytest.mark.parametrize("key", ["kind", "strategy", "task"])
     def test_enum_given_as_list_or_object_rejected(self, tmp_path, capsys, key, value):
@@ -989,6 +997,25 @@ class TestSynthCommand:
     def test_invalid_overlap(self):
         with pytest.raises(ConfigError):
             synth_dataset(TaskKind.CLASSIFICATION, ["aa"], 10, 5, 1.5, 0)
+
+    @pytest.mark.parametrize("task, writer, ext", [
+        ("classification", "write_tsv_classification", "tsv"),
+        ("tagging", "write_conll_ner", "conll"),
+        ("parsing", "write_conllu", "conllu"),
+    ])
+    def test_writes_through_the_writers_module_names(self, tmp_path, monkeypatch, task, writer, ext):
+        # `perfbench/tracer.py` traces a writer by rebinding its name in this module
+        write, paths = getattr(cli, writer), []
+
+        def counting(instances, path):
+            paths.append(Path(path).name)
+            return write(instances, path)
+
+        monkeypatch.setattr(cli, writer, counting)
+        assert main(["synth", "--task", task, "--languages", "aa,bb", "--train-size", "20",
+                     "--test-size", "5", "--out", str(tmp_path / "corpus")]) == 0
+        assert sorted(paths) == [f"{lang}.{split}.{ext}" for lang in ("aa", "bb")
+                                 for split in ("test", "train")]
 
     def test_invalid_language_code_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "corpus"

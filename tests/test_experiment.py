@@ -235,7 +235,7 @@ class TestRunRounds:
         # an arm whose unlabeled pool has run out still scores and buys each round
         data = make_data()
         model = build_model(data.task, SPACE)
-        model.fit(data.train["aa"][:8], data.train["aa"][8:], FAST)
+        model.fit(data.train["aa"][:8], model.evaluation_set(data.train["aa"][8:]), FAST)
         for kind in (strategy, StrategyKind.RANDOM):
             ordered, scores = experiment._score_pool(model, data.task, [], kind,
                                                      np.random.default_rng(0))

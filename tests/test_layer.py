@@ -147,14 +147,14 @@ class TestBatchedPrediction:
         data = synth_classification(["aa", "bb"], 160, 10, 0.5, seed=1)
         insts = [i for lang in data.languages for i in data.train[lang]]
         model = TextClassifier(SPACE)
-        model.fit(insts[:60], insts[60:90], FAST)
+        model.fit(insts[:60], model.evaluation_set(insts[60:90]), FAST)
         model.chunk = 40
         batch = model.predict_proba_batch(insts)
         assert batch.shape == (len(insts), len(model.classes))
         for inst, probas in zip(insts, batch, strict=True):
             assert np.array_equal(probas, model.predict_proba(inst))
         pred, gold = [model.predict(i) for i in insts], [i.payload.label for i in insts]
-        counts = model.evaluate(insts)
+        counts = model.evaluate(model.evaluation_set(insts))
         assert counts == {"correct": sum(p == g for p, g in zip(pred, gold)), "total": len(insts)}
         assert task_metrics(model.task, counts)["accuracy"] == accuracy(pred, gold)
 
@@ -162,7 +162,7 @@ class TestBatchedPrediction:
         data = synth_tagging(["aa", "bb"], 50, 10, 0.5, seed=1)
         insts = [i for lang in data.languages for i in data.train[lang]]
         model = SequenceTagger(SPACE)
-        model.fit(insts[:30], insts[30:45], FAST)
+        model.fit(insts[:30], model.evaluation_set(insts[30:45]), FAST)
         model.chunk = 40
         probas, counts = model.predict_tag_probas_batch(insts)
         assert counts == [len(i.payload.tokens) for i in insts]
@@ -170,18 +170,20 @@ class TestBatchedPrediction:
         for inst, rows in zip(insts, np.split(probas, np.cumsum(counts)[:-1]), strict=True):
             assert np.array_equal(rows, model.predict_tag_probas(inst))
         gold = [list(i.payload.tags) for i in insts]
-        assert model.evaluate(insts) == span_f1([model.predict_tags(i) for i in insts], gold).counts
+        expected = span_f1([model.predict_tags(i) for i in insts], gold).counts
+        assert model.evaluate(model.evaluation_set(insts)) == expected
 
     def test_parser(self):
         data = synth_parsing(["aa", "bb"], 15, 5, 0.5, seed=1)
         insts = [i for lang in data.languages for i in data.train[lang]]
         assert max(len(i.payload.tokens) ** 2 for i in insts) > 40
         model = DependencyParser(SPACE)
-        model.fit(insts[:12], insts[12:18], FAST)
+        model.fit(insts[:12], model.evaluation_set(insts[12:18]), FAST)
         model.chunk = 40
         trees = [model.decode_tree(i) for i in insts]
         assert model.decode_tree_batch(insts) == trees
-        assert model.evaluate(insts) == attachment_scores(trees, [i.payload for i in insts]).counts
+        expected = attachment_scores(trees, [i.payload for i in insts]).counts
+        assert model.evaluate(model.evaluation_set(insts)) == expected
         for inst, log_probs in zip(insts, model.head_log_probs_batch(insts), strict=True):
             head_probs, _ = model.predict_arc_probas(inst)
             assert np.array_equal(np.exp(log_probs), head_probs)
@@ -189,15 +191,15 @@ class TestBatchedPrediction:
     def test_empty_input(self):
         data = synth_tagging(["aa"], 30, 5, 0.5, seed=2)
         model = SequenceTagger(SPACE)
-        model.fit(data.train["aa"][:15], data.train["aa"][15:], FAST)
+        model.fit(data.train["aa"][:15], model.evaluation_set(data.train["aa"][15:]), FAST)
         probas, counts = model.predict_tag_probas_batch([])
         assert probas.shape == (0, len(model.tags)) and counts == []
-        assert model.evaluate([]) == {"tp": 0, "pred_spans": 0, "gold_spans": 0}
+        assert model.evaluate(model.evaluation_set([])) == {"tp": 0, "pred_spans": 0, "gold_spans": 0}
         data = synth_classification(["aa"], 30, 5, 0.5, seed=2)
         model = TextClassifier(SPACE)
-        model.fit(data.train["aa"][:15], data.train["aa"][15:], FAST)
+        model.fit(data.train["aa"][:15], model.evaluation_set(data.train["aa"][15:]), FAST)
         assert model.predict_proba_batch([]).shape == (0, len(model.classes))
-        assert model.evaluate([]) == {"correct": 0, "total": 0}
+        assert model.evaluate(model.evaluation_set([])) == {"correct": 0, "total": 0}
 
 
 def test_fit_info_records_the_learning_rate_search():
@@ -208,7 +210,7 @@ def test_fit_info_records_the_learning_rate_search():
     config = TrainingConfig(learning_rates=(0.5, 0.001), batch_size=4, max_epochs=12, patience=3)
     model = TextClassifier(SPACE)
     assert model.fit_info is None
-    score = model.fit(insts, insts, config)
+    score = model.fit(insts, model.evaluation_set(insts), config)
     info = model.fit_info
     assert sorted(info.validation) == [0.001, 0.5] == sorted(info.epochs_run)
     assert info.learning_rate in info.validation

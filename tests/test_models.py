@@ -86,6 +86,19 @@ class TestFeatureSpace:
             FeatureSpace(ngram_min=4, ngram_max=2)
 
 
+class TestTrainingConfig:
+    @pytest.mark.parametrize("fields, message", [
+        ({"learning_rates": (0.5, 0.5)}, "learning rates must be distinct"),
+        ({"learning_rates": (0.5, float("inf"))}, "learning rates must be positive and finite"),
+        ({"learning_rates": (float("nan"),)}, "learning rates must be positive and finite"),
+        ({"l2": float("inf")}, "l2 must be non-negative and finite"),
+        ({"l2": float("nan")}, "l2 must be non-negative and finite"),
+    ], ids=["repeated-rate", "infinite-rate", "nan-rate", "infinite-l2", "nan-l2"])
+    def test_rejects_a_repeated_or_non_finite_value(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            TrainingConfig(**fields)
+
+
 class TestFeaturize:
     def test_deterministic(self):
         a = featurize_text("the same string", SPACE)
@@ -286,7 +299,8 @@ class TestEpochTrainer:
             learning_rates=(self.LR,), batch_size=batch_size, max_epochs=self.EPOCHS, patience=self.EPOCHS,
             l2=l2, rng_seed=4,
         )
-        n, prepare = model._trainer(payloads, vocab, config)
+        train = model.evaluation_set([Instance(i, "en", p, 1) for i, p in enumerate(payloads)])
+        n, prepare = model._trainer(train, vocab, config)
         scores = iter(range(self.EPOCHS))  # rising, so `_train` keeps the last epoch's weights
         got, _ = _train(lambda: model._zeros(vocab), prepare, lambda _: next(scores), n, config)
 
@@ -317,7 +331,7 @@ FAST = TrainingConfig(learning_rates=(0.5,), batch_size=8, max_epochs=30, patien
 class TestTextClassifier:
     def test_reaches_perfect_training_accuracy(self):
         model = TextClassifier(SPACE)
-        model.fit(SEPARABLE, SEPARABLE, FAST)
+        model.fit(SEPARABLE, model.evaluation_set(SEPARABLE), FAST)
         preds = [model.predict(i) for i in SEPARABLE]
         gold = [i.payload.label for i in SEPARABLE]
         assert preds == gold
@@ -325,8 +339,8 @@ class TestTextClassifier:
     def test_bit_identical_retraining(self):
         a = TextClassifier(SPACE)
         b = TextClassifier(SPACE)
-        a.fit(SEPARABLE, SEPARABLE, FAST)
-        b.fit(SEPARABLE, SEPARABLE, FAST)
+        a.fit(SEPARABLE, a.evaluation_set(SEPARABLE), FAST)
+        b.fit(SEPARABLE, b.evaluation_set(SEPARABLE), FAST)
         assert np.array_equal(a.weights, b.weights)
 
     def test_zero_weights_give_uniform(self):
@@ -336,7 +350,7 @@ class TestTextClassifier:
 
     def test_distribution_normalized(self):
         model = TextClassifier(SPACE)
-        model.fit(SEPARABLE, SEPARABLE, FAST)
+        model.fit(SEPARABLE, model.evaluation_set(SEPARABLE), FAST)
         proba = model.predict_proba(text_instance(99, "fresh unseen text"))
         assert abs(proba.sum() - 1.0) < 1e-9
         assert (proba > 0).all() and (proba < 1).all()
@@ -360,8 +374,9 @@ class TestTextClassifier:
 
     def test_empty_labels_rejected(self):
         insts = [text_instance(0, "x", None)]
+        model = TextClassifier(SPACE)
         with pytest.raises(ConfigError):
-            TextClassifier(SPACE).fit(insts, insts, FAST)
+            model.fit(insts, model.evaluation_set(insts), FAST)
 
     def test_loglik_nondecreasing_at_small_lr(self):
         examples = [
@@ -474,8 +489,9 @@ class TestValidationMetric:
         insts = [i for lang in data.languages for i in data.train[lang]]
         model = build_model(task, SPACE)
         config = TrainingConfig(learning_rates=(0.1, 0.5), batch_size=8, max_epochs=6, patience=3)
-        score = model.fit(insts[:30], insts[30:60], config)
-        counts = model.evaluate(insts[30:60])
+        validation = model.evaluation_set(insts[30:60])
+        score = model.fit(insts[:30], validation, config)
+        counts = model.evaluate(validation)
         assert score == task_metrics(task, counts)[model.headline]
         assert model.headline == {TaskKind.CLASSIFICATION: "accuracy",
                                   TaskKind.SEQUENCE_TAGGING: "f1",
@@ -485,7 +501,7 @@ class TestValidationMetric:
 class TestSequenceTagger:
     def test_fit_and_predict_shapes(self):
         model = SequenceTagger(SPACE)
-        model.fit(TAGGED, TAGGED, FAST)
+        model.fit(TAGGED, model.evaluation_set(TAGGED), FAST)
         probas = model.predict_tag_probas(TAGGED[1])
         assert probas.shape == (3, len(model.tags))
         assert np.allclose(probas.sum(axis=1), 1.0, atol=1e-9)
@@ -510,8 +526,8 @@ class TestSequenceTagger:
     def test_deterministic(self):
         a = SequenceTagger(SPACE)
         b = SequenceTagger(SPACE)
-        a.fit(TAGGED, TAGGED, FAST)
-        b.fit(TAGGED, TAGGED, FAST)
+        a.fit(TAGGED, a.evaluation_set(TAGGED), FAST)
+        b.fit(TAGGED, b.evaluation_set(TAGGED), FAST)
         assert np.array_equal(a.weights, b.weights)
 
 
@@ -575,7 +591,7 @@ class TestDependencyParser:
     def test_decode_beats_gold_score(self):
         insts = _parse_fixture()
         model = DependencyParser(SPACE)
-        model.fit(insts, insts, FAST)
+        model.fit(insts, model.evaluation_set(insts), FAST)
         for inst in insts:
             head_probs, _ = model.predict_arc_probas(inst)
             decoded = model.decode_tree(inst)
@@ -599,8 +615,8 @@ class TestDependencyParser:
         insts = _parse_fixture()
         a = DependencyParser(SPACE)
         b = DependencyParser(SPACE)
-        score_a = a.fit(insts, insts, FAST)
-        score_b = b.fit(insts, insts, FAST)
+        score_a = a.fit(insts, a.evaluation_set(insts), FAST)
+        score_b = b.fit(insts, b.evaluation_set(insts), FAST)
         assert score_a == score_b
         assert np.array_equal(a.weights[0], b.weights[0])
         assert np.array_equal(a.weights[1:], b.weights[1:])
@@ -611,7 +627,7 @@ class TestDependencyParser:
                        Instance(91, "en", DepTree(tokens, upos, None, ("dep", "root")), 2),
                        Instance(92, "en", DepTree(tokens, upos, (2, 0), None), 2)]
         c = DependencyParser(SPACE)
-        assert c.fit(insts[:3] + unannotated + insts[3:], insts, FAST) == score_a
+        assert c.fit(insts[:3] + unannotated + insts[3:], c.evaluation_set(insts), FAST) == score_a
         assert c.labels == a.labels and np.array_equal(c.weights, a.weights)
 
 
@@ -653,8 +669,8 @@ class TestEvaluationSet:
         data = synth_dataset(task, ["aa", "bb"], 40, 12, 0.5, seed=4)
         insts = [i for lang in data.languages for i in data.train[lang]]
         model = build_model(task, SPACE)
-        score = model.fit(insts[:30], insts[30:60] if validation is None else validation(model, insts[30:60]),
-                          TestEvaluationSet.CONFIG)
+        validation = validation or (lambda model, val: model.evaluation_set(val))
+        score = model.fit(insts[:30], validation(model, insts[30:60]), TestEvaluationSet.CONFIG)
         return model, score, insts, [i for lang in data.languages for i in data.test[lang]]
 
     @staticmethod
@@ -671,7 +687,6 @@ class TestEvaluationSet:
             tests.append(text_instance(10**6 + 1, tests[1].payload.text))
         expected = instance_loop_counts(task.value, self._predictions(model, tests), [i.payload for i in tests])
         assert model.evaluate(model.evaluation_set(tests)) == expected
-        assert model.evaluate(tests) == expected
         # an evaluation set serves any fit of the task and space, not only the model that made it
         assert model.evaluate(build_model(task, SPACE).evaluation_set(tests)) == expected
 
@@ -681,15 +696,13 @@ class TestEvaluationSet:
     ])
     def test_empty_set_counts_nothing(self, task, expected):
         model = self._fitted(task)[0]
-        assert model.evaluate(model.evaluation_set([])) == expected == model.evaluate([])
+        assert model.evaluate(model.evaluation_set([])) == expected
 
     def test_tagger_rejects_an_unannotated_sentence(self):
         model, _, _, tests = self._fitted(TaskKind.SEQUENCE_TAGGING)
         unannotated = replace(tests[0], payload=replace(tests[0].payload, tags=None))
-        instances = [tests[1], unannotated]
-        for evaluation in (model.evaluation_set(instances), instances):
-            with pytest.raises(EvaluationError, match="^sentence 1 lacks tag annotations$"):
-                model.evaluate(evaluation)
+        with pytest.raises(EvaluationError, match="^sentence 1 lacks tag annotations$"):
+            model.evaluate(model.evaluation_set([tests[1], unannotated]))
 
     def test_parser_rejects_an_empty_or_unannotated_set(self):
         model, _, _, tests = self._fitted(TaskKind.DEPENDENCY_PARSING)
@@ -697,8 +710,6 @@ class TestEvaluationSet:
         for instances in ([], [tests[1], unannotated]):
             with pytest.raises(EvaluationError):
                 model.evaluate(model.evaluation_set(instances))
-            with pytest.raises(EvaluationError):
-                model.evaluate(instances)
 
     # the validation scores each learning rate reached, and the epochs it ran,
     # when validation counted one instance's prediction at a time
@@ -711,7 +722,7 @@ class TestEvaluationSet:
     @pytest.mark.parametrize("task", list(TaskKind))
     def test_fit_validates_on_the_set_as_on_instances(self, task):
         a, score, insts, _ = self._fitted(task)
-        b, same, _, _ = self._fitted(task, lambda model, val: model.evaluation_set(val))
+        b, same, _, _ = self._fitted(task, lambda model, val: build_model(task, SPACE).evaluation_set(val))
         assert (a.fit_info.validation, a.fit_info.epochs_run) == self.PINNED[task]
         assert same == score and b.fit_info == a.fit_info and np.array_equal(b.weights, a.weights)
         val = insts[30:60]
