@@ -23,8 +23,9 @@ any workload, else 0. Neither checkout is changed.
 
 With `--json PATH` it also writes what it prints to PATH as one JSON object:
 each checkout's commit (read from its `.git` as `perfbench/run.py` reads
-it), each pair's seed, run order and per-side metric values, the counts of
-runs not correct and of failed operations, and per end-to-end metric the
+it, with `+dirty` appended when its tracked files differ from it), each
+pair's seed, run order and per-side metric values, the counts of runs not
+correct and of failed operations, and per end-to-end metric the
 medians, A's quartiles, B's wins, the gap, the bound, whether the gap is
 beyond it and whether B gains (`gain`). With several workloads the file
 holds one such object per workload, keyed by its name.
@@ -54,7 +55,7 @@ def parse_args(argv):
     return args
 
 
-def git_sha(root: Path):
+def head_sha(root: Path):
     """Commit of the checkout at `root`, read from its `.git` without running git; None outside git."""
     git = root / ".git"
     try:
@@ -71,6 +72,20 @@ def git_sha(root: Path):
     except OSError:
         pass
     return None
+
+
+def git_sha(root: Path):
+    """`head_sha(root)`, marked `+dirty` when `git status` reports tracked
+    files that differ from it; as read where git cannot say."""
+    sha = head_sha(root)
+    if sha is None:
+        return None
+    try:
+        status = subprocess.run(["git", f"--git-dir={root / '.git'}", f"--work-tree={root}", "status",
+                                 "--porcelain", "--untracked-files=no"], capture_output=True, text=True)
+    except OSError:  # no git program
+        return sha
+    return f"{sha}+dirty" if status.returncode == 0 and status.stdout.strip() else sha
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:

@@ -24,6 +24,7 @@ from .corpus import (
 )
 from .experiment import (
     BudgetSpec,
+    Featurized,
     MultilingualData,
     RoundResult,
     Setting,
@@ -31,6 +32,7 @@ from .experiment import (
     aggregate,
     allocate,
     curriculum,
+    featurize,
     initial_composition,
     run_arms,
     run_rounds,

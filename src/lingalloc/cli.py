@@ -45,12 +45,14 @@ from .errors import ConfigError, DataError, LingallocError, ParseError
 from .experiment import (
     BudgetSpec,
     CurriculumReport,
+    Featurized,
     MultilingualData,
     Setting,
     SettingFamily,
     aggregate,
     allocate,
     curriculum,
+    featurize,
     initial_composition,
     mean_stddev,
     run_arms,
@@ -70,6 +72,7 @@ class _Task(typing.NamedTuple):
     write: typing.Callable  # (instances, path)
     strategy: StrategyKind  # of the settings `synth` writes
     max_length: int  # the config's default: truncates a text, drops a longer sentence
+    gold: str  # the payload field that holds the gold annotation a test instance needs
 
 
 # A TSV may mix languages, so a reader returns every instance of its file and
@@ -78,13 +81,13 @@ class _Task(typing.NamedTuple):
 _TASKS = {
     TaskKind.CLASSIFICATION: _Task(
         "tsv", lambda path, language, first: ingest_tsv_classification(path, first),
-        lambda *args: write_tsv_classification(*args), StrategyKind.LC, 256),
+        lambda *args: write_tsv_classification(*args), StrategyKind.LC, 256, "label"),
     TaskKind.SEQUENCE_TAGGING: _Task(
         "conll", lambda *args: ingest_conll_ner(*args),
-        lambda *args: write_conll_ner(*args), StrategyKind.MNLP, 175),
+        lambda *args: write_conll_ner(*args), StrategyKind.MNLP, 175, "tags"),
     TaskKind.DEPENDENCY_PARSING: _Task(
         "conllu", lambda *args: ingest_conllu(*args),
-        lambda *args: write_conllu(*args), StrategyKind.NLPDT, 175),
+        lambda *args: write_conllu(*args), StrategyKind.NLPDT, 175, "heads"),
 }
 
 
@@ -393,15 +396,16 @@ def load_data(config: ExperimentConfig) -> MultilingualData:
     in sorted language order, train before test, and each instance a file
     holds takes one, also one of another language in a mixed-language TSV. A
     language without training or test instances raises DataError: no model
-    could train on it, or its metrics would read 0.
+    could train on it, or its metrics would read 0. So does a test instance
+    without gold annotation, which would be scored as misses.
     """
-    read = _TASKS[config.task].read
+    read, gold = _TASKS[config.task].read, _TASKS[config.task].gold
     splits: dict[str, dict[str, list]] = {"train": {}, "test": {}}
     counter = 0
     for split, out in splits.items():
         for lang in config.languages:
             path = config.data[lang][split]
-            ingested = read(path, lang, counter)
+            first, ingested = counter, read(path, lang, counter)
             counter += len(ingested)
             instances = [i for i in ingested if i.language == lang]
             if split == "train":
@@ -410,6 +414,9 @@ def load_data(config: ExperimentConfig) -> MultilingualData:
                 instances = length_filter(instances, config.max_length)
             if not instances:
                 raise DataError(f"data.{lang}.{split}: no {lang} instances in {path}")
+            blank = [i.id - first + 1 for i in instances if split == "test" and getattr(i.payload, gold) is None]
+            if blank:  # numbered from 1 among all the file's instances
+                raise DataError(f"data.{lang}.test: instance {blank[0]} of {path} has no gold {gold}")
             out[lang] = instances
     return MultilingualData(config.task, splits["train"], splits["test"])
 
@@ -461,15 +468,15 @@ def _write_table(path: Path, header: str, rows) -> Path:
     return path
 
 
-# The corpus of the run in progress. `cmd_run` loads it once; a pool worker
-# receives it once, through the pool's initializer, so no task re-reads the
-# files or carries the data.
-_loaded: MultilingualData | None = None
+# The featurized corpus of the run in progress. `cmd_run` loads the data once;
+# this process, or each pool worker through the pool's initializer, featurizes
+# it once, so no task re-reads the files, carries the data or hashes it again.
+_loaded: Featurized | None = None
 
 
-def _keep_corpus(data: MultilingualData | None) -> None:
+def _keep_corpus(data: MultilingualData | None, space: FeatureSpace) -> None:
     global _loaded
-    _loaded = data
+    _loaded = None if data is None else featurize(data, space)
 
 
 def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
@@ -479,8 +486,8 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
     lockstep, sharing the fits of pools they hold in common. Returns the
     keys of the cells written.
     """
-    data = _loaded
-    assert data is not None, "run_cell runs only inside _task_runs"
+    corpus = _loaded
+    assert corpus is not None, "run_cell runs only inside _task_runs"
     setting, arms = task["setting"], task["arms"]
     plan = allocate(setting, config.budget, config.languages)
     per_round_total = sum(plan.per_round(mp) for mp in plan.models)
@@ -488,7 +495,7 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
     lines: dict[str, list[str]] = {_cell_key(setting, with_al): [] for with_al in arms}
     for replicate in range(config.replicates):
         rng_seed = config.seed + replicate
-        runs = run_arms(plan, data, config.training, config.feature_space, rng_seed, arms)
+        runs = run_arms(plan, corpus, config.training, rng_seed, arms)
         composition = None
         for with_al in arms:
             key = _cell_key(setting, with_al)
@@ -506,7 +513,7 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
                           for e in events])
             if events:
                 if composition is None:
-                    composition = initial_composition(plan, data, rng_seed)
+                    composition = initial_composition(plan, corpus.data, rng_seed)
                 report = curriculum(events, composition, per_round_total)
                 _atomic_write(out / "logs" / f"{key}.rep{replicate}.curriculum.json",
                               json.dumps(_echo("curriculum", report), sort_keys=True,
@@ -717,21 +724,21 @@ def _task_runs(config: ExperimentConfig, data: MultilingualData, tasks: list[dic
 
     `call()` returns the task's cell keys or raises the task's error. With
     more than one job the tasks run in a process pool with at most one worker
-    per task; each worker receives `data` once, when it starts.
+    per task; each worker receives and featurizes `data` once, when it starts.
     """
     workers = min(jobs, len(tasks))
     if workers < 2:
-        _keep_corpus(data)
+        _keep_corpus(data, config.feature_space)
         try:
             for task in tasks:
                 yield task, functools.partial(run_cell, config, task, out)
         finally:
-            _keep_corpus(None)
+            _keep_corpus(None, config.feature_space)
         return
     # this process keeps no corpus of its own here, so a worker has one only
     # through the initializer, whether the pool forks or spawns it
     with ProcessPoolExecutor(max_workers=workers, initializer=_keep_corpus,
-                             initargs=(data,)) as pool:
+                             initargs=(data, config.feature_space)) as pool:
         futures = {pool.submit(run_cell, config, task, out): task for task in tasks}
         for future in as_completed(futures):
             yield futures[future], future.result

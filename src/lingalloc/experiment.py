@@ -5,12 +5,13 @@ unlabeled pool, buy a batch within the per-round budget, reveal its gold
 annotations, retrain from scratch, evaluate every target language. A pool
 is scored into one array, in ascending id order, and bought from on arrays
 (`select_ranked`); only the instances bought become `AcquisitionEvent`s.
-Each validation pool and test language is gathered once per run, as an
-evaluation set that every fit validates and tests on. A setting's AL and
-random arms run their rounds in lockstep: each round, each arm buys for
-each of its models and then fits it, or reuses the fit of a labeled pool
-another arm holds too. The settings differ only in how models, budgets,
-and eligible pools are laid out:
+A run's corpus is featurized once (`featurize`), and each set it trains or
+scores on is taken from it; each validation pool and test language once per
+run, as an evaluation set that every fit validates and tests on. A
+setting's AL and random arms run their rounds in lockstep: each round, each
+arm buys for each of its models and then fits it, or reuses the fit of a
+labeled pool another arm holds too. The settings differ only in how models,
+budgets, and eligible pools are laid out:
 
 * ``monoa`` - one model, the whole budget on a single source language,
   evaluated on every language (zero-shot on the others);
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,9 +37,9 @@ from .acquisition import (
     strategy_compatible,
 )
 from .corpus import Instance, Pool, SplitSpec, sample_splits
-from .errors import ConfigError, ScoringError
+from .errors import ConfigError, DataError, ScoringError
 from .graph import ArcScores, chu_liu_edmonds
-from .models import FeatureSpace, TrainingConfig, build_model
+from .models import EvalSet, FeatureSpace, TrainingConfig, build_model
 from .tasks import BudgetUnit, MetricReport, TaskKind
 
 
@@ -168,6 +169,36 @@ class MultilingualData:
 
 
 @dataclass(frozen=True)
+class Featurized:
+    """A run's corpus featurized once: `data`, its feature space, one evaluation
+    set over all its training and test instances, and each instance id's
+    position in that set, from which a run takes every set it uses."""
+
+    data: MultilingualData
+    space: FeatureSpace
+    instances: EvalSet
+    position: dict[int, int]
+
+    def positions(self, instances: Iterable[Instance]) -> np.ndarray:
+        return np.fromiter((self.position[i.id] for i in instances), dtype=np.int64)
+
+    def take(self, instances: Iterable[Instance]) -> EvalSet:
+        """The set of `instances`, in order."""
+        return self.instances.take(self.positions(instances))
+
+
+def featurize(data: MultilingualData, space: FeatureSpace) -> Featurized:
+    """Every training and test instance of `data` hashed once, in passes of
+    at most its task model's `chunk` rows; DataError if an id repeats."""
+    instances = [i for part in (data.train, data.test) for group in part.values() for i in group]
+    position: dict[int, int] = {}
+    for k, inst in enumerate(instances):
+        if position.setdefault(inst.id, k) != k:
+            raise DataError(f"instance id {inst.id} occurs more than once")
+    return Featurized(data, space, build_model(data.task, space).evaluation_set(instances), position)
+
+
+@dataclass(frozen=True)
 class AcquisitionEvent:
     round: int
     instance_id: int
@@ -190,25 +221,27 @@ def _derive_seed(base: int, *key: int) -> int:
     return int(np.random.SeedSequence(base, spawn_key=tuple(key)).generate_state(1)[0])
 
 
-def _score_pool(model, task, instances, strategy, round_rng):
+def _score_pool(model, corpus: Featurized, instances, strategy, round_rng):
     """The unlabeled instances in ascending id order and their acquisition
-    scores as one float64 array, lower acquired first."""
-    if not strategy_compatible(strategy, task):
-        raise ScoringError(f"strategy {strategy.value} incompatible with task {task.value}")
+    scores as one float64 array, lower acquired first. A model scores them
+    in passes of at most its `chunk` rows, taken from the corpus one at a time."""
+    if not strategy_compatible(strategy, corpus.data.task):
+        raise ScoringError(f"strategy {strategy.value} incompatible with task {corpus.data.task.value}")
     ordered = sorted(instances, key=lambda i: i.id)
     if strategy is StrategyKind.RANDOM:
         # the draws of `random_scores`, which are made in ascending id order too
-        values = round_rng.random(len(ordered))
-    elif strategy is StrategyKind.LC:
-        values = lc_scores(model.predict_proba_batch(ordered))
-    elif strategy is StrategyKind.MNLP:
-        values = mnlp_scores(*model.predict_tag_probas_batch(ordered))
-    else:
-        values = []
-        for log_probs in model.head_log_probs_batch(ordered):
-            tree = chu_liu_edmonds(ArcScores(log_probs))
-            values.append(nlpdt_score(np.exp(log_probs), tree, tree.n, strategy))
-    return ordered, np.asarray(values, dtype=np.float64)
+        return ordered, round_rng.random(len(ordered))
+    values = [np.zeros(0)]
+    for part in corpus.instances.passes(corpus.positions(ordered), model.chunk):
+        if strategy is StrategyKind.LC:
+            values.append(lc_scores(model.predict_proba_batch(part)))
+        elif strategy is StrategyKind.MNLP:
+            values.append(mnlp_scores(*model.predict_tag_probas_batch(part)))
+        else:
+            for log_probs in model.head_log_probs_batch(part):
+                tree = chu_liu_edmonds(ArcScores(log_probs))
+                values.append([nlpdt_score(np.exp(log_probs), tree, tree.n, strategy)])
+    return ordered, np.concatenate(values)
 
 
 def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> list[Pool]:
@@ -221,28 +254,27 @@ def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> 
     return pools
 
 
-def _fit_and_evaluate(mp, pool, val_set, test_sets, task, training_config, feature_space,
-                      rng_seed, round_idx):
+def _fit_and_evaluate(mp, corpus: Featurized, pool, val_set, test_sets, training_config, rng_seed,
+                      round_idx):
     """Train one model from scratch on its labeled pool; test each of its eval languages.
 
     `val_set` and `test_sets` (per language) are evaluation sets. Returns the
     model, its validation score and its test counts per language.
     """
-    model = build_model(task, feature_space)
+    model = build_model(corpus.data.task, corpus.space)
     cfg = replace(training_config, rng_seed=_derive_seed(rng_seed, mp.index, 1, round_idx))
-    score = model.fit(sorted(pool.labeled.values(), key=lambda x: x.id), val_set, cfg)
+    score = model.fit(corpus.take(sorted(pool.labeled.values(), key=lambda x: x.id)), val_set, cfg)
     return model, score, [(lang, model.evaluate(test_sets[lang])) for lang in mp.eval_languages]
 
 
 def run_arms(
     plan: AllocationPlan,
-    data: MultilingualData,
+    corpus: Featurized,
     training_config: TrainingConfig,
-    feature_space: FeatureSpace,
     rng_seed: int,
     arms: Sequence[bool],
 ) -> dict[bool, tuple[list[RoundResult], list[AcquisitionEvent]]]:
-    """Execute the full protocol for one setting, with and/or without AL.
+    """Execute the full protocol for one setting on a featurized corpus, with and/or without AL.
 
     The arms in `arms` (True: the setting's strategy, False: random) run in
     lockstep, each on its own copy of the seed pools. In every round each arm
@@ -254,19 +286,18 @@ def run_arms(
     pool, never on the arm, so each model is fitted once per distinct labeled
     pool in a round: in round 0, and in every later round where the arms hold
     the same pool, as they do once it has run out. Each model's validation
-    pool and each test language are gathered once, as evaluation sets that
-    every fit validates and tests on. `plan.setting.with_al` is not read.
-    Identical (plan, data, config, seed) inputs reproduce identical results,
-    whichever arms run together. A repeated arm raises ConfigError: it would
-    buy its batches twice.
+    pool and each test language are taken from `corpus` once, as evaluation
+    sets that every fit validates and tests on. `plan.setting.with_al` is
+    not read. Identical (plan, corpus, config, seed) inputs reproduce
+    identical results, whichever arms run together. A repeated arm raises
+    ConfigError: it would buy its batches twice.
     """
     if len(set(arms)) != len(arms):
         raise ConfigError(f"arms must be distinct, got {list(arms)}")
+    data = corpus.data
     pools = _draw_pools(plan, data, rng_seed)
-    probe = build_model(data.task, feature_space)
-    val_sets = [probe.evaluation_set(sorted(p.validation.values(), key=lambda x: x.id))
-                for p in pools]
-    test_sets = {lang: probe.evaluation_set(data.test[lang])
+    val_sets = [corpus.take(sorted(p.validation.values(), key=lambda x: x.id)) for p in pools]
+    test_sets = {lang: corpus.take(data.test[lang])
                  for lang in sorted({lang for mp in plan.models for lang in mp.eval_languages})}
     arm_pools = {with_al: [Pool(p.labeled.values(), p.unlabeled.values(), p.validation.values())
                            for p in pools] for with_al in arms}
@@ -284,8 +315,7 @@ def run_arms(
                     model = last[mp.index, frozenset(pool.labeled)][0]
                     per_round = plan.per_round(mp)
                     rng = np.random.default_rng(_derive_seed(rng_seed, mp.index, 2, round_idx))
-                    ordered, scores = _score_pool(model, data.task, pool.unlabeled.values(),
-                                                  strategy, rng)
+                    ordered, scores = _score_pool(model, corpus, pool.unlabeled.values(), strategy, rng)
                     ids = np.array([inst.id for inst in ordered], dtype=np.int64)
                     costs = np.array([inst.cost for inst in ordered], dtype=np.int64)
                     chosen, spent = select_ranked(ids, scores, costs, per_round)
@@ -301,9 +331,8 @@ def run_arms(
                                             f"{round_idx} (spent {spent} of {per_round})",)
                 key = (mp.index, frozenset(pool.labeled))
                 if key not in fits:
-                    fits[key] = _fit_and_evaluate(mp, pool, val_sets[mp.index], test_sets, data.task,
-                                                  training_config, feature_space, rng_seed,
-                                                  round_idx)
+                    fits[key] = _fit_and_evaluate(mp, corpus, pool, val_sets[mp.index], test_sets,
+                                                  training_config, rng_seed, round_idx)
                 result.validation[mp.key], counts = fits[key][1:]
                 for lang, lang_counts in counts:
                     result.report.add(lang, lang_counts)
@@ -318,9 +347,10 @@ def run_rounds(
     feature_space: FeatureSpace,
     rng_seed: int,
 ) -> tuple[list[RoundResult], list[AcquisitionEvent]]:
-    """Execute the full protocol for one setting, AL or not per `plan.setting.with_al`."""
+    """Execute the full protocol for one setting, AL or not per `plan.setting.with_al`,
+    on `data` featurized for this call."""
     with_al = plan.setting.with_al
-    return run_arms(plan, data, training_config, feature_space, rng_seed, (with_al,))[with_al]
+    return run_arms(plan, featurize(data, feature_space), training_config, rng_seed, (with_al,))[with_al]
 
 
 def initial_composition(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> dict[str, int]:

@@ -15,16 +15,16 @@ Every counter compares arrays of codes: argmax classes, the BIO spans of
 argmax tags as int64 keys, or decoded heads and argmax arc labels; pool
 scores read the softmax of the logits.
 
-Features are computed once per process: the first time a model needs a
-text, a sentence's token windows or a sentence's arc candidates, they are
-hashed and appended to one packed CSR store per kind (`FeatureCache`);
-every later fit, validation pass, pool scoring and prediction over the same
-content takes its rows from that store in one gather. Featurization, pool
-scoring and decoding run in passes of whole instances cut by a row budget
-per model (texts, tokens or candidate arcs), which bounds their transient
-arrays; an evaluation set is predicted on in one pass.
-Content not seen before is hashed in one batched pass per kind: the batch
-is encoded to UTF-8 once, every feature key is a byte span of it (an n-gram
+Features are computed once per run: a model's `evaluation_set` hashes a
+list of instances (a run hashes its whole corpus, `experiment.featurize`)
+into one set with compact rows, and every fit, validation pass, pool
+scoring and test of the run takes its rows from that set in one gather
+(`EvalSet.take`). Featurization and pool scoring run in passes of whole
+instances cut by a row budget per model (texts, tokens or candidate arcs),
+which bounds their transient arrays; a set taken for training, validation
+or test is predicted on in one pass.
+A pass hashes its instances' content in one batch per kind: the batch is
+encoded to UTF-8 once, every feature key is a byte span of it (an n-gram
 is found by its character offsets, with no string built for it; arc keys
 are joined into such a buffer), one table-driven CRC-32 runs over all
 spans at once, starting from the register of a key prefix such as "t:"
@@ -265,7 +265,7 @@ def featurize_arc(tokens, upos, head: int, dep: int, space: FeatureSpace):
 
 
 # ---------------------------------------------------------------------------
-# Packed feature rows and the process-wide feature cache.
+# Packed feature rows.
 # ---------------------------------------------------------------------------
 
 
@@ -378,12 +378,12 @@ def _arc_features(sentences: Sequence[tuple], space: FeatureSpace) -> tuple:
     return _counted(rows, _crc32(*_key_spans(keys)), len(arcs), space.hash_dimension)
 
 
-# kind -> (the cache key of a payload, the number of rows of a key, the batch
-# featurizer of such keys)
+# kind -> (the content of a payload, the number of rows of a content, the
+# batch featurizer of such contents)
 _FEATURIZERS = {
-    "text": (lambda p: p.text, lambda key: 1, _text_features),
+    "text": (lambda p: p.text, lambda content: 1, _text_features),
     "tokens": (lambda p: p.tokens, len, _token_features),
-    "arcs": (lambda p: (p.tokens, p.upos), lambda key: len(key[0]) ** 2, _arc_features),
+    "arcs": (lambda p: (p.tokens, p.upos), lambda content: len(content[0]) ** 2, _arc_features),
 }
 
 
@@ -402,98 +402,6 @@ def _passes(sizes: Sequence[int], budget: int) -> list[tuple[int, int]]:
             start, total = i, 0
         total += size
     return cuts + [(start, len(sizes))] if sizes else cuts
-
-
-def _put(array: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
-    """`array` with `values` written from position `at` on; when they run past
-    its end, into a copy of its first `at` entries at least twice as long."""
-    end = at + len(values)
-    if end > len(array):
-        grown = np.empty(max(end, 2 * len(array)), dtype=array.dtype)
-        grown[:at] = array[:at]
-        array = grown
-    array[at:end] = values
-    return array
-
-
-class _Store:
-    """Every cached row of one kind and feature space, packed as CSR arrays.
-
-    `where` maps a content key to its slot, the order in which it was
-    stored; slot s holds rows `first[s]:first[s + 1]`, and row r holds
-    entries `indptr[r]:indptr[r + 1]` of `indices` and `data`. The arrays
-    have spare room past their filled part; a pass that outgrows them moves
-    that part into arrays at least twice as long (`_put`), so a store
-    copies O(final size) entries in all, however many passes filled it.
-    """
-
-    def __init__(self):
-        self.where: dict = {}
-        self.first = np.zeros(1, dtype=np.int64)
-        self.indptr = np.zeros(1, dtype=np.int64)
-        self.indices = np.zeros(0, dtype=np.int32)
-        self.data = np.zeros(0, dtype=np.float32)
-
-    def append(self, keys: Sequence, sizes: Sequence[int], features: tuple) -> None:
-        """Store the (row lengths, indices, counts) of the keys' rows, `sizes` rows per key."""
-        lengths, indices, data = features
-        slots = len(self.where)
-        rows = int(self.first[slots])
-        entries = int(self.indptr[rows])
-        self.first = _put(self.first, slots + 1, rows + np.cumsum(sizes))
-        self.indptr = _put(self.indptr, rows + 1, entries + np.cumsum(lengths))
-        self.indices = _put(self.indices, entries, indices)
-        self.data = _put(self.data, entries, data)
-        self.where.update(zip(keys, range(slots, slots + len(keys))))
-
-    def take(self, slots: np.ndarray) -> tuple[Rows, list[int]]:
-        """The rows of the given slots, in order, and each slot's row count.
-
-        Each slot's rows are contiguous, so they are one range per slot of
-        the rows held, gathered as any `Rows` are."""
-        first, stop = self.first[slots], self.first[slots + 1]
-        rows = int(self.first[len(self.where)])
-        held = Rows(self.indptr[: rows + 1], self.indices[: self.indptr[rows]],
-                    self.data[: self.indptr[rows]])
-        return held.take(_ranges(first, stop - first)), (stop - first).tolist()
-
-
-class FeatureCache:
-    """Featurized content for the life of the process, per kind and feature space.
-
-    Content is the lookup key (a text, a token tuple, or a sentence's
-    (tokens, upos)), because a corpus ingested again yields new instances
-    with new ids but the same content. A cached row is what featurizing
-    the key again would give, so sharing the cache never changes a result;
-    it grows with the distinct content a process sees. Each (kind, space)
-    keeps one packed store (`_Store`) in compact dtypes: hashed indices fit
-    int32 and counts are small integers, exact in float32.
-    """
-
-    def __init__(self):
-        self._stores: dict[tuple[str, FeatureSpace], _Store] = {}
-
-    def clear(self) -> None:
-        self._stores.clear()
-
-    def rows(self, kind: str, payloads: Sequence, space: FeatureSpace, chunk: int) -> tuple[Rows, list[int]]:
-        """The rows of every payload in order, and how many rows each has.
-
-        Content not cached yet is featurized once per distinct key, in
-        `featurize_batch` passes of at most `chunk` rows (`_passes`); then
-        one gather takes every payload's rows from the store.
-        """
-        key_of, size_of, _ = _FEATURIZERS[kind]
-        store = self._stores.setdefault((kind, space), _Store())
-        keys = [key_of(p) for p in payloads]
-        missing = list(dict.fromkeys(k for k in keys if k not in store.where))
-        sizes = [size_of(k) for k in missing]
-        for a, b in _passes(sizes, chunk):
-            store.append(missing[a:b], sizes[a:b], featurize_batch(kind, missing[a:b], space))
-        return store.take(np.fromiter(map(store.where.__getitem__, keys), dtype=np.int64, count=len(keys)))
-
-
-FEATURES = FeatureCache()
 
 
 # ---------------------------------------------------------------------------
@@ -689,16 +597,18 @@ def _span_keys(tags, codes: np.ndarray, payloads) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalSet:
-    """Instances to train, validate or test on, gathered once by a model's
-    `evaluation_set`: their payloads and feature rows, and each unit's gold
-    label (a text's class, a token's tag, an arc's label) as a code into
-    `labels`. Every model of that task and feature space can train,
+    """Instances to train, validate or test on, featurized by a model's
+    `evaluation_set` or gathered from such a set by `take`: their payloads
+    and feature rows, each unit's gold label (a text's class, a token's tag,
+    an arc's label) as a code into `labels`, and how many codes and rows
+    each member has. Every model of that task and feature space can train,
     validate and test on it, each taking its gold codes from `gold`."""
 
     payloads: list
     rows: Rows
     labels: tuple
     codes: np.ndarray
+    sizes: np.ndarray  # (members, 2): each member's number of codes and of rows, in order
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -707,6 +617,28 @@ class EvalSet:
         """Each unit's gold label as a code into `vocab`, -1 for one outside it or none."""
         index = {y: k for k, y in enumerate(vocab)}
         return np.array([index.get(y, -1) for y in self.labels], dtype=np.int64)[self.codes]
+
+    def take(self, positions) -> "EvalSet":
+        """The members at `positions`, in that order, their rows in one gather.
+        Their labels are coded again in order of first appearance, as
+        `evaluation_set` codes them, so `labels` holds only those that occur."""
+        positions = np.asarray(positions, dtype=np.int64)
+        first, sizes = (np.cumsum(self.sizes, axis=0) - self.sizes)[positions], self.sizes[positions]
+        codes = self.codes[_ranges(first[:, 0], sizes[:, 0])]
+        present, seen, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(seen)
+        recode = np.empty_like(order)
+        recode[order] = np.arange(len(order))
+        return EvalSet([self.payloads[k] for k in positions.tolist()],
+                       self.rows.take(_ranges(first[:, 1], sizes[:, 1])),
+                       tuple(self.labels[k] for k in present[order].tolist()), recode[inverse], sizes)
+
+    def passes(self, positions, chunk: int):
+        """The members at `positions` taken in consecutive sets of whole
+        members of at most `chunk` rows in all (`_passes`), one at a time."""
+        positions = np.asarray(positions, dtype=np.int64)
+        for a, b in _passes(self.sizes[positions, 1].tolist(), chunk):
+            yield self.take(positions[a:b])
 
 
 class _ModelBase:
@@ -725,8 +657,8 @@ class _ModelBase:
 
     task: TaskKind
     headline: str  # the metric of `task_metrics` that validation maximizes
-    kind: str  # the feature kind of the cache
-    chunk: int  # rows per feature or prediction pass, which bounds its transient arrays
+    kind: str  # the feature kind of `_FEATURIZERS`
+    chunk: int  # rows per featurization or pool-scoring pass, which bounds its transient arrays
     _arc_rows = 0  # weight rows ahead of the vocabulary's: the parser's arc scorer
 
     def __init__(self, space: FeatureSpace, vocab: Sequence[str] | None = None):
@@ -742,24 +674,34 @@ class _ModelBase:
         if self.weights is None:
             raise ModelStateError("model has no weights; train it or set them explicitly")
 
-    def _features(self, payloads) -> tuple[Rows, list[int]]:
-        return FEATURES.rows(self.kind, payloads, self.space, self.chunk)
-
     _blank = staticmethod(lambda payload: (None,) * len(payload.tokens))
 
     def evaluation_set(self, instances: Sequence[Instance]) -> EvalSet:
-        """`instances` gathered once, to train, validate or test on as often as needed."""
+        """`instances` featurized once, to train, validate or test on, or to
+        take sets from, as often as needed. Their content is hashed in
+        `featurize_batch` passes of whole instances of at most `chunk` rows
+        (`_passes`), and their rows are kept in compact dtypes: hashed
+        indices fit int32, and counts are small integers, exact in float32."""
         payloads = [i.payload for i in instances]
+        key_of, size_of, _ = _FEATURIZERS[self.kind]
+        contents = [key_of(p) for p in payloads]
+        rows = [size_of(c) for c in contents]
         code_of: dict = {}
-        codes = [code_of.setdefault(y, len(code_of)) for p in payloads for y in self._gold(p) or self._blank(p)]
-        return EvalSet(payloads, self._features(payloads)[0], tuple(code_of), np.array(codes, dtype=np.int64))
+        units = [[code_of.setdefault(y, len(code_of)) for y in self._gold(p) or self._blank(p)] for p in payloads]
+        parts = [featurize_batch(self.kind, contents[a:b], self.space) for a, b in _passes(rows, self.chunk)]
+        parts = parts or [featurize_batch(self.kind, [], self.space)]
+        lengths, indices, data = (np.concatenate(arrays) for arrays in zip(*parts))
+        return EvalSet(payloads, Rows(np.append(0, np.cumsum(lengths)), indices, data), tuple(code_of),
+                       np.array([c for u in units for c in u], dtype=np.int64),
+                       np.array([(len(u), n) for u, n in zip(units, rows)], dtype=np.int64).reshape(-1, 2))
 
-    def fit(self, labeled: Sequence[Instance], validation: EvalSet, config: TrainingConfig) -> float:
-        """Train on the set of the annotated `labeled` instances; keep and
+    def fit(self, labeled: EvalSet, validation: EvalSet, config: TrainingConfig) -> float:
+        """Train on the annotated members of the `labeled` set; keep and
         return the best score on the `validation` set."""
         if not labeled or not validation:
             raise ConfigError("need non-empty labeled and validation sets")
-        train = self.evaluation_set([i for i in labeled if self._gold(i.payload) is not None])
+        annotated = [k for k, p in enumerate(labeled.payloads) if self._gold(p) is not None]
+        train = labeled if len(annotated) == len(labeled) else labeled.take(annotated)
         vocab = tuple(sorted(train.labels))
         if not vocab:
             raise ConfigError("empty label vocabulary")
@@ -772,18 +714,6 @@ class _ModelBase:
         self.weights, self.fit_info = _train(lambda: self._zeros(vocab), step, eval_fn, n_examples, config)
         self.vocab = vocab
         return self.fit_info.score
-
-    def _in_passes(self, fn, instances: Sequence[Instance]) -> list:
-        """The lists fn(payloads, rows, rows per payload) of consecutive passes of
-        whole instances of at most `chunk` rows (`_passes`), concatenated."""
-        self._require_trained()
-        key_of, size_of, _ = _FEATURIZERS[self.kind]
-        payloads = [i.payload for i in instances]
-        return [
-            item
-            for start, stop in _passes([size_of(key_of(p)) for p in payloads], self.chunk)
-            for item in fn(payloads[start:stop], *self._features(payloads[start:stop]))
-        ]
 
     def evaluate(self, evaluation: EvalSet) -> dict[str, int]:
         """The task's counts of the trained model's predictions on the set
@@ -808,13 +738,10 @@ class _SoftmaxModel(_ModelBase):
 
         return train.rows.n, prepare
 
-    def _probas(self, instances: Sequence[Instance]) -> tuple[np.ndarray, list[int]]:
-        """One (rows, vocab) matrix of distributions over every instance's rows, and each instance's row count."""
-        passes = self._in_passes(
-            lambda _, rows, counts: [(softmax(logits(self.weights, rows)), counts)], instances
-        )
-        matrices = [m for m, _ in passes] or [np.zeros((0, len(self.vocab)))]
-        return np.concatenate(matrices), [n for _, counts in passes for n in counts]
+    def predict_proba_batch(self, evaluation: EvalSet) -> np.ndarray:
+        """One (rows, vocab) matrix of distributions over every row of the set."""
+        self._require_trained()
+        return softmax(logits(self.weights, evaluation.rows))
 
 
 class TextClassifier(_SoftmaxModel):
@@ -844,12 +771,8 @@ class TextClassifier(_SoftmaxModel):
 
     fit = _ModelBase.fit
 
-    def predict_proba_batch(self, instances: Sequence[Instance]) -> np.ndarray:
-        """(instances, classes) distributions."""
-        return self._probas(instances)[0]
-
     def predict_proba(self, instance: Instance) -> np.ndarray:
-        return self.predict_proba_batch([instance])[0]
+        return self.predict_proba_batch(self.evaluation_set([instance]))[0]
 
     def predict(self, instance: Instance) -> str:
         return self.classes[int(self.predict_proba(instance).argmax())]
@@ -888,12 +811,12 @@ class SequenceTagger(_SoftmaxModel):
 
     fit = _ModelBase.fit
 
-    def predict_tag_probas_batch(self, instances: Sequence[Instance]) -> tuple[np.ndarray, list[int]]:
-        """One (tokens, tags) matrix of distributions over every instance's tokens, and each instance's token count."""
-        return self._probas(instances)
+    def predict_tag_probas_batch(self, evaluation: EvalSet) -> tuple[np.ndarray, list[int]]:
+        """One (tokens, tags) matrix of distributions over every member's tokens, and each member's token count."""
+        return self.predict_proba_batch(evaluation), [len(p.tokens) for p in evaluation.payloads]
 
     def predict_tag_probas(self, instance: Instance) -> np.ndarray:
-        return self.predict_tag_probas_batch([instance])[0]
+        return self.predict_tag_probas_batch(self.evaluation_set([instance]))[0]
 
     def predict_tags(self, instance: Instance) -> list[str]:
         return [self.tags[k] for k in self.predict_tag_probas(instance).argmax(axis=1).tolist()]
@@ -932,8 +855,8 @@ class DependencyParser(_ModelBase):
     def _sentence_examples(self, payload: DepTree, label_index):
         """One sentence as (arc groups, label examples) for `parser_objective`."""
         n = len(payload.tokens)
-        arcs, _ = self._features([payload])
-        vecs = [(arcs.indices[a:b], arcs.data[a:b]) for a, b in zip(arcs.indptr, arcs.indptr[1:])]
+        lengths, indices, data = featurize_batch(self.kind, [(payload.tokens, payload.upos)], self.space)
+        vecs = list(zip(_split(indices, lengths), _split(data, lengths)))
         arc_groups = []
         label_examples = []
         for d, (head, label) in enumerate(zip(payload.heads, payload.labels), start=1):
@@ -1029,17 +952,10 @@ class DependencyParser(_ModelBase):
             rows += [first + (d - 1) * n + _candidate(h, d) for d, h in enumerate(tree_heads, 1)]
         return heads, logits(weights[1:], arcs.take(rows)).argmax(axis=1)
 
-    def _trees(self, payloads, arcs: Rows, _) -> list[DepTree]:
-        """The trees of `_decode` with the trained weights, their labels as strings."""
-        heads, codes = self._decode(self.weights, payloads, arcs)
-        labels = _split([self.labels[k] for k in codes.tolist()], [len(h) for h in heads])
-        return [DepTree(p.tokens, p.upos, h, tuple(y)) for p, h, y in zip(payloads, heads, labels)]
-
-    def head_log_probs_batch(self, instances: Sequence[Instance]) -> list[np.ndarray]:
-        """Per instance, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
-        return self._in_passes(
-            lambda payloads, arcs, _: self._head_log_probs(self.weights[0], payloads, arcs), instances
-        )
+    def head_log_probs_batch(self, evaluation: EvalSet) -> list[np.ndarray]:
+        """Per member, (n+1, n) head log-probabilities; -inf on forbidden arcs."""
+        self._require_trained()
+        return self._head_log_probs(self.weights[0], evaluation.payloads, evaluation.rows)
 
     def predict_arc_probas(self, instance: Instance):
         """Head distribution per dependent plus a label distribution per arc.
@@ -1050,18 +966,21 @@ class DependencyParser(_ModelBase):
         self._require_trained()
         payload = instance.payload
         n = len(payload.tokens)
-        arcs, _ = self._features([payload])
+        arcs = self.evaluation_set([instance]).rows
         head_probs = np.exp(self._head_log_probs(self.weights[0], [payload], arcs)[0])
         label_probs = np.zeros((n + 1, n, len(self.labels)))
         label_probs[_candidate_grid(n)] = softmax(logits(self.weights[1:], arcs)).reshape(n, n, -1)
         return head_probs, label_probs
 
-    def decode_tree_batch(self, instances: Sequence[Instance]) -> list[DepTree]:
-        """Best single-root tree per instance under the head softmax, with argmax arc labels."""
-        return self._in_passes(self._trees, instances)
+    def decode_tree_batch(self, evaluation: EvalSet) -> list[DepTree]:
+        """Best single-root tree per member under the head softmax, with argmax arc labels."""
+        self._require_trained()
+        heads, codes = self._decode(self.weights, evaluation.payloads, evaluation.rows)
+        labels = _split([self.labels[k] for k in codes.tolist()], [len(h) for h in heads])
+        return [DepTree(p.tokens, p.upos, h, tuple(y)) for p, h, y in zip(evaluation.payloads, heads, labels)]
 
     def decode_tree(self, instance: Instance) -> DepTree:
-        return self.decode_tree_batch([instance])[0]
+        return self.decode_tree_batch(self.evaluation_set([instance]))[0]
 
 
 def build_model(task: TaskKind, space: FeatureSpace):

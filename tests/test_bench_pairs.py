@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -139,3 +140,24 @@ def test_gain_needs_nine_of_ten_and_a_gap_beyond_the_spread(
     for row in (run_s, quality):
         line = next(line for line in printed.splitlines() if line.startswith(row["name"] + " "))
         assert line.endswith("GAIN") == row["gain"]
+
+
+def test_commit_of_a_checkout_with_edited_tracked_files_is_marked_dirty(bench_pairs, tmp_path):
+    root = tmp_path / "repo"
+    root.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (root / "tracked.txt").write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "first")
+    sha = git("rev-parse", "HEAD")
+    assert bench_pairs.git_sha(root) == sha
+    # an untracked file leaves the checkout clean
+    (root / "untracked.txt").write_text("x\n")
+    assert bench_pairs.git_sha(root) == sha
+    (root / "tracked.txt").write_text("two\n")
+    assert bench_pairs.git_sha(root) == f"{sha}+dirty"

@@ -2,12 +2,14 @@ import hashlib
 import json
 import os
 import shutil
+from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
 import lingalloc.cli as cli
+import lingalloc.models as models
 from lingalloc.cli import load_data, main, run_cell, validate_config
 from lingalloc.corpus import ingest_conll_ner, ingest_conllu
 from lingalloc.errors import ConfigError
@@ -496,6 +498,40 @@ class TestLoadData:
         # rejected before any model is trained
         assert not (out / "results").exists() and not (out / "logs").exists()
 
+    @pytest.mark.parametrize("task, name, column, field", [
+        ("classification", "bb.test.tsv", 0, "label"),
+        ("parsing", "bb.test.conllu", 6, "heads"),
+    ])
+    def test_unannotated_test_split_is_rejected(self, tmp_path, capsys, task, name, column, field):
+        """A test split whose gold column is all blank fails `validate` and
+        `run` before any training, naming the split, the file and its first
+        instance without gold; a training split may lack gold (`fit` skips it)."""
+        root = tmp_path / "corpus"
+        assert main(["synth", "--task", task, "--languages", "aa,bb", "--train-size", "40",
+                     "--test-size", "10", "--budget", "8", "--out", str(root)]) == 0
+        path = root / name
+        blank = "" if task == "classification" else "_"
+        original = path.read_text(encoding="utf-8")
+        lines = original.split("\n")
+        for k, line in enumerate(lines):
+            cols = line.split("\t")
+            if len(cols) > column and not line.startswith(("#", "label\t")):
+                cols[column] = blank
+                lines[k] = "\t".join(cols)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        for command in (["validate"], ["run", "--out", str(out)]):
+            assert main([*command, "--config", str(root / "config.json")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: data.bb.test: instance 1 of {path.resolve()} has no gold {field}\n"
+        assert not (out / "results").exists() and not (out / "logs").exists()
+        # the same split as training data is accepted
+        (root / name.replace("test", "train")).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        path.write_text(original, encoding="utf-8")
+        assert main(["validate", "--config", str(root / "config.json")]) == 0
+
     @pytest.mark.parametrize("task, ext", [
         ("classification", "tsv"), ("tagging", "conll"), ("parsing", "conllu")])
     def test_byte_not_utf8_is_one_error_line(self, tmp_path, capsys, task, ext):
@@ -724,6 +760,24 @@ class TestRunCommand:
                      "--out", str(tmp_path / "pooled")]) == 0
         assert len(paths) == 8
         assert _tree_bytes(tmp_path / "pooled") == _tree_bytes(tmp_path / "serial")
+
+    def test_run_hashes_each_instance_once(self, tmp_path, monkeypatch):
+        """One featurization serves every setting of a serial run: each
+        training and test instance is hashed once, repeated content too."""
+        config_path = _small_config(tmp_path / "corpus")
+        hashed = []
+        featurize_batch = models.featurize_batch
+
+        def recording(kind, contents, space):
+            hashed.extend(contents)
+            return featurize_batch(kind, contents, space)
+
+        monkeypatch.setattr(models, "featurize_batch", recording)
+        assert main(["run", "--config", str(config_path), "--jobs", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        data = load_data(validate_config(config_path)[0])
+        texts = [i.payload.text for part in (data.train, data.test) for group in part.values() for i in group]
+        assert len(hashed) == len(texts) and Counter(hashed) == Counter(texts)
 
     @pytest.mark.parametrize("change", ["seed", "data"])
     def test_resume_under_another_config_refused(self, tmp_path, capsys, change):

@@ -6,7 +6,7 @@ import pytest
 
 from lingalloc import experiment
 from lingalloc.acquisition import StrategyKind, random_scores, select_ranked
-from lingalloc.errors import ConfigError
+from lingalloc.errors import ConfigError, DataError
 from lingalloc.experiment import (
     AcquisitionEvent,
     BudgetSpec,
@@ -17,6 +17,7 @@ from lingalloc.experiment import (
     aggregate,
     allocate,
     curriculum,
+    featurize,
     initial_composition,
     run_arms,
     run_rounds,
@@ -235,9 +236,9 @@ class TestRunRounds:
         # an arm whose unlabeled pool has run out still scores and buys each round
         data = make_data()
         model = build_model(data.task, SPACE)
-        model.fit(data.train["aa"][:8], model.evaluation_set(data.train["aa"][8:]), FAST)
+        model.fit(model.evaluation_set(data.train["aa"][:8]), model.evaluation_set(data.train["aa"][8:]), FAST)
         for kind in (strategy, StrategyKind.RANDOM):
-            ordered, scores = experiment._score_pool(model, data.task, [], kind,
+            ordered, scores = experiment._score_pool(model, featurize(data, SPACE), [], kind,
                                                      np.random.default_rng(0))
             assert ordered == [] and scores.dtype == np.float64 and scores.shape == (0,)
             chosen, spent = select_ranked(np.zeros(0, dtype=np.int64), scores,
@@ -246,8 +247,8 @@ class TestRunRounds:
 
     def test_random_pool_scores_are_those_of_random_scores(self, small_data):
         pool = small_data.train["bb"][::-1]
-        ordered, scores = experiment._score_pool(None, small_data.task, pool, StrategyKind.RANDOM,
-                                                 np.random.default_rng(9))
+        ordered, scores = experiment._score_pool(None, featurize(small_data, SPACE), pool,
+                                                 StrategyKind.RANDOM, np.random.default_rng(9))
         expected = random_scores([i.id for i in pool], np.random.default_rng(9))
         assert [i.id for i in ordered] == list(expected)
         assert scores.tolist() == list(expected.values())
@@ -278,7 +279,7 @@ class TestRunArms:
         data = make_data()
         spec = BudgetSpec(*budgets, rounds=3, unit=unit)
         together = run_arms(allocate(Setting(family, strategy), spec, data.languages),
-                            data, FAST, SPACE, rng_seed=3, arms=(True, False))
+                            featurize(data, SPACE), FAST, rng_seed=3, arms=(True, False))
         assert sorted(together) == [False, True]
         for with_al in (True, False):
             plan = allocate(Setting(family, strategy, with_al), spec, data.languages)
@@ -293,21 +294,14 @@ class TestRunArms:
 
     @pytest.fixture
     def fitted(self, monkeypatch):
-        """The key of the model each fit trains, in fit order."""
-        build, keys = experiment.build_model, []
+        """The languages of the labeled pool of each fit, in fit order."""
+        fit, keys = experiment._fit_and_evaluate, []
 
-        def counting(task, space):
-            model = build(task, space)
-            fit = model.fit
+        def recorded(mp, corpus, pool, *args):
+            keys.append("+".join(sorted({inst.language for inst in pool.labeled.values()})))
+            return fit(mp, corpus, pool, *args)
 
-            def recorded(labeled, validation, config):
-                keys.append("+".join(sorted({inst.language for inst in labeled})))
-                return fit(labeled, validation, config)
-
-            model.fit = recorded
-            return model
-
-        monkeypatch.setattr(experiment, "build_model", counting)
+        monkeypatch.setattr(experiment, "_fit_and_evaluate", recorded)
         return keys
 
     @pytest.mark.parametrize(
@@ -333,7 +327,7 @@ class TestRunArms:
             full.task, {"aa": full.train["aa"], "bb": full.train["bb"][:bb_size]}, full.test
         )
         spec = BudgetSpec(*budgets, rounds=4)
-        together = run_arms(allocate(setting, spec, data.languages), data, FAST, SPACE,
+        together = run_arms(allocate(setting, spec, data.languages), featurize(data, SPACE), FAST,
                             rng_seed=3, arms=(True, False))
         assert Counter(fitted) == fits
         for with_al in (True, False):
@@ -353,15 +347,24 @@ class TestRunArms:
 
     def test_only_requested_arms_run(self, small_data):
         plan = allocate(sma(), SPEC, small_data.languages)
-        assert list(run_arms(plan, small_data, FAST, SPACE, 1, (False,))) == [False]
+        assert list(run_arms(plan, featurize(small_data, SPACE), FAST, 1, (False,))) == [False]
 
     def test_repeated_arm_rejected_before_drawing_pools(self, monkeypatch):
         # run twice, the arm would buy its batches twice: 8 rounds, twice the budget
         data = synth_classification(["aa", "bb"], 80, 20, 0.5, seed=5)
         plan = allocate(sma(), BudgetSpec(20, 15, 10, rounds=4), data.languages)
+        corpus = featurize(data, SPACE)
         monkeypatch.setattr(experiment, "_draw_pools", None)
         with pytest.raises(ConfigError, match="arms must be distinct"):
-            run_arms(plan, data, FAST, SPACE, 1, (True, True))
+            run_arms(plan, corpus, FAST, 1, (True, True))
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_repeated_instance_id_rejected(self, split):
+        data = synth_classification(["aa", "bb"], 20, 5, 0.5, seed=5)
+        repeated = replace(getattr(data, split)["bb"][1], id=data.train["aa"][3].id)
+        getattr(data, split)["bb"].append(repeated)
+        with pytest.raises(DataError, match=f"^instance id {repeated.id} occurs more than once$"):
+            featurize(data, SPACE)
 
 
 class TestCurriculum:

@@ -1,26 +1,32 @@
-"""Feature hashing: the batched CRC-32 pass against the one-key-at-a-time loop of `oracles`."""
+"""Feature hashing: the batched CRC-32 pass against the one-key-at-a-time loop of `oracles`,
+and the featurized corpus every set of a run is taken from."""
 
 import tracemalloc
 import zlib
-from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import lingalloc.models as models
-from lingalloc.corpus import ClassificationText, DepTree, TaggedSentence
+from lingalloc.corpus import ClassificationText, DepTree, Instance, TaggedSentence
+from lingalloc.experiment import MultilingualData, featurize
 from lingalloc.models import (
     DependencyParser,
-    FeatureCache,
     FeatureSpace,
     Rows,
+    SequenceTagger,
+    TextClassifier,
     arc_feature_keys,
+    build_model,
     featurize_arc,
     featurize_batch,
     featurize_text,
     featurize_tokens,
     hash_features,
 )
+from lingalloc.synth import synth_dataset
+from lingalloc.tasks import TaskKind
 
 from oracles import key_loop_arcs, key_loop_block, key_loop_hash, key_loop_text, key_loop_tokens
 
@@ -149,41 +155,60 @@ class TestBatch:
         _assert_same(featurize_batch(kind, contents, space), expected)
 
     @pytest.mark.parametrize("kind, make", KINDS)
-    def test_rows_across_chunk_borders(self, kind, make):
+    def test_rows_across_chunk_borders(self, monkeypatch, kind, make):
         space = SPACES[0]
-        payload = {
-            "text": ClassificationText,
-            "tokens": TaggedSentence,
-            "arcs": lambda c: DepTree(*c),
-        }[kind]
+        batches = _recorded_batches(monkeypatch)
+        monkeypatch.setattr(MODELS[kind], "chunk", 4)
         contents = make(np.random.default_rng(5), 23)
-        rows, counts = FeatureCache().rows(kind, [payload(c) for c in contents], space, chunk=4)
-        assert counts == [len(_oracle_block(kind, c, space)[0]) for c in contents]
-        for r, content in zip(np.split(np.arange(rows.n), np.cumsum(counts)[:-1]), contents):
+        held = _featurized(kind, contents, space).instances
+        # whole contents of at most 4 rows a pass, or one content alone
+        assert [c for batch in batches for c in batch] == contents
+        assert all(len(b) == 1 or sum(models._FEATURIZERS[kind][1](c) for c in b) <= 4 for b in batches)
+        assert held.rows.indices.dtype == np.int32 and held.rows.data.dtype == np.float32
+        assert held.sizes[:, 1].tolist() == [len(_oracle_block(kind, c, space)[0]) for c in contents]
+        for k, content in enumerate(contents):
             lengths, indices, data = _oracle_block(kind, content, space)
-            got = rows.take(r)
+            got = held.take([k]).rows
             assert np.array_equal(np.diff(got.indptr), lengths)
             assert np.array_equal(got.indices, indices) and np.array_equal(got.data, data)
 
-    def test_rows_hashes_each_distinct_content_once(self, monkeypatch):
-        batches = []
-        original = models.featurize_batch
-
-        def recording(kind, contents, space):
-            batches.append(list(contents))
-            return original(kind, contents, space)
-
-        monkeypatch.setattr(models, "featurize_batch", recording)
+    def test_featurize_hashes_each_instance_once(self, monkeypatch):
+        batches = _recorded_batches(monkeypatch)
+        monkeypatch.setattr(TextClassifier, "chunk", 4)
         texts = [f"{i}:{t}" for i, t in enumerate(_texts(np.random.default_rng(6), 9))]
-        payloads = [ClassificationText(t) for t in texts * 3 + texts[::-1]]
-        cache = FeatureCache()
-        rows, counts = cache.rows("text", payloads, SPACES[0], chunk=4)
-        assert Counter(t for batch in batches for t in batch) == Counter(texts)
-        assert [len(b) for b in batches] == [4, 4, 1]
-        assert counts == [1] * len(payloads) and rows.n == len(payloads)
+        contents = texts * 3 + texts[::-1]
+        corpus = _featurized("text", contents, SPACES[0])
+        # every instance once, repeated content too, in passes of 4 texts
+        assert [t for batch in batches for t in batch] == contents
+        assert [len(b) for b in batches] == [4] * 9
+        assert corpus.instances.rows.n == len(contents)
         batches.clear()
-        assert cache.rows("text", payloads[:5], SPACES[0], chunk=4)[1] == [1] * 5
+        assert corpus.take(corpus.data.train["aa"][:5]).rows.n == 5
         assert batches == []
+
+
+def _recorded_batches(monkeypatch) -> list:
+    """The contents of each `featurize_batch` call made from now on, in call order."""
+    batches = []
+    original = models.featurize_batch
+
+    def recording(kind, contents, space):
+        batches.append(list(contents))
+        return original(kind, contents, space)
+
+    monkeypatch.setattr(models, "featurize_batch", recording)
+    return batches
+
+
+_PAYLOAD = {"text": ClassificationText, "tokens": TaggedSentence, "arcs": lambda c: DepTree(*c)}
+_TASK = {"text": TaskKind.CLASSIFICATION, "tokens": TaskKind.SEQUENCE_TAGGING, "arcs": TaskKind.DEPENDENCY_PARSING}
+MODELS = {"text": TextClassifier, "tokens": SequenceTagger, "arcs": DependencyParser}
+
+
+def _featurized(kind, contents, space):
+    """`featurize` of the contents as the training instances of one language, numbered in order."""
+    instances = [Instance(k, "aa", _PAYLOAD[kind](c), 1) for k, c in enumerate(contents)]
+    return featurize(MultilingualData(_TASK[kind], {"aa": instances}, {"aa": []}), space)
 
 
 def _one_row_vectors(kind, content, space):
@@ -200,64 +225,66 @@ def _one_row_vectors(kind, content, space):
     ]
 
 
-_PAYLOAD = {"text": ClassificationText, "tokens": TaggedSentence, "arcs": lambda c: DepTree(*c)}
-
-
-class TestPackedStore:
+class TestTake:
     @pytest.mark.parametrize("kind, make", KINDS)
-    def test_rows_equal_the_one_row_featurizers(self, kind, make):
-        """Repeated content over calls with row budgets of 1, 3, 7 and 50: every
-        call's rows are those of the one-row featurizers, stacked in order."""
+    def test_rows_equal_the_one_row_featurizers(self, monkeypatch, kind, make):
+        """A corpus featurized with row budgets of 1, 3, 7 and 50: the rows of
+        any members taken from it, repeated ones too, are those of the one-row
+        featurizers, stacked in order."""
         space = SPACES[0]
         rng = np.random.default_rng(7)
         contents = make(rng, 30)
-        cache = FeatureCache()
         for chunk in (1, 3, 7, 50):
-            picked = [contents[k] for k in rng.integers(0, len(contents), size=25)]
-            rows, counts = cache.rows(kind, [_PAYLOAD[kind](c) for c in picked], space, chunk)
-            vectors = [_one_row_vectors(kind, c, space) for c in picked]
+            monkeypatch.setattr(MODELS[kind], "chunk", chunk)
+            held = _featurized(kind, contents, space).instances
+            picked = rng.integers(0, len(contents), size=25)
+            rows = held.take(picked).rows
+            vectors = [_one_row_vectors(kind, contents[k], space) for k in picked]
             expected = Rows.from_vectors([v for per_content in vectors for v in per_content])
-            assert counts == [len(v) for v in vectors]
+            assert held.sizes[picked, 1].tolist() == [len(v) for v in vectors]
+            assert rows.indices.dtype == np.int64 and rows.data.dtype == np.float64
             assert np.array_equal(rows.indptr, expected.indptr)
             assert np.array_equal(rows.indices, expected.indices)
             assert np.array_equal(rows.data, expected.data)
 
-    @pytest.mark.parametrize("kind, make", KINDS)
-    def test_capacity_at_most_twice_the_size(self, kind, make):
-        cache = FeatureCache()
-        contents = list(dict.fromkeys(make(np.random.default_rng(8), 300)))
-        capacities = set()
-        for content in contents:  # one miss per call
-            cache.rows(kind, [_PAYLOAD[kind](content)], SPACES[0], chunk=4)
-            store = cache._stores[(kind, SPACES[0])]
-            capacities.add(len(store.indices))
-        slots = len(store.where)
-        rows = int(store.first[slots])
-        entries = int(store.indptr[rows])
-        # the arrays grow geometrically, not by one pass at a time
-        assert len(capacities) <= 2 + np.log2(entries)
-        assert slots == len(contents)
-        assert slots + 1 <= len(store.first) <= 2 * (slots + 1)
-        assert rows + 1 <= len(store.indptr) <= 2 * (rows + 1)
-        assert entries <= len(store.indices) == len(store.data) <= 2 * entries
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_equals_the_evaluation_set_of_the_same_instances(self, task):
+        """Payloads, labels recoded to those that occur, codes, sizes and
+        rows, with unannotated members and repeated ones among them."""
+        data = synth_dataset(task, ["aa", "bb"], 20, 6, 0.5, seed=9)
+        instances = [i for part in (data.train, data.test) for lang in data.languages for i in part[lang]]
+        blank = {"label": None} if task is TaskKind.CLASSIFICATION else (
+            {"tags": None} if task is TaskKind.SEQUENCE_TAGGING else {"heads": None, "labels": None})
+        for k in (2, 9, 31):
+            instances[k] = replace(instances[k], payload=replace(instances[k].payload, **blank))
+        model = build_model(task, SPACES[0])
+        held = model.evaluation_set(instances)
+        rng = np.random.default_rng(10)
+        for picked in ([], [31], [2, 9], rng.integers(0, len(instances), size=30), rng.permutation(len(instances))):
+            got = held.take(picked)
+            expected = model.evaluation_set([instances[k] for k in picked])
+            assert got.payloads == expected.payloads and got.labels == expected.labels
+            for field in ("codes", "sizes"):
+                assert np.array_equal(getattr(got, field), getattr(expected, field))
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got.rows, field), getattr(expected.rows, field))
 
 
 def _transient_peak(n_sentences: int) -> int:
     """Bytes allocated at the peak of featurizing `n_sentences` sentences of
     120 tokens, beyond what is still held afterwards."""
     rng = np.random.default_rng(n_sentences)
-    payloads = [
-        DepTree(tuple(f"w{k}" for k in rng.integers(0, 500, 120)), tuple(f"P{k}" for k in rng.integers(0, 12, 120)))
+    contents = [
+        (tuple(f"w{k}" for k in rng.integers(0, 500, 120)), tuple(f"P{k}" for k in rng.integers(0, 12, 120)))
         for _ in range(n_sentences)
     ]
-    cache = FeatureCache()
     tracemalloc.start()
     try:
-        rows, _ = cache.rows("arcs", payloads, SPACES[0], DependencyParser.chunk)
-        del rows
+        corpus = _featurized("arcs", contents, SPACES[0])
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert corpus.instances.rows.n == 120**2 * n_sentences
     return peak - current
 
 

@@ -1,4 +1,4 @@
-"""The batched softmax layer and the feature cache behind all three models."""
+"""The batched softmax layer behind all three models, and the one featurization of a run's corpus."""
 
 from collections import Counter
 
@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 
 import lingalloc.models as models
-from lingalloc.acquisition import StrategyKind
+from lingalloc.acquisition import StrategyKind, lc_score, mnlp_score, nlpdt_score
 from lingalloc.corpus import ClassificationText, DepTree, Instance
-from lingalloc.experiment import BudgetSpec, Setting, SettingFamily, allocate, run_rounds
+from lingalloc.experiment import (
+    BudgetSpec,
+    Setting,
+    SettingFamily,
+    _score_pool,
+    allocate,
+    featurize,
+    run_arms,
+    run_rounds,
+)
+from lingalloc.graph import Arborescence
 from lingalloc.models import (
     DependencyParser,
     FeatureSpace,
@@ -118,41 +128,62 @@ def test_run_rounds_featurizes_each_instance_once(monkeypatch, make_run):
         return features
 
     monkeypatch.setattr(models, "featurize_batch", counting)
-    models.FEATURES.clear()
     plan = allocate(setting, spec, data.languages)
     run_rounds(plan, data, FAST, SPACE, rng_seed=4)
-    distinct = dict(
-        _content_rows(i.payload)
+    # one hash per row (text, token window or candidate arc) of each training and test instance
+    each_once = Counter(
+        (content, row)
         for part in (data.train, data.test)
         for lang in data.languages
-        for i in part[lang]
+        for content, rows in (_content_rows(i.payload) for i in part[lang])
+        for row in range(rows)
     )
-    # one hash per row (text, token window or candidate arc) of each distinct instance
-    assert 0 < sum(calls.values()) <= sum(distinct.values())
-    if setting.strategy is StrategyKind.LC:
-        assert max(calls.values()) == 1
+    assert calls == each_once
     calls.clear()
-    run_rounds(plan, data, FAST, SPACE, rng_seed=5)  # other seed, same content
-    assert sum(calls.values()) == 0
+    corpus = featurize(data, SPACE)
+    assert calls == each_once
+    calls.clear()
+    # runs on a featurized corpus hash nothing; a second `run_rounds` featurizes its data again
+    run_arms(plan, corpus, FAST, 5, (True, False))
+    run_arms(plan, corpus, FAST, 6, (True,))
+    assert not calls
+    run_rounds(plan, data, FAST, SPACE, rng_seed=5)
+    assert calls == each_once
 
 
 class TestBatchedPrediction:
-    """Whole-array predictions equal their one-instance counterparts, and
-    `evaluate` counts what the metrics count over the one-instance
-    predictions, across pass borders: a row budget of 40 cuts the instances
-    into many passes and leaves some instances with more rows than that in
-    passes of their own."""
+    """Whole-set predictions and pool scores equal their one-instance
+    counterparts, and `evaluate` counts what the metrics count over the
+    one-instance predictions. The pool is scored in passes: a row budget of
+    40 cuts it into many and leaves some parse trees with more rows than
+    that in passes of their own."""
+
+    @staticmethod
+    def _fitted(model, data, n_train, n_validation):
+        insts = [i for lang in data.languages for i in data.train[lang]]
+        train, validation = insts[:n_train], insts[n_train : n_train + n_validation]
+        model.fit(model.evaluation_set(train), model.evaluation_set(validation), FAST)
+        model.chunk = 40
+        return insts
+
+    @staticmethod
+    def _pool_scores(model, data, strategy):
+        """The pool scores of every training instance, and those instances in pool order."""
+        pool = [i for lang in data.languages for i in data.train[lang]]
+        ordered, scores = _score_pool(model, featurize(data, SPACE), pool[::-1], strategy, None)
+        assert ordered == sorted(pool, key=lambda i: i.id)
+        return scores, ordered
 
     def test_classifier(self):
         data = synth_classification(["aa", "bb"], 160, 10, 0.5, seed=1)
-        insts = [i for lang in data.languages for i in data.train[lang]]
         model = TextClassifier(SPACE)
-        model.fit(insts[:60], model.evaluation_set(insts[60:90]), FAST)
-        model.chunk = 40
-        batch = model.predict_proba_batch(insts)
+        insts = self._fitted(model, data, 60, 30)
+        batch = model.predict_proba_batch(model.evaluation_set(insts))
         assert batch.shape == (len(insts), len(model.classes))
         for inst, probas in zip(insts, batch, strict=True):
             assert np.array_equal(probas, model.predict_proba(inst))
+        scores, ordered = self._pool_scores(model, data, StrategyKind.LC)
+        assert scores.tolist() == [lc_score(model.predict_proba(i)) for i in ordered]
         pred, gold = [model.predict(i) for i in insts], [i.payload.label for i in insts]
         counts = model.evaluate(model.evaluation_set(insts))
         assert counts == {"correct": sum(p == g for p, g in zip(pred, gold)), "total": len(insts)}
@@ -160,45 +191,49 @@ class TestBatchedPrediction:
 
     def test_tagger(self):
         data = synth_tagging(["aa", "bb"], 50, 10, 0.5, seed=1)
-        insts = [i for lang in data.languages for i in data.train[lang]]
         model = SequenceTagger(SPACE)
-        model.fit(insts[:30], model.evaluation_set(insts[30:45]), FAST)
-        model.chunk = 40
-        probas, counts = model.predict_tag_probas_batch(insts)
+        insts = self._fitted(model, data, 30, 15)
+        probas, counts = model.predict_tag_probas_batch(model.evaluation_set(insts))
         assert counts == [len(i.payload.tokens) for i in insts]
         assert probas.shape == (sum(counts), len(model.tags))
         for inst, rows in zip(insts, np.split(probas, np.cumsum(counts)[:-1]), strict=True):
             assert np.array_equal(rows, model.predict_tag_probas(inst))
+        scores, ordered = self._pool_scores(model, data, StrategyKind.MNLP)
+        assert scores.tolist() == [mnlp_score(model.predict_tag_probas(i)) for i in ordered]
         gold = [list(i.payload.tags) for i in insts]
         expected = span_f1([model.predict_tags(i) for i in insts], gold).counts
         assert model.evaluate(model.evaluation_set(insts)) == expected
 
     def test_parser(self):
         data = synth_parsing(["aa", "bb"], 15, 5, 0.5, seed=1)
-        insts = [i for lang in data.languages for i in data.train[lang]]
-        assert max(len(i.payload.tokens) ** 2 for i in insts) > 40
         model = DependencyParser(SPACE)
-        model.fit(insts[:12], model.evaluation_set(insts[12:18]), FAST)
-        model.chunk = 40
+        insts = self._fitted(model, data, 12, 6)
+        assert max(len(i.payload.tokens) ** 2 for i in insts) > model.chunk
         trees = [model.decode_tree(i) for i in insts]
-        assert model.decode_tree_batch(insts) == trees
+        assert model.decode_tree_batch(model.evaluation_set(insts)) == trees
         expected = attachment_scores(trees, [i.payload for i in insts]).counts
         assert model.evaluate(model.evaluation_set(insts)) == expected
-        for inst, log_probs in zip(insts, model.head_log_probs_batch(insts), strict=True):
+        for inst, log_probs in zip(insts, model.head_log_probs_batch(model.evaluation_set(insts)), strict=True):
             head_probs, _ = model.predict_arc_probas(inst)
             assert np.array_equal(np.exp(log_probs), head_probs)
+        scores, ordered = self._pool_scores(model, data, StrategyKind.NLPDT)
+        assert scores.tolist() == [
+            nlpdt_score(model.predict_arc_probas(i)[0], Arborescence(model.decode_tree(i).heads),
+                        len(i.payload.tokens), StrategyKind.NLPDT)
+            for i in ordered
+        ]
 
     def test_empty_input(self):
         data = synth_tagging(["aa"], 30, 5, 0.5, seed=2)
         model = SequenceTagger(SPACE)
-        model.fit(data.train["aa"][:15], model.evaluation_set(data.train["aa"][15:]), FAST)
-        probas, counts = model.predict_tag_probas_batch([])
+        model.fit(model.evaluation_set(data.train["aa"][:15]), model.evaluation_set(data.train["aa"][15:]), FAST)
+        probas, counts = model.predict_tag_probas_batch(model.evaluation_set([]))
         assert probas.shape == (0, len(model.tags)) and counts == []
         assert model.evaluate(model.evaluation_set([])) == {"tp": 0, "pred_spans": 0, "gold_spans": 0}
         data = synth_classification(["aa"], 30, 5, 0.5, seed=2)
         model = TextClassifier(SPACE)
-        model.fit(data.train["aa"][:15], model.evaluation_set(data.train["aa"][15:]), FAST)
-        assert model.predict_proba_batch([]).shape == (0, len(model.classes))
+        model.fit(model.evaluation_set(data.train["aa"][:15]), model.evaluation_set(data.train["aa"][15:]), FAST)
+        assert model.predict_proba_batch(model.evaluation_set([])).shape == (0, len(model.classes))
         assert model.evaluate(model.evaluation_set([])) == {"correct": 0, "total": 0}
 
 
@@ -210,7 +245,7 @@ def test_fit_info_records_the_learning_rate_search():
     config = TrainingConfig(learning_rates=(0.5, 0.001), batch_size=4, max_epochs=12, patience=3)
     model = TextClassifier(SPACE)
     assert model.fit_info is None
-    score = model.fit(insts, model.evaluation_set(insts), config)
+    score = model.fit(model.evaluation_set(insts), model.evaluation_set(insts), config)
     info = model.fit_info
     assert sorted(info.validation) == [0.001, 0.5] == sorted(info.epochs_run)
     assert info.learning_rate in info.validation

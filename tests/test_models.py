@@ -306,7 +306,7 @@ class TestEpochTrainer:
 
         perms = np.random.default_rng(4)
         orders = [perms.permutation(n) for _ in range(self.EPOCHS)]
-        rows, _ = model._features(payloads)
+        rows = train.rows
         index = {y: k for k, y in enumerate(vocab)}
         if model_class is DependencyParser:
             expected = batch_loop_parser(
@@ -331,7 +331,7 @@ FAST = TrainingConfig(learning_rates=(0.5,), batch_size=8, max_epochs=30, patien
 class TestTextClassifier:
     def test_reaches_perfect_training_accuracy(self):
         model = TextClassifier(SPACE)
-        model.fit(SEPARABLE, model.evaluation_set(SEPARABLE), FAST)
+        model.fit(model.evaluation_set(SEPARABLE), model.evaluation_set(SEPARABLE), FAST)
         preds = [model.predict(i) for i in SEPARABLE]
         gold = [i.payload.label for i in SEPARABLE]
         assert preds == gold
@@ -339,8 +339,8 @@ class TestTextClassifier:
     def test_bit_identical_retraining(self):
         a = TextClassifier(SPACE)
         b = TextClassifier(SPACE)
-        a.fit(SEPARABLE, a.evaluation_set(SEPARABLE), FAST)
-        b.fit(SEPARABLE, b.evaluation_set(SEPARABLE), FAST)
+        a.fit(a.evaluation_set(SEPARABLE), a.evaluation_set(SEPARABLE), FAST)
+        b.fit(b.evaluation_set(SEPARABLE), b.evaluation_set(SEPARABLE), FAST)
         assert np.array_equal(a.weights, b.weights)
 
     def test_zero_weights_give_uniform(self):
@@ -350,7 +350,7 @@ class TestTextClassifier:
 
     def test_distribution_normalized(self):
         model = TextClassifier(SPACE)
-        model.fit(SEPARABLE, model.evaluation_set(SEPARABLE), FAST)
+        model.fit(model.evaluation_set(SEPARABLE), model.evaluation_set(SEPARABLE), FAST)
         proba = model.predict_proba(text_instance(99, "fresh unseen text"))
         assert abs(proba.sum() - 1.0) < 1e-9
         assert (proba > 0).all() and (proba < 1).all()
@@ -376,7 +376,7 @@ class TestTextClassifier:
         insts = [text_instance(0, "x", None)]
         model = TextClassifier(SPACE)
         with pytest.raises(ConfigError):
-            model.fit(insts, model.evaluation_set(insts), FAST)
+            model.fit(model.evaluation_set(insts), model.evaluation_set(insts), FAST)
 
     def test_loglik_nondecreasing_at_small_lr(self):
         examples = [
@@ -490,7 +490,7 @@ class TestValidationMetric:
         model = build_model(task, SPACE)
         config = TrainingConfig(learning_rates=(0.1, 0.5), batch_size=8, max_epochs=6, patience=3)
         validation = model.evaluation_set(insts[30:60])
-        score = model.fit(insts[:30], validation, config)
+        score = model.fit(model.evaluation_set(insts[:30]), validation, config)
         counts = model.evaluate(validation)
         assert score == task_metrics(task, counts)[model.headline]
         assert model.headline == {TaskKind.CLASSIFICATION: "accuracy",
@@ -501,7 +501,7 @@ class TestValidationMetric:
 class TestSequenceTagger:
     def test_fit_and_predict_shapes(self):
         model = SequenceTagger(SPACE)
-        model.fit(TAGGED, model.evaluation_set(TAGGED), FAST)
+        model.fit(model.evaluation_set(TAGGED), model.evaluation_set(TAGGED), FAST)
         probas = model.predict_tag_probas(TAGGED[1])
         assert probas.shape == (3, len(model.tags))
         assert np.allclose(probas.sum(axis=1), 1.0, atol=1e-9)
@@ -526,8 +526,8 @@ class TestSequenceTagger:
     def test_deterministic(self):
         a = SequenceTagger(SPACE)
         b = SequenceTagger(SPACE)
-        a.fit(TAGGED, a.evaluation_set(TAGGED), FAST)
-        b.fit(TAGGED, b.evaluation_set(TAGGED), FAST)
+        a.fit(a.evaluation_set(TAGGED), a.evaluation_set(TAGGED), FAST)
+        b.fit(b.evaluation_set(TAGGED), b.evaluation_set(TAGGED), FAST)
         assert np.array_equal(a.weights, b.weights)
 
 
@@ -591,7 +591,7 @@ class TestDependencyParser:
     def test_decode_beats_gold_score(self):
         insts = _parse_fixture()
         model = DependencyParser(SPACE)
-        model.fit(insts, model.evaluation_set(insts), FAST)
+        model.fit(model.evaluation_set(insts), model.evaluation_set(insts), FAST)
         for inst in insts:
             head_probs, _ = model.predict_arc_probas(inst)
             decoded = model.decode_tree(inst)
@@ -615,8 +615,8 @@ class TestDependencyParser:
         insts = _parse_fixture()
         a = DependencyParser(SPACE)
         b = DependencyParser(SPACE)
-        score_a = a.fit(insts, a.evaluation_set(insts), FAST)
-        score_b = b.fit(insts, b.evaluation_set(insts), FAST)
+        score_a = a.fit(a.evaluation_set(insts), a.evaluation_set(insts), FAST)
+        score_b = b.fit(b.evaluation_set(insts), b.evaluation_set(insts), FAST)
         assert score_a == score_b
         assert np.array_equal(a.weights[0], b.weights[0])
         assert np.array_equal(a.weights[1:], b.weights[1:])
@@ -627,7 +627,7 @@ class TestDependencyParser:
                        Instance(91, "en", DepTree(tokens, upos, None, ("dep", "root")), 2),
                        Instance(92, "en", DepTree(tokens, upos, (2, 0), None), 2)]
         c = DependencyParser(SPACE)
-        assert c.fit(insts[:3] + unannotated + insts[3:], c.evaluation_set(insts), FAST) == score_a
+        assert c.fit(c.evaluation_set(insts[:3] + unannotated + insts[3:]), c.evaluation_set(insts), FAST) == score_a
         assert c.labels == a.labels and np.array_equal(c.weights, a.weights)
 
 
@@ -670,7 +670,7 @@ class TestEvaluationSet:
         insts = [i for lang in data.languages for i in data.train[lang]]
         model = build_model(task, SPACE)
         validation = validation or (lambda model, val: model.evaluation_set(val))
-        score = model.fit(insts[:30], validation(model, insts[30:60]), TestEvaluationSet.CONFIG)
+        score = model.fit(model.evaluation_set(insts[:30]), validation(model, insts[30:60]), TestEvaluationSet.CONFIG)
         return model, score, insts, [i for lang in data.languages for i in data.test[lang]]
 
     @staticmethod
