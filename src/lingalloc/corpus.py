@@ -317,11 +317,8 @@ def length_filter(instances: Sequence[Instance], max_tokens: int) -> list[Instan
 
 
 class Pool:
-    """Instances partitioned into labeled / unlabeled / validation.
-
-    Partitions are pairwise disjoint by instance id; the only mutation is
-    moving instances from unlabeled to labeled via `move_to_labeled`.
-    """
+    """Instances partitioned into labeled / unlabeled / validation, pairwise
+    disjoint by instance id: the fixed record of a `sample_splits` draw."""
 
     def __init__(self, labeled=(), unlabeled=(), validation=()):
         self.labeled = {i.id: i for i in labeled}
@@ -337,18 +334,6 @@ class Pool:
             union.update(p.keys())
         if len(union) != total:
             raise DataError("pool partitions share instance ids")
-
-    def move_to_labeled(self, ids: Iterable[int]) -> list[Instance]:
-        """Move `ids` to labeled; if one is not unlabeled or repeats, raise and move none."""
-        ids = list(ids)
-        seen: set[int] = set()
-        for iid in ids:
-            if iid not in self.unlabeled or iid in seen:
-                raise DataError(f"instance {iid} is not in the unlabeled pool")
-            seen.add(iid)
-        moved = [self.unlabeled.pop(iid) for iid in ids]
-        self.labeled.update((inst.id, inst) for inst in moved)
-        return moved
 
 
 def first_fit(costs: np.ndarray, budget: int) -> np.ndarray:

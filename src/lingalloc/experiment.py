@@ -2,16 +2,17 @@
 
 A run is one seed training round followed by acquisition rounds: score the
 unlabeled pool, buy a batch within the per-round budget, reveal its gold
-annotations, retrain from scratch, evaluate every target language. A pool
-is scored into one array, in ascending id order, and bought from on arrays
-(`select_ranked`); only the instances bought become `AcquisitionEvent`s.
-A run's corpus is featurized once (`featurize`), and each set it trains or
-scores on is taken from it; each validation pool and test language once per
-run, as an evaluation set that every fit validates and tests on. A
-setting's AL and random arms run their rounds in lockstep: each round, each
-arm buys for each of its models and then fits it, or reuses the fit of a
-labeled pool another arm holds too. The settings differ only in how models,
-budgets, and eligible pools are laid out:
+annotations, retrain from scratch, evaluate every target language. A run's
+corpus is featurized once (`featurize`), in ascending id order, the one
+order a run follows; its pools are ascending positions into that corpus,
+scored into one array and bought from on arrays (`select_ranked`); only
+the instances bought become `AcquisitionEvent`s. Each validation pool and
+test language is taken from the corpus once per run, as an evaluation set
+that every fit validates and tests on. A setting's AL and random arms run
+their rounds in lockstep: each round, each arm buys for each of its models
+and then fits it, or reuses the fit of a labeled pool another arm holds
+too. The settings differ only in how models, budgets, and eligible pools
+are laid out:
 
 * ``monoa`` - one model, the whole budget on a single source language,
   evaluated on every language (zero-shot on the others);
@@ -170,32 +171,38 @@ class MultilingualData:
 
 @dataclass(frozen=True)
 class Featurized:
-    """A run's corpus featurized once: `data`, its feature space, one evaluation
-    set over all its training and test instances, and each instance id's
-    position in that set, from which a run takes every set it uses."""
+    """A run's corpus featurized once: `data`, its feature space, all its
+    training and test instances in ascending id order (`members`, with their
+    int64 `ids` and `costs`), and one evaluation set over them, member k at
+    position k. A run holds every set it uses as positions into it."""
 
     data: MultilingualData
     space: FeatureSpace
+    members: list[Instance]
+    ids: np.ndarray
+    costs: np.ndarray
     instances: EvalSet
-    position: dict[int, int]
 
-    def positions(self, instances: Iterable[Instance]) -> np.ndarray:
-        return np.fromiter((self.position[i.id] for i in instances), dtype=np.int64)
-
-    def take(self, instances: Iterable[Instance]) -> EvalSet:
-        """The set of `instances`, in order."""
-        return self.instances.take(self.positions(instances))
+    def locate(self, instances: Iterable[Instance]) -> np.ndarray:
+        """The positions of `instances`, ascending; DataError for one that is not a member."""
+        instances = list(instances)
+        at = np.searchsorted(self.ids, [i.id for i in instances]).astype(np.int64)
+        for k, inst in zip(at.tolist(), instances):
+            if k == len(self.members) or self.members[k] != inst:
+                raise DataError(f"instance {inst.id} is not in the corpus")
+        return np.sort(at)
 
 
 def featurize(data: MultilingualData, space: FeatureSpace) -> Featurized:
-    """Every training and test instance of `data` hashed once, in passes of
-    at most its task model's `chunk` rows; DataError if an id repeats."""
-    instances = [i for part in (data.train, data.test) for group in part.values() for i in group]
-    position: dict[int, int] = {}
-    for k, inst in enumerate(instances):
-        if position.setdefault(inst.id, k) != k:
-            raise DataError(f"instance id {inst.id} occurs more than once")
-    return Featurized(data, space, build_model(data.task, space).evaluation_set(instances), position)
+    """Every training and test instance of `data`, in ascending id order, hashed once
+    in passes of at most its task model's `chunk` rows; DataError if an id repeats."""
+    members = sorted((i for part in (data.train, data.test) for group in part.values() for i in group),
+                     key=lambda i: i.id)
+    ids = np.array([i.id for i in members], dtype=np.int64)
+    if len(repeated := ids[1:][ids[1:] == ids[:-1]]):
+        raise DataError(f"instance id {repeated[0]} occurs more than once")
+    costs = np.array([i.cost for i in members], dtype=np.int64)
+    return Featurized(data, space, members, ids, costs, build_model(data.task, space).evaluation_set(members))
 
 
 @dataclass(frozen=True)
@@ -221,27 +228,26 @@ def _derive_seed(base: int, *key: int) -> int:
     return int(np.random.SeedSequence(base, spawn_key=tuple(key)).generate_state(1)[0])
 
 
-def _score_pool(model, corpus: Featurized, instances, strategy, round_rng):
-    """The unlabeled instances in ascending id order and their acquisition
-    scores as one float64 array, lower acquired first. A model scores them
-    in passes of at most its `chunk` rows, taken from the corpus one at a time."""
+def _score_pool(model, corpus: Featurized, positions: np.ndarray, strategy, round_rng) -> np.ndarray:
+    """The acquisition scores of the corpus members at ascending `positions`,
+    in that order, as one float64 array, lower acquired first. A model scores
+    them in passes of at most its `chunk` rows, taken from the corpus one at a time."""
     if not strategy_compatible(strategy, corpus.data.task):
         raise ScoringError(f"strategy {strategy.value} incompatible with task {corpus.data.task.value}")
-    ordered = sorted(instances, key=lambda i: i.id)
     if strategy is StrategyKind.RANDOM:
         # the draws of `random_scores`, which are made in ascending id order too
-        return ordered, round_rng.random(len(ordered))
+        return round_rng.random(len(positions))
     values = [np.zeros(0)]
-    for part in corpus.instances.passes(corpus.positions(ordered), model.chunk):
+    for part in corpus.instances.passes(positions, model.chunk):
         if strategy is StrategyKind.LC:
             values.append(lc_scores(model.predict_proba_batch(part)))
         elif strategy is StrategyKind.MNLP:
-            values.append(mnlp_scores(*model.predict_tag_probas_batch(part)))
+            values.append(mnlp_scores(model.predict_proba_batch(part), part.sizes[:, 1]))
         else:
             for log_probs in model.head_log_probs_batch(part):
                 tree = chu_liu_edmonds(ArcScores(log_probs))
                 values.append([nlpdt_score(np.exp(log_probs), tree, tree.n, strategy)])
-    return ordered, np.concatenate(values)
+    return np.concatenate(values)
 
 
 def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> list[Pool]:
@@ -254,16 +260,16 @@ def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> 
     return pools
 
 
-def _fit_and_evaluate(mp, corpus: Featurized, pool, val_set, test_sets, training_config, rng_seed,
-                      round_idx):
-    """Train one model from scratch on its labeled pool; test each of its eval languages.
+def _fit_and_evaluate(mp, corpus: Featurized, labeled: np.ndarray, val_set, test_sets, training_config,
+                      rng_seed, round_idx):
+    """Train one model from scratch on the members at positions `labeled`; test each of its eval languages.
 
     `val_set` and `test_sets` (per language) are evaluation sets. Returns the
     model, its validation score and its test counts per language.
     """
     model = build_model(corpus.data.task, corpus.space)
     cfg = replace(training_config, rng_seed=_derive_seed(rng_seed, mp.index, 1, round_idx))
-    score = model.fit(corpus.take(sorted(pool.labeled.values(), key=lambda x: x.id)), val_set, cfg)
+    score = model.fit(corpus.instances.take(labeled), val_set, cfg)
     return model, score, [(lang, model.evaluate(test_sets[lang])) for lang in mp.eval_languages]
 
 
@@ -277,30 +283,36 @@ def run_arms(
     """Execute the full protocol for one setting on a featurized corpus, with and/or without AL.
 
     The arms in `arms` (True: the setting's strategy, False: random) run in
-    lockstep, each on its own copy of the seed pools. In every round each arm
-    takes each of its models in turn: from round 1 on, it scores the model's
-    unlabeled pool with the model's fit of the previous round and buys a
-    batch within the per-round budget; then it fits the model from scratch on
-    its labeled pool and evaluates it, or reuses the fit another arm made of
-    the same pool. A fit depends on the model, the round and the labeled
-    pool, never on the arm, so each model is fitted once per distinct labeled
-    pool in a round: in round 0, and in every later round where the arms hold
-    the same pool, as they do once it has run out. Each model's validation
-    pool and each test language are taken from `corpus` once, as evaluation
-    sets that every fit validates and tests on. `plan.setting.with_al` is
-    not read. Identical (plan, corpus, config, seed) inputs reproduce
-    identical results, whichever arms run together. A repeated arm raises
-    ConfigError: it would buy its batches twice.
+    lockstep. Each holds, per model, a (labeled, unlabeled) pair of ascending
+    int64 positions into `corpus`, from the model's draw (`_draw_pools`). In
+    every round each arm takes each of its models in turn: from round 1 on,
+    it scores the model's unlabeled positions with the model's fit of the
+    previous round and moves a batch bought within the per-round budget to
+    labeled; then it fits the model from scratch on its labeled positions
+    and evaluates it, or reuses the fit another arm made of the same ones.
+    A fit depends on the model, the round and the labeled pool, never on
+    the arm, so each model is fitted once per distinct labeled pool in a
+    round: in round 0, and in every later round where the arms hold the same
+    pool, as they do once it has run out. Each model's validation pool and
+    each test language are taken from `corpus` once, as evaluation sets that
+    every fit validates and tests on. `plan.setting.with_al` is not read.
+    Identical (plan, corpus, config, seed) inputs reproduce identical
+    results, whichever arms run together. Before any pool is drawn,
+    ConfigError is raised for a repeated arm, which would buy its batches
+    twice, and for plan languages the corpus lacks.
     """
     if len(set(arms)) != len(arms):
         raise ConfigError(f"arms must be distinct, got {list(arms)}")
     data = corpus.data
-    pools = _draw_pools(plan, data, rng_seed)
-    val_sets = [corpus.take(sorted(p.validation.values(), key=lambda x: x.id)) for p in pools]
-    test_sets = {lang: corpus.take(data.test[lang])
-                 for lang in sorted({lang for mp in plan.models for lang in mp.eval_languages})}
-    arm_pools = {with_al: [Pool(p.labeled.values(), p.unlabeled.values(), p.validation.values())
-                           for p in pools] for with_al in arms}
+    eval_languages = sorted({lang for mp in plan.models for lang in mp.eval_languages})
+    if missing := sorted({lang for mp in plan.models for lang in mp.languages} - data.train.keys()
+                         | set(eval_languages) - data.test.keys()):
+        raise ConfigError(f"plan languages {missing} are not in the data")
+    drawn = [[corpus.locate(part.values()) for part in (p.labeled, p.unlabeled, p.validation)]
+             for p in _draw_pools(plan, data, rng_seed)]
+    val_sets = [corpus.instances.take(validation) for _, _, validation in drawn]
+    test_sets = {lang: corpus.instances.take(corpus.locate(data.test[lang])) for lang in eval_languages}
+    arm_pools = {with_al: [(labeled, unlabeled) for labeled, unlabeled, _ in drawn] for with_al in arms}
     runs = {with_al: ([], []) for with_al in arms}
     fits = {}
     for round_idx in range(plan.spec.rounds):
@@ -309,29 +321,30 @@ def run_arms(
             strategy = plan.setting.strategy if with_al else StrategyKind.RANDOM
             results, events = runs[with_al]
             result = RoundResult(round_idx, MetricReport(data.task), dict.fromkeys(data.languages, 0), {})
-            for mp, pool in zip(plan.models, arm_pools[with_al]):
+            for mp, (labeled, unlabeled) in zip(plan.models, arm_pools[with_al]):
                 if round_idx:
                     # until it buys, the pool is the one the model of the round before was fitted on
-                    model = last[mp.index, frozenset(pool.labeled)][0]
+                    model = last[mp.index, labeled.tobytes()][0]
                     per_round = plan.per_round(mp)
                     rng = np.random.default_rng(_derive_seed(rng_seed, mp.index, 2, round_idx))
-                    ordered, scores = _score_pool(model, corpus, pool.unlabeled.values(), strategy, rng)
-                    ids = np.array([inst.id for inst in ordered], dtype=np.int64)
-                    costs = np.array([inst.cost for inst in ordered], dtype=np.int64)
-                    chosen, spent = select_ranked(ids, scores, costs, per_round)
+                    scores = _score_pool(model, corpus, unlabeled, strategy, rng)
+                    chosen, spent = select_ranked(corpus.ids[unlabeled], scores, corpus.costs[unlabeled],
+                                                  per_round)
                     # Python floats: the repr of a numpy scalar would name its type in the log
-                    for k, score in zip(chosen.tolist(), scores[chosen].tolist()):
-                        inst = ordered[k]
+                    for k, score in zip(unlabeled[chosen].tolist(), scores[chosen].tolist()):
+                        inst = corpus.members[k]
                         events.append(AcquisitionEvent(round_idx, inst.id, inst.language,
                                                        inst.cost, score, strategy.value))
                         result.spend[inst.language] += inst.cost
-                    pool.move_to_labeled(ids[chosen].tolist())
-                    if spent < per_round and not pool.unlabeled:
+                    labeled = np.sort(np.append(labeled, unlabeled[chosen]))
+                    unlabeled = np.delete(unlabeled, chosen)
+                    arm_pools[with_al][mp.index] = labeled, unlabeled
+                    if spent < per_round and not len(unlabeled):
                         result.warnings += (f"model {mp.key}: unlabeled pool exhausted at round "
                                             f"{round_idx} (spent {spent} of {per_round})",)
-                key = (mp.index, frozenset(pool.labeled))
+                key = (mp.index, labeled.tobytes())
                 if key not in fits:
-                    fits[key] = _fit_and_evaluate(mp, corpus, pool, val_sets[mp.index], test_sets,
+                    fits[key] = _fit_and_evaluate(mp, corpus, labeled, val_sets[mp.index], test_sets,
                                                   training_config, rng_seed, round_idx)
                 result.validation[mp.key], counts = fits[key][1:]
                 for lang, lang_counts in counts:

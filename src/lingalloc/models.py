@@ -811,12 +811,8 @@ class SequenceTagger(_SoftmaxModel):
 
     fit = _ModelBase.fit
 
-    def predict_tag_probas_batch(self, evaluation: EvalSet) -> tuple[np.ndarray, list[int]]:
-        """One (tokens, tags) matrix of distributions over every member's tokens, and each member's token count."""
-        return self.predict_proba_batch(evaluation), [len(p.tokens) for p in evaluation.payloads]
-
     def predict_tag_probas(self, instance: Instance) -> np.ndarray:
-        return self.predict_tag_probas_batch(self.evaluation_set([instance]))[0]
+        return self.predict_proba_batch(self.evaluation_set([instance]))
 
     def predict_tags(self, instance: Instance) -> list[str]:
         return [self.tags[k] for k in self.predict_tag_probas(instance).argmax(axis=1).tolist()]

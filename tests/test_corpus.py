@@ -396,26 +396,6 @@ class TestPool:
         with pytest.raises(DataError):
             Pool(labeled=[a], unlabeled=[a])
 
-    def test_move_preserves_instance(self):
-        insts = _unit_instances(3)
-        pool = Pool(unlabeled=insts)
-        moved = pool.move_to_labeled([1])
-        assert moved == [insts[1]]
-        assert 1 in pool.labeled and 1 not in pool.unlabeled
-
-    def test_move_unknown_id(self):
-        pool = Pool(unlabeled=_unit_instances(2))
-        with pytest.raises(DataError):
-            pool.move_to_labeled([9])
-
-    @pytest.mark.parametrize("ids", [[1, 7], [1, 0, 1]], ids=["unknown", "repeated"])
-    def test_failed_move_changes_nothing(self, ids):
-        insts = _unit_instances(3)
-        pool = Pool(labeled=insts[2:], unlabeled=insts[:2])
-        with pytest.raises(DataError):
-            pool.move_to_labeled(ids)
-        assert sorted(pool.unlabeled) == [0, 1] and sorted(pool.labeled) == [2]
-
 
 class TestSampleSplits:
     def test_unit_cost_budget(self):

@@ -238,19 +238,21 @@ class TestRunRounds:
         model = build_model(data.task, SPACE)
         model.fit(model.evaluation_set(data.train["aa"][:8]), model.evaluation_set(data.train["aa"][8:]), FAST)
         for kind in (strategy, StrategyKind.RANDOM):
-            ordered, scores = experiment._score_pool(model, featurize(data, SPACE), [], kind,
-                                                     np.random.default_rng(0))
-            assert ordered == [] and scores.dtype == np.float64 and scores.shape == (0,)
+            scores = experiment._score_pool(model, featurize(data, SPACE), np.zeros(0, dtype=np.int64),
+                                            kind, np.random.default_rng(0))
+            assert scores.dtype == np.float64 and scores.shape == (0,)
             chosen, spent = select_ranked(np.zeros(0, dtype=np.int64), scores,
                                           np.zeros(0, dtype=np.int64), 3)
             assert chosen.tolist() == [] and spent == 0
 
     def test_random_pool_scores_are_those_of_random_scores(self, small_data):
         pool = small_data.train["bb"][::-1]
-        ordered, scores = experiment._score_pool(None, featurize(small_data, SPACE), pool,
-                                                 StrategyKind.RANDOM, np.random.default_rng(9))
+        corpus = featurize(small_data, SPACE)
+        positions = corpus.locate(pool)
+        scores = experiment._score_pool(None, corpus, positions, StrategyKind.RANDOM,
+                                        np.random.default_rng(9))
         expected = random_scores([i.id for i in pool], np.random.default_rng(9))
-        assert [i.id for i in ordered] == list(expected)
+        assert corpus.ids[positions].tolist() == list(expected)
         assert scores.tolist() == list(expected.values())
 
     @pytest.mark.parametrize("with_al", [True, False])
@@ -297,9 +299,9 @@ class TestRunArms:
         """The languages of the labeled pool of each fit, in fit order."""
         fit, keys = experiment._fit_and_evaluate, []
 
-        def recorded(mp, corpus, pool, *args):
-            keys.append("+".join(sorted({inst.language for inst in pool.labeled.values()})))
-            return fit(mp, corpus, pool, *args)
+        def recorded(mp, corpus, labeled, *args):
+            keys.append("+".join(sorted({corpus.members[k].language for k in labeled.tolist()})))
+            return fit(mp, corpus, labeled, *args)
 
         monkeypatch.setattr(experiment, "_fit_and_evaluate", recorded)
         return keys
@@ -365,6 +367,75 @@ class TestRunArms:
         getattr(data, split)["bb"].append(repeated)
         with pytest.raises(DataError, match=f"^instance id {repeated.id} occurs more than once$"):
             featurize(data, SPACE)
+
+    @pytest.mark.parametrize("changed", [{"id": 10_000}, {"cost": 7}], ids=["unknown-id", "other-content"])
+    def test_locate_rejects_what_is_not_a_member(self, small_data, changed):
+        corpus = featurize(small_data, SPACE)
+        outsider = replace(small_data.train["bb"][4], **changed)
+        with pytest.raises(DataError, match=f"^instance {outsider.id} is not in the corpus$"):
+            corpus.locate([small_data.train["aa"][0], outsider])
+
+    @pytest.mark.parametrize("entry", ["run_arms", "run_rounds"])
+    def test_missing_language_rejected_before_drawing_pools(self, monkeypatch, entry):
+        data = synth_classification(["aa", "bb"], 80, 20, 0.5, seed=5)
+        plan = allocate(sma(), BudgetSpec(20, 15, 10, rounds=4), ["aa", "cc", "dd"])
+        corpus = featurize(data, SPACE)
+        monkeypatch.setattr(experiment, "_draw_pools", None)
+        with pytest.raises(ConfigError, match=r"^plan languages \['cc', 'dd'\] are not in the data$"):
+            if entry == "run_arms":
+                run_arms(plan, corpus, FAST, 1, (True,))
+            else:
+                run_rounds(plan, data, FAST, SPACE, rng_seed=1)
+
+    @pytest.mark.parametrize("family", [SettingFamily.SMA, SettingFamily.MMA], ids=["sma", "mma"])
+    @pytest.mark.parametrize("make_data, strategy, unit, budgets", [
+        (lambda: synth_classification(["aa", "bb", "cc"], 60, 15, 0.5, seed=5),
+         StrategyKind.LC, BudgetUnit.INSTANCE, (15, 12, 9)),
+        (lambda: synth_tagging(["aa", "bb"], 30, 8, 0.5, seed=3),
+         StrategyKind.MNLP, BudgetUnit.TOKEN, (60, 40, 40)),
+    ], ids=["classification", "tagging"])
+    def test_results_do_not_depend_on_the_order_of_the_data(self, family, make_data, strategy, unit,
+                                                           budgets):
+        # featurize orders the corpus by id: reversed lists and languages change nothing
+        data = make_data()
+        reversed_data = MultilingualData(data.task, *(
+            {lang: part[lang][::-1] for lang in reversed(list(part))} for part in (data.train, data.test)))
+        assert list(reversed_data.train) == list(data.train)[::-1]
+        plan = allocate(Setting(family, strategy), BudgetSpec(*budgets, rounds=3, unit=unit), data.languages)
+        run = run_rounds(plan, data, FAST, SPACE, rng_seed=2)
+        assert run[1] and run_rounds(plan, reversed_data, FAST, SPACE, rng_seed=2) == run
+
+    @pytest.mark.parametrize("family, make_data, strategy, unit, budgets", [
+        (SettingFamily.SMA, lambda: synth_classification(["aa", "bb", "cc"], 60, 15, 0.5, seed=5),
+         StrategyKind.LC, BudgetUnit.INSTANCE, (15, 12, 9)),
+        (SettingFamily.MMA, lambda: synth_tagging(["aa", "bb"], 30, 8, 0.5, seed=3),
+         StrategyKind.MNLP, BudgetUnit.TOKEN, (60, 40, 40)),
+    ], ids=["sma-classification", "mma-tagging"])
+    def test_each_fit_trains_on_its_seed_and_its_buys(self, monkeypatch, family, make_data, strategy,
+                                                      unit, budgets):
+        data = make_data()
+        plan = allocate(Setting(family, strategy), BudgetSpec(*budgets, rounds=4, unit=unit),
+                        data.languages)
+        fit, fitted = experiment._fit_and_evaluate, []
+
+        def recorded(mp, corpus, labeled, *args):
+            # the last argument is the round
+            fitted.append((mp.index, args[-1], frozenset(corpus.ids[labeled].tolist())))
+            return fit(mp, corpus, labeled, *args)
+
+        monkeypatch.setattr(experiment, "_fit_and_evaluate", recorded)
+        runs = run_arms(plan, featurize(data, SPACE), FAST, rng_seed=3, arms=(True, False))
+        expected = set()
+        for _, events in runs.values():
+            for mp, pool in zip(plan.models, experiment._draw_pools(plan, data, 3)):
+                own = [e for e in events if e.language in mp.languages]
+                bought = [e.instance_id for e in own]
+                assert bought and len(set(bought)) == len(bought)
+                assert not set(bought) & (pool.labeled.keys() | pool.validation.keys())
+                expected |= {(mp.index, r, frozenset(pool.labeled.keys() | {
+                    e.instance_id for e in own if e.round <= r})) for r in range(plan.spec.rounds)}
+        # one fit per model, round and distinct labeled pool, on exactly the seed and the buys
+        assert len(fitted) == len(set(fitted)) and set(fitted) == expected
 
 
 class TestCurriculum:

@@ -183,7 +183,7 @@ class TestBatch:
         assert [len(b) for b in batches] == [4] * 9
         assert corpus.instances.rows.n == len(contents)
         batches.clear()
-        assert corpus.take(corpus.data.train["aa"][:5]).rows.n == 5
+        assert corpus.instances.take(corpus.locate(corpus.data.train["aa"][:5])).rows.n == 5
         assert batches == []
 
 

@@ -170,9 +170,11 @@ class TestBatchedPrediction:
     def _pool_scores(model, data, strategy):
         """The pool scores of every training instance, and those instances in pool order."""
         pool = [i for lang in data.languages for i in data.train[lang]]
-        ordered, scores = _score_pool(model, featurize(data, SPACE), pool[::-1], strategy, None)
+        corpus = featurize(data, SPACE)
+        positions = corpus.locate(pool[::-1])
+        ordered = [corpus.members[k] for k in positions.tolist()]
         assert ordered == sorted(pool, key=lambda i: i.id)
-        return scores, ordered
+        return _score_pool(model, corpus, positions, strategy, None), ordered
 
     def test_classifier(self):
         data = synth_classification(["aa", "bb"], 160, 10, 0.5, seed=1)
@@ -193,7 +195,8 @@ class TestBatchedPrediction:
         data = synth_tagging(["aa", "bb"], 50, 10, 0.5, seed=1)
         model = SequenceTagger(SPACE)
         insts = self._fitted(model, data, 30, 15)
-        probas, counts = model.predict_tag_probas_batch(model.evaluation_set(insts))
+        held = model.evaluation_set(insts)
+        probas, counts = model.predict_proba_batch(held), held.sizes[:, 1].tolist()
         assert counts == [len(i.payload.tokens) for i in insts]
         assert probas.shape == (sum(counts), len(model.tags))
         for inst, rows in zip(insts, np.split(probas, np.cumsum(counts)[:-1]), strict=True):
@@ -227,7 +230,8 @@ class TestBatchedPrediction:
         data = synth_tagging(["aa"], 30, 5, 0.5, seed=2)
         model = SequenceTagger(SPACE)
         model.fit(model.evaluation_set(data.train["aa"][:15]), model.evaluation_set(data.train["aa"][15:]), FAST)
-        probas, counts = model.predict_tag_probas_batch(model.evaluation_set([]))
+        held = model.evaluation_set([])
+        probas, counts = model.predict_proba_batch(held), held.sizes[:, 1].tolist()
         assert probas.shape == (0, len(model.tags)) and counts == []
         assert model.evaluate(model.evaluation_set([])) == {"tp": 0, "pred_spans": 0, "gold_spans": 0}
         data = synth_classification(["aa"], 30, 5, 0.5, seed=2)
