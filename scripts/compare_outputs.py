@@ -15,7 +15,7 @@ warnings) are kept in `validate.txt` with the checkout's work directory
 written as `<work>`. `validate` must reject each
 config of `_invalid`, and its error lines are kept in `invalid.txt` the
 same way. Then the CLI runs `run --jobs 1` and `run --jobs 2` into two
-output directories, then `report` and `curriculum` on both. Before those,
+output directories, then `report` on both. Before that,
 the SMA setting's AL result file of the `--jobs 2` run is deleted and
 `run --jobs 2` resumes into the same directory, so the path that reruns
 one arm of a setting is compared too.
@@ -133,7 +133,6 @@ def produce(root: Path, work: Path, seed: int) -> None:
                 (Path(out) / "results" / f"sma.{STRATEGY[task]}.al.jsonl").unlink()
                 _cli(root, "run", "--config", str(config_path), "--jobs", jobs, "--out", out)
             _cli(root, "report", "--out", out)
-            _cli(root, "curriculum", "--out", out)
     corpus = work / "classification"
     exhaust_path = corpus / "exhaust.json"
     config = json.loads((corpus / "config.json").read_text())

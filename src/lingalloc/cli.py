@@ -1,6 +1,6 @@
 """Command-line interface: config validation, experiment runs, reporting.
 
-Subcommands: ``validate``, ``run``, ``report``, ``curriculum``, ``synth``.
+Subcommands: ``validate``, ``run``, ``report``, ``synth``.
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 
 Result files are written atomically (temp file + rename) and contain no
@@ -53,7 +53,6 @@ from .experiment import (
     allocate,
     curriculum,
     featurize,
-    initial_composition,
     mean_stddev,
     run_arms,
 )
@@ -495,8 +494,7 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
     lines: dict[str, list[str]] = {_cell_key(setting, with_al): [] for with_al in arms}
     for replicate in range(config.replicates):
         rng_seed = config.seed + replicate
-        runs = run_arms(plan, corpus, config.training, rng_seed, arms)
-        composition = None
+        runs, composition = run_arms(plan, corpus, config.training, rng_seed, arms)
         for with_al in arms:
             key = _cell_key(setting, with_al)
             results, events = runs[with_al]
@@ -512,8 +510,6 @@ def run_cell(config: ExperimentConfig, task: dict, out_dir: str) -> list[str]:
                          [(e.round, e.instance_id, e.language, e.cost, repr(e.score), e.strategy)
                           for e in events])
             if events:
-                if composition is None:
-                    composition = initial_composition(plan, corpus.data, rng_seed)
                 report = curriculum(events, composition, per_round_total)
                 _atomic_write(out / "logs" / f"{key}.rep{replicate}.curriculum.json",
                               json.dumps(_echo("curriculum", report), sort_keys=True,
@@ -813,12 +809,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_curriculum(args) -> int:
-    out = Path(args.out)
-    print(write_curriculum_csv(out, _read_cell_records(out)))
-    return 0
-
-
 def cmd_synth(args) -> int:
     task = TaskKind(args.task)
     languages = sorted(args.languages.split(","))
@@ -881,9 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="emit plot-ready CSVs from results")
     p_report.add_argument("--out", required=True, help="results directory")
 
-    p_curr = sub.add_parser("curriculum", help="emit the acquisition-share CSV")
-    p_curr.add_argument("--out", required=True, help="results directory")
-
     p_synth = sub.add_parser("synth", help="generate a synthetic multilingual corpus")
     p_synth.add_argument("--task", choices=[t.value for t in TaskKind], required=True)
     p_synth.add_argument("--languages", required=True, help="comma-separated codes")
@@ -900,7 +887,6 @@ _COMMANDS = {
     "validate": cmd_validate,
     "run": cmd_run,
     "report": cmd_report,
-    "curriculum": cmd_curriculum,
     "synth": cmd_synth,
 }
 

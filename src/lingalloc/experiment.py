@@ -6,13 +6,14 @@ annotations, retrain from scratch, evaluate every target language. A run's
 corpus is featurized once (`featurize`), in ascending id order, the one
 order a run follows; its pools are ascending positions into that corpus,
 scored into one array and bought from on arrays (`select_ranked`); only
-the instances bought become `AcquisitionEvent`s. Each validation pool and
-test language is taken from the corpus once per run, as an evaluation set
-that every fit validates and tests on. A setting's AL and random arms run
-their rounds in lockstep: each round, each arm buys for each of its models
-and then fits it, or reuses the fit of a labeled pool another arm holds
-too. The settings differ only in how models, budgets, and eligible pools
-are laid out:
+the instances bought become `AcquisitionEvent`s. Each test language is
+taken from the corpus once, when it is featurized, and each validation pool
+once per run, as evaluation sets that every fit tests and validates on. A
+run draws its pools once and returns their composition. A setting's AL and
+random arms run their rounds in lockstep: each round, each arm buys for
+each of its models and then fits it, or reuses the fit of a labeled pool
+another arm holds too. The settings differ only in how models, budgets,
+and eligible pools are laid out:
 
 * ``monoa`` - one model, the whole budget on a single source language,
   evaluated on every language (zero-shot on the others);
@@ -173,8 +174,9 @@ class MultilingualData:
 class Featurized:
     """A run's corpus featurized once: `data`, its feature space, all its
     training and test instances in ascending id order (`members`, with their
-    int64 `ids` and `costs`), and one evaluation set over them, member k at
-    position k. A run holds every set it uses as positions into it."""
+    int64 `ids` and `costs`), one evaluation set over them, member k at
+    position k, and each test language's evaluation set taken from it
+    (`tests`). A run holds every other set it uses as positions into it."""
 
     data: MultilingualData
     space: FeatureSpace
@@ -182,6 +184,7 @@ class Featurized:
     ids: np.ndarray
     costs: np.ndarray
     instances: EvalSet
+    tests: dict[str, EvalSet]
 
     def locate(self, instances: Iterable[Instance]) -> np.ndarray:
         """The positions of `instances`, ascending; DataError for one that is not a member."""
@@ -195,14 +198,19 @@ class Featurized:
 
 def featurize(data: MultilingualData, space: FeatureSpace) -> Featurized:
     """Every training and test instance of `data`, in ascending id order, hashed once
-    in passes of at most its task model's `chunk` rows; DataError if an id repeats."""
+    in passes of at most its task model's `chunk` rows, and each test language
+    taken from them once; DataError if an id repeats."""
     members = sorted((i for part in (data.train, data.test) for group in part.values() for i in group),
                      key=lambda i: i.id)
     ids = np.array([i.id for i in members], dtype=np.int64)
     if len(repeated := ids[1:][ids[1:] == ids[:-1]]):
         raise DataError(f"instance id {repeated[0]} occurs more than once")
     costs = np.array([i.cost for i in members], dtype=np.int64)
-    return Featurized(data, space, members, ids, costs, build_model(data.task, space).evaluation_set(members))
+    instances = build_model(data.task, space).evaluation_set(members)
+    # every test instance is a member, so its id finds its position
+    tests = {lang: instances.take(np.sort(np.searchsorted(ids, [i.id for i in group])))
+             for lang, group in data.test.items()}
+    return Featurized(data, space, members, ids, costs, instances, tests)
 
 
 @dataclass(frozen=True)
@@ -260,17 +268,28 @@ def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> 
     return pools
 
 
-def _fit_and_evaluate(mp, corpus: Featurized, labeled: np.ndarray, val_set, test_sets, training_config,
+def _composition(plan: AllocationPlan, pools: Sequence[Pool]) -> dict[str, int]:
+    """Cost per plan language of the labeled and unlabeled parts of `pools`,
+    each model's draw: the share denominator of the curriculum analysis."""
+    composition = dict.fromkeys(sorted({lang for mp in plan.models for lang in mp.languages}), 0)
+    for pool in pools:
+        for part in (pool.labeled, pool.unlabeled):
+            for inst in part.values():
+                composition[inst.language] += inst.cost
+    return composition
+
+
+def _fit_and_evaluate(mp, corpus: Featurized, labeled: np.ndarray, val_set, training_config,
                       rng_seed, round_idx):
     """Train one model from scratch on the members at positions `labeled`; test each of its eval languages.
 
-    `val_set` and `test_sets` (per language) are evaluation sets. Returns the
-    model, its validation score and its test counts per language.
+    `val_set` is an evaluation set; the test sets are the corpus's. Returns
+    the model, its validation score and its test counts per language.
     """
     model = build_model(corpus.data.task, corpus.space)
     cfg = replace(training_config, rng_seed=_derive_seed(rng_seed, mp.index, 1, round_idx))
     score = model.fit(corpus.instances.take(labeled), val_set, cfg)
-    return model, score, [(lang, model.evaluate(test_sets[lang])) for lang in mp.eval_languages]
+    return model, score, [(lang, model.evaluate(corpus.tests[lang])) for lang in mp.eval_languages]
 
 
 def run_arms(
@@ -279,7 +298,7 @@ def run_arms(
     training_config: TrainingConfig,
     rng_seed: int,
     arms: Sequence[bool],
-) -> dict[bool, tuple[list[RoundResult], list[AcquisitionEvent]]]:
+) -> tuple[dict[bool, tuple[list[RoundResult], list[AcquisitionEvent]]], dict[str, int]]:
     """Execute the full protocol for one setting on a featurized corpus, with and/or without AL.
 
     The arms in `arms` (True: the setting's strategy, False: random) run in
@@ -293,25 +312,27 @@ def run_arms(
     A fit depends on the model, the round and the labeled pool, never on
     the arm, so each model is fitted once per distinct labeled pool in a
     round: in round 0, and in every later round where the arms hold the same
-    pool, as they do once it has run out. Each model's validation pool and
-    each test language are taken from `corpus` once, as evaluation sets that
-    every fit validates and tests on. `plan.setting.with_al` is not read.
-    Identical (plan, corpus, config, seed) inputs reproduce identical
-    results, whichever arms run together. Before any pool is drawn,
-    ConfigError is raised for a repeated arm, which would buy its batches
-    twice, and for plan languages the corpus lacks.
+    pool, as they do once it has run out. Each model's validation pool is
+    taken from `corpus` once, as the evaluation set every fit validates on;
+    every fit tests on the corpus's own test sets. `plan.setting.with_al` is
+    not read. Returns each arm's (results, events) and the composition of
+    the pools drawn (`initial_composition`). Identical (plan, corpus,
+    config, seed) inputs reproduce identical results, whichever arms run
+    together. Before any pool is drawn, ConfigError is raised for a repeated
+    arm, which would buy its batches twice, and for plan languages the
+    corpus lacks.
     """
     if len(set(arms)) != len(arms):
         raise ConfigError(f"arms must be distinct, got {list(arms)}")
     data = corpus.data
-    eval_languages = sorted({lang for mp in plan.models for lang in mp.eval_languages})
     if missing := sorted({lang for mp in plan.models for lang in mp.languages} - data.train.keys()
-                         | set(eval_languages) - data.test.keys()):
+                         | {lang for mp in plan.models for lang in mp.eval_languages}
+                         - corpus.tests.keys()):
         raise ConfigError(f"plan languages {missing} are not in the data")
+    pools = _draw_pools(plan, data, rng_seed)
     drawn = [[corpus.locate(part.values()) for part in (p.labeled, p.unlabeled, p.validation)]
-             for p in _draw_pools(plan, data, rng_seed)]
+             for p in pools]
     val_sets = [corpus.instances.take(validation) for _, _, validation in drawn]
-    test_sets = {lang: corpus.instances.take(corpus.locate(data.test[lang])) for lang in eval_languages}
     arm_pools = {with_al: [(labeled, unlabeled) for labeled, unlabeled, _ in drawn] for with_al in arms}
     runs = {with_al: ([], []) for with_al in arms}
     fits = {}
@@ -344,13 +365,13 @@ def run_arms(
                                             f"{round_idx} (spent {spent} of {per_round})",)
                 key = (mp.index, labeled.tobytes())
                 if key not in fits:
-                    fits[key] = _fit_and_evaluate(mp, corpus, labeled, val_sets[mp.index], test_sets,
+                    fits[key] = _fit_and_evaluate(mp, corpus, labeled, val_sets[mp.index],
                                                   training_config, rng_seed, round_idx)
                 result.validation[mp.key], counts = fits[key][1:]
                 for lang, lang_counts in counts:
                     result.report.add(lang, lang_counts)
             results.append(result)
-    return runs
+    return runs, _composition(plan, pools)
 
 
 def run_rounds(
@@ -363,24 +384,13 @@ def run_rounds(
     """Execute the full protocol for one setting, AL or not per `plan.setting.with_al`,
     on `data` featurized for this call."""
     with_al = plan.setting.with_al
-    return run_arms(plan, featurize(data, feature_space), training_config, rng_seed, (with_al,))[with_al]
+    return run_arms(plan, featurize(data, feature_space), training_config, rng_seed, (with_al,))[0][with_al]
 
 
 def initial_composition(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> dict[str, int]:
-    """Cost per language of the initial labeled+unlabeled pools of a run.
-
-    Redraws the pools `run_arms` starts from, then counts everything except
-    the validation partition. This is the share denominator the curriculum
-    analysis uses.
-    """
-    composition = {
-        lang: 0 for lang in sorted({l for mp in plan.models for l in mp.languages})
-    }
-    for pool in _draw_pools(plan, data, rng_seed):
-        for part in (pool.labeled, pool.unlabeled):
-            for inst in part.values():
-                composition[inst.language] += inst.cost
-    return composition
+    """Cost per language of the initial labeled+unlabeled pools of a run, as
+    `run_arms` returns it, from the pools it starts from drawn again."""
+    return _composition(plan, _draw_pools(plan, data, rng_seed))
 
 
 # largest gap a curriculum report accepts in its acquisition-share identity

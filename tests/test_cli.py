@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import lingalloc.cli as cli
+import lingalloc.experiment as experiment
 import lingalloc.models as models
 from lingalloc.cli import load_data, main, run_cell, validate_config
 from lingalloc.corpus import ingest_conll_ner, ingest_conllu
-from lingalloc.errors import ConfigError
+from lingalloc.errors import ConfigError, ParseError
 from lingalloc.experiment import AcquisitionEvent, BudgetSpec, aggregate, curriculum
 from lingalloc.synth import synth_dataset
 from lingalloc.tasks import BudgetUnit, TaskKind
@@ -761,6 +762,21 @@ class TestRunCommand:
         assert len(paths) == 8
         assert _tree_bytes(tmp_path / "pooled") == _tree_bytes(tmp_path / "serial")
 
+    def test_pools_are_drawn_once_per_setting_and_replicate(self, tmp_path, monkeypatch):
+        # the curriculum sidecars count the pools the run drew, not a second draw
+        config_path = _small_config(tmp_path / "corpus", replicates=2)
+        draw, draws = experiment._draw_pools, []
+
+        def counting(plan, data, rng_seed):
+            draws.append((plan.setting.label, rng_seed))
+            return draw(plan, data, rng_seed)
+
+        monkeypatch.setattr(experiment, "_draw_pools", counting)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--jobs", "1", "--out", str(out)]) == 0
+        assert sorted(draws) == [("mma", 7), ("mma", 8), ("sma", 7), ("sma", 8)]
+        assert len(list((out / "logs").glob("*.curriculum.json"))) == 8
+
     def test_run_hashes_each_instance_once(self, tmp_path, monkeypatch):
         """One featurization serves every setting of a serial run: each
         training and test instance is hashed once, repeated content too."""
@@ -905,37 +921,31 @@ class TestReportCommand:
         assert mean == pytest.approx(expected.mean["accuracy"], abs=1e-10)
         assert std == pytest.approx(expected.stddev["accuracy"], abs=1e-10)
 
-    def test_curriculum_command(self, finished_run):
-        assert main(["curriculum", "--out", str(finished_run)]) == 0
-
-    def test_report_and_curriculum_write_identical_curriculum_csv(self, finished_run):
-        path = finished_run / "curriculum.csv"
-        assert main(["report", "--out", str(finished_run)]) == 0
-        from_report = path.read_bytes()
-        path.unlink()
-        assert main(["curriculum", "--out", str(finished_run)]) == 0
-        assert path.read_bytes() == from_report
-
     def test_curriculum_skips_sidecars_of_cells_without_results(self, finished_run, tmp_path):
         # a cell that failed after writing a sidecar has no results file
-        assert main(["curriculum", "--out", str(finished_run)]) == 0
+        assert main(["report", "--out", str(finished_run)]) == 0
         full = (finished_run / "curriculum.csv").read_text().splitlines()
         out = tmp_path / "out"
         shutil.copytree(finished_run, out)
         (out / "results" / "sma.lc.al.jsonl").unlink()
         assert (out / "logs" / "sma.lc.al.rep0.curriculum.json").is_file()
-        assert main(["curriculum", "--out", str(out)]) == 0
+        assert main(["report", "--out", str(out)]) == 0
         expected = [row for row in full if not row.startswith("sma:lc,al,")]
         assert len(expected) < len(full)
         assert (out / "curriculum.csv").read_text().splitlines() == expected
 
-    @pytest.mark.parametrize("command", ["report", "curriculum"])
-    def test_report_on_empty_dir(self, tmp_path, capsys, command):
-        assert main([command, "--out", str(tmp_path)]) == 1
-        assert "no results found" in capsys.readouterr().err
+    # "curriculum": the curriculum writer on its own, which the tracer binds
+    @pytest.mark.parametrize("reader", ["report", "curriculum"])
+    def test_report_on_empty_dir(self, tmp_path, capsys, reader):
+        if reader == "report":
+            assert main(["report", "--out", str(tmp_path)]) == 1
+            assert "no results found" in capsys.readouterr().err
+        else:
+            with pytest.raises(ConfigError, match="no results found"):
+                cli.write_curriculum_csv(tmp_path, cli._read_cell_records(tmp_path))
 
 
-    @pytest.mark.parametrize("command", ["report", "curriculum"])
+    @pytest.mark.parametrize("reader", ["report", "curriculum"])
     @pytest.mark.parametrize("name, line, text, message", [
         (RESULTS, 6, '{"alphas": ', "invalid JSON: Expecting value (column 11)"),
         (SIDECAR, 1, '{"alphas": ', "invalid JSON: Expecting value (column 11)"),
@@ -984,7 +994,7 @@ class TestReportCommand:
             "sidecar-languages-differ", "sidecar-alpha-string", "sidecar-nan", "sidecar-identity",
             "sidecar-round-negative", "results-too-many-digits", "results-metric-beyond-float",
             "sidecar-acquired-beyond-float", "sidecar-spend-ratio-beyond-float"])
-    def test_invalid_json_is_a_runtime_error(self, finished_run, tmp_path, capsys, command,
+    def test_invalid_json_is_a_runtime_error(self, finished_run, tmp_path, capsys, reader,
                                              name, line, text, message):
         out = tmp_path / "out"
         shutil.copytree(finished_run, out)
@@ -996,8 +1006,13 @@ class TestReportCommand:
             # these keys replace those of the last line
             text = json.dumps({**json.loads(lines[-1]), **text})
         path.write_text("".join(lines[:-1]) + text + "\n")
-        assert main([command, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+        if reader == "report":
+            assert main(["report", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+        else:
+            with pytest.raises(ParseError) as exc:
+                cli.write_curriculum_csv(out, cli._read_cell_records(out))
+            assert str(exc.value) == f"{path}:{line}: {message}"
 
     def test_results_and_sidecars_echo_their_bytes(self, finished_run):
         paths = sorted((finished_run / "results").glob("*.jsonl"))

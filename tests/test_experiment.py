@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lingalloc import experiment
+from lingalloc import experiment, models
 from lingalloc.acquisition import StrategyKind, random_scores, select_ranked
 from lingalloc.errors import ConfigError, DataError
 from lingalloc.experiment import (
@@ -281,7 +281,7 @@ class TestRunArms:
         data = make_data()
         spec = BudgetSpec(*budgets, rounds=3, unit=unit)
         together = run_arms(allocate(Setting(family, strategy), spec, data.languages),
-                            featurize(data, SPACE), FAST, rng_seed=3, arms=(True, False))
+                            featurize(data, SPACE), FAST, rng_seed=3, arms=(True, False))[0]
         assert sorted(together) == [False, True]
         for with_al in (True, False):
             plan = allocate(Setting(family, strategy, with_al), spec, data.languages)
@@ -330,7 +330,7 @@ class TestRunArms:
         )
         spec = BudgetSpec(*budgets, rounds=4)
         together = run_arms(allocate(setting, spec, data.languages), featurize(data, SPACE), FAST,
-                            rng_seed=3, arms=(True, False))
+                            rng_seed=3, arms=(True, False))[0]
         assert Counter(fitted) == fits
         for with_al in (True, False):
             plan = allocate(replace(setting, with_al=with_al), spec, data.languages)
@@ -349,7 +349,45 @@ class TestRunArms:
 
     def test_only_requested_arms_run(self, small_data):
         plan = allocate(sma(), SPEC, small_data.languages)
-        assert list(run_arms(plan, featurize(small_data, SPACE), FAST, 1, (False,))) == [False]
+        assert list(run_arms(plan, featurize(small_data, SPACE), FAST, 1, (False,))[0]) == [False]
+
+    @pytest.mark.parametrize("setting", [
+        sma(), Setting(SettingFamily.MMA, StrategyKind.LC),
+        Setting(SettingFamily.MONOA, StrategyKind.LC, source="bb"),
+    ], ids=["sma", "mma", "monoa"])
+    def test_composition_is_that_of_the_pools_drawn(self, small_data, setting):
+        plan = allocate(setting, BudgetSpec(40, 30, 20, rounds=2), small_data.languages)
+        corpus = featurize(small_data, SPACE)
+        expected = initial_composition(plan, small_data, 3)
+        assert set(expected) == {lang for mp in plan.models for lang in mp.languages}
+        for arms in [(True, False), (False,), (True,)]:
+            assert run_arms(plan, corpus, FAST, 3, arms)[1] == expected
+
+    def test_every_fit_tests_on_the_corpus_test_sets(self, monkeypatch, small_data):
+        # two settings on one corpus: no run takes a test language again
+        corpus = featurize(small_data, SPACE)
+        for lang, group in small_data.test.items():
+            assert corpus.tests[lang].payloads == [i.payload for i in sorted(group, key=lambda i: i.id)]
+        fit, evaluate, fits = experiment._fit_and_evaluate, models._ModelBase.evaluate, []
+
+        def recorded(mp, *args):
+            fits.append((mp.eval_languages, []))
+            return fit(mp, *args)
+
+        def recorded_evaluate(model, evaluation):
+            fits[-1][1].append(evaluation)
+            return evaluate(model, evaluation)
+
+        monkeypatch.setattr(experiment, "_fit_and_evaluate", recorded)
+        monkeypatch.setattr(models._ModelBase, "evaluate", recorded_evaluate)
+        spec = BudgetSpec(40, 30, 20, rounds=2)
+        for setting in (sma(), Setting(SettingFamily.MMA, StrategyKind.LC)):
+            run_arms(allocate(setting, spec, small_data.languages), corpus, FAST, 1, (True, False))
+        # sma: 1 model x 3 pools; mma: 3 models x 3 pools
+        assert len(fits) == 12
+        for languages, tested in fits:
+            assert len(tested) == len(languages)
+            assert all(s is corpus.tests[lang] for lang, s in zip(languages, tested))
 
     def test_repeated_arm_rejected_before_drawing_pools(self, monkeypatch):
         # run twice, the arm would buy its batches twice: 8 rounds, twice the budget
@@ -424,7 +462,7 @@ class TestRunArms:
             return fit(mp, corpus, labeled, *args)
 
         monkeypatch.setattr(experiment, "_fit_and_evaluate", recorded)
-        runs = run_arms(plan, featurize(data, SPACE), FAST, rng_seed=3, arms=(True, False))
+        runs = run_arms(plan, featurize(data, SPACE), FAST, rng_seed=3, arms=(True, False))[0]
         expected = set()
         for _, events in runs.values():
             for mp, pool in zip(plan.models, experiment._draw_pools(plan, data, 3)):

@@ -144,8 +144,8 @@ def test_run_rounds_featurizes_each_instance_once(monkeypatch, make_run):
     assert calls == each_once
     calls.clear()
     # runs on a featurized corpus hash nothing; a second `run_rounds` featurizes its data again
-    run_arms(plan, corpus, FAST, 5, (True, False))
-    run_arms(plan, corpus, FAST, 6, (True,))
+    run_arms(plan, corpus, FAST, 5, (True, False))[0]
+    run_arms(plan, corpus, FAST, 6, (True,))[0]
     assert not calls
     run_rounds(plan, data, FAST, SPACE, rng_seed=5)
     assert calls == each_once
