@@ -26,7 +26,11 @@ random arms buy different instances in round 1, then hold the same pool and
 share its fits, and the results carry `unlabeled pool exhausted` warnings.
 With three replicates, each standard deviation of its `summary.csv` and
 `plot_data.csv` is taken over three values, where two formulas for it can
-differ in their last bits. Every file
+differ in their last bits. Classification also runs its config on one
+train and one test TSV that hold every language, their rows interleaved
+(`MIXED`), with `--jobs 1` and `--jobs 2`, then `report`: each language's
+instance ids then have gaps, so pools are drawn over candidate ids that
+are not consecutive. Every file
 written is then compared between A and B; the manifest's timestamp is left
 out. Prints each seed's count of identical files and the
 files that differ, or that only one side wrote. Exits 1 when any file of
@@ -34,6 +38,7 @@ any seed differs, 0 when all are identical.
 """
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -57,6 +62,8 @@ EXHAUSTING = {"seed": 60, "acquisition": 150}
 # l2 > 0 and small batches, so the weight-decay branch of every SGD step and
 # a short last batch per epoch are compared too
 TRAINING = {"learning_rates": [0.5], "max_epochs": 4, "patience": 2, "l2": 0.001, "batch_size": 7}
+# the classification corpus's split files merged into one per split, under the corpus directory
+MIXED = {split: f"mixed.{split}.tsv" for split in ("train", "test")}
 
 
 def _invalid(config: dict, own: str, other: str) -> dict[str, dict]:
@@ -145,6 +152,19 @@ def produce(root: Path, work: Path, seed: int) -> None:
     results = corpus / "exhaust-jobs1" / "results" / "monoa-aa.lc.al.jsonl"
     if "unlabeled pool exhausted" not in results.read_text():
         raise SystemExit(f"{root}: no MonoA pool of {exhaust_path.name} ran out")
+    for split, name in MIXED.items():
+        # each file's rows after its header, one row of each language in turn
+        rows = [(corpus / config["data"][lang][split]).read_text(encoding="utf-8").splitlines()
+                for lang in LANGUAGES.split(",")]
+        mixed = [row for group in itertools.zip_longest(*(r[1:] for r in rows)) for row in group if row]
+        (corpus / name).write_text("\n".join([rows[0][0], *mixed]) + "\n", encoding="utf-8")
+    mixed_path = corpus / "mixed.json"
+    mixed_path.write_text(json.dumps(dict(config, data={lang: MIXED for lang in LANGUAGES.split(",")}),
+                                     indent=2) + "\n")
+    for jobs in ("1", "2"):
+        out = str(corpus / f"mixed-jobs{jobs}")
+        _cli(root, "run", "--config", str(mixed_path), "--jobs", jobs, "--out", out)
+        _cli(root, "report", "--out", out)
 
 
 def _contents(path: Path) -> bytes:

@@ -12,7 +12,6 @@ from .corpus import (
     ClassificationText,
     DepTree,
     Instance,
-    Pool,
     SplitSpec,
     TaggedSentence,
     dedup,

@@ -17,13 +17,14 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 import typing
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -721,6 +722,8 @@ def _task_runs(config: ExperimentConfig, data: MultilingualData, tasks: list[dic
     `call()` returns the task's cell keys or raises the task's error. With
     more than one job the tasks run in a process pool with at most one worker
     per task; each worker receives and featurizes `data` once, when it starts.
+    A task is handed to the pool only when a worker is free for it, so closing
+    this generator (an interrupt) lets the running tasks finish and starts no other.
     """
     workers = min(jobs, len(tasks))
     if workers < 2:
@@ -735,9 +738,19 @@ def _task_runs(config: ExperimentConfig, data: MultilingualData, tasks: list[dic
     # through the initializer, whether the pool forks or spawns it
     with ProcessPoolExecutor(max_workers=workers, initializer=_keep_corpus,
                              initargs=(data, config.feature_space)) as pool:
-        futures = {pool.submit(run_cell, config, task, out): task for task in tasks}
-        for future in as_completed(futures):
-            yield futures[future], future.result
+        running, queued = {}, iter(tasks)
+        while True:
+            for task in itertools.islice(queued, workers - len(running)):
+                try:
+                    future = pool.submit(run_cell, config, task, out)
+                except BrokenExecutor as exc:  # a worker died: each task left fails as the running did
+                    future = Future()
+                    future.set_exception(exc)
+                running[future] = task
+            if not running:
+                return
+            future = wait(running, return_when=FIRST_COMPLETED).done.pop()
+            yield running.pop(future), future.result
 
 
 def cmd_run(args) -> int:

@@ -316,26 +316,6 @@ def length_filter(instances: Sequence[Instance], max_tokens: int) -> list[Instan
     return kept
 
 
-class Pool:
-    """Instances partitioned into labeled / unlabeled / validation, pairwise
-    disjoint by instance id: the fixed record of a `sample_splits` draw."""
-
-    def __init__(self, labeled=(), unlabeled=(), validation=()):
-        self.labeled = {i.id: i for i in labeled}
-        self.unlabeled = {i.id: i for i in unlabeled}
-        self.validation = {i.id: i for i in validation}
-        self._check_disjoint()
-
-    def _check_disjoint(self):
-        parts = [self.labeled, self.unlabeled, self.validation]
-        total = sum(len(p) for p in parts)
-        union = set()
-        for p in parts:
-            union.update(p.keys())
-        if len(union) != total:
-            raise DataError("pool partitions share instance ids")
-
-
 def first_fit(costs: np.ndarray, budget: int) -> np.ndarray:
     """The positions a first-fit walk over `costs` takes, in walk order.
 
@@ -356,29 +336,26 @@ def first_fit(costs: np.ndarray, budget: int) -> np.ndarray:
     return np.concatenate(taken) if taken else np.arange(0)
 
 
-def sample_splits(instances: Sequence[Instance], spec: SplitSpec) -> Pool:
+def sample_splits(costs: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw seed and validation sets without replacement; the rest is unlabeled.
 
-    One pooled draw over all instances uses the budgets in `spec`. Instances
-    are shuffled with the seeded PRNG; the seed set, then the validation set
-    from the rest, is bought with `first_fit` over that order, so the draw is
-    a pure function of (instances ordered by id, spec).
+    `costs` are one model's candidate costs in ascending id order. One seeded
+    permutation orders the candidates; the seed set, then the validation set
+    from the rest, is bought with `first_fit` over that order. Returns the
+    (labeled, validation, unlabeled) positions into `costs`, each in that
+    order, so the draw is a pure function of (costs, spec) and its parts are
+    disjoint and cover every candidate.
     """
-    ordered = sorted(instances, key=lambda i: i.id)
-    if len({i.id for i in ordered}) != len(ordered):
-        raise DataError("duplicate instance ids in sampling input")
-    costs = np.array([i.cost for i in ordered], dtype=np.int64)
     available = int(costs.sum())
     if available < spec.seed_budget + spec.val_budget:
         raise ConfigError(
             f"available cost {available} cannot cover seed+validation "
             f"budget {spec.seed_budget + spec.val_budget}"
         )
-    order = np.random.default_rng(spec.rng_seed).permutation(len(ordered))
+    order = np.random.default_rng(spec.rng_seed).permutation(len(costs))
     parts = []
     for budget in (spec.seed_budget, spec.val_budget):
         taken = first_fit(costs[order], budget)
         parts.append(order[taken])
         order = np.delete(order, taken)
-    labeled, validation, unlabeled = ([ordered[k] for k in part.tolist()] for part in (*parts, order))
-    return Pool(labeled=labeled, unlabeled=unlabeled, validation=validation)
+    return (*parts, order)

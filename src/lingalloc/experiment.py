@@ -4,16 +4,17 @@ A run is one seed training round followed by acquisition rounds: score the
 unlabeled pool, buy a batch within the per-round budget, reveal its gold
 annotations, retrain from scratch, evaluate every target language. A run's
 corpus is featurized once (`featurize`), in ascending id order, the one
-order a run follows; its pools are ascending positions into that corpus,
-scored into one array and bought from on arrays (`select_ranked`); only
-the instances bought become `AcquisitionEvent`s. Each test language is
-taken from the corpus once, when it is featurized, and each validation pool
-once per run, as evaluation sets that every fit tests and validates on. A
-run draws its pools once and returns their composition. A setting's AL and
-random arms run their rounds in lockstep: each round, each arm buys for
-each of its models and then fits it, or reuses the fit of a labeled pool
-another arm holds too. The settings differ only in how models, budgets,
-and eligible pools are laid out:
+order a run follows; its pools are drawn once on id-ordered costs
+(`sample_splits`), held as ascending positions into that corpus, scored
+into one array and bought from on arrays (`select_ranked`); only the
+instances bought become `AcquisitionEvent`s. Each test language is taken
+from the corpus once, when it is featurized, and each validation pool once
+per run, as evaluation sets that every fit tests and validates on. A run
+returns the composition of the pools it drew. A setting's AL and random
+arms run their rounds in lockstep: each round, each arm buys for each of
+its models and then fits it, or reuses the fit of a labeled pool another
+arm holds too. The settings differ only in how models, budgets, and
+eligible pools are laid out:
 
 * ``monoa`` - one model, the whole budget on a single source language,
   evaluated on every language (zero-shot on the others);
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .acquisition import (
     select_ranked,
     strategy_compatible,
 )
-from .corpus import Instance, Pool, SplitSpec, sample_splits
+from .corpus import Instance, SplitSpec, sample_splits
 from .errors import ConfigError, DataError, ScoringError
 from .graph import ArcScores, chu_liu_edmonds
 from .models import EvalSet, FeatureSpace, TrainingConfig, build_model
@@ -176,7 +177,8 @@ class Featurized:
     training and test instances in ascending id order (`members`, with their
     int64 `ids` and `costs`), one evaluation set over them, member k at
     position k, and each test language's evaluation set taken from it
-    (`tests`). A run holds every other set it uses as positions into it."""
+    (`tests`). A run finds every other set it uses by id in `ids` and holds it
+    as positions."""
 
     data: MultilingualData
     space: FeatureSpace
@@ -186,25 +188,25 @@ class Featurized:
     instances: EvalSet
     tests: dict[str, EvalSet]
 
-    def locate(self, instances: Iterable[Instance]) -> np.ndarray:
-        """The positions of `instances`, ascending; DataError for one that is not a member."""
-        instances = list(instances)
-        at = np.searchsorted(self.ids, [i.id for i in instances]).astype(np.int64)
-        for k, inst in zip(at.tolist(), instances):
-            if k == len(self.members) or self.members[k] != inst:
-                raise DataError(f"instance {inst.id} is not in the corpus")
-        return np.sort(at)
+
+def _by_id(instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts `instances` by id, and their ids in that order;
+    DataError if an id repeats."""
+    ids = np.array([i.id for i in instances], dtype=np.int64)
+    order = np.argsort(ids)
+    ids = ids[order]
+    if len(repeated := ids[1:][ids[1:] == ids[:-1]]):
+        raise DataError(f"instance id {repeated[0]} occurs more than once")
+    return order, ids
 
 
 def featurize(data: MultilingualData, space: FeatureSpace) -> Featurized:
     """Every training and test instance of `data`, in ascending id order, hashed once
     in passes of at most its task model's `chunk` rows, and each test language
     taken from them once; DataError if an id repeats."""
-    members = sorted((i for part in (data.train, data.test) for group in part.values() for i in group),
-                     key=lambda i: i.id)
-    ids = np.array([i.id for i in members], dtype=np.int64)
-    if len(repeated := ids[1:][ids[1:] == ids[:-1]]):
-        raise DataError(f"instance id {repeated[0]} occurs more than once")
+    members = [i for part in (data.train, data.test) for group in part.values() for i in group]
+    order, ids = _by_id(members)
+    members = [members[k] for k in order.tolist()]
     costs = np.array([i.cost for i in members], dtype=np.int64)
     instances = build_model(data.task, space).evaluation_set(members)
     # every test instance is a member, so its id finds its position
@@ -258,24 +260,31 @@ def _score_pool(model, corpus: Featurized, positions: np.ndarray, strategy, roun
     return np.concatenate(values)
 
 
-def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> list[Pool]:
-    """Each model's seed/validation/unlabeled split, a pure function of its seed."""
-    pools = []
+def _draw_pools(plan: AllocationPlan, data: MultilingualData, rng_seed: int) -> list[tuple]:
+    """Each model's split, a pure function of its seed: its candidates' ids in
+    ascending order, their costs, the index of each one's language in the
+    model's languages, and the (labeled, validation, unlabeled) positions into
+    them that `sample_splits` draws. DataError if an id repeats."""
+    draws = []
     for mp in plan.models:
-        candidates = [inst for lang in mp.languages for inst in data.train[lang]]
+        groups = [data.train[lang] for lang in mp.languages]
+        order, ids = _by_id([i for group in groups for i in group])
+        costs = np.array([i.cost for group in groups for i in group], dtype=np.int64)[order]
+        languages = np.repeat(np.arange(len(groups)), [len(group) for group in groups])[order]
         split = SplitSpec(mp.seed_budget, mp.val_budget, _derive_seed(rng_seed, mp.index, 0))
-        pools.append(sample_splits(candidates, split))
-    return pools
+        draws.append((ids, costs, languages, sample_splits(costs, split)))
+    return draws
 
 
-def _composition(plan: AllocationPlan, pools: Sequence[Pool]) -> dict[str, int]:
-    """Cost per plan language of the labeled and unlabeled parts of `pools`,
-    each model's draw: the share denominator of the curriculum analysis."""
+def _composition(plan: AllocationPlan, draws: Sequence[tuple]) -> dict[str, int]:
+    """Cost per plan language of the labeled and unlabeled candidates of each
+    model's draw (`_draw_pools`): the share denominator of the curriculum analysis."""
     composition = dict.fromkeys(sorted({lang for mp in plan.models for lang in mp.languages}), 0)
-    for pool in pools:
-        for part in (pool.labeled, pool.unlabeled):
-            for inst in part.values():
-                composition[inst.language] += inst.cost
+    for mp, (_, costs, languages, (labeled, _, unlabeled)) in zip(plan.models, draws):
+        kept = np.concatenate([labeled, unlabeled])
+        costs, languages = costs[kept], languages[kept]
+        for k, lang in enumerate(mp.languages):
+            composition[lang] += int(costs[languages == k].sum())
     return composition
 
 
@@ -303,24 +312,23 @@ def run_arms(
 
     The arms in `arms` (True: the setting's strategy, False: random) run in
     lockstep. Each holds, per model, a (labeled, unlabeled) pair of ascending
-    int64 positions into `corpus`, from the model's draw (`_draw_pools`). In
-    every round each arm takes each of its models in turn: from round 1 on,
-    it scores the model's unlabeled positions with the model's fit of the
-    previous round and moves a batch bought within the per-round budget to
-    labeled; then it fits the model from scratch on its labeled positions
-    and evaluates it, or reuses the fit another arm made of the same ones.
-    A fit depends on the model, the round and the labeled pool, never on
-    the arm, so each model is fitted once per distinct labeled pool in a
-    round: in round 0, and in every later round where the arms hold the same
-    pool, as they do once it has run out. Each model's validation pool is
+    int64 positions into `corpus`, found by id from the model's draw
+    (`_draw_pools`). In every round each arm takes each of its models in turn:
+    from round 1 on, it scores the model's unlabeled positions with the
+    model's fit of the previous round and moves a batch bought within the
+    per-round budget to labeled; then it fits the model from scratch on its
+    labeled positions and evaluates it, or reuses the fit another arm made of
+    the same ones. A fit depends on the model, the round and the labeled pool,
+    never on the arm, so each model is fitted once per distinct labeled pool
+    in a round: in round 0, and in every later round where the arms hold the
+    same pool, as they do once it has run out. Each model's validation pool is
     taken from `corpus` once, as the evaluation set every fit validates on;
     every fit tests on the corpus's own test sets. `plan.setting.with_al` is
-    not read. Returns each arm's (results, events) and the composition of
-    the pools drawn (`initial_composition`). Identical (plan, corpus,
-    config, seed) inputs reproduce identical results, whichever arms run
-    together. Before any pool is drawn, ConfigError is raised for a repeated
-    arm, which would buy its batches twice, and for plan languages the
-    corpus lacks.
+    not read. Returns each arm's (results, events) and the composition of the
+    pools drawn (`initial_composition`). Identical (plan, corpus, config,
+    seed) inputs reproduce identical results, whichever arms run together.
+    Before any pool is drawn, ConfigError is raised for a repeated arm, which
+    would buy its batches twice, and for plan languages the corpus lacks.
     """
     if len(set(arms)) != len(arms):
         raise ConfigError(f"arms must be distinct, got {list(arms)}")
@@ -329,11 +337,12 @@ def run_arms(
                          | {lang for mp in plan.models for lang in mp.eval_languages}
                          - corpus.tests.keys()):
         raise ConfigError(f"plan languages {missing} are not in the data")
-    pools = _draw_pools(plan, data, rng_seed)
-    drawn = [[corpus.locate(part.values()) for part in (p.labeled, p.unlabeled, p.validation)]
-             for p in pools]
-    val_sets = [corpus.instances.take(validation) for _, _, validation in drawn]
-    arm_pools = {with_al: [(labeled, unlabeled) for labeled, unlabeled, _ in drawn] for with_al in arms}
+    draws = _draw_pools(plan, data, rng_seed)
+    # every candidate is a corpus member, so its id finds its position
+    drawn = [[np.sort(np.searchsorted(corpus.ids, ids[part])) for part in parts]
+             for ids, _, _, parts in draws]
+    val_sets = [corpus.instances.take(validation) for _, validation, _ in drawn]
+    arm_pools = {with_al: [(labeled, unlabeled) for labeled, _, unlabeled in drawn] for with_al in arms}
     runs = {with_al: ([], []) for with_al in arms}
     fits = {}
     for round_idx in range(plan.spec.rounds):
@@ -371,7 +380,7 @@ def run_arms(
                 for lang, lang_counts in counts:
                     result.report.add(lang, lang_counts)
             results.append(result)
-    return runs, _composition(plan, pools)
+    return runs, _composition(plan, draws)
 
 
 def run_rounds(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import time
 from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
@@ -60,6 +61,26 @@ def _tree_bytes(root: Path, subdirs=("results", "logs")) -> dict[str, bytes]:
                     out[str(path.relative_to(root))] = path.read_bytes()
     out["summary.csv"] = (root / "summary.csv").read_bytes()
     return out
+
+
+def _slow_after_the_first(config, task, out_dir):
+    """A `run_cell` for pool workers: records the task's start in `out_dir`,
+    sleeps in every task but the first to start, then runs the task."""
+    started = Path(out_dir) / "started"
+    started.mkdir(exist_ok=True)
+    (started / task["key"]).touch()
+    try:
+        os.close(os.open(started / ".first", os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        time.sleep(0.2)
+    return run_cell(config, task, out_dir)
+
+
+def _dies_in_sma(config, task, out_dir):
+    """A `run_cell` for pool workers whose process ends abruptly in the SMA setting."""
+    if task["key"] == "sma.lc":
+        os._exit(1)
+    return run_cell(config, task, out_dir)
 
 
 # what `report` says of a results line and of a curriculum sidecar without any of their keys
@@ -689,6 +710,46 @@ class TestRunCommand:
         # one task (both arms of one setting) finished before the interrupt
         assert finished == ["mma.lc.al", "mma.lc.noal"] and skipped == finished
         assert done == ["sma.lc.al", "sma.lc.noal"]
+
+    def test_interrupted_pool_runs_no_more_tasks(self, tmp_path, monkeypatch):
+        config_path = _small_config(tmp_path / "corpus", settings=[
+            *({"kind": kind, "strategy": strategy} for kind in ("sma", "mma")
+              for strategy in ("lc", "random")),
+            *({"kind": "monoa", "strategy": "lc", "source": lang} for lang in ("aa", "bb"))])
+        out = tmp_path / "out"
+        write_manifest = cli._write_manifest
+
+        def interrupted(*args):
+            # the parent writes the manifest after each task it hears of
+            write_manifest(*args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_cell", _slow_after_the_first)
+        monkeypatch.setattr(cli, "_write_manifest", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(config_path), "--jobs", "2", "--out", str(out)])
+        started = sorted(p.name for p in (out / "started").iterdir() if p.name != ".first")
+        # one setting per worker; without a bound all six ran
+        assert started == ["mma.lc", "mma.random"]
+        monkeypatch.undo()
+        # the resume reruns every setting but the one recorded, those that finished unrecorded too
+        assert main(["run", "--config", str(config_path), "--jobs", "2", "--out", str(out)]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["run", "--config", str(config_path), "--out", str(fresh)]) == 0
+        assert _tree_bytes(out) == _tree_bytes(fresh)
+
+    def test_dead_worker_fails_every_setting_left(self, tmp_path, monkeypatch, capsys):
+        config_path = _small_config(tmp_path / "corpus", settings=[
+            {"kind": kind, "strategy": "lc"} for kind in ("sma", "mma")] + [
+            {"kind": "monoa", "strategy": "lc", "source": "aa"}])
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli, "run_cell", _dies_in_sma)
+        assert main(["run", "--config", str(config_path), "--jobs", "2", "--out", str(out)]) == 2
+        failed = {line.split(":")[1].strip() for line in capsys.readouterr().err.splitlines()}
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the setting started after the pool broke fails too, and is recorded so
+        for key in ("sma.lc.al", "sma.lc.noal", "monoa-aa.lc.al", "monoa-aa.lc.noal"):
+            assert key in failed and manifest["cells"][key] == {"status": "incomplete"}
 
     def test_pool_has_at_most_one_worker_per_pending_cell(self, tmp_path, monkeypatch):
         config_path = _small_config(tmp_path / "corpus")

@@ -8,7 +8,6 @@ from lingalloc.corpus import (
     ClassificationText,
     DepTree,
     Instance,
-    Pool,
     SplitSpec,
     TaggedSentence,
     dedup,
@@ -370,13 +369,6 @@ class TestLengthFilter:
         assert length_filter([inst], 256) == [inst]
 
 
-def _unit_instances(n, language="en", start=0):
-    return [
-        Instance(start + i, language, ClassificationText(f"text {start + i}", "pos"), 1)
-        for i in range(n)
-    ]
-
-
 class TestDepTree:
     @pytest.mark.parametrize(
         "heads, labels",
@@ -390,51 +382,31 @@ class TestDepTree:
         assert DepTree(("a",), ("X",), None, ("x",)).labels == ("x",)
 
 
-class TestPool:
-    def test_disjointness_enforced(self):
-        a = _unit_instances(1)[0]
-        with pytest.raises(DataError):
-            Pool(labeled=[a], unlabeled=[a])
-
-
 class TestSampleSplits:
     def test_unit_cost_budget(self):
-        insts = _unit_instances(100)
-        pool = sample_splits(insts, SplitSpec(10, 5, rng_seed=0))
-        assert len(pool.labeled) == 10
-        assert len(pool.validation) == 5
-        assert len(pool.unlabeled) == 85
+        parts = sample_splits(np.ones(100, dtype=np.int64), SplitSpec(10, 5, rng_seed=0))
+        assert [len(part) for part in parts] == [10, 5, 85]
 
     def test_deterministic(self):
-        insts = _unit_instances(50)
-        a = sample_splits(insts, SplitSpec(7, 3, rng_seed=4))
-        b = sample_splits(list(reversed(insts)), SplitSpec(7, 3, rng_seed=4))
-        assert sorted(a.labeled) == sorted(b.labeled)
-        assert sorted(a.validation) == sorted(b.validation)
+        costs = np.ones(50, dtype=np.int64)
+        a = sample_splits(costs, SplitSpec(7, 3, rng_seed=4))
+        b = sample_splits(costs.copy(), SplitSpec(7, 3, rng_seed=4))
+        assert [part.tolist() for part in a] == [part.tolist() for part in b]
 
     def test_token_budget_stops_before_exceeding(self):
-        insts = [
-            Instance(i, "en", TaggedSentence(tuple(f"t{j}" for j in range(20)), ("O",) * 20), 20)
-            for i in range(5)
-        ]
-        pool = sample_splits(insts, SplitSpec(50, 20, rng_seed=1))
-        assert sum(i.cost for i in pool.labeled.values()) == 40
-        assert len(pool.labeled) == 2
+        costs = np.full(5, 20, dtype=np.int64)
+        labeled, _, _ = sample_splits(costs, SplitSpec(50, 20, rng_seed=1))
+        assert int(costs[labeled].sum()) == 40
+        assert len(labeled) == 2
 
     def test_insufficient_data(self):
-        insts = _unit_instances(4)
         with pytest.raises(ConfigError) as err:
-            sample_splits(insts, SplitSpec(10, 5, rng_seed=0))
+            sample_splits(np.ones(4, dtype=np.int64), SplitSpec(10, 5, rng_seed=0))
         assert "cannot cover" in str(err.value)
 
     def test_partitions_disjoint_and_exhaustive(self):
-        insts = _unit_instances(30)
-        pool = sample_splits(insts, SplitSpec(6, 4, rng_seed=2))
-        ids = set()
-        for part in (pool.labeled, pool.unlabeled, pool.validation):
-            assert not (ids & part.keys())
-            ids.update(part.keys())
-        assert ids == {i.id for i in insts}
+        parts = sample_splits(np.ones(30, dtype=np.int64), SplitSpec(6, 4, rng_seed=2))
+        assert sorted(np.concatenate(parts).tolist()) == list(range(30))
 
 
 class TestFirstFit:
@@ -455,14 +427,13 @@ class TestFirstFit:
         total = sum(cost for _, cost in pool)
         seed_budget = data.draw(st.integers(1, total - 1))
         val_budget = data.draw(st.integers(1, total - seed_budget))
-        insts = [Instance(iid, "en", TaggedSentence(("t",) * cost), cost) for iid, cost in pool]
-        by_id = sorted(insts, key=lambda i: i.id)
-        perm = np.random.default_rng(rng_seed).permutation(len(by_id)).tolist()
-        walk = [(by_id[k].id, position, by_id[k].cost) for position, k in enumerate(perm)]
+        ids, costs = zip(*sorted(pool))
+        perm = np.random.default_rng(rng_seed).permutation(len(ids)).tolist()
+        walk = [(ids[k], position, costs[k]) for position, k in enumerate(perm)]
         labeled, _ = first_fit_selection(walk, seed_budget)
         rest = [entry for entry in walk if entry[0] not in set(labeled)]
         validation, _ = first_fit_selection(rest, val_budget)
         unlabeled = [iid for iid, _, _ in rest if iid not in set(validation)]
-        got = sample_splits(insts, SplitSpec(seed_budget, val_budget, rng_seed))
-        assert (list(got.labeled), list(got.validation), list(got.unlabeled)) == (
-            labeled, validation, unlabeled)
+        got = sample_splits(np.array(costs, dtype=np.int64), SplitSpec(seed_budget, val_budget, rng_seed))
+        # positions into the id-ordered costs
+        assert [[ids[k] for k in part.tolist()] for part in got] == [labeled, validation, unlabeled]

@@ -6,6 +6,7 @@ import pytest
 
 from lingalloc import experiment, models
 from lingalloc.acquisition import StrategyKind, random_scores, select_ranked
+from lingalloc.corpus import Instance
 from lingalloc.errors import ConfigError, DataError
 from lingalloc.experiment import (
     AcquisitionEvent,
@@ -248,7 +249,7 @@ class TestRunRounds:
     def test_random_pool_scores_are_those_of_random_scores(self, small_data):
         pool = small_data.train["bb"][::-1]
         corpus = featurize(small_data, SPACE)
-        positions = corpus.locate(pool)
+        positions = np.sort(np.searchsorted(corpus.ids, [i.id for i in pool]))
         scores = experiment._score_pool(None, corpus, positions, StrategyKind.RANDOM,
                                         np.random.default_rng(9))
         expected = random_scores([i.id for i in pool], np.random.default_rng(9))
@@ -406,12 +407,31 @@ class TestRunArms:
         with pytest.raises(DataError, match=f"^instance id {repeated.id} occurs more than once$"):
             featurize(data, SPACE)
 
-    @pytest.mark.parametrize("changed", [{"id": 10_000}, {"cost": 7}], ids=["unknown-id", "other-content"])
-    def test_locate_rejects_what_is_not_a_member(self, small_data, changed):
+    def test_repeated_instance_id_rejected_when_drawing(self):
+        data = synth_classification(["aa", "bb"], 20, 5, 0.5, seed=5)
+        repeated = replace(data.train["bb"][1], id=data.train["aa"][3].id)
+        data.train["bb"].append(repeated)
+        plan = allocate(sma(), BudgetSpec(4, 3, 2, rounds=2), data.languages)
+        with pytest.raises(DataError, match=f"^instance id {repeated.id} occurs more than once$"):
+            initial_composition(plan, data, 1)
+
+    @pytest.mark.parametrize("family", [SettingFamily.SMA, SettingFamily.MMA], ids=["sma", "mma"])
+    def test_drawing_compares_no_instance(self, monkeypatch, small_data, family):
+        # pools are drawn and placed by id and cost alone
+        plan = allocate(Setting(family, StrategyKind.LC), BudgetSpec(40, 30, 20, rounds=2),
+                        small_data.languages)
         corpus = featurize(small_data, SPACE)
-        outsider = replace(small_data.train["bb"][4], **changed)
-        with pytest.raises(DataError, match=f"^instance {outsider.id} is not in the corpus$"):
-            corpus.locate([small_data.train["aa"][0], outsider])
+        eq, compared = Instance.__eq__, []
+
+        def counting(a, b):
+            compared.append((a.id, b.id))
+            return eq(a, b)
+
+        monkeypatch.setattr(Instance, "__eq__", counting)
+        runs, composition = run_arms(plan, corpus, FAST, 3, (True, False))
+        validation = sum(mp.val_budget for mp in plan.models)
+        assert runs[True][1] and sum(composition.values()) == 450 - validation
+        assert compared == []
 
     @pytest.mark.parametrize("entry", ["run_arms", "run_rounds"])
     def test_missing_language_rejected_before_drawing_pools(self, monkeypatch, entry):
@@ -465,12 +485,14 @@ class TestRunArms:
         runs = run_arms(plan, featurize(data, SPACE), FAST, rng_seed=3, arms=(True, False))[0]
         expected = set()
         for _, events in runs.values():
-            for mp, pool in zip(plan.models, experiment._draw_pools(plan, data, 3)):
+            for mp, (ids, _, _, (labeled, validation, _)) in zip(plan.models,
+                                                                 experiment._draw_pools(plan, data, 3)):
+                seed = set(ids[labeled].tolist())
                 own = [e for e in events if e.language in mp.languages]
                 bought = [e.instance_id for e in own]
                 assert bought and len(set(bought)) == len(bought)
-                assert not set(bought) & (pool.labeled.keys() | pool.validation.keys())
-                expected |= {(mp.index, r, frozenset(pool.labeled.keys() | {
+                assert not set(bought) & (seed | set(ids[validation].tolist()))
+                expected |= {(mp.index, r, frozenset(seed | {
                     e.instance_id for e in own if e.round <= r})) for r in range(plan.spec.rounds)}
         # one fit per model, round and distinct labeled pool, on exactly the seed and the buys
         assert len(fitted) == len(set(fitted)) and set(fitted) == expected

@@ -171,7 +171,7 @@ class TestBatchedPrediction:
         """The pool scores of every training instance, and those instances in pool order."""
         pool = [i for lang in data.languages for i in data.train[lang]]
         corpus = featurize(data, SPACE)
-        positions = corpus.locate(pool[::-1])
+        positions = np.sort(np.searchsorted(corpus.ids, [i.id for i in pool[::-1]]))
         ordered = [corpus.members[k] for k in positions.tolist()]
         assert ordered == sorted(pool, key=lambda i: i.id)
         return _score_pool(model, corpus, positions, strategy, None), ordered
